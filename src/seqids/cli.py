@@ -7,13 +7,15 @@ Subcommands:
                 training split -> standardize -> train; writes
                 ``checkpoint.bin``, ``epochs.csv`` and ``manifest.json``
 * ``eval``      load a checkpoint and a CSV (full file or the run's held-out
-                split), emit the classification report (JSON + text),
-                confusion and ROC CSVs, and per-instance latency
+                split), emit the classification report (JSON + text) with
+                the loss, confusion and ROC CSVs, and per-instance latency;
+                predictions and loss come from one pass over the logits
 * ``ablate``    train and evaluate the ten-variant grid on one shared split,
                 emit ``ablation.csv``
 
 Config files are flat ``key = value`` text ('#' starts a comment). Keys
-match the model/training fields below; command-line flags override file
+are the model and training fields below and ``use_smote``; any other key
+or a malformed value is an error. Command-line flags override file
 values. Every artifact directory receives exactly one ``manifest.json``
 capturing the command, settings, seed, dataset fingerprint, tool version
 and timestamps.
@@ -35,13 +37,15 @@ import numpy as np
 from . import __version__
 from . import data as D
 from . import metrics as M
+from . import tensor as T
 from . import train as TR
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, InputError, SeqidsError
 from .model import Model, ModelConfig, build_model, table3_grid
 from .tensor import Tensor, set_default_dtype
 
-MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)}
+# input_shape and num_classes are read from the data, never from a config file
+MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)} - {"input_shape", "num_classes"}
 TRAIN_KEYS = {f.name for f in dataclasses.fields(TR.TrainConfig)}
 
 
@@ -72,12 +76,16 @@ def _coerce(key: str, value: str, target):
         if low in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-    if isinstance(target, int):
-        return int(value)
-    if isinstance(target, float):
-        return float(value)
-    if isinstance(target, tuple):
-        return tuple(int(v) for v in value.split(",") if v.strip())
+    try:
+        if isinstance(target, int):
+            return int(value)
+        if isinstance(target, float):
+            return float(value)
+        if isinstance(target, tuple):
+            return tuple(int(v) for v in value.split(",") if v.strip())
+    except ValueError:
+        raise ConfigError(
+            f"{key}: expected {type(target).__name__} like {target!r}, got {value!r}") from None
     return value
 
 
@@ -100,7 +108,7 @@ def dataset_fingerprint(path) -> dict:
             "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def write_manifest(out_dir: Path, command: str, settings: dict,
+def write_manifest(path: Path, command: str, settings: dict,
                    seed: int, fingerprint: dict | None, started: float) -> None:
     manifest = {
         "command": command,
@@ -111,19 +119,24 @@ def write_manifest(out_dir: Path, command: str, settings: dict,
         "started": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(started)),
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def parse_imbalance(spec: str, classes: int) -> list[float]:
     """Either 'a:b' (one majority at weight a, the rest at b, scaled so the
     majority is 1) or an explicit comma list of per-class weights."""
-    if ":" in spec:
-        a, b = (float(v) for v in spec.split(":", 1))
+    ratio = ":" in spec
+    parts = spec.split(":", 1) if ratio else [v for v in spec.split(",") if v.strip()]
+    try:
+        weights = [float(v) for v in parts]
+    except ValueError:
+        raise ConfigError(f"imbalance must be 'a:b' or a comma list of numbers, "
+                          f"got {spec!r}") from None
+    if ratio:
+        a, b = weights
         if a <= 0 or b <= 0:
             raise ConfigError(f"imbalance ratio parts must be positive, got {spec!r}")
         return [1.0] + [b / a] * (classes - 1)
-    weights = [float(v) for v in spec.split(",") if v.strip()]
     if len(weights) != classes:
         raise ConfigError(f"imbalance list has {len(weights)} entries for {classes} classes")
     return weights
@@ -132,16 +145,18 @@ def parse_imbalance(spec: str, classes: int) -> list[float]:
 # ---------------------------------------------------------------------------
 # Pipeline pieces shared by train / ablate
 
-def _prepare(dataset: D.Dataset, seed: int, fraction: float, use_smote: bool,
-             smote_k: int):
-    split = D.train_test_split(dataset, fraction=fraction, seed=seed, stratified=True)
-    pre_counts = split.train.class_counts().tolist()
+def _preprocess(split: D.SplitPair, use_smote: bool, seed: int,
+                smote_k: int = 5) -> tuple[D.SplitPair, D.Standardizer]:
+    """SMOTE (if ``use_smote``), then standardization, of the training half.
+
+    Returns a new split, whose test half stays raw, and the standardizer.
+    """
+    train = split.train
     if use_smote:
-        split.train = D.smote_oversample(split.train, k_neighbors=smote_k, seed=seed)
-    standardizer = D.fit_standardizer(split.train.X)
-    split.train.X = standardizer.transform(split.train.X)
-    post_counts = split.train.class_counts().tolist()
-    return split, standardizer, pre_counts, post_counts
+        train = D.smote_oversample(train, k_neighbors=smote_k, seed=seed)
+    standardizer = D.fit_standardizer(train.X)
+    train = dataclasses.replace(train, X=standardizer.transform(train.X))
+    return D.SplitPair(train=train, test=split.test, fraction=split.fraction), standardizer
 
 
 def _save_model_checkpoint(path, model: Model, standardizer: D.Standardizer,
@@ -173,17 +188,21 @@ def _load_model_checkpoint(path):
     return model, standardizer, meta
 
 
+def _score(model: Model, X: np.ndarray, y: np.ndarray, class_names, repetitions: int):
+    """(logits, confusion, report, loss, latency per instance) from one infer pass."""
+    logits = TR.predict_logits(model, X)
+    cm = M.confusion(y, logits.argmax(axis=1), len(class_names),
+                     class_names=list(class_names))
+    loss = float(TR.cross_entropy_loss(Tensor(logits), y).data)
+    latency = TR.measure_inference(model, X[: min(64, X.shape[0])], repetitions=repetitions)
+    return logits, cm, M.class_report(cm), loss, latency
+
+
 def _evaluate_to_files(model: Model, standardizer: D.Standardizer, X_raw, y,
                        class_names, out_dir: Path, repetitions: int) -> dict:
     X = D.reshape_for_model(X_raw, standardizer)
-    probs = TR.predict_proba(model, X)
-    pred = probs.argmax(axis=1)
-    cm = M.confusion(y, pred, len(class_names), class_names=list(class_names))
-    report = M.class_report(cm)
-    curves = M.roc_auc(probs, y)
-    loss = float(TR.cross_entropy_loss(Tensor(probs), y).data)
-    timing_batch = X[: min(64, X.shape[0])]
-    latency = TR.measure_inference(model, timing_batch, repetitions=repetitions)
+    logits, cm, report, loss, latency = _score(model, X, y, class_names, repetitions)
+    curves = M.roc_auc(T.softmax(Tensor(logits), axis=1).data, y)
     blob = M.report_to_dict(report, cm, curves)
     blob["loss"] = loss
     blob["inference_seconds_per_instance"] = latency
@@ -200,6 +219,7 @@ def _evaluate_to_files(model: Model, standardizer: D.Standardizer, X_raw, y,
 # Subcommands
 
 def cmd_gen_data(args) -> int:
+    started = time.time()
     classes, features = args.classes, args.features
     profile = parse_imbalance(args.imbalance, classes) if args.imbalance else None
     ds = D.synth_dataset(classes=classes, features=features, per_class=args.per_class,
@@ -211,20 +231,13 @@ def cmd_gen_data(args) -> int:
     if out.parent and not out.parent.exists():
         raise InputError(f"output directory does not exist: {out.parent}")
     D.save_csv(ds, out)
-    manifest_path = out.with_name(out.name + ".manifest.json")
-    manifest = {
-        "command": "gen-data",
-        "settings": {"classes": classes, "features": features,
-                     "per_class": args.per_class, "imbalance": args.imbalance,
-                     "separation": args.separation,
-                     "sequence_structure": args.sequence_structure,
-                     "structure_strength": args.structure_strength},
-        "seed": args.seed,
-        "dataset": dataset_fingerprint(out),
-        "tool_version": __version__,
-    }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
+    write_manifest(out.with_name(out.name + ".manifest.json"), "gen-data",
+                   {"classes": classes, "features": features,
+                    "per_class": args.per_class, "imbalance": args.imbalance,
+                    "separation": args.separation,
+                    "sequence_structure": args.sequence_structure,
+                    "structure_strength": args.structure_strength},
+                   args.seed, dataset_fingerprint(out), started)
     counts = ds.class_counts()
     print(f"wrote {out} ({ds.X.shape[0]} rows, {features} features, "
           f"{classes} classes, counts {counts.tolist()})")
@@ -244,24 +257,27 @@ def cmd_train(args) -> int:
     model_cfg = ModelConfig(input_shape=(dataset.num_features, 1),
                             num_classes=dataset.encoder.num_classes)
     train_cfg = TR.TrainConfig()
-    if args.config:
-        file_values = parse_config_file(args.config)
-        apply_config(model_cfg, file_values, MODEL_KEYS)
-        apply_config(train_cfg, file_values, TRAIN_KEYS)
+    file_values = parse_config_file(args.config) if args.config else {}
+    unknown = sorted(file_values.keys() - MODEL_KEYS - TRAIN_KEYS - {"use_smote"})
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown config key(s) {unknown}")
+    apply_config(model_cfg, file_values, MODEL_KEYS)
+    apply_config(train_cfg, file_values, TRAIN_KEYS)
+    use_smote = _coerce("use_smote", file_values.get("use_smote", "true"), True)
+    if args.smote is not None:
+        use_smote = args.smote
     for key, value in (("epochs", args.epochs), ("batch_size", args.batch_size),
                        ("lr", args.lr), ("seed", args.seed),
                        ("validation_fraction", args.val_fraction)):
         if value is not None:
             setattr(train_cfg, key, value)
-    if args.smote is not None:
-        model_cfg.use_smote = args.smote
-    model_cfg.input_shape = (dataset.num_features, 1)
-    model_cfg.num_classes = dataset.encoder.num_classes
-    model_cfg.validate()
     train_cfg.validate()
 
-    split, standardizer, pre_counts, post_counts = _prepare(
-        dataset, train_cfg.seed, args.fraction, model_cfg.use_smote, args.smote_k)
+    split = D.train_test_split(dataset, fraction=args.fraction, seed=train_cfg.seed,
+                               stratified=True)
+    pre_counts = split.train.class_counts().tolist()
+    split, standardizer = _preprocess(split, use_smote, train_cfg.seed, args.smote_k)
+    post_counts = split.train.class_counts().tolist()
     model = build_model(model_cfg, np.random.default_rng(train_cfg.seed))
     print(f"training {model_cfg.arch_name} ({model.param_count()} parameters) "
           f"on {split.train.X.shape[0]} rows")
@@ -273,12 +289,12 @@ def cmd_train(args) -> int:
 
     TR.write_epoch_csv(records, out_dir / "epochs.csv")
     _save_model_checkpoint(out_dir / "checkpoint.bin", model, standardizer,
-                           dataset, train_cfg, args.fraction, model_cfg.use_smote)
+                           dataset, train_cfg, args.fraction, use_smote)
     write_manifest(
-        out_dir, "train",
+        out_dir / "manifest.json", "train",
         {"model": model_cfg.to_dict(),
          "train": dataclasses.asdict(train_cfg),
-         "fraction": args.fraction, "smote": model_cfg.use_smote,
+         "fraction": args.fraction, "smote": use_smote,
          "smote_k": args.smote_k, "dtype": args.dtype,
          "label_column": args.label_column,
          "train_class_counts_before_smote": pre_counts,
@@ -322,7 +338,7 @@ def cmd_eval(args) -> int:
     print(f"evaluated {scope}: accuracy {blob['accuracy']:.4f} "
           f"(informational), loss {blob['loss']:.4f}, "
           f"latency {blob['inference_seconds_per_instance']:.2e}s/instance")
-    write_manifest(out_dir, "eval",
+    write_manifest(out_dir / "manifest.json", "eval",
                    {"checkpoint": str(args.checkpoint), "holdout": args.holdout,
                     "repetitions": args.repetitions,
                     "label_column": args.label_column},
@@ -348,35 +364,21 @@ def cmd_ablate(args) -> int:
     rows = []
     grid = table3_grid(input_shape=(dataset.num_features, 1),
                        num_classes=dataset.encoder.num_classes)
-    for (case_id, cfg), case_seed in zip(grid, case_seeds):
+    for (case_id, cfg, use_smote), case_seed in zip(grid, case_seeds):
         try:
             cfg = dataclasses.replace(cfg, bn_momentum=args.bn_momentum)
-            train_ds = base_split.train
-            if cfg.use_smote:
-                train_ds = D.smote_oversample(train_ds, seed=case_seed)
-            standardizer = D.fit_standardizer(train_ds.X)
-            fit_split = D.SplitPair(
-                train=D.Dataset(X=standardizer.transform(train_ds.X), y=train_ds.y,
-                                encoder=train_ds.encoder,
-                                feature_names=train_ds.feature_names),
-                test=base_split.test, fraction=args.fraction)
+            fit_split, standardizer = _preprocess(base_split, use_smote, case_seed)
             train_cfg = TR.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                                        lr=args.lr, seed=case_seed)
             model = build_model(cfg, np.random.default_rng(case_seed))
             model, _ = TR.train(model, fit_split, train_cfg)
             X_test = D.reshape_for_model(base_split.test.X, standardizer)
-            probs = TR.predict_proba(model, X_test)
-            pred = probs.argmax(axis=1)
-            cm = M.confusion(base_split.test.y, pred, dataset.encoder.num_classes,
-                             class_names=dataset.encoder.class_names)
-            report = M.class_report(cm)
-            loss = float(TR.cross_entropy_loss(Tensor(probs), base_split.test.y).data)
-            latency = TR.measure_inference(
-                model, X_test[: min(64, X_test.shape[0])], repetitions=10)
+            _, _, report, loss, latency = _score(model, X_test, base_split.test.y,
+                                                 dataset.encoder.class_names, 10)
             rows.append({
                 "case": case_id, "model": cfg.arch_name,
                 "heads": cfg.num_heads if cfg.use_mha else "",
-                "dropout": cfg.dropout_rate, "smote": cfg.use_smote,
+                "dropout": cfg.dropout_rate, "smote": use_smote,
                 "dense_layers": len(cfg.dense_units) + 1,
                 "accuracy": f"{report.accuracy:.6f}", "loss": f"{loss:.6f}",
                 "fpr": f"{report.macro_fpr:.6f}", "inf_time": f"{latency:.3e}",
@@ -384,7 +386,7 @@ def cmd_ablate(args) -> int:
             print(f"case #{case_id} {cfg.arch_name}: accuracy {report.accuracy:.4f}")
         except Exception as exc:  # keep going; the row records the failure
             rows.append({"case": case_id, "model": cfg.arch_name, "heads": "",
-                         "dropout": cfg.dropout_rate, "smote": cfg.use_smote,
+                         "dropout": cfg.dropout_rate, "smote": use_smote,
                          "dense_layers": len(cfg.dense_units) + 1, "accuracy": "",
                          "loss": "", "fpr": "", "inf_time": "",
                          "min_class_recall": "", "error": str(exc)})
@@ -394,7 +396,7 @@ def cmd_ablate(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    write_manifest(out_dir, "ablate",
+    write_manifest(out_dir / "manifest.json", "ablate",
                    {"epochs": args.epochs, "batch_size": args.batch_size,
                     "lr": args.lr, "fraction": args.fraction,
                     "bn_momentum": args.bn_momentum, "dtype": args.dtype,

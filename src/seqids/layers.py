@@ -14,6 +14,8 @@ varies):
   and the update ``h_t = (1 - z) * h_prev + z * h_cand``.
 * Dropout is inverted: survivors are scaled by 1/(1-rate) at train time and
   inference is the identity.
+* Dense applies ReLU or no activation. The model's last Dense has none, so
+  it returns logits; the softmax lives in the loss and in ``predict_proba``.
 * Weights use fan-scaled uniform init, bound sqrt(6 / (fan_in + fan_out));
   biases start at zero, scale/shift parameters at one/zero.
 """
@@ -405,12 +407,12 @@ def dropout_forward(x: Tensor, rate: float, mode: str = "train",
 class DenseParams:
     W: Tensor  # (out, in)
     b: Tensor  # (out,)
-    activation: str = "none"  # "relu" | "softmax" | "none"
+    activation: str = "none"  # "relu" | "none"
 
 
 def init_dense(rng, in_features: int, out_features: int, activation: str = "none") -> DenseParams:
-    if activation not in ("relu", "softmax", "none"):
-        raise ContractError(f"dense activation must be relu/softmax/none, got {activation!r}")
+    if activation not in ("relu", "none"):
+        raise ContractError(f"dense activation must be relu/none, got {activation!r}")
     return DenseParams(
         W=glorot_uniform(rng, (out_features, in_features), in_features, out_features),
         b=Tensor(np.zeros(out_features), requires_grad=True),
@@ -427,6 +429,4 @@ def dense_forward(x: Tensor, p: DenseParams) -> Tensor:
     y = T.add(T.matmul(x, p.W.T), p.b)
     if p.activation == "relu":
         y = T.relu(y)
-    elif p.activation == "softmax":
-        y = T.softmax(y, axis=-1)
     return T.reshape(y, y.shape[1:]) if squeeze else y

@@ -129,17 +129,6 @@ def class_report(cm: ConfusionMatrix) -> ClassReport:
         micro_fpr=float(micro_fpr))
 
 
-def fpr(cm: ConfusionMatrix) -> tuple[np.ndarray, float]:
-    """One-vs-rest FP/(FP+TN) per class and the uniform (macro) average."""
-    if cm.total == 0:
-        raise ContractError("cannot compute FPR on an empty confusion matrix")
-    rates = np.zeros(cm.num_classes)
-    for c in range(cm.num_classes):
-        _, fp, _, tn = cm.one_vs_rest(c)
-        rates[c], _ = _ratio(fp, fp + tn)
-    return rates, float(rates.mean())
-
-
 @dataclass
 class RocCurve:
     class_index: int

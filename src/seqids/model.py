@@ -10,7 +10,7 @@ The full architecture is::
     -> BiGRU(units)  -> LayerNorm
     -> MultiHeadAttention(heads, key_dim)
     -> Dropout(rate) -> Flatten
-    -> Dense(64, relu) -> Dense(32, relu) -> Dense(classes, softmax)
+    -> Dense(64, relu) -> Dense(32, relu) -> Dense(classes)   (logits)
 
 Ablation flags drop the residual block, the BiGRU+LayerNorm pair, or the
 attention block; dropout-then-flatten always precedes the dense head. ReLU
@@ -20,7 +20,7 @@ the residual add) follows standard residual-block practice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class ModelConfig:
     key_dim: int = 64
     dropout_rate: float = 0.5
     dense_units: tuple[int, ...] = (64, 32)
-    use_smote: bool = True   # pipeline flag carried for ablation bookkeeping
     bn_momentum: float = 0.99  # lower it for short runs so running stats catch up
 
     def validate(self) -> None:
@@ -78,10 +77,30 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        names = {f.name for f in fields(cls)}
+        unknown, missing = sorted(set(d) - names), sorted(names - set(d))
+        if unknown or missing:
+            raise ConfigError(
+                f"model config does not match this version: unknown keys {unknown}, "
+                f"missing keys {missing}")
         d = dict(d)
         d["input_shape"] = tuple(d["input_shape"])
         d["dense_units"] = tuple(d["dense_units"])
         return cls(**d)
+
+
+def _collect_tensors(name: str, value, out: dict[str, Tensor]) -> None:
+    # a module-level function, not a recursive closure: a closure that calls
+    # itself is a reference cycle, which would keep ``out`` and every model
+    # tensor alive until the cycle collector runs
+    if isinstance(value, Tensor):
+        out[name] = value
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _collect_tensors(f"{name}{i}", item, out)
+    elif is_dataclass(value):
+        for f in fields(value):
+            _collect_tensors(f"{name}.{f.name}", getattr(value, f.name), out)
 
 
 class Model:
@@ -100,38 +119,14 @@ class Model:
         return {n: t for n, t in self.named_arrays().items() if t.requires_grad}
 
     def named_arrays(self) -> dict[str, Tensor]:
-        """All state tensors (trainable weights plus running statistics)."""
+        """All state tensors (trainable weights plus running statistics).
+
+        Layer attributes are walked in assignment order and parameter
+        dataclasses in field order; ``dense[1].W`` is named ``dense1.W``.
+        """
         out: dict[str, Tensor] = {}
-        if self.cfg.use_resnet_block:
-            out["conv1.kernels"] = self.conv1.kernels
-            out["conv1.bias"] = self.conv1.bias
-            for tag, bn in (("bn1", self.bn1), ("bn2", self.bn2)):
-                out[f"{tag}.gamma"] = bn.gamma
-                out[f"{tag}.beta"] = bn.beta
-                out[f"{tag}.running_mean"] = bn.running_mean
-                out[f"{tag}.running_var"] = bn.running_var
-            out["conv2.kernels"] = self.conv2.kernels
-            out["conv2.bias"] = self.conv2.bias
-            out["shortcut.kernels"] = self.shortcut.kernels
-            out["shortcut.bias"] = self.shortcut.bias
-        if self.cfg.use_bigru:
-            for tag, p in (("gru_fwd", self.gru_fwd), ("gru_bwd", self.gru_bwd)):
-                for gname, gate in (("update", p.update), ("reset", p.reset),
-                                    ("candidate", p.candidate)):
-                    out[f"{tag}.{gname}.W"] = gate.W
-                    out[f"{tag}.{gname}.U"] = gate.U
-                    out[f"{tag}.{gname}.b"] = gate.b
-            out["lnorm.gamma"] = self.lnorm.gamma
-            out["lnorm.beta"] = self.lnorm.beta
-        if self.cfg.use_mha:
-            for h in range(self.mha.num_heads):
-                out[f"mha.head{h}.w_q"] = self.mha.w_q[h]
-                out[f"mha.head{h}.w_k"] = self.mha.w_k[h]
-                out[f"mha.head{h}.w_v"] = self.mha.w_v[h]
-            out["mha.w_o"] = self.mha.w_o
-        for i, d in enumerate(self.dense):
-            out[f"dense{i}.W"] = d.W
-            out[f"dense{i}.b"] = d.b
+        for name, value in vars(self).items():
+            _collect_tensors(name, value, out)
         return out
 
     def param_count(self) -> int:
@@ -139,7 +134,7 @@ class Model:
 
     def forward(self, batch, mode: str = "infer",
                 rng: np.random.Generator | None = None) -> Tensor:
-        """(B, T, C) batch -> (B, num_classes) probability rows."""
+        """(B, T, C) batch -> (B, num_classes) logits."""
         x = batch if isinstance(batch, Tensor) else Tensor(batch)
         t_len, channels = self.cfg.input_shape
         if x.ndim != 3 or x.shape[1:] != (t_len, channels):
@@ -206,31 +201,30 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
         m.dense.append(L.init_dense(rng, flat, units, activation="relu"))
         flat = units
         shapes.append(units)
-    m.dense.append(L.init_dense(rng, flat, cfg.num_classes, activation="softmax"))
+    m.dense.append(L.init_dense(rng, flat, cfg.num_classes))
     shapes.append(cfg.num_classes)
     m.stage_shapes = shapes
     return m
 
 
 def table3_grid(input_shape: tuple[int, int] = (60, 1),
-                num_classes: int = 6) -> list[tuple[int, ModelConfig]]:
-    """The ten-variant ablation grid.
+                num_classes: int = 6) -> list[tuple[int, ModelConfig, bool]]:
+    """The ten-variant ablation grid as (case id, model config, use SMOTE).
 
     #1 residual block only; #2 BiGRU+MHA; #3 residual block + BiGRU;
     #4/#5/#6 full model with 2/4/8 heads; #7/#8 dropout 0.3/0.7;
     #9 one fewer hidden dense layer; #10 full model without SMOTE.
     """
     flagship = ModelConfig(input_shape=input_shape, num_classes=num_classes)
-    cases = [
-        (1, replace(flagship, use_bigru=False, use_mha=False)),
-        (2, replace(flagship, use_resnet_block=False)),
-        (3, replace(flagship, use_mha=False)),
-        (4, replace(flagship, num_heads=2)),
-        (5, flagship),
-        (6, replace(flagship, num_heads=8)),
-        (7, replace(flagship, dropout_rate=0.3)),
-        (8, replace(flagship, dropout_rate=0.7)),
-        (9, replace(flagship, dense_units=(64,))),
-        (10, replace(flagship, use_smote=False)),
+    return [
+        (1, replace(flagship, use_bigru=False, use_mha=False), True),
+        (2, replace(flagship, use_resnet_block=False), True),
+        (3, replace(flagship, use_mha=False), True),
+        (4, replace(flagship, num_heads=2), True),
+        (5, flagship, True),
+        (6, replace(flagship, num_heads=8), True),
+        (7, replace(flagship, dropout_rate=0.3), True),
+        (8, replace(flagship, dropout_rate=0.7), True),
+        (9, replace(flagship, dense_units=(64,)), True),
+        (10, flagship, False),
     ]
-    return cases

@@ -36,10 +36,6 @@ def set_default_dtype(name: str) -> None:
     _default_dtype = _DTYPES[name]
 
 
-def get_default_dtype() -> type:
-    return _default_dtype
-
-
 class Tensor:
     """N-dimensional dense value with an optional gradient slot."""
 
@@ -107,9 +103,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 class _OpRecord:
@@ -315,41 +308,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return register_op((a,), out, back)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    if axis is None:
-        n = a.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([a.shape[ax] for ax in axis]))
-    else:
-        n = a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def texp(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-    return register_op((a,), out, lambda g: (g * out,))
-
-
-def tlog(a) -> Tensor:
-    a = _as_tensor(a)
-    return register_op((a,), np.log(a.data), lambda g: (g / a.data,))
-
-
-def tsqrt(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.sqrt(a.data)
-    return register_op((a,), out, lambda g: (g * 0.5 / out,))
-
-
-def clip_min(a, floor: float) -> Tensor:
-    """max(a, floor) elementwise; gradient passes only where a > floor."""
-    a = _as_tensor(a)
-    out = np.maximum(a.data, floor)
-    return register_op((a,), out, lambda g: (g * (a.data > floor),))
-
-
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     out = np.maximum(a.data, 0.0)
@@ -385,24 +343,18 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` must be scalar-valued and deterministic. The error per coordinate
-    is |analytic - numeric| / max(1, |analytic|); keep inputs away from
-    non-differentiable kinks (e.g. ReLU exactly at 0).
-    """
-    x.zero_grad()
-    with Tape() as tape:
-        loss = f(x)
-    backward(loss, tape)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    numeric = _central_difference(lambda: f(x), x, h)
-    denom = np.maximum(1.0, np.abs(analytic))
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    """``grad_check_all`` for a function of the single tensor ``x``."""
+    return grad_check_all(lambda: f(x), [x], h)
 
 
 def grad_check_all(f: Callable[[], Tensor], tensors: Sequence[Tensor], h: float = 1e-5) -> float:
-    """Like ``grad_check`` but for a closure over several checked tensors."""
+    """Max relative error between analytic and central-difference gradients.
+
+    ``f`` is a scalar-valued, deterministic closure over the checked
+    ``tensors``. The error per coordinate is |analytic - numeric| /
+    max(1, |analytic|); keep inputs away from non-differentiable kinks
+    (e.g. ReLU exactly at 0).
+    """
     for t in tensors:
         t.zero_grad()
     with Tape() as tape:

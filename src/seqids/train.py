@@ -1,5 +1,5 @@
-"""Training: categorical cross-entropy, Adam, the epoch loop, and
-inference-latency measurement.
+"""Training: softmax cross-entropy on the model's logits (one fused tape
+record), Adam, the epoch loop, batched inference, and latency measurement.
 
 The loop shuffles mini-batches from a seeded generator, runs forward passes
 in train mode (dropout active, BatchNorm batch statistics) and evaluates the
@@ -21,8 +21,6 @@ from .data import Dataset, SplitPair
 from .errors import ContractError, TrainingDiverged
 from .model import Model
 from .tensor import Tape, Tensor, backward
-
-LOSS_FLOOR = 1e-12
 
 
 @dataclass
@@ -53,17 +51,30 @@ class EpochRecord:
     wall_time_seconds: float
 
 
-def cross_entropy_loss(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """-(1/B) sum log(probs[i, y_i]), probabilities floored at 1e-12."""
-    batch, k = probs.shape
+def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """-(1/B) sum log softmax(logits)[i, y_i], as one tape record.
+
+    A max-shifted log-sum-exp keeps it finite for any finite logits; the
+    backward is (softmax - onehot) / B.
+    """
+    batch, k = logits.shape
     labels = np.asarray(labels)
     if labels.shape != (batch,):
         raise ContractError(f"labels shape {labels.shape} does not match batch {batch}")
     if labels.min() < 0 or labels.max() >= k:
         raise ContractError(f"labels must lie in 0..{k - 1}")
-    onehot = Tensor(np.eye(k)[labels])
-    picked = T.tsum(T.mul(probs, onehot), axis=1)
-    return T.neg(T.tmean(T.tlog(T.clip_min(picked, LOSS_FLOOR))))
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    rows = np.arange(batch)
+    value = np.mean(np.log(total[:, 0]) - shifted[rows, labels])
+
+    def back(g):
+        d = e / total
+        d[rows, labels] -= 1.0
+        return (d * (g / batch),)
+
+    return T.register_op((logits,), value, back)
 
 
 class Adam:
@@ -98,27 +109,12 @@ class Adam:
             p.grad = None
 
 
-def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              epsilon: float = 1e-8):
-    """Single-array Adam update; returns (param, m, v) for step count ``t``."""
-    m = beta1 * m + (1 - beta1) * grad
-    v = beta2 * v + (1 - beta2) * grad * grad
-    m_hat = m / (1 - beta1 ** t)
-    v_hat = v / (1 - beta2 ** t)
-    return param - lr * m_hat / (np.sqrt(v_hat) + epsilon), m, v
-
-
 def _evaluate(model: Model, X: np.ndarray, y: np.ndarray,
               batch_size: int) -> tuple[float, float]:
-    losses, hits, total = 0.0, 0, X.shape[0]
-    for start in range(0, total, batch_size):
-        xb = X[start:start + batch_size]
-        yb = y[start:start + batch_size]
-        probs = model.forward(xb, mode="infer")
-        losses += float(cross_entropy_loss(probs, yb).data) * xb.shape[0]
-        hits += int((probs.data.argmax(axis=1) == yb).sum())
-    return losses / total, hits / total
+    """Infer-mode (loss, accuracy), both from the logits of one forward pass."""
+    logits = predict_logits(model, X, batch_size)
+    loss = float(cross_entropy_loss(Tensor(logits), y).data)
+    return loss, float(np.mean(logits.argmax(axis=1) == y))
 
 
 def _stratified_holdout(y: np.ndarray, fraction: float,
@@ -172,15 +168,15 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
             xb, yb = X_fit[idx], y_fit[idx]
             opt.zero_grad()
             with Tape() as tape:
-                probs = model.forward(xb, mode="train", rng=dropout_rng)
-                loss = cross_entropy_loss(probs, yb)
+                logits = model.forward(xb, mode="train", rng=dropout_rng)
+                loss = cross_entropy_loss(logits, yb)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bno}")
             backward(loss, tape)
             opt.step()
             loss_sum += value * xb.shape[0]
-            hit_sum += int((probs.data.argmax(axis=1) == yb).sum())
+            hit_sum += int((logits.data.argmax(axis=1) == yb).sum())
         val_loss, val_acc = _evaluate(model, X_val, y_val, cfg.batch_size)
         records.append(EpochRecord(
             epoch=epoch,
@@ -192,20 +188,17 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
     return model, records
 
 
-def evaluate(model: Model, dataset_X: np.ndarray, y: np.ndarray,
-             batch_size: int = 256) -> tuple[float, float, np.ndarray]:
-    """Infer-mode loss, accuracy and the full probability matrix."""
-    X = dataset_X[:, :, None] if dataset_X.ndim == 2 else dataset_X
-    loss, acc = _evaluate(model, X, y, batch_size)
-    probs = predict_proba(model, X, batch_size)
-    return loss, acc, probs
-
-
-def predict_proba(model: Model, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def predict_logits(model: Model, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    """Infer-mode logits, (N, num_classes), computed ``batch_size`` rows at a time."""
     X = X[:, :, None] if X.ndim == 2 else X
     chunks = [model.forward(X[s:s + batch_size], mode="infer").data
               for s in range(0, X.shape[0], batch_size)]
     return np.concatenate(chunks)
+
+
+def predict_proba(model: Model, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    """Class probability rows: the softmax of ``predict_logits``."""
+    return T.softmax(Tensor(predict_logits(model, X, batch_size)), axis=1).data
 
 
 def measure_inference(model: Model, batch: np.ndarray, repetitions: int = 30) -> float:

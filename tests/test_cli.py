@@ -1,13 +1,17 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seqids import cli
 from seqids import data as D
+from seqids.checkpoint import save_checkpoint
+from seqids.model import ModelConfig, build_model
 
 
 def run_cli(*argv) -> int:
@@ -61,6 +65,12 @@ def test_gen_data_writes_manifest(tmp_path):
 
 def test_gen_data_bad_directory_fails(tmp_path):
     assert run_cli("gen-data", "--out", tmp_path / "nope" / "d.csv") == 1
+
+
+def test_gen_data_malformed_imbalance_fails_with_message(tmp_path, capsys):
+    assert run_cli("gen-data", "--out", tmp_path / "d.csv", "--imbalance", "x:1") == 1
+    assert "'x:1'" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +135,33 @@ def test_train_rerun_has_identical_checkpoint_hash(tmp_path):
                        "--out-dir", out, "--seed", 3, *TRAIN_SPEED_FLAGS) == 0
         hashes.append(hashlib.sha256((out / "checkpoint.bin").read_bytes()).hexdigest())
     assert hashes[0] == hashes[1]
+
+
+def test_train_config_use_smote_key(tmp_path):
+    data = gen(tmp_path, classes=3, per_class=60, imbalance="5:1")
+    cfg = config_file(tmp_path)
+    cfg.write_text(cfg.read_text() + "use_smote = false\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", data, "--config", cfg, "--out-dir", out,
+                   *TRAIN_SPEED_FLAGS) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["settings"]["smote"] is False
+    assert "use_smote" not in manifest["settings"]["model"]
+
+
+@pytest.mark.parametrize("line,key", [("gru_unit = 6", "gru_unit"),
+                                      ("gru_units = abc", "gru_units"),
+                                      ("num_classes = 4", "num_classes")])
+def test_train_bad_config_line_fails_naming_the_key(tmp_path, capsys, line, key):
+    data = gen(tmp_path)
+    cfg = config_file(tmp_path)
+    cfg.write_text(cfg.read_text().replace("gru_units = 6\n", line + "\n"))
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", data, "--config", cfg, "--out-dir", out,
+                   *TRAIN_SPEED_FLAGS) == 1
+    err = capsys.readouterr().err
+    assert "error [train]" in err and key in err
+    assert not (out / "checkpoint.bin").exists()
 
 
 def test_train_does_not_mutate_input(tmp_path):
@@ -196,6 +233,20 @@ def test_eval_feature_width_mismatch_names_widths(tmp_path, capsys):
     assert "12" in err and "7" in err
 
 
+def test_eval_checkpoint_with_legacy_config_fails_cleanly(tmp_path, capsys):
+    # checkpoints written before use_smote left the model config carry that key
+    data = gen(tmp_path)
+    model = build_model(ModelConfig(input_shape=(12, 1), num_classes=3, conv_filters=4,
+                                    gru_units=4, num_heads=2, key_dim=4, dense_units=(8,)),
+                        np.random.default_rng(0))
+    path = tmp_path / "old.bin"
+    save_checkpoint(path, {f"model.{n}": t.data for n, t in model.named_arrays().items()},
+                    {"config": {**model.cfg.to_dict(), "use_smote": True}})
+    rc = run_cli("eval", "--checkpoint", path, "--data", data, "--out-dir", tmp_path / "eval")
+    assert rc == 1
+    assert "use_smote" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # ablate
 
@@ -234,9 +285,13 @@ def test_parse_imbalance_forms():
 
 def test_console_entry_point_smoke(tmp_path):
     out = tmp_path / "d.csv"
+    # the child imports the same seqids as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "seqids.cli", "gen-data", "--out", str(out),
          "--classes", "2", "--features", "4", "--per-class", "5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

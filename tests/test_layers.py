@@ -422,11 +422,11 @@ def test_dense_identity():
     np.testing.assert_allclose(L.dense_forward(Tensor(x), p).data, x)
 
 
-def test_dense_softmax_sums_to_one_over_six_classes():
-    rng = np.random.default_rng(34)
-    p = L.init_dense(rng, in_features=10, out_features=6, activation="softmax")
-    out = L.dense_forward(Tensor(rng.normal(size=(4, 10))), p).data
-    np.testing.assert_allclose(out.sum(axis=1), np.ones(4), atol=1e-6)
+def test_dense_rejects_softmax_activation():
+    # the softmax belongs to the loss and to predict_proba, not to a layer
+    with pytest.raises(ContractError):
+        L.init_dense(np.random.default_rng(34), in_features=10, out_features=6,
+                     activation="softmax")
 
 
 def test_dense_relu_zeroes_negative_preactivations():

@@ -117,17 +117,16 @@ def test_accuracy_equals_weighted_recall():
 
 def test_perfect_classifier_has_zero_fpr():
     y = np.array([0, 1, 2, 0, 1, 2])
-    rates, macro = M.fpr(M.confusion(y, y, 3))
-    np.testing.assert_array_equal(rates, np.zeros(3))
-    assert macro == 0.0
+    rep = M.class_report(M.confusion(y, y, 3))
+    np.testing.assert_array_equal(rep.fpr, np.zeros(3))
+    assert rep.macro_fpr == 0.0
 
 
 def test_binary_fpr_hand_count():
     # class 1 as positive: FP = cm[0,1] = 2, TN = cm[0,0] = 8
     cm = M.ConfusionMatrix(counts=np.array([[8, 2], [1, 9]], dtype=np.int64),
                            class_names=["neg", "pos"])
-    rates, _ = M.fpr(cm)
-    assert rates[1] == pytest.approx(2 / 10)
+    assert M.class_report(cm).fpr[1] == pytest.approx(2 / 10)
 
 
 def test_constant_predictor_fpr_enumeration():
@@ -135,9 +134,9 @@ def test_constant_predictor_fpr_enumeration():
     # all negatives (FPR 1), the others never fire (FPR 0)
     y = np.array([0] * 10 + [1] * 10 + [2] * 10)
     pred = np.zeros(30, dtype=int)
-    rates, macro = M.fpr(M.confusion(y, pred, 3))
-    np.testing.assert_allclose(rates, [1.0, 0.0, 0.0])
-    assert macro == pytest.approx(1 / 3)
+    rep = M.class_report(M.confusion(y, pred, 3))
+    np.testing.assert_allclose(rep.fpr, [1.0, 0.0, 0.0])
+    assert rep.macro_fpr == pytest.approx(1 / 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,22 @@
 import dataclasses
+import gc
+import re
+import weakref
 
 import numpy as np
 import pytest
 
 from seqids import checkpoint as ckpt
+from seqids import train as TR
 from seqids.errors import ConfigError, ShapeError
 from seqids.model import Model, ModelConfig, build_model, table3_grid
 
 TINY = ModelConfig(input_shape=(8, 1), num_classes=3, conv_filters=6, gru_units=4,
                    num_heads=2, key_dim=3, dense_units=(8, 4))
+
+
+def grid_configs(**kw) -> dict[int, ModelConfig]:
+    return {case_id: cfg for case_id, cfg, _ in table3_grid(**kw)}
 
 
 def test_build_is_seed_deterministic():
@@ -23,7 +31,7 @@ def test_build_is_seed_deterministic():
 
 
 def test_resnet_only_case_has_no_recurrent_or_attention_params():
-    cases = dict(table3_grid())
+    cases = grid_configs()
     m = build_model(cases[1], np.random.default_rng(0))
     names = set(m.named_parameters())
     assert not any(n.startswith(("gru", "mha", "lnorm")) for n in names)
@@ -31,7 +39,7 @@ def test_resnet_only_case_has_no_recurrent_or_attention_params():
 
 
 def test_two_dense_case_has_one_fewer_hidden_layer():
-    cases = dict(table3_grid())
+    cases = grid_configs()
     assert cases[9].dense_units == (64,)
     assert cases[5].dense_units == (64, 32)
     m9 = build_model(cases[9], np.random.default_rng(0))
@@ -42,23 +50,23 @@ def test_two_dense_case_has_one_fewer_hidden_layer():
 def test_grid_has_ten_cases():
     grid = table3_grid()
     assert len(grid) == 10
-    assert [case_id for case_id, _ in grid] == list(range(1, 11))
+    assert [case_id for case_id, _, _ in grid] == list(range(1, 11))
 
 
 def test_case6_differs_from_case5_only_in_heads():
-    cases = dict(table3_grid())
+    cases = grid_configs()
     assert cases[6].num_heads == 8 and cases[5].num_heads == 4
     assert dataclasses.replace(cases[6], num_heads=4) == cases[5]
 
 
 def test_case10_differs_from_case5_only_in_smote():
-    cases = dict(table3_grid())
-    assert cases[10].use_smote is False and cases[5].use_smote is True
-    assert dataclasses.replace(cases[10], use_smote=True) == cases[5]
+    grid = {case_id: (cfg, use_smote) for case_id, cfg, use_smote in table3_grid()}
+    assert grid[10] == (grid[5][0], False) and grid[5][1] is True
+    assert [case_id for case_id, (_, use_smote) in grid.items() if not use_smote] == [10]
 
 
 def test_case2_feeds_raw_input_to_bigru():
-    cases = dict(table3_grid())
+    cases = grid_configs()
     m = build_model(cases[2], np.random.default_rng(0))
     assert m.gru_fwd.update.W.shape == (64, 1)  # input width 1, no conv in front
 
@@ -69,12 +77,17 @@ def test_flagship_stage_shape_chain():
 
 
 def test_forward_probability_rows_sum_to_one():
+    # forward returns logits; predict_proba is their row-wise softmax
     rng = np.random.default_rng(1)
     m = build_model(TINY, rng)
-    out = m.forward(rng.normal(size=(5, 8, 1)), mode="infer").data
-    assert out.shape == (5, 3)
-    np.testing.assert_allclose(out.sum(axis=1), np.ones(5), atol=1e-6)
-    assert np.all(out > 0)
+    batch = rng.normal(size=(5, 8, 1))
+    logits = m.forward(batch, mode="infer").data
+    probs = TR.predict_proba(m, batch)
+    assert logits.shape == probs.shape == (5, 3)
+    np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-12)
+    assert np.all(probs > 0)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    np.testing.assert_allclose(probs, e / e.sum(axis=1, keepdims=True), atol=1e-15)
 
 
 def test_infer_mode_is_deterministic():
@@ -107,13 +120,13 @@ def test_batch_forward_equals_stacked_single_samples():
 
 def test_every_grid_config_forward_passes():
     rng = np.random.default_rng(5)
-    for case_id, cfg in table3_grid(input_shape=(9, 1), num_classes=4):
+    for case_id, cfg in grid_configs(input_shape=(9, 1), num_classes=4).items():
         small = dataclasses.replace(cfg, conv_filters=5, gru_units=3, key_dim=4,
                                     dense_units=(6,) if cfg.dense_units == (64,) else (6, 5))
         m = build_model(small, np.random.default_rng(case_id))
         out = m.forward(rng.normal(size=(2, 9, 1)), mode="infer").data
         assert out.shape == (2, 4)
-        np.testing.assert_allclose(out.sum(axis=1), np.ones(2), atol=1e-6)
+        assert np.all(np.isfinite(out))
 
 
 def test_invalid_configs_rejected():
@@ -135,6 +148,51 @@ def test_forward_shape_mismatch():
 def test_config_round_trips_through_dict():
     cfg = ModelConfig(input_shape=(9, 1), num_classes=4, num_heads=2)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_from_dict_rejects_unknown_and_missing_keys():
+    legacy = {**ModelConfig().to_dict(), "use_smote": True}
+    with pytest.raises(ConfigError, match="use_smote"):
+        ModelConfig.from_dict(legacy)
+    partial = ModelConfig().to_dict()
+    del partial["input_shape"]
+    with pytest.raises(ConfigError, match="input_shape"):
+        ModelConfig.from_dict(partial)
+
+
+def test_flagship_named_arrays_cover_every_tensor_once():
+    # 14 residual-block, 18 BiGRU, 2 LayerNorm, 13 attention and 6 dense arrays
+    m = build_model(ModelConfig(), np.random.default_rng(0))
+    arrays = m.named_arrays()
+    assert len(arrays) == 53
+    assert len({id(t) for t in arrays.values()}) == 53
+    assert m.param_count() == 687718
+    other = build_model(ModelConfig(), np.random.default_rng(1))
+    assert list(arrays) == list(other.named_arrays())
+
+
+def test_named_arrays_keeps_no_model_alive():
+    # without the cycle collector, a model's arrays must be freed as soon as
+    # the last reference to it goes, also after named_arrays() has run
+    m = build_model(TINY, np.random.default_rng(11))
+    weight = weakref.ref(m.dense[0].W.data)
+    gc.disable()
+    try:
+        m.named_arrays()
+        del m
+        assert weight() is None
+    finally:
+        gc.enable()
+
+
+def test_checkpoint_with_old_array_names_is_rejected():
+    # the per-head attention weights used to be named mha.head{h}.w_q
+    m = build_model(TINY, np.random.default_rng(9))
+    old = {re.sub(r"^mha\.(w_[qkv])(\d+)$", r"mha.head\2.\1", n): t.data
+           for n, t in m.named_arrays().items()}
+    assert "mha.head0.w_q" in old
+    with pytest.raises(ConfigError, match="missing arrays"):
+        build_model(TINY, np.random.default_rng(10)).load_arrays(old)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -161,7 +219,7 @@ def test_checkpoint_bytes_are_deterministic(tmp_path):
 
 
 def test_arch_names():
-    cases = dict(table3_grid())
+    cases = grid_configs()
     assert cases[1].arch_name == "ResNet-1D"
     assert cases[2].arch_name == "BiGRU-MHA"
     assert cases[3].arch_name == "ResNet-1D-BiGRU"

@@ -6,7 +6,7 @@ from seqids import tensor as T
 from seqids import train as TR
 from seqids.errors import ContractError
 from seqids.model import ModelConfig, build_model
-from seqids.tensor import Tensor, grad_check
+from seqids.tensor import Tensor, grad_check_all
 
 
 def small_split(seed=0, classes=3, features=12, per_class=80, separation=4.0):
@@ -28,14 +28,14 @@ SMALL_CFG = ModelConfig(input_shape=(12, 1), num_classes=3, conv_filters=8,
 # Cross-entropy
 
 def test_cross_entropy_correct_onehot_is_near_zero():
-    probs = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    loss = TR.cross_entropy_loss(probs, np.array([0, 1]))
+    logits = Tensor(np.array([[50.0, -50.0], [-50.0, 50.0]]))
+    loss = TR.cross_entropy_loss(logits, np.array([0, 1]))
     assert 0.0 <= float(loss.data) < 1e-10
 
 
 def test_cross_entropy_uniform_over_six_classes_is_ln6():
-    probs = Tensor(np.full((4, 6), 1.0 / 6.0))
-    loss = TR.cross_entropy_loss(probs, np.array([0, 1, 2, 3]))
+    logits = Tensor(np.full((4, 6), 3.5))
+    loss = TR.cross_entropy_loss(logits, np.array([0, 1, 2, 3]))
     np.testing.assert_allclose(float(loss.data), np.log(6.0), atol=1e-12)
     assert abs(float(loss.data) - 1.791759) < 1e-5
 
@@ -45,27 +45,33 @@ def test_cross_entropy_gradient_through_softmax_is_probs_minus_onehot():
     logits = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     labels = rng.integers(0, 4, size=5)
     with T.Tape() as tape:
-        probs = T.softmax(logits, axis=1)
-        loss = TR.cross_entropy_loss(probs, labels)
+        loss = TR.cross_entropy_loss(logits, labels)
+    assert len(tape) == 1
     T.backward(loss, tape)
-    expected = (probs.data - np.eye(4)[labels]) / 5
+    probs = T.softmax(Tensor(logits.data), axis=1).data
+    expected = (probs - np.eye(4)[labels]) / 5
     np.testing.assert_allclose(logits.grad, expected, atol=1e-12)
-    err = grad_check(
-        lambda t: TR.cross_entropy_loss(T.softmax(t, axis=1), labels), logits, h=1e-6)
+    err = grad_check_all(lambda: TR.cross_entropy_loss(logits, labels), [logits], h=1e-6)
     assert err < 1e-6
 
 
-def test_cross_entropy_floor_keeps_loss_finite():
-    probs = Tensor(np.array([[0.0, 1.0]]))
-    loss = TR.cross_entropy_loss(probs, np.array([0]))
+def test_cross_entropy_confidently_wrong_row_keeps_full_gradient():
+    # softmax of [1000, -1000] is [1, 0] to double precision; with label 1
+    # the loss is 2000 nats and the gradient (softmax - onehot) / B is not
+    # cut off by any probability floor
+    logits = Tensor(np.array([[1000.0, -1000.0]]), requires_grad=True)
+    with T.Tape() as tape:
+        loss = TR.cross_entropy_loss(logits, np.array([1]))
+    T.backward(loss, tape)
     assert np.isfinite(float(loss.data))
-    assert float(loss.data) <= -np.log(TR.LOSS_FLOOR) + 1e-9
+    assert float(loss.data) == pytest.approx(2000.0, rel=1e-12)
+    np.testing.assert_allclose(logits.grad, [[1.0, -1.0]], atol=1e-12)
 
 
 def test_cross_entropy_label_out_of_range():
-    probs = Tensor(np.full((2, 3), 1 / 3))
+    logits = Tensor(np.zeros((2, 3)))
     with pytest.raises(ContractError):
-        TR.cross_entropy_loss(probs, np.array([0, 3]))
+        TR.cross_entropy_loss(logits, np.array([0, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -99,16 +105,15 @@ def test_adam_is_deterministic():
     np.testing.assert_array_equal(run(), run())
 
 
-def test_adam_functional_step_matches_class():
+def test_adam_first_step_matches_closed_form():
+    # after bias correction the first step is lr * g / (|g| + eps) per coordinate
     rng = np.random.default_rng(1)
     p0 = rng.normal(size=4)
     g = rng.normal(size=4)
-    p_cls = Tensor(p0.copy(), requires_grad=True)
-    p_cls.grad = g.copy()
-    opt = TR.Adam({"p": p_cls}, lr=0.01)
-    opt.step()
-    p_fn, _, _ = TR.adam_step(p0, g, np.zeros(4), np.zeros(4), t=1, lr=0.01)
-    np.testing.assert_allclose(p_cls.data, p_fn, atol=1e-15)
+    p = Tensor(p0.copy(), requires_grad=True)
+    p.grad = g.copy()
+    TR.Adam({"p": p}, lr=0.01).step()
+    np.testing.assert_allclose(p.data, p0 - 0.01 * g / (np.abs(g) + 1e-8), atol=1e-15)
 
 
 def test_adam_single_step_decreases_convex_quadratic():
