@@ -56,9 +56,20 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise InputError(f"{path}: not a seqids checkpoint (bad magic)")
     hlen = int.from_bytes(raw[len(MAGIC):len(MAGIC) + 8], "little")
     start = len(MAGIC) + 8
-    header = json.loads(raw[start:start + hlen].decode("utf-8"))
+    if start + hlen > len(raw):
+        raise InputError(f"{path}: truncated checkpoint: the {hlen}-byte header runs past "
+                         f"the end of the {len(raw)}-byte file")
+    try:
+        header = json.loads(raw[start:start + hlen].decode("utf-8"))
+    except ValueError as exc:
+        raise InputError(f"{path}: checkpoint header is not valid JSON ({exc})") from None
     dtype = np.dtype(header["dtype"])
-    payload = np.frombuffer(raw[start + hlen:], dtype=dtype)
+    payload = raw[start + hlen:]
+    needed = max((e["offset"] + e["count"] for e in header["arrays"]), default=0)
+    if len(payload) < needed * dtype.itemsize:
+        raise InputError(f"{path}: truncated checkpoint: the payload holds "
+                         f"{len(payload) // dtype.itemsize} values, its arrays need {needed}")
+    payload = np.frombuffer(payload, dtype=dtype, count=needed)
     arrays = {}
     for entry in header["arrays"]:
         chunk = payload[entry["offset"]:entry["offset"] + entry["count"]]

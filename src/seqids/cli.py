@@ -18,7 +18,8 @@ are the model and training fields below and ``use_smote``; any other key
 or a malformed value is an error. Command-line flags override file
 values. Every artifact directory receives exactly one ``manifest.json``
 capturing the command, settings, seed, dataset fingerprint, tool version
-and timestamps.
+and timestamps. ``--out-dir`` is created only once the inputs and settings
+have loaded and validated, so a run that fails on them leaves no directory.
 """
 
 from __future__ import annotations
@@ -247,9 +248,6 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     started = time.time()
     set_default_dtype(args.dtype)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     dataset, dropped = D.load_csv(args.data, label_column=args.label_column)
     if dropped:
         print(f"dropped {dropped} unparseable row(s)", file=sys.stderr)
@@ -272,6 +270,8 @@ def cmd_train(args) -> int:
         if value is not None:
             setattr(train_cfg, key, value)
     train_cfg.validate()
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     split = D.train_test_split(dataset, fraction=args.fraction, seed=train_cfg.seed,
                                stratified=True)
@@ -306,8 +306,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.time()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model, standardizer, meta = _load_model_checkpoint(args.checkpoint)
 
     dataset, dropped = D.load_csv(args.data, label_column=args.label_column)
@@ -323,6 +321,8 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"class labels differ from the checkpoint's: data {dataset.encoder.class_names} "
             f"vs checkpoint {stored_names}")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.holdout:
         split = D.train_test_split(dataset, fraction=meta["train"]["fraction"],
@@ -350,11 +350,11 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     started = time.time()
     set_default_dtype(args.dtype)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset, dropped = D.load_csv(args.data, label_column=args.label_column)
     if dropped:
         print(f"dropped {dropped} unparseable row(s)", file=sys.stderr)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     # one shared split for every case; SMOTE/standardization are per case
     base_split = D.train_test_split(dataset, fraction=args.fraction,

@@ -101,20 +101,13 @@ def read_table(path, delimiter: str = ",") -> RawTable:
     return RawTable(column_names=header, rows=rows)
 
 
-def _parses_as_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
-
-
 def table_to_dataset(table: RawTable, label_column: str) -> tuple[Dataset, int]:
     """Numerize a raw table; returns the dataset and the dropped-row count.
 
     A feature column is numeric when every non-missing cell parses as a
     float; otherwise it is label-encoded per column. Rows containing a
-    missing marker (or an unparseable cell in a numeric column) are dropped.
+    missing marker, or a non-finite value (``inf``, ``-Infinity``,
+    ``1e999``) in a numeric column, are dropped.
     """
     if label_column not in table.column_names:
         raise ConfigError(
@@ -123,20 +116,19 @@ def table_to_dataset(table: RawTable, label_column: str) -> tuple[Dataset, int]:
     feature_idx = [i for i in range(len(table.column_names)) if i != label_idx]
     feature_names = [table.column_names[i] for i in feature_idx]
 
+    keep = np.array([r[label_idx].strip().lower() not in MISSING_MARKERS for r in table.rows])
     numeric = {}
     for i in feature_idx:
-        cells = [r[i] for r in table.rows if r[i].strip().lower() not in MISSING_MARKERS]
-        numeric[i] = bool(cells) and all(_parses_as_float(c) for c in cells)
-
-    kept = []
-    for row in table.rows:
-        ok = row[label_idx].strip().lower() not in MISSING_MARKERS
-        for i in feature_idx:
-            if row[i].strip().lower() in MISSING_MARKERS:
-                ok = False
-                break
-        if ok:
-            kept.append(row)
+        cells = [r[i] for r in table.rows]
+        present = [c.strip().lower() not in MISSING_MARKERS for c in cells]
+        try:
+            values = np.array([float(c) if ok else np.nan for c, ok in zip(cells, present)])
+        except ValueError:  # a non-numeric cell: the column is categorical
+            keep &= present
+        else:
+            numeric[i] = values
+            keep &= np.isfinite(values)  # missing cells are nan here
+    kept = [r for r, ok in zip(table.rows, keep) if ok]
     dropped = len(table.rows) - len(kept)
     if not kept:
         raise InputError("all rows dropped during numerization")
@@ -146,12 +138,11 @@ def table_to_dataset(table: RawTable, label_column: str) -> tuple[Dataset, int]:
 
     columns = []
     for i in feature_idx:
-        cells = [r[i] for r in kept]
-        if numeric[i]:
-            columns.append(np.array([float(c) for c in cells]))
+        if i in numeric:
+            columns.append(numeric[i][keep])
         else:
-            col_enc = LabelEncoder().fit(cells)
-            columns.append(col_enc.encode(cells).astype(float))
+            cells = [r[i] for r in kept]
+            columns.append(LabelEncoder().fit(cells).encode(cells).astype(float))
     X = np.column_stack(columns)
     return Dataset(X=X, y=y, encoder=encoder, feature_names=feature_names), dropped
 

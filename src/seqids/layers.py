@@ -8,10 +8,14 @@ Conventions (documented, since several are chosen where common practice
 varies):
 
 * Conv1D computes cross-correlation (no kernel flip), the usual
-  deep-learning convention, with "same" zero padding by default so stacked
-  blocks and the residual shortcut keep the time length.
-* The GRU uses sigmoid gates, a tanh candidate with reset-before-candidate,
-  and the update ``h_t = (1 - z) * h_prev + z * h_cand``.
+  deep-learning convention, at stride 1 with "same" zero padding only, so
+  stacked blocks and the residual shortcut keep the time length.
+* The GRU uses sigmoid gates and a tanh candidate with reset-before-candidate,
+  ``h_cand = tanh(x W_c + (r * h_prev) U_c + b_c)``, and the update
+  ``h_t = (1 - z) * h_prev + z * h_cand``. ``W (input, 3H)``, ``U (H, 3H)``
+  and ``b (3H,)`` are packed in update | reset | candidate column blocks.
+* The BiGRU is one tape record: one input-projection GEMM per direction and
+  a hand-written backpropagation-through-time backward rule.
 * Dropout is inverted: survivors are scaled by 1/(1-rate) at train time and
   inference is the identity.
 * Dense applies ReLU or no activation. The model's last Dense has none, so
@@ -55,64 +59,44 @@ def _unlift(y: Tensor, lifted: bool) -> Tensor:
 class Conv1DParams:
     kernels: Tensor  # (out_channels, in_channels, kernel_size)
     bias: Tensor     # (out_channels,)
-    stride: int = 1
-    padding: str = "same"  # "same" | "valid"
 
 
-def init_conv1d(rng, in_channels: int, out_channels: int, kernel_size: int = 3,
-                stride: int = 1, padding: str = "same") -> Conv1DParams:
+def init_conv1d(rng, in_channels: int, out_channels: int, kernel_size: int = 3) -> Conv1DParams:
     if kernel_size < 1 or out_channels < 1:
         raise ContractError("conv1d needs kernel_size >= 1 and out_channels >= 1")
-    if padding not in ("same", "valid"):
-        raise ContractError(f"conv1d padding must be 'same' or 'valid', got {padding!r}")
     fan_in = in_channels * kernel_size
     fan_out = out_channels * kernel_size
     kernels = glorot_uniform(rng, (out_channels, in_channels, kernel_size), fan_in, fan_out)
     bias = Tensor(np.zeros(out_channels), requires_grad=True)
-    return Conv1DParams(kernels, bias, stride, padding)
-
-
-def conv1d_output_length(t: int, kernel_size: int, stride: int, padding: str) -> int:
-    if padding == "same":
-        return -(-t // stride)
-    if t < kernel_size:
-        raise ShapeError(f"valid conv1d needs time length >= kernel ({t} < {kernel_size})")
-    return (t - kernel_size) // stride + 1
+    return Conv1DParams(kernels, bias)
 
 
 def conv1d_forward(x: Tensor, p: Conv1DParams) -> Tensor:
-    """Cross-correlation along time. x: (T, C_in) or (B, T, C_in)."""
+    """Cross-correlation along time with "same" padding. x: (T, C_in) or (B, T, C_in)."""
     x, lifted = _lift(x)
-    batch, t_in, c_in = x.shape
+    batch, t_len, c_in = x.shape
     c_out, kc_in, k = p.kernels.shape
     if c_in != kc_in:
         raise ShapeError(f"conv1d: input has {c_in} channels but kernels expect {kc_in}")
-    t_out = conv1d_output_length(t_in, k, p.stride, p.padding)
-    if p.padding == "same":
-        pad_total = max((t_out - 1) * p.stride + k - t_in, 0)
-        pad_left = pad_total // 2
-    else:
-        pad_total = pad_left = 0
+    pad_left = (k - 1) // 2
 
     xd, kern, bias = x.data, p.kernels.data, p.bias.data
-    xp = np.pad(xd, ((0, 0), (pad_left, pad_total - pad_left), (0, 0)))
+    xp = np.pad(xd, ((0, 0), (pad_left, k - 1 - pad_left), (0, 0)))
     s0, s1, s2 = xp.strides
-    patches = as_strided(xp, (batch, t_out, k, c_in), (s0, s1 * p.stride, s1, s2))
-    cols = patches.reshape(batch * t_out, k * c_in)
+    patches = as_strided(xp, (batch, t_len, k, c_in), (s0, s1, s1, s2))
+    cols = patches.reshape(batch * t_len, k * c_in)
     w2 = kern.transpose(2, 1, 0).reshape(k * c_in, c_out)
-    out_data = (cols @ w2 + bias).reshape(batch, t_out, c_out)
-
-    stride = p.stride
+    out_data = (cols @ w2 + bias).reshape(batch, t_len, c_out)
 
     def back(g):
-        g2 = g.reshape(batch * t_out, c_out)
+        g2 = g.reshape(batch * t_len, c_out)
         db = g2.sum(axis=0)
         dw = (cols.T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
-        dcols = (g2 @ w2.T).reshape(batch, t_out, k, c_in)
+        dcols = (g2 @ w2.T).reshape(batch, t_len, k, c_in)
         dxp = np.zeros_like(xp)
         for i in range(k):
-            dxp[:, i:i + stride * t_out:stride, :] += dcols[:, :, i, :]
-        dx = dxp[:, pad_left:pad_left + t_in, :]
+            dxp[:, i:i + t_len, :] += dcols[:, :, i, :]
+        dx = dxp[:, pad_left:pad_left + t_len, :]
         return dx, dw, db
 
     out = register_op((x, p.kernels, p.bias), out_data, back)
@@ -194,88 +178,96 @@ def batchnorm_forward(x: Tensor, p: BatchNormParams, mode: str = "train") -> Ten
 # GRU / BiGRU
 
 @dataclass
-class GateParams:
-    W: Tensor  # (hidden, input)
-    U: Tensor  # (hidden, hidden)
-    b: Tensor  # (hidden,)
-
-
-@dataclass
 class GRUParams:
-    update: GateParams
-    reset: GateParams
-    candidate: GateParams
-    hidden_size: int
+    W: Tensor  # (input, 3 * hidden), update | reset | candidate column blocks
+    U: Tensor  # (hidden, 3 * hidden), same blocks
+    b: Tensor  # (3 * hidden,)
 
 
 def init_gru(rng, input_size: int, hidden_size: int) -> GRUParams:
-    def gate():
-        return GateParams(
-            W=glorot_uniform(rng, (hidden_size, input_size), input_size, hidden_size),
-            U=glorot_uniform(rng, (hidden_size, hidden_size), hidden_size, hidden_size),
-            b=Tensor(np.zeros(hidden_size), requires_grad=True))
-    return GRUParams(update=gate(), reset=gate(), candidate=gate(), hidden_size=hidden_size)
+    width = 3 * hidden_size
+    return GRUParams(
+        W=glorot_uniform(rng, (input_size, width), input_size, hidden_size),
+        U=glorot_uniform(rng, (hidden_size, width), hidden_size, hidden_size),
+        b=Tensor(np.zeros(width), requires_grad=True))
 
 
-def _gru_step(x_t: Tensor, h_prev: Tensor, p: GRUParams,
-              wt: tuple[Tensor, ...], ut: tuple[Tensor, ...]) -> Tensor:
-    wz, wr, wh = wt
-    uz, ur, uh = ut
-    z = T.sigmoid(T.matmul(x_t, wz) + T.matmul(h_prev, uz) + p.update.b)
-    r = T.sigmoid(T.matmul(x_t, wr) + T.matmul(h_prev, ur) + p.reset.b)
-    cand = T.tanh(T.matmul(x_t, wh) + T.matmul(T.mul(r, h_prev), uh) + p.candidate.b)
-    return T.add(T.mul(T.sub(1.0, z), h_prev), T.mul(z, cand))
+def _gru_scan(a: np.ndarray, u: np.ndarray, hs: np.ndarray) -> None:
+    """One direction, in place, over (B, T, ...) views in its own time order:
+    ``a`` (x_t W + b) becomes the z | r | candidate activations, ``hs`` gets h_t."""
+    hid = u.shape[0]
+    u_zr, u_c = u[:, :2 * hid], u[:, 2 * hid:]
+    h = np.zeros_like(hs[:, 0])
+    for t in range(a.shape[1]):
+        zr, c = a[:, t, :2 * hid], a[:, t, 2 * hid:]
+        zr[...] = 1.0 / (1.0 + np.exp(-(zr + h @ u_zr)))
+        c[...] = np.tanh(c + (zr[:, hid:] * h) @ u_c)
+        hs[:, t] = h + zr[:, :hid] * (c - h)
+        h = hs[:, t]
 
 
-def _gate_transposes(p: GRUParams):
-    wt = tuple(gate.W.T for gate in (p.update, p.reset, p.candidate))
-    ut = tuple(gate.U.T for gate in (p.update, p.reset, p.candidate))
-    return wt, ut
-
-
-def gru_cell_step(x_t: Tensor, h_prev: Tensor, p: GRUParams) -> Tensor:
-    """One recurrence step. x_t: (input,) or (B, input); h_prev matching."""
-    squeeze = x_t.ndim == 1
-    if squeeze:
-        x_t = T.reshape(x_t, (1,) + x_t.shape)
-        h_prev = T.reshape(h_prev, (1,) + h_prev.shape)
-    if x_t.shape[-1] != p.update.W.shape[1]:
-        raise ShapeError(
-            f"gru: input width {x_t.shape[-1]} does not match W {p.update.W.shape}")
-    if h_prev.shape[-1] != p.hidden_size:
-        raise ShapeError(
-            f"gru: hidden width {h_prev.shape[-1]} does not match hidden_size {p.hidden_size}")
-    wt, ut = _gate_transposes(p)
-    h = _gru_step(x_t, h_prev, p, wt, ut)
-    return T.reshape(h, h.shape[1:]) if squeeze else h
+def _gru_bptt(a: np.ndarray, u: np.ndarray, hs: np.ndarray, dhs: np.ndarray):
+    """BPTT of one ``_gru_scan``: the pre-activation gradient (laid out as ``a``) and dU."""
+    hid = u.shape[0]
+    u_zr, u_c = u[:, :2 * hid], u[:, 2 * hid:]
+    h_prev = np.concatenate([np.zeros_like(hs[:, :1]), hs[:, :-1]], axis=1)
+    da = np.empty_like(a)
+    dh = np.zeros_like(hs[:, 0])
+    for t in range(a.shape[1] - 1, -1, -1):
+        z, r, c = a[:, t, :hid], a[:, t, hid:2 * hid], a[:, t, 2 * hid:]
+        hp = h_prev[:, t]
+        dh = dh + dhs[:, t]
+        da[:, t, 2 * hid:] = dh * z * (1.0 - c * c)
+        drh = da[:, t, 2 * hid:] @ u_c.T
+        da[:, t, :hid] = dh * (c - hp) * z * (1.0 - z)
+        da[:, t, hid:2 * hid] = drh * hp * r * (1.0 - r)
+        dh = dh * (1.0 - z) + drh * r + da[:, t, :2 * hid] @ u_zr.T
+    rh = h_prev * a[..., hid:2 * hid]
+    du_zr = h_prev.reshape(-1, hid).T @ da[..., :2 * hid].reshape(-1, 2 * hid)
+    du_c = rh.reshape(-1, hid).T @ da[..., 2 * hid:].reshape(-1, hid)
+    return da, np.concatenate([du_zr, du_c], axis=1)
 
 
 def bigru_forward(x: Tensor, fwd: GRUParams, bwd: GRUParams) -> Tensor:
     """Run a GRU in both time directions and concatenate per-step outputs.
 
     x: (T, F) or (B, T, F) -> (..., T, 2 * hidden), forward half first.
-    Both directions start from a zero hidden state.
+    Both directions start from a zero hidden state. The whole layer is one
+    tape record whose backward rule is backpropagation through time.
     """
-    if fwd.hidden_size != bwd.hidden_size:
+    hid = fwd.U.shape[0]
+    if bwd.U.shape[0] != hid:
         raise ContractError(
-            f"bigru: direction hidden sizes differ ({fwd.hidden_size} vs {bwd.hidden_size})")
+            f"bigru: direction hidden sizes differ ({hid} vs {bwd.U.shape[0]})")
     x, lifted = _lift(x)
-    batch, t_len, _ = x.shape
-    hidden = fwd.hidden_size
-    steps = [T.reshape(T.narrow(x, 1, t, 1), (batch, x.shape[2])) for t in range(t_len)]
+    batch, t_len, feat = x.shape
+    for p in (fwd, bwd):
+        if (p.W.shape, p.U.shape, p.b.shape) != ((feat, 3 * hid), (hid, 3 * hid), (3 * hid,)):
+            raise ShapeError(
+                f"gru: input width {feat} and hidden size {hid} do not match "
+                f"W {p.W.shape}, U {p.U.shape} and b {p.b.shape}")
+    x2 = x.data.reshape(-1, feat)
+    out_data = np.empty((batch, t_len, 2 * hid), dtype=x.data.dtype)
+    # per direction: params, its half of the output, its time order
+    dirs = ((fwd, slice(None, hid), slice(None)), (bwd, slice(hid, None), slice(None, None, -1)))
+    acts = []
+    for p, half, order in dirs:
+        a = (x2 @ p.W.data + p.b.data).reshape(batch, t_len, 3 * hid)
+        _gru_scan(a[:, order], p.U.data, out_data[:, order, half])
+        acts.append(a)
 
-    def run(p: GRUParams, order):
-        wt, ut = _gate_transposes(p)
-        h = Tensor(np.zeros((batch, hidden)))
-        outs = [None] * t_len
-        for t in order:
-            h = _gru_step(steps[t], h, p, wt, ut)
-            outs[t] = T.reshape(h, (batch, 1, hidden))
-        return outs
+    def back(g):
+        dx = np.zeros_like(x2)
+        grads = []
+        for (p, half, order), a in zip(dirs, acts):
+            da, du = _gru_bptt(a[:, order], p.U.data, out_data[:, order, half],
+                               g[:, order, half])
+            da = da[:, order].reshape(-1, 3 * hid)
+            dx += da @ p.W.data.T
+            grads += [x2.T @ da, du, da.sum(axis=0)]
+        return [dx.reshape(x.shape)] + grads
 
-    fwd_outs = run(fwd, range(t_len))
-    bwd_outs = run(bwd, range(t_len - 1, -1, -1))
-    out = T.concat([T.concat(fwd_outs, axis=1), T.concat(bwd_outs, axis=1)], axis=2)
+    out = register_op((x, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b), out_data, back)
     return _unlift(out, lifted)
 
 

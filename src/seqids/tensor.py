@@ -278,22 +278,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return register_op(tuple(tensors), out, lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
-def narrow(a, axis: int, start: int, length: int) -> Tensor:
-    """Slice ``length`` entries starting at ``start`` along ``axis``."""
-    a = _as_tensor(a)
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out = a.data[idx]
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        return (full,)
-
-    return register_op((a,), out, back)
-
-
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
@@ -312,18 +296,6 @@ def relu(a) -> Tensor:
     a = _as_tensor(a)
     out = np.maximum(a.data, 0.0)
     return register_op((a,), out, lambda g: (g * (a.data > 0),))
-
-
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    return register_op((a,), out, lambda g: (g * out * (1.0 - out),))
-
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.tanh(a.data)
-    return register_op((a,), out, lambda g: (g * (1.0 - out * out),))
 
 
 def softmax(a, axis: int = -1) -> Tensor:

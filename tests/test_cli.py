@@ -161,7 +161,7 @@ def test_train_bad_config_line_fails_naming_the_key(tmp_path, capsys, line, key)
                    *TRAIN_SPEED_FLAGS) == 1
     err = capsys.readouterr().err
     assert "error [train]" in err and key in err
-    assert not (out / "checkpoint.bin").exists()
+    assert not out.exists()
 
 
 def test_train_does_not_mutate_input(tmp_path):
@@ -245,6 +245,22 @@ def test_eval_checkpoint_with_legacy_config_fails_cleanly(tmp_path, capsys):
     rc = run_cli("eval", "--checkpoint", path, "--data", data, "--out-dir", tmp_path / "eval")
     assert rc == 1
     assert "use_smote" in capsys.readouterr().err
+
+
+def test_eval_truncated_checkpoint_fails_cleanly_and_leaves_no_directory(tmp_path, capsys):
+    data = gen(tmp_path)
+    model = build_model(ModelConfig(input_shape=(12, 1), num_classes=3, conv_filters=4,
+                                    gru_units=4, num_heads=2, key_dim=4, dense_units=(8,)),
+                        np.random.default_rng(0))
+    path = tmp_path / "cut.bin"
+    save_checkpoint(path, {f"model.{n}": t.data for n, t in model.named_arrays().items()},
+                    {"config": model.cfg.to_dict()})
+    path.write_bytes(path.read_bytes()[:300])
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--checkpoint", path, "--data", data, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert "error [eval]" in err and str(path) in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,20 @@ def test_load_csv_drops_unparseable_rows(tmp_path):
     ds, dropped = D.load_csv(f)
     assert dropped == 1
     assert ds.X.shape == (2, 1)
+
+
+def test_load_csv_drops_rows_with_non_finite_numeric_cells(tmp_path):
+    f = tmp_path / "t.csv"
+    write_csv(f, ["x1", "x2", "proto", "label"],
+              [["1", "2", "inf", "a"], ["inf", "3", "tcp", "b"], ["4", "-Infinity", "tcp", "a"],
+               ["5", "1e999", "tcp", "b"], ["6", "7", "tcp", "b"]])
+    ds, dropped = D.load_csv(f)
+    assert dropped == 3
+    # "inf" in a categorical column is just a category name
+    np.testing.assert_array_equal(ds.X, [[1.0, 2.0, 0.0], [6.0, 7.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the standardizer sees only finite values
+        assert np.all(np.isfinite(D.fit_standardizer(ds.X).transform(ds.X)))
 
 
 def test_load_csv_encodes_categorical_feature_columns(tmp_path):

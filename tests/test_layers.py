@@ -33,12 +33,13 @@ def test_conv1d_one_by_one_identity():
     np.testing.assert_allclose(L.conv1d_forward(x, p).data, x.data)
 
 
-def test_conv1d_hand_cross_correlation_valid():
-    # out[t] = sum_i x[t+i] * k[i]: [1*1+2*0+3*(-1), 2*1+3*0+4*(-1)] = [-2, -2]
+def test_conv1d_hand_cross_correlation_same():
+    # one zero pads each end: out[t] = x[t-1]*k[0] + x[t]*k[1] + x[t+1]*k[2]
+    # = x[t-1] - x[t+1] over [0, 1, 2, 3, 4, 0] -> [-2, -2, -2, 3], plus bias 0.5
     p = L.Conv1DParams(kernels=Tensor(np.array([[[1.0, 0.0, -1.0]]])),
-                       bias=Tensor(np.zeros(1)), padding="valid")
+                       bias=Tensor(np.array([0.5])))
     x = Tensor(np.array([[1.0], [2.0], [3.0], [4.0]]))
-    np.testing.assert_allclose(L.conv1d_forward(x, p).data, [[-2.0], [-2.0]])
+    np.testing.assert_allclose(L.conv1d_forward(x, p).data, [[-1.5], [-1.5], [-1.5], [3.5]])
 
 
 def test_conv1d_same_padding_preserves_length():
@@ -57,22 +58,11 @@ def test_conv1d_channel_mismatch():
 
 def test_conv1d_gradients():
     rng = np.random.default_rng(2)
-    for padding in ("same", "valid"):
-        p = L.init_conv1d(rng, in_channels=2, out_channels=3, kernel_size=3, padding=padding)
-        x = Tensor(rng.normal(size=(2, 6, 2)), requires_grad=True)
-        err = grad_check_all(
-            lambda: T.tsum(T.mul(L.conv1d_forward(x, p), L.conv1d_forward(x, p))),
-            [x, p.kernels, p.bias], h=1e-6)
-        assert err < 1e-5
-
-
-def test_conv1d_strided():
-    rng = np.random.default_rng(3)
-    p = L.init_conv1d(rng, 1, 1, kernel_size=2, stride=2, padding="valid")
-    x = Tensor(rng.normal(size=(6, 1)), requires_grad=True)
-    out = L.conv1d_forward(x, p)
-    assert out.shape == (3, 1)
-    err = grad_check_all(lambda: T.tsum(L.conv1d_forward(x, p)), [x, p.kernels], h=1e-6)
+    p = L.init_conv1d(rng, in_channels=2, out_channels=3, kernel_size=3)
+    x = Tensor(rng.normal(size=(2, 6, 2)), requires_grad=True)
+    err = grad_check_all(
+        lambda: T.tsum(T.mul(L.conv1d_forward(x, p), L.conv1d_forward(x, p))),
+        [x, p.kernels, p.bias], h=1e-6)
     assert err < 1e-5
 
 
@@ -151,59 +141,93 @@ def test_batchnorm_updates_running_stats_with_momentum():
 # ---------------------------------------------------------------------------
 # GRU / BiGRU
 
+def gru_reference(x, p, reverse=False):
+    """Step-by-step numpy GRU from the documented equations. x: (B, T, F)."""
+    hid = p.U.shape[0]
+
+    def blocks(m):
+        return m[..., :hid], m[..., hid:2 * hid], m[..., 2 * hid:]
+
+    (wz, wr, wc), (uz, ur, uc), (bz, br, bc) = blocks(p.W.data), blocks(p.U.data), blocks(p.b.data)
+    sigmoid = lambda v: 1.0 / (1.0 + np.exp(-v))
+    h = np.zeros((x.shape[0], hid))
+    out = np.zeros(x.shape[:2] + (hid,))
+    for t in (range(x.shape[1] - 1, -1, -1) if reverse else range(x.shape[1])):
+        z = sigmoid(x[:, t] @ wz + h @ uz + bz)
+        r = sigmoid(x[:, t] @ wr + h @ ur + br)
+        cand = np.tanh(x[:, t] @ wc + (r * h) @ uc + bc)
+        h = (1.0 - z) * h + z * cand
+        out[:, t] = h
+    return out
+
+
+def random_gru(rng, input_size, hidden_size):
+    p = L.init_gru(rng, input_size, hidden_size)
+    p.b.data = rng.normal(size=p.b.shape)  # exercise the biases too
+    return p
+
+
+def test_init_gru_packs_three_blocks_with_per_gate_glorot_bounds():
+    p = L.init_gru(np.random.default_rng(11), input_size=4, hidden_size=5)
+    assert (p.W.shape, p.U.shape, p.b.shape) == ((4, 15), (5, 15), (15,))
+    assert np.abs(p.W.data).max() <= np.sqrt(6.0 / (4 + 5))
+    assert np.abs(p.U.data).max() <= np.sqrt(6.0 / (5 + 5))
+    np.testing.assert_array_equal(p.b.data, np.zeros(15))
+
+
+def test_bigru_matches_numpy_reference():
+    rng = np.random.default_rng(12)
+    fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
+    x = rng.normal(size=(2, 6, 3))
+    expect = np.concatenate([gru_reference(x, fwd), gru_reference(x, bwd, reverse=True)], axis=2)
+    out = L.bigru_forward(Tensor(x), fwd, bwd).data
+    np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)
+    unbatched = L.bigru_forward(Tensor(x[1]), fwd, bwd).data
+    np.testing.assert_allclose(unbatched, expect[1], rtol=0, atol=1e-12)
+
+
 def test_gru_zero_weights_halve_hidden_state():
-    # z = sigmoid(0) = 0.5 and the candidate is tanh(0) = 0, so h' = 0.5 h
-    p = L.GRUParams(
-        update=L.GateParams(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 3))), Tensor(np.zeros(3))),
-        reset=L.GateParams(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 3))), Tensor(np.zeros(3))),
-        candidate=L.GateParams(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 3))), Tensor(np.zeros(3))),
-        hidden_size=3)
-    h = np.array([1.0, -2.0, 4.0])
-    out = L.gru_cell_step(Tensor([0.3, 0.7]), Tensor(h), p)
-    np.testing.assert_allclose(out.data, 0.5 * h)
+    # with U = 0 and zero update weights and bias, z = sigmoid(0) = 0.5; a
+    # zero input then gives the candidate tanh(0) = 0, so each step halves h
+    p = L.GRUParams(W=Tensor(np.zeros((1, 3))), U=Tensor(np.zeros((1, 3))),
+                    b=Tensor(np.zeros(3)))
+    p.W.data[0, 2] = 1.0  # candidate reads the input
+    x = np.array([[0.8], [0.0], [0.0]])
+    out = L.bigru_forward(Tensor(x), p, p).data[:, 0]
+    h1 = 0.5 * np.tanh(0.8)
+    np.testing.assert_allclose(out, [h1, 0.5 * h1, 0.25 * h1])
 
 
 def test_gru_gates_stay_in_unit_interval():
-    rng = np.random.default_rng(11)
-    p = L.init_gru(rng, input_size=4, hidden_size=5)
-    x = Tensor(rng.normal(size=(3, 4)) * 3)
-    h = Tensor(rng.normal(size=(3, 5)) * 3)
-    wt, ut = L._gate_transposes(p)
-    z = T.sigmoid(T.matmul(x, wt[0]) + T.matmul(h, ut[0]) + p.update.b).data
-    r = T.sigmoid(T.matmul(x, wt[1]) + T.matmul(h, ut[1]) + p.reset.b).data
-    assert np.all((z > 0) & (z < 1)) and np.all((r > 0) & (r < 1))
-
-
-def test_gru_step_gradients():
-    rng = np.random.default_rng(12)
-    p = L.init_gru(rng, input_size=3, hidden_size=4)
-    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    h = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-    params = [x, h] + [t for g in (p.update, p.reset, p.candidate) for t in (g.W, g.U, g.b)]
-    err = grad_check_all(
-        lambda: T.tsum(T.mul(L.gru_cell_step(x, h, p), L.gru_cell_step(x, h, p))),
-        params, h=1e-6)
-    assert err < 1e-5
+    # the scan leaves the z | r | candidate activations in its input buffer
+    rng = np.random.default_rng(13)
+    p = random_gru(rng, 4, 5)
+    a = (rng.normal(size=(3, 8, 4)) * 3) @ p.W.data + p.b.data
+    hs = np.empty((3, 8, 5))
+    L._gru_scan(a, p.U.data, hs)
+    zr = a[..., :10]
+    assert np.all((zr > 0) & (zr < 1))
+    assert np.all(np.abs(hs) < 1.0)
 
 
 def test_gru_dimension_mismatch():
     p = L.init_gru(np.random.default_rng(13), input_size=3, hidden_size=4)
     with pytest.raises(ShapeError):
-        L.gru_cell_step(Tensor(np.zeros(2)), Tensor(np.zeros(4)), p)
-    with pytest.raises(ShapeError):
-        L.gru_cell_step(Tensor(np.zeros(3)), Tensor(np.zeros(5)), p)
+        L.bigru_forward(Tensor(np.zeros((5, 2))), p, p)
+    wide = L.GRUParams(W=Tensor(np.zeros((3, 15))), U=p.U, b=p.b)
+    short_bias = L.GRUParams(W=p.W, U=p.U, b=Tensor(np.zeros(4)))
+    for bad in (wide, short_bias):
+        with pytest.raises(ShapeError):
+            L.bigru_forward(Tensor(np.zeros((5, 3))), p, bad)
 
 
 def test_bigru_single_step_reduces_to_two_cells():
     rng = np.random.default_rng(14)
-    fwd = L.init_gru(rng, 3, 4)
-    bwd = L.init_gru(rng, 3, 4)
-    x1 = rng.normal(size=3)
-    out = L.bigru_forward(Tensor(x1.reshape(1, 3)), fwd, bwd)
-    zero = Tensor(np.zeros(4))
-    expect_f = L.gru_cell_step(Tensor(x1), zero, fwd).data
-    expect_b = L.gru_cell_step(Tensor(x1), zero, bwd).data
-    np.testing.assert_allclose(out.data, np.concatenate([expect_f, expect_b]).reshape(1, 8))
+    fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
+    x1 = rng.normal(size=(1, 1, 3))
+    out = L.bigru_forward(Tensor(x1[0]), fwd, bwd)
+    expect = np.concatenate([gru_reference(x1, fwd), gru_reference(x1, bwd)], axis=2)
+    np.testing.assert_allclose(out.data, expect[0], rtol=0, atol=1e-12)
 
 
 def test_bigru_backward_half_equals_forward_on_reversed_input():
@@ -233,14 +257,39 @@ def test_bigru_reference_output_shape():
 
 def test_bigru_gradients():
     rng = np.random.default_rng(18)
-    fwd = L.init_gru(rng, 2, 3)
-    bwd = L.init_gru(rng, 2, 3)
+    fwd, bwd = random_gru(rng, 2, 3), random_gru(rng, 2, 3)
     x = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
-    checked = [x, fwd.update.W, fwd.candidate.U, bwd.reset.W, bwd.candidate.b]
+    checked = [x, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b]
     err = grad_check_all(
         lambda: T.tsum(T.mul(L.bigru_forward(x, fwd, bwd), L.bigru_forward(x, fwd, bwd))),
         checked, h=1e-6)
     assert err < 1e-5
+
+
+@pytest.mark.parametrize("t_len", [1, 5, 17])
+def test_bigru_is_one_tape_record_for_any_length(t_len):
+    rng = np.random.default_rng(19)
+    fwd, bwd = L.init_gru(rng, 2, 3), L.init_gru(rng, 2, 3)
+    x = Tensor(rng.normal(size=(2, t_len, 2)), requires_grad=True)
+    with T.Tape() as tape:
+        L.bigru_forward(x, fwd, bwd)
+    assert len(tape) == 1
+
+
+def test_bigru_keeps_the_input_dtype():
+    T.set_default_dtype("float32")
+    try:
+        rng = np.random.default_rng(20)
+        fwd, bwd = L.init_gru(rng, 2, 3), L.init_gru(rng, 2, 3)
+        x = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
+        with T.Tape() as tape:
+            out = L.bigru_forward(x, fwd, bwd)
+            loss = T.tsum(out)
+        T.backward(loss, tape)
+    finally:
+        T.set_default_dtype("float64")
+    assert out.data.dtype == np.float32
+    assert x.grad.dtype == fwd.U.grad.dtype == np.float32
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from seqids import checkpoint as ckpt
 from seqids import train as TR
-from seqids.errors import ConfigError, ShapeError
+from seqids.errors import ConfigError, InputError, ShapeError
 from seqids.model import Model, ModelConfig, build_model, table3_grid
 
 TINY = ModelConfig(input_shape=(8, 1), num_classes=3, conv_filters=6, gru_units=4,
@@ -68,7 +68,7 @@ def test_case10_differs_from_case5_only_in_smote():
 def test_case2_feeds_raw_input_to_bigru():
     cases = grid_configs()
     m = build_model(cases[2], np.random.default_rng(0))
-    assert m.gru_fwd.update.W.shape == (64, 1)  # input width 1, no conv in front
+    assert m.gru_fwd.W.shape == (1, 192)  # input width 1, no conv in front
 
 
 def test_flagship_stage_shape_chain():
@@ -161,11 +161,11 @@ def test_config_from_dict_rejects_unknown_and_missing_keys():
 
 
 def test_flagship_named_arrays_cover_every_tensor_once():
-    # 14 residual-block, 18 BiGRU, 2 LayerNorm, 13 attention and 6 dense arrays
+    # 14 residual-block, 6 BiGRU, 2 LayerNorm, 13 attention and 6 dense arrays
     m = build_model(ModelConfig(), np.random.default_rng(0))
     arrays = m.named_arrays()
-    assert len(arrays) == 53
-    assert len({id(t) for t in arrays.values()}) == 53
+    assert len(arrays) == 41
+    assert len({id(t) for t in arrays.values()}) == 41
     assert m.param_count() == 687718
     other = build_model(ModelConfig(), np.random.default_rng(1))
     assert list(arrays) == list(other.named_arrays())
@@ -195,6 +195,21 @@ def test_checkpoint_with_old_array_names_is_rejected():
         build_model(TINY, np.random.default_rng(10)).load_arrays(old)
 
 
+def test_checkpoint_with_per_gate_gru_names_is_rejected():
+    # the GRU used to store one W, U and b per gate, named gru_fwd.update.W
+    m = build_model(TINY, np.random.default_rng(9))
+    old = {n: t.data for n, t in m.named_arrays().items() if not n.startswith("gru_")}
+    hid = TINY.gru_units
+    for d in ("gru_fwd", "gru_bwd"):
+        for i, gate in enumerate(("update", "reset", "candidate")):
+            cols = slice(i * hid, (i + 1) * hid)
+            old[f"{d}.{gate}.W"] = getattr(m, d).W.data[:, cols].T
+            old[f"{d}.{gate}.U"] = getattr(m, d).U.data[:, cols].T
+            old[f"{d}.{gate}.b"] = getattr(m, d).b.data[cols]
+    with pytest.raises(ConfigError, match="missing arrays"):
+        build_model(TINY, np.random.default_rng(10)).load_arrays(old)
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     m = build_model(TINY, rng)
@@ -207,6 +222,21 @@ def test_checkpoint_round_trip(tmp_path):
     m2.load_arrays(loaded)
     batch = rng.normal(size=(3, 8, 1))
     np.testing.assert_array_equal(m.forward(batch).data, m2.forward(batch).data)
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda raw, hlen: raw[:30], "header runs past the end"),
+    (lambda raw, hlen: raw[:16] + b"x" * hlen + raw[16 + hlen:], "header is not valid JSON"),
+    (lambda raw, hlen: raw[:-8], "payload holds 9 values, its arrays need 10"),
+], ids=["header_past_end", "header_not_json", "payload_short"])
+def test_corrupt_checkpoint_raises_input_error_naming_the_file(tmp_path, corrupt, message):
+    path = tmp_path / "model.ckpt"
+    ckpt.save_checkpoint(path, {"a": np.arange(6.0), "b": np.ones((2, 2))}, {"k": 1})
+    raw = path.read_bytes()
+    path.write_bytes(corrupt(raw, int.from_bytes(raw[8:16], "little")))
+    with pytest.raises(InputError, match=message) as info:
+        ckpt.load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path):
