@@ -4,17 +4,21 @@ Layout (all integers little-endian):
 
     bytes 0..7    magic ``b"SEQIDS\\x00\\x01"`` (last byte = format version)
     bytes 8..15   uint64 header length in bytes
-    header        UTF-8 JSON: {"dtype", "arrays": [{"name", "shape",
-                  "offset", "count"}...], "meta": {...}}
+    header        UTF-8 JSON: {"format_version", "dtype", "arrays": [{"name",
+                  "shape", "offset", "count"}...], "meta": {...}}
     payload       raw array data, concatenated in header order
 
 The writer sorts keys and avoids timestamps, so identical inputs produce
-byte-identical files.
+byte-identical files. The reader validates the header's keys, types and
+version and each entry's shape against its count, and raises ``InputError``
+naming the file.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,8 @@ FORMAT_VERSION = 1
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
+    """Write into a temporary file beside ``path``, then rename it over
+    ``path``, so a failed write leaves any earlier checkpoint intact."""
     names = list(arrays)
     dtype = np.dtype(np.float64)
     if names:
@@ -33,7 +39,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
     entries = []
     offset = 0
     for name in names:
-        arr = np.ascontiguousarray(arrays[name], dtype=dtype)
+        arr = np.asarray(arrays[name], dtype=dtype)
         entries.append({"name": name, "shape": list(arr.shape),
                         "offset": offset, "count": int(arr.size)})
         offset += arr.size
@@ -41,13 +47,34 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
         {"format_version": FORMAT_VERSION, "dtype": dtype.name,
          "arrays": entries, "meta": meta},
         sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(header).to_bytes(8, "little"))
-        fh.write(header)
-        for name in names:
-            fh.write(np.ascontiguousarray(arrays[name], dtype=dtype)
-                     .tobytes(order="C"))
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(len(header).to_bytes(8, "little"))
+            fh.write(header)
+            for name in names:
+                fh.write(np.ascontiguousarray(arrays[name], dtype=dtype).data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _header_dtype(path, header) -> np.dtype:
+    """Check a parsed header's keys, types, version and entries; return its dtype."""
+    try:
+        dtype, meta = np.dtype(header["dtype"]), header["meta"]
+        if header["format_version"] != FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {header['format_version']!r}")
+        bad = [e for e in header["arrays"] if not (
+            isinstance(e["name"], str)
+            and all(type(n) is int and n >= 0 for n in [e["offset"], e["count"], *e["shape"]])
+            and math.prod(e["shape"]) == e["count"])]
+        if bad or dtype.kind not in "biufc" or not isinstance(meta, dict):
+            raise ValueError(f"dtype {dtype}, meta type {type(meta).__name__}, bad entries {bad}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed checkpoint header: {exc!r}") from None
+    return dtype
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -63,7 +90,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(raw[start:start + hlen].decode("utf-8"))
     except ValueError as exc:
         raise InputError(f"{path}: checkpoint header is not valid JSON ({exc})") from None
-    dtype = np.dtype(header["dtype"])
+    dtype = _header_dtype(path, header)
     payload = raw[start + hlen:]
     needed = max((e["offset"] + e["count"] for e in header["arrays"]), default=0)
     if len(payload) < needed * dtype.itemsize:

@@ -180,10 +180,14 @@ def _save_model_checkpoint(path, model: Model, standardizer: D.Standardizer,
 
 def _load_model_checkpoint(path):
     arrays, meta = load_checkpoint(path)
+    if not isinstance(meta.get("config"), dict):
+        raise InputError(f"{path}: not a model checkpoint: its meta has no 'config' object")
     cfg = ModelConfig.from_dict(meta["config"])
     model = build_model(cfg, np.random.default_rng(0))
     model.load_arrays({n[len("model."):]: a for n, a in arrays.items()
                        if n.startswith("model.")})
+    if not {"standardizer.mean", "standardizer.scale"} <= set(arrays):
+        raise InputError(f"{path}: not a model checkpoint: it has no standardizer arrays")
     standardizer = D.Standardizer(mean=arrays["standardizer.mean"],
                                   scale=arrays["standardizer.scale"])
     return model, standardizer, meta
@@ -203,7 +207,7 @@ def _evaluate_to_files(model: Model, standardizer: D.Standardizer, X_raw, y,
                        class_names, out_dir: Path, repetitions: int) -> dict:
     X = D.reshape_for_model(X_raw, standardizer)
     logits, cm, report, loss, latency = _score(model, X, y, class_names, repetitions)
-    curves = M.roc_auc(T.softmax(Tensor(logits), axis=1).data, y)
+    curves = M.roc_auc(T.softmax(logits, axis=1), y)
     blob = M.report_to_dict(report, cm, curves)
     blob["loss"] = loss
     blob["inference_seconds_per_instance"] = latency

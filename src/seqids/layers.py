@@ -16,6 +16,13 @@ varies):
   and ``b (3H,)`` are packed in update | reset | candidate column blocks.
 * The BiGRU is one tape record: one input-projection GEMM per direction and
   a hand-written backpropagation-through-time backward rule.
+* Multi-head attention is one tape record too. ``w_qkv (heads, model_dim,
+  3 * key_dim)`` holds each head's query | key | value column blocks and
+  ``w_o (heads * key_dim, model_dim)`` projects the concatenated heads back.
+  The forward pass keeps only the concatenated head outputs; the backward
+  rule recomputes each head's Q/K/V and weights from the input, so no
+  per-head buffer outlives its head and inference memory does not grow
+  with the head count.
 * Dropout is inverted: survivors are scaled by 1/(1-rate) at train time and
   inference is the identity.
 * Dense applies ReLU or no activation. The model's last Dense has none, so
@@ -26,7 +33,8 @@ varies):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -318,64 +326,72 @@ def layernorm_forward(x: Tensor, p: LayerNormParams) -> Tensor:
 # ---------------------------------------------------------------------------
 # Attention
 
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
-                                 return_weights: bool = False):
-    """softmax(Q K^T / sqrt(d_q)) V with row-wise softmax.
-
-    q: (..., T_q, d_q), k: (..., T_k, d_q), v: (..., T_k, d_v).
-    """
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"attention: Q depth {q.shape[-1]} != K depth {k.shape[-1]}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"attention: K rows {k.shape[-2]} != V rows {v.shape[-2]}")
-    d_q = q.shape[-1]
-    kt = T.transpose(k) if k.ndim == 2 else T.transpose(k, (0, 2, 1))
-    scores = T.mul(T.matmul(q, kt), 1.0 / np.sqrt(d_q))
-    weights = T.softmax(scores, axis=-1)
-    out = T.matmul(weights, v)
-    return (out, weights) if return_weights else out
+def _attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """softmax(q k^T / sqrt(d_q)) over the keys, for (..., T, d) arrays."""
+    # a contiguous k keeps the batched product on BLAS when q is a strided view
+    kt = np.swapaxes(np.ascontiguousarray(k), -1, -2)
+    return T.softmax(q @ kt * (1.0 / math.sqrt(q.shape[-1])))
 
 
 @dataclass
 class MHAParams:
-    w_q: list[Tensor] = field(default_factory=list)  # per head (model_dim, key_dim)
-    w_k: list[Tensor] = field(default_factory=list)
-    w_v: list[Tensor] = field(default_factory=list)
-    w_o: Tensor = None                               # (num_heads*key_dim, model_dim)
-    num_heads: int = 1
-    key_dim: int = 1
+    w_qkv: Tensor  # (num_heads, model_dim, 3 * key_dim), query | key | value per head
+    w_o: Tensor    # (num_heads * key_dim, model_dim)
 
 
 def init_mha(rng, model_dim: int, num_heads: int, key_dim: int) -> MHAParams:
     if num_heads < 1:
         raise ContractError("multi-head attention needs num_heads >= 1")
-    p = MHAParams(num_heads=num_heads, key_dim=key_dim)
-    for _ in range(num_heads):
-        p.w_q.append(glorot_uniform(rng, (model_dim, key_dim), model_dim, key_dim))
-        p.w_k.append(glorot_uniform(rng, (model_dim, key_dim), model_dim, key_dim))
-        p.w_v.append(glorot_uniform(rng, (model_dim, key_dim), model_dim, key_dim))
-    p.w_o = glorot_uniform(rng, (num_heads * key_dim, model_dim),
-                           num_heads * key_dim, model_dim)
-    return p
+    # each head's query, key and value blocks are drawn in that order, straight
+    # into their columns: a single draw laid out afterwards would cost a second
+    # buffer the size of w_qkv
+    w_qkv = Tensor(np.empty((num_heads, model_dim, 3 * key_dim)), requires_grad=True)
+    for block in (b for w in w_qkv.data for b in np.split(w, 3, axis=1)):
+        block[...] = glorot_uniform(rng, block.shape, model_dim, key_dim).data
+    w_o = glorot_uniform(rng, (num_heads * key_dim, model_dim), num_heads * key_dim, model_dim)
+    return MHAParams(w_qkv, w_o)
 
 
 def multi_head_attention(x: Tensor, p: MHAParams) -> Tensor:
     """Self-attention: per-head projected Q/K/V, concatenated, projected back.
 
     x: (T, F) or (B, T, F) -> same shape; F must equal the model dim the
-    params were built for.
+    params were built for. One tape record; its backward rule recomputes
+    each head's Q/K/V and weights from x.
     """
-    model_dim = p.w_q[0].shape[0]
-    if x.shape[-1] != model_dim:
-        raise ShapeError(f"mha: input width {x.shape[-1]} does not match model dim {model_dim}")
-    heads = []
-    for h in range(p.num_heads):
-        q = T.matmul(x, p.w_q[h])
-        k = T.matmul(x, p.w_k[h])
-        v = T.matmul(x, p.w_v[h])
-        heads.append(scaled_dot_product_attention(q, k, v))
-    cat = heads[0] if len(heads) == 1 else T.concat(heads, axis=-1)
-    return T.matmul(cat, p.w_o)
+    heads, model_dim, _ = p.w_qkv.shape
+    if x.ndim not in (2, 3) or x.shape[-1] != model_dim:
+        raise ShapeError(f"mha: input {x.shape} does not match model dim {model_dim}")
+    lead, x2 = x.shape[:-1], x.data.reshape(-1, model_dim)
+
+    def head(h):
+        """Head h's attention weights, then its V, Q and K, laid out as x."""
+        q, k, v = np.split((x2 @ p.w_qkv.data[h]).reshape(lead + (-1,)), 3, axis=-1)
+        return _attention_weights(q, k), v, q, k
+
+    # heads write their outputs into column blocks of one concat buffer; each
+    # head's own buffers are freed before the next head allocates
+    cat = np.empty((x2.shape[0], p.w_o.shape[0]), dtype=x2.dtype)
+    for h, out in enumerate(np.split(cat.reshape(lead + (-1,)), heads, axis=-1)):
+        np.matmul(*head(h)[:2], out=out)
+
+    def back(g):
+        g = g.reshape(-1, model_dim)
+        dcat = np.split((g @ p.w_o.data.T).reshape(lead + (-1,)), heads, axis=-1)
+        dx, dw_qkv = np.zeros_like(x2), np.empty_like(p.w_qkv.data)
+        for h, dout in enumerate(dcat):
+            w, v, q, k = head(h)
+            dw = dout @ np.swapaxes(v, -1, -2)
+            ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * (1.0 / math.sqrt(q.shape[-1]))
+            dqkv = np.concatenate([ds @ k, np.swapaxes(ds, -1, -2) @ q,
+                                   np.swapaxes(w, -1, -2) @ dout], axis=-1)
+            dqkv = dqkv.reshape(x2.shape[0], -1)
+            dw_qkv[h] = x2.T @ dqkv
+            dx += dqkv @ p.w_qkv.data[h].T
+            del w, v, q, k, dw, ds, dqkv
+        return dx.reshape(x.shape), dw_qkv, cat.T @ g
+
+    return register_op((x, p.w_qkv, p.w_o), (cat @ p.w_o.data).reshape(x.shape), back)
 
 
 # ---------------------------------------------------------------------------

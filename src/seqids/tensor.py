@@ -234,27 +234,17 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with numpy stacking semantics (2-D or batched 3-D)."""
+    """2-D matrix product."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions differ for {a.shape} and {b.shape}")
-    out = a.data @ b.data
-
-    def back(g):
-        da = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        db = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return da, db
-
-    return register_op((a, b), out, back)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul needs 2-D operands with matching inner dimensions, "
+                         f"got {a.shape} and {b.shape}")
+    return register_op((a, b), a.data @ b.data, lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
+def transpose(a) -> Tensor:
     a = _as_tensor(a)
-    out = np.transpose(a.data, axes)
-    inv = None if axes is None else tuple(np.argsort(axes))
-    return register_op((a,), out, lambda g: (np.transpose(g, inv),))
+    return register_op((a,), a.data.T, lambda g: (g.T,))
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
@@ -263,19 +253,6 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
         raise ShapeError(f"reshape: cannot view {a.shape} ({a.size} elements) as {tuple(shape)}")
     out = a.data.reshape(shape)
     return register_op((a,), out, lambda g: (g.reshape(a.shape),))
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    ref = tensors[0].shape
-    for t in tensors[1:]:
-        if t.ndim != len(ref) or any(
-                t.shape[i] != ref[i] for i in range(t.ndim) if i != axis % t.ndim):
-            raise ShapeError(f"concat: shapes {ref} and {t.shape} differ off axis {axis}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-    return register_op(tuple(tensors), out, lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -298,20 +275,15 @@ def relu(a) -> Tensor:
     return register_op((a,), out, lambda g: (g * (a.data > 0),))
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """exp-normalize along ``axis``, stabilized by max subtraction."""
-    a = _as_tensor(a)
+def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """exp-normalize an array along ``axis``, stabilized by max subtraction.
+
+    A plain array function, not a tape op: the loss fuses its own softmax.
+    """
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def back(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
-
-    return register_op((a,), out, back)
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

@@ -198,7 +198,7 @@ def predict_logits(model: Model, X: np.ndarray, batch_size: int = 256) -> np.nda
 
 def predict_proba(model: Model, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Class probability rows: the softmax of ``predict_logits``."""
-    return T.softmax(Tensor(predict_logits(model, X, batch_size)), axis=1).data
+    return T.softmax(predict_logits(model, X, batch_size), axis=1)
 
 
 def measure_inference(model: Model, batch: np.ndarray, repetitions: int = 30) -> float:

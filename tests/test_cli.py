@@ -11,6 +11,7 @@ import pytest
 from seqids import cli
 from seqids import data as D
 from seqids.checkpoint import save_checkpoint
+from seqids.errors import InputError
 from seqids.model import ModelConfig, build_model
 
 
@@ -261,6 +262,34 @@ def test_eval_truncated_checkpoint_fails_cleanly_and_leaves_no_directory(tmp_pat
     err = capsys.readouterr().err
     assert "error [eval]" in err and str(path) in err
     assert not out.exists()
+
+
+def small_model_arrays():
+    model = build_model(ModelConfig(input_shape=(12, 1), num_classes=3, conv_filters=4,
+                                    gru_units=4, num_heads=2, key_dim=4, dense_units=(8,)),
+                        np.random.default_rng(0))
+    return model.cfg, {f"model.{n}": t.data for n, t in model.named_arrays().items()}
+
+
+def test_eval_checkpoint_without_config_fails_cleanly_and_leaves_no_directory(tmp_path, capsys):
+    data = gen(tmp_path)
+    _, arrays = small_model_arrays()
+    path = tmp_path / "noconfig.bin"
+    save_checkpoint(path, arrays, {"class_names": ["0", "1", "2"]})
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--checkpoint", path, "--data", data, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert "error [eval]" in err and str(path) in err and "'config'" in err
+    assert not out.exists()
+
+
+def test_model_checkpoint_without_standardizer_is_rejected(tmp_path):
+    cfg, arrays = small_model_arrays()
+    path = tmp_path / "nostd.bin"
+    save_checkpoint(path, arrays, {"config": cfg.to_dict(), "class_names": ["0", "1", "2"],
+                                   "train": {"seed": 0, "fraction": 0.2}})
+    with pytest.raises(InputError, match="no standardizer arrays"):
+        cli._load_model_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------

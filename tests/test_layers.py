@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqids import layers as L
 from seqids import tensor as T
@@ -334,83 +336,129 @@ def test_layernorm_gradients():
 # ---------------------------------------------------------------------------
 # Attention
 
+def mha_reference(x, w_qkv, w_o):
+    """Per-head loop over ``sdpa_brute_force``: project, attend, concatenate,
+    project back. x: (T, F) or (B, T, F)."""
+    if x.ndim == 3:
+        return np.stack([mha_reference(seq, w_qkv, w_o) for seq in x])
+    heads = [sdpa_brute_force(*np.split(x @ w, 3, axis=1)) for w in w_qkv]
+    return np.concatenate(heads, axis=1) @ w_o
+
+
+def attend(q, k, v):
+    return L._attention_weights(q, k) @ v
+
+
 def test_sdpa_single_key_returns_value_row():
     rng = np.random.default_rng(23)
-    q = Tensor(rng.normal(size=(4, 3)))
-    k = Tensor(rng.normal(size=(1, 3)))
-    v = Tensor(rng.normal(size=(1, 5)))
-    out = L.scaled_dot_product_attention(q, k, v).data
-    np.testing.assert_allclose(out, np.repeat(v.data, 4, axis=0), atol=1e-12)
+    q = rng.normal(size=(4, 3))
+    k = rng.normal(size=(1, 3))
+    v = rng.normal(size=(1, 5))
+    np.testing.assert_allclose(attend(q, k, v), np.repeat(v, 4, axis=0), atol=1e-12)
 
 
 def test_sdpa_dominant_self_match():
     # Q = K = 10*I: each query overwhelmingly attends to its own value row
-    q = Tensor(10.0 * np.eye(2))
-    v = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out, w = L.scaled_dot_product_attention(q, q, v, return_weights=True)
+    q = 10.0 * np.eye(2)
+    v = np.array([[1.0, 2.0], [3.0, 4.0]])
+    w = L._attention_weights(q, q)
     scores = (10 * np.eye(2)) @ (10 * np.eye(2)).T / np.sqrt(2)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     expect_w = e / e.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(w.data, expect_w, atol=1e-12)
-    np.testing.assert_allclose(out.data, expect_w @ v.data, atol=1e-12)
-    assert w.data[0, 0] > 0.999
+    np.testing.assert_allclose(w, expect_w, atol=1e-12)
+    np.testing.assert_allclose(w @ v, expect_w @ v, atol=1e-12)
+    assert w[0, 0] > 0.999
 
 
 def test_sdpa_matches_brute_force():
     rng = np.random.default_rng(24)
     q, k, v = rng.normal(size=(3, 8, 8))
-    out = L.scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v)).data
-    np.testing.assert_allclose(out, sdpa_brute_force(q, k, v), atol=1e-6)
+    np.testing.assert_allclose(attend(q, k, v), sdpa_brute_force(q, k, v), atol=1e-6)
+    # batched (B, T, d) input attends within each sequence
+    qb, kb, vb = rng.normal(size=(3, 2, 5, 4))
+    expect = np.stack([sdpa_brute_force(*qkv) for qkv in zip(qb, kb, vb)])
+    np.testing.assert_allclose(attend(qb, kb, vb), expect, rtol=0, atol=1e-12)
 
 
 def test_sdpa_scale_is_sqrt_of_query_depth():
     rng = np.random.default_rng(25)
     q = rng.normal(size=(5, 64))
     k = rng.normal(size=(5, 64))
-    v = rng.normal(size=(5, 4))
-    _, w = L.scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), return_weights=True)
+    w = L._attention_weights(q, k)
     scores = q @ k.T / 8.0  # sqrt(64) = 8
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    np.testing.assert_allclose(w.data, e / e.sum(axis=1, keepdims=True), atol=1e-12)
+    np.testing.assert_allclose(w, e / e.sum(axis=1, keepdims=True), atol=1e-12)
 
 
 def test_sdpa_rows_sum_to_one():
     rng = np.random.default_rng(26)
-    q, k, v = (Tensor(rng.normal(size=(6, 4))) for _ in range(3))
-    _, w = L.scaled_dot_product_attention(q, k, v, return_weights=True)
-    assert np.all((w.data > 0) & (w.data < 1))
-    np.testing.assert_allclose(w.data.sum(axis=1), np.ones(6), atol=1e-6)
-
-
-def test_sdpa_depth_mismatch():
-    with pytest.raises(ShapeError):
-        L.scaled_dot_product_attention(
-            Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
+    q, k = rng.normal(size=(2, 6, 4))
+    w = L._attention_weights(q, k)
+    assert np.all((w > 0) & (w < 1))
+    np.testing.assert_allclose(w.sum(axis=1), np.ones(6), atol=1e-6)
 
 
 def test_sdpa_gradients():
+    # large projections give sharply peaked attention weights, unlike the
+    # near-uniform ones of a Glorot-initialized layer
     rng = np.random.default_rng(27)
-    q = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    k = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-    v = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+    p = L.MHAParams(w_qkv=Tensor(3.0 * rng.normal(size=(1, 4, 6)), requires_grad=True),
+                    w_o=Tensor(rng.normal(size=(2, 4)), requires_grad=True))
+    x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    assert L._attention_weights(*np.split(x.data @ p.w_qkv.data[0], 3, axis=1)[:2]).max() > 0.9
     err = grad_check_all(
-        lambda: T.tsum(T.mul(L.scaled_dot_product_attention(q, k, v),
-                             L.scaled_dot_product_attention(q, k, v))),
-        [q, k, v], h=1e-6)
+        lambda: T.tsum(T.mul(L.multi_head_attention(x, p), L.multi_head_attention(x, p))),
+        [x, p.w_qkv, p.w_o], h=1e-6)
     assert err < 1e-5
+
+
+def test_init_mha_draws_per_head_q_k_v_in_order():
+    # a seeded model keeps the numbers of per-head (model_dim, key_dim)
+    # q, k, v draws followed by w_o
+    p = L.init_mha(np.random.default_rng(5), model_dim=6, num_heads=3, key_dim=2)
+    assert (p.w_qkv.shape, p.w_o.shape) == ((3, 6, 6), (6, 6))
+    rng = np.random.default_rng(5)
+    bound = np.sqrt(6.0 / (6 + 2))
+    for h in range(3):
+        for block in range(3):  # query | key | value
+            np.testing.assert_array_equal(p.w_qkv.data[h][:, 2 * block:2 * block + 2],
+                                          rng.uniform(-bound, bound, size=(6, 2)))
+    bound_o = np.sqrt(6.0 / (6 + 6))
+    np.testing.assert_array_equal(p.w_o.data, rng.uniform(-bound_o, bound_o, size=(6, 6)))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("shape", [(7, 5), (3, 7, 5)], ids=["unbatched", "batched"])
+def test_mha_matches_per_head_reference(heads, shape):
+    rng = np.random.default_rng(28)
+    p = L.init_mha(rng, model_dim=5, num_heads=heads, key_dim=3)
+    x = rng.normal(size=shape)
+    out = L.multi_head_attention(Tensor(x), p).data
+    assert out.shape == shape
+    np.testing.assert_allclose(out, mha_reference(x, p.w_qkv.data, p.w_o.data),
+                               rtol=0, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(batch=st.integers(0, 3), t_len=st.integers(1, 6), heads=st.integers(1, 3),
+       key_dim=st.integers(1, 4), model_dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_mha_matches_per_head_reference_property(batch, t_len, heads, key_dim, model_dim, seed):
+    # batch 0 stands for unbatched (T, F) input
+    rng = np.random.default_rng(seed)
+    p = L.init_mha(rng, model_dim, heads, key_dim)
+    x = rng.normal(size=(batch, t_len, model_dim) if batch else (t_len, model_dim))
+    np.testing.assert_allclose(L.multi_head_attention(Tensor(x), p).data,
+                               mha_reference(x, p.w_qkv.data, p.w_o.data), rtol=0, atol=1e-12)
 
 
 def test_mha_single_head_identity_projection_reduces_to_sdpa():
     rng = np.random.default_rng(28)
     p = L.init_mha(rng, model_dim=4, num_heads=1, key_dim=4)
     p.w_o = Tensor(np.eye(4), requires_grad=True)
-    x = Tensor(rng.normal(size=(5, 4)))
-    out = L.multi_head_attention(x, p).data
-    q = x.data @ p.w_q[0].data
-    k = x.data @ p.w_k[0].data
-    v = x.data @ p.w_v[0].data
-    expect = L.scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v)).data
-    np.testing.assert_allclose(out, expect, atol=1e-12)
+    x = rng.normal(size=(5, 4))
+    out = L.multi_head_attention(Tensor(x), p).data
+    q, k, v = np.split(x @ p.w_qkv.data[0], 3, axis=1)
+    np.testing.assert_allclose(out, sdpa_brute_force(q, k, v), atol=1e-12)
 
 
 def test_mha_preserves_reference_shape():
@@ -423,18 +471,29 @@ def test_mha_preserves_reference_shape():
 def test_mha_gradients():
     rng = np.random.default_rng(30)
     p = L.init_mha(rng, model_dim=8, num_heads=2, key_dim=3)
-    x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
-    checked = [x, p.w_q[0], p.w_k[1], p.w_v[0], p.w_o]
-    err = grad_check_all(
-        lambda: T.tsum(T.mul(L.multi_head_attention(x, p), L.multi_head_attention(x, p))),
-        checked, h=1e-6)
-    assert err < 1e-5
+    for shape in ((4, 8), (2, 4, 8)):
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        err = grad_check_all(
+            lambda: T.tsum(T.mul(L.multi_head_attention(x, p), L.multi_head_attention(x, p))),
+            [x, p.w_qkv, p.w_o], h=1e-6)
+        assert err < 1e-5
+
+
+@pytest.mark.parametrize("heads,t_len", [(1, 1), (2, 5), (4, 9)])
+def test_mha_is_one_tape_record_for_any_head_count_and_length(heads, t_len):
+    rng = np.random.default_rng(31)
+    p = L.init_mha(rng, model_dim=4, num_heads=heads, key_dim=2)
+    for shape in ((t_len, 4), (2, t_len, 4)):
+        with T.Tape() as tape:
+            L.multi_head_attention(Tensor(rng.normal(size=shape)), p)
+        assert len(tape) == 1
 
 
 def test_mha_width_mismatch():
     p = L.init_mha(np.random.default_rng(31), model_dim=8, num_heads=2, key_dim=4)
-    with pytest.raises(ShapeError):
-        L.multi_head_attention(Tensor(np.zeros((3, 5))), p)
+    for shape in ((3, 5), (8,), (1, 2, 3, 8)):
+        with pytest.raises(ShapeError):
+            L.multi_head_attention(Tensor(np.zeros(shape)), p)
 
 
 # ---------------------------------------------------------------------------

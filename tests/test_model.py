@@ -1,10 +1,15 @@
 import dataclasses
 import gc
-import re
+import json
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seqids import checkpoint as ckpt
 from seqids import train as TR
@@ -161,11 +166,11 @@ def test_config_from_dict_rejects_unknown_and_missing_keys():
 
 
 def test_flagship_named_arrays_cover_every_tensor_once():
-    # 14 residual-block, 6 BiGRU, 2 LayerNorm, 13 attention and 6 dense arrays
+    # 14 residual-block, 6 BiGRU, 2 LayerNorm, 2 attention and 6 dense arrays
     m = build_model(ModelConfig(), np.random.default_rng(0))
     arrays = m.named_arrays()
-    assert len(arrays) == 41
-    assert len({id(t) for t in arrays.values()}) == 41
+    assert len(arrays) == 30
+    assert len({id(t) for t in arrays.values()}) == 30
     assert m.param_count() == 687718
     other = build_model(ModelConfig(), np.random.default_rng(1))
     assert list(arrays) == list(other.named_arrays())
@@ -186,13 +191,17 @@ def test_named_arrays_keeps_no_model_alive():
 
 
 def test_checkpoint_with_old_array_names_is_rejected():
-    # the per-head attention weights used to be named mha.head{h}.w_q
+    # attention weights used to be stored per head, as mha.w_q{h} and, before
+    # that, mha.head{h}.w_q
     m = build_model(TINY, np.random.default_rng(9))
-    old = {re.sub(r"^mha\.(w_[qkv])(\d+)$", r"mha.head\2.\1", n): t.data
-           for n, t in m.named_arrays().items()}
-    assert "mha.head0.w_q" in old
-    with pytest.raises(ConfigError, match="missing arrays"):
-        build_model(TINY, np.random.default_rng(10)).load_arrays(old)
+    kept = {n: t.data for n, t in m.named_arrays().items() if n != "mha.w_qkv"}
+    for old_name in ("mha.w_{}{}", "mha.head{1}.w_{0}"):
+        old = dict(kept)
+        for h, w in enumerate(m.mha.w_qkv.data):
+            for block, q in zip(np.split(w, 3, axis=1), "qkv"):
+                old[old_name.format(q, h)] = block
+        with pytest.raises(ConfigError, match="missing arrays"):
+            build_model(TINY, np.random.default_rng(10)).load_arrays(old)
 
 
 def test_checkpoint_with_per_gate_gru_names_is_rejected():
@@ -224,11 +233,35 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(m.forward(batch).data, m2.forward(batch).data)
 
 
+def with_header(edit):
+    """A corruption that replaces the checkpoint header by ``edit(header)``."""
+    def corrupt(raw, hlen):
+        header = json.dumps(edit(json.loads(raw[16:16 + hlen]))).encode()
+        return raw[:8] + len(header).to_bytes(8, "little") + header + raw[16 + hlen:]
+    return corrupt
+
+
+def with_entry(**changes):
+    """A corruption that changes the header's first array entry."""
+    return with_header(
+        lambda h: {**h, "arrays": [{**h["arrays"][0], **changes}] + h["arrays"][1:]})
+
+
 @pytest.mark.parametrize("corrupt,message", [
     (lambda raw, hlen: raw[:30], "header runs past the end"),
     (lambda raw, hlen: raw[:16] + b"x" * hlen + raw[16 + hlen:], "header is not valid JSON"),
     (lambda raw, hlen: raw[:-8], "payload holds 9 values, its arrays need 10"),
-], ids=["header_past_end", "header_not_json", "payload_short"])
+    (with_header(lambda h: {k: v for k, v in h.items() if k != "dtype"}), "KeyError.*'dtype'"),
+    (with_header(lambda h: [h]), "malformed checkpoint header: TypeError"),
+    (with_header(lambda h: {**h, "format_version": 2}), "unsupported format_version 2"),
+    (with_header(lambda h: {**h, "dtype": "object"}), "dtype object"),
+    (with_header(lambda h: {**h, "meta": []}), "meta type list"),
+    (with_entry(count=5), r"bad entries \[.*'count': 5"),
+    (with_entry(shape=None), "malformed checkpoint header: TypeError"),
+    (with_entry(shape=[-1, -6]), r"bad entries \[.*'shape': \[-1, -6\]"),
+], ids=["header_past_end", "header_not_json", "payload_short", "no_dtype", "header_list",
+        "format_version", "object_dtype", "meta_not_object", "count_off_shape", "no_shape",
+        "negative_shape"])
 def test_corrupt_checkpoint_raises_input_error_naming_the_file(tmp_path, corrupt, message):
     path = tmp_path / "model.ckpt"
     ckpt.save_checkpoint(path, {"a": np.arange(6.0), "b": np.ones((2, 2))}, {"k": 1})
@@ -237,6 +270,56 @@ def test_corrupt_checkpoint_raises_input_error_naming_the_file(tmp_path, corrupt
     with pytest.raises(InputError, match=message) as info:
         ckpt.load_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+class FailingPayloadFile:
+    """A binary file whose writes fail after the magic, the header length
+    and the header: the first payload write raises."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 3:
+            raise OSError("no space left on device")
+        return self.fh.write(data)
+
+
+def test_failed_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    ckpt.save_checkpoint(path, {"a": np.arange(6.0)}, {"k": 1})
+    before = path.read_bytes()
+    monkeypatch.setattr(ckpt, "open", FailingPayloadFile, raising=False)
+    with pytest.raises(OSError, match="no space left"):
+        ckpt.save_checkpoint(path, {"a": np.ones(6), "b": np.zeros(3)}, {"k": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(dtype=st.sampled_from(["float64", "float32", "int64", "int32", "uint8", "bool"]),
+       data=st.data())
+def test_checkpoint_round_trip_property(dtype, data):
+    shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+    arrays = data.draw(st.dictionaries(st.text(max_size=8), hnp.arrays(dtype, shapes),
+                                       max_size=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.ckpt"
+        ckpt.save_checkpoint(path, arrays, {"k": [1, "x"]})
+        loaded, meta = ckpt.load_checkpoint(path)
+    assert meta == {"k": [1, "x"]}
+    assert list(loaded) == list(arrays)
+    for name, a in arrays.items():
+        assert (loaded[name].dtype, loaded[name].shape) == (a.dtype, a.shape)
+        assert loaded[name].tobytes() == a.tobytes()
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path):
