@@ -183,6 +183,14 @@ def _load_model_checkpoint(path):
     if not isinstance(meta.get("config"), dict):
         raise InputError(f"{path}: not a model checkpoint: its meta has no 'config' object")
     cfg = ModelConfig.from_dict(meta["config"])
+    names, train = meta.get("class_names"), meta.get("train")
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise InputError(f"{path}: not a model checkpoint: its meta has no 'class_names' "
+                         "list of strings")
+    if not (isinstance(train, dict) and isinstance(train.get("seed"), int)
+            and isinstance(train.get("fraction"), (int, float))):
+        raise InputError(f"{path}: not a model checkpoint: its meta has no 'train' object "
+                         "with an integer 'seed' and a numeric 'fraction'")
     model = build_model(cfg, np.random.default_rng(0))
     model.load_arrays({n[len("model."):]: a for n, a in arrays.items()
                        if n.startswith("model.")})
@@ -277,8 +285,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    split = D.train_test_split(dataset, fraction=args.fraction, seed=train_cfg.seed,
-                               stratified=True)
+    split = D.train_test_split(dataset, fraction=args.fraction, seed=train_cfg.seed)
     pre_counts = split.train.class_counts().tolist()
     split, standardizer = _preprocess(split, use_smote, train_cfg.seed, args.smote_k)
     post_counts = split.train.class_counts().tolist()
@@ -330,7 +337,7 @@ def cmd_eval(args) -> int:
 
     if args.holdout:
         split = D.train_test_split(dataset, fraction=meta["train"]["fraction"],
-                                   seed=meta["train"]["seed"], stratified=True)
+                                   seed=meta["train"]["seed"])
         X_raw, y = split.test.X, split.test.y
         scope = "held-out split"
     else:
@@ -361,8 +368,7 @@ def cmd_ablate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # one shared split for every case; SMOTE/standardization are per case
-    base_split = D.train_test_split(dataset, fraction=args.fraction,
-                                    seed=args.seed, stratified=True)
+    base_split = D.train_test_split(dataset, fraction=args.fraction, seed=args.seed)
     case_seeds = [int(s.generate_state(1)[0]) % (2 ** 31)
                   for s in np.random.SeedSequence(args.seed).spawn(10)]
     rows = []

@@ -163,36 +163,51 @@ def save_csv(dataset: Dataset, path, label_column: str = "label",
             writer.writerow([repr(float(v)) for v in row] + [name])
 
 
-def train_test_split(d: Dataset, fraction: float = 0.8, seed: int = 0,
-                     stratified: bool = True) -> SplitPair:
-    """Seeded random split; stratified mode keeps per-class proportions."""
-    n = d.X.shape[0]
+def train_test_split(d: Dataset, fraction: float = 0.8, seed: int = 0) -> SplitPair:
+    """Seeded stratified split: each class keeps its proportion in both halves."""
     rng = np.random.default_rng(seed)
-    if stratified:
-        train_idx, test_idx = [], []
-        for c in range(d.encoder.num_classes):
-            members = np.flatnonzero(d.y == c)
-            if members.size < 2:
-                raise ContractError(
-                    f"class {d.encoder.class_names[c]!r} has {members.size} sample(s); "
-                    "stratified split needs at least 2")
-            members = rng.permutation(members)
-            k = int(round(fraction * members.size))
-            k = min(max(k, 1), members.size - 1)
-            train_idx.append(members[:k])
-            test_idx.append(members[k:])
-        train_idx = np.concatenate(train_idx)
-        test_idx = np.concatenate(test_idx)
-    else:
-        perm = rng.permutation(n)
-        k = int(round(fraction * n))
-        train_idx, test_idx = perm[:k], perm[k:]
+    train_idx, test_idx = [], []
+    for c in range(d.encoder.num_classes):
+        members = np.flatnonzero(d.y == c)
+        if members.size < 2:
+            raise ContractError(
+                f"class {d.encoder.class_names[c]!r} has {members.size} sample(s); "
+                "stratified split needs at least 2")
+        members = rng.permutation(members)
+        k = int(round(fraction * members.size))
+        k = min(max(k, 1), members.size - 1)
+        train_idx.append(members[:k])
+        test_idx.append(members[k:])
+    train_idx = np.concatenate(train_idx)
+    test_idx = np.concatenate(test_idx)
 
     def subset(idx):
         return Dataset(X=d.X[idx].copy(), y=d.y[idx].copy(),
                        encoder=d.encoder, feature_names=d.feature_names)
 
     return SplitPair(train=subset(train_idx), test=subset(test_idx), fraction=fraction)
+
+
+#: rows per block of the SMOTE neighbor search; bounds its memory to
+#: about ``_KNN_BLOCK * n`` distances for a class of ``n`` rows
+_KNN_BLOCK = 512
+
+
+def _nearest_neighbors(X: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) indices of each row's k nearest other rows, by Euclidean distance.
+
+    Squared distances are |a|^2 + |b|^2 - 2ab, computed ``_KNN_BLOCK`` rows
+    at a time, so no n x n x F difference array is built.
+    """
+    n = X.shape[0]
+    sq = np.einsum("ij,ij->i", X, X)
+    nn = np.empty((n, k), dtype=np.intp)
+    for start in range(0, n, _KNN_BLOCK):
+        stop = min(start + _KNN_BLOCK, n)
+        d2 = sq[start:stop, None] + sq - 2.0 * (X[start:stop] @ X.T)
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf  # not its own neighbor
+        nn[start:stop] = np.argsort(d2, axis=1)[:, :k]
+    return nn
 
 
 def smote_oversample(train: Dataset, k_neighbors: int = 5, seed: int = 0) -> Dataset:
@@ -214,9 +229,7 @@ def smote_oversample(train: Dataset, k_neighbors: int = 5, seed: int = 0) -> Dat
                 f"class {train.encoder.class_names[c]!r} has one sample; SMOTE needs >= 2")
         Xc = train.X[members]
         k = min(k_neighbors, members.size - 1)
-        d2 = ((Xc[:, None, :] - Xc[None, :, :]) ** 2).sum(axis=2)
-        np.fill_diagonal(d2, np.inf)
-        nn_idx = np.argsort(d2, axis=1)[:, :k]
+        nn_idx = _nearest_neighbors(Xc, k)
         base = rng.integers(0, members.size, size=need)
         pick = nn_idx[base, rng.integers(0, k, size=need)]
         lam = rng.random(need)[:, None]

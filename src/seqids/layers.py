@@ -1,8 +1,8 @@
 """Network layers: parameterized forward passes recorded on the autodiff tape.
 
 Each layer is a plain parameter container plus a ``*_forward`` function.
-Sequence layers take ``(T, features)`` or batched ``(batch, T, features)``
-input; 2-D input is lifted to a singleton batch and squeezed back.
+Sequence layers (Conv1D, BatchNorm, BiGRU, attention) take ``(batch, T,
+features)`` input only; any other rank is a ``ShapeError``.
 
 Conventions (documented, since several are chosen where common practice
 varies):
@@ -25,8 +25,9 @@ varies):
   with the head count.
 * Dropout is inverted: survivors are scaled by 1/(1-rate) at train time and
   inference is the identity.
-* Dense applies ReLU or no activation. The model's last Dense has none, so
-  it returns logits; the softmax lives in the loss and in ``predict_proba``.
+* Dense is one tape record over ``(N, in)`` input: ``x W^T + b``, then ReLU
+  or no activation. The model's last Dense has none, so it returns logits;
+  the softmax lives in the loss and in ``predict_proba``.
 * Weights use fan-scaled uniform init, bound sqrt(6 / (fan_in + fan_out));
   biases start at zero, scale/shift parameters at one/zero.
 """
@@ -49,15 +50,9 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
-def _lift(x: Tensor) -> tuple[Tensor, bool]:
-    """Add a singleton batch axis to 2-D sequence input."""
-    if x.ndim == 2:
-        return T.reshape(x, (1,) + x.shape), True
-    return x, False
-
-
-def _unlift(y: Tensor, lifted: bool) -> Tensor:
-    return T.reshape(y, y.shape[1:]) if lifted else y
+def _check_sequence(x: Tensor, layer: str) -> None:
+    if x.ndim != 3:
+        raise ShapeError(f"{layer}: expected (batch, time, features) input, got shape {x.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +75,8 @@ def init_conv1d(rng, in_channels: int, out_channels: int, kernel_size: int = 3) 
 
 
 def conv1d_forward(x: Tensor, p: Conv1DParams) -> Tensor:
-    """Cross-correlation along time with "same" padding. x: (T, C_in) or (B, T, C_in)."""
-    x, lifted = _lift(x)
+    """Cross-correlation along time with "same" padding. x: (B, T, C_in)."""
+    _check_sequence(x, "conv1d")
     batch, t_len, c_in = x.shape
     c_out, kc_in, k = p.kernels.shape
     if c_in != kc_in:
@@ -107,8 +102,7 @@ def conv1d_forward(x: Tensor, p: Conv1DParams) -> Tensor:
         dx = dxp[:, pad_left:pad_left + t_len, :]
         return dx, dw, db
 
-    out = register_op((x, p.kernels, p.bias), out_data, back)
-    return _unlift(out, lifted)
+    return register_op((x, p.kernels, p.bias), out_data, back)
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +129,13 @@ def init_batchnorm(rng, channels: int, momentum: float = 0.99,
 
 
 def batchnorm_forward(x: Tensor, p: BatchNormParams, mode: str = "train") -> Tensor:
-    """Per-channel normalization over batch and time. x: (B, T, C) or (T, C).
+    """Per-channel normalization over batch and time. x: (B, T, C).
 
     Train mode normalizes with batch statistics and updates the running
     mean/variance in place by the momentum rule; infer mode uses the stored
     running statistics only.
     """
-    x, lifted = _lift(x)
+    _check_sequence(x, "batchnorm")
     xd = x.data
     n = xd.shape[0] * xd.shape[1]
     eps = p.epsilon
@@ -178,8 +172,7 @@ def batchnorm_forward(x: Tensor, p: BatchNormParams, mode: str = "train") -> Ten
             dx = g * (gamma * rstd)
             return dx, dgamma, dbeta
 
-    out = register_op((x, p.gamma, p.beta), out_data, back)
-    return _unlift(out, lifted)
+    return register_op((x, p.gamma, p.beta), out_data, back)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +232,7 @@ def _gru_bptt(a: np.ndarray, u: np.ndarray, hs: np.ndarray, dhs: np.ndarray):
 def bigru_forward(x: Tensor, fwd: GRUParams, bwd: GRUParams) -> Tensor:
     """Run a GRU in both time directions and concatenate per-step outputs.
 
-    x: (T, F) or (B, T, F) -> (..., T, 2 * hidden), forward half first.
+    x: (B, T, F) -> (B, T, 2 * hidden), forward half first.
     Both directions start from a zero hidden state. The whole layer is one
     tape record whose backward rule is backpropagation through time.
     """
@@ -247,7 +240,7 @@ def bigru_forward(x: Tensor, fwd: GRUParams, bwd: GRUParams) -> Tensor:
     if bwd.U.shape[0] != hid:
         raise ContractError(
             f"bigru: direction hidden sizes differ ({hid} vs {bwd.U.shape[0]})")
-    x, lifted = _lift(x)
+    _check_sequence(x, "bigru")
     batch, t_len, feat = x.shape
     for p in (fwd, bwd):
         if (p.W.shape, p.U.shape, p.b.shape) != ((feat, 3 * hid), (hid, 3 * hid), (3 * hid,)):
@@ -275,8 +268,7 @@ def bigru_forward(x: Tensor, fwd: GRUParams, bwd: GRUParams) -> Tensor:
             grads += [x2.T @ da, du, da.sum(axis=0)]
         return [dx.reshape(x.shape)] + grads
 
-    out = register_op((x, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b), out_data, back)
-    return _unlift(out, lifted)
+    return register_op((x, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b), out_data, back)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +347,13 @@ def init_mha(rng, model_dim: int, num_heads: int, key_dim: int) -> MHAParams:
 def multi_head_attention(x: Tensor, p: MHAParams) -> Tensor:
     """Self-attention: per-head projected Q/K/V, concatenated, projected back.
 
-    x: (T, F) or (B, T, F) -> same shape; F must equal the model dim the
-    params were built for. One tape record; its backward rule recomputes
-    each head's Q/K/V and weights from x.
+    x: (B, T, F) -> same shape; F must equal the model dim the params were
+    built for. One tape record; its backward rule recomputes each head's
+    Q/K/V and weights from x.
     """
     heads, model_dim, _ = p.w_qkv.shape
-    if x.ndim not in (2, 3) or x.shape[-1] != model_dim:
+    _check_sequence(x, "mha")
+    if x.shape[-1] != model_dim:
         raise ShapeError(f"mha: input {x.shape} does not match model dim {model_dim}")
     lead, x2 = x.shape[:-1], x.data.reshape(-1, model_dim)
 
@@ -428,13 +421,17 @@ def init_dense(rng, in_features: int, out_features: int, activation: str = "none
 
 
 def dense_forward(x: Tensor, p: DenseParams) -> Tensor:
-    """activation(x W^T + b). x: (in,) or (N, in)."""
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = T.reshape(x, (1,) + x.shape)
-    if x.shape[-1] != p.W.shape[1]:
-        raise ShapeError(f"dense: input width {x.shape[-1]} does not match W {p.W.shape}")
-    y = T.add(T.matmul(x, p.W.T), p.b)
-    if p.activation == "relu":
-        y = T.relu(y)
-    return T.reshape(y, y.shape[1:]) if squeeze else y
+    """activation(x W^T + b). x: (N, in) -> (N, out), one tape record."""
+    if x.ndim != 2 or x.shape[1] != p.W.shape[1]:
+        raise ShapeError(f"dense: input {x.shape} is not (N, {p.W.shape[1]}) for W {p.W.shape}")
+    relu = p.activation == "relu"
+    y = x.data @ p.W.data.T + p.b.data
+    if relu:
+        np.maximum(y, 0.0, out=y)
+
+    def back(g):
+        if relu:
+            g = g * (y > 0)
+        return g @ p.W.data, g.T @ x.data, g.sum(axis=0)
+
+    return register_op((x, p.W, p.b), y, back)

@@ -10,7 +10,6 @@ classes uniformly while weighted aggregates weight by support.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +37,6 @@ class ConfusionMatrix:
         fn = int(self.counts[c, :].sum() - tp)
         tn = self.total - tp - fp - fn
         return tp, fp, fn, tn
-
-    def row_normalized(self) -> np.ndarray:
-        sums = self.counts.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            out = self.counts / np.where(sums == 0, 1, sums)
-        return out
 
 
 def confusion(true_labels, predicted_labels, num_classes: int,
@@ -222,11 +215,6 @@ def format_report_text(report: ClassReport) -> str:
     lines.append(f"{'macro fpr':{name_w}s}{report.macro_fpr:>40.6f}")
     lines.append(f"{'micro fpr':{name_w}s}{report.micro_fpr:>40.6f}")
     return "\n".join(lines)
-
-
-def report_to_json(report: ClassReport, cm: ConfusionMatrix,
-                   curves: list[RocCurve] | None = None) -> str:
-    return json.dumps(report_to_dict(report, cm, curves), indent=2, sort_keys=True)
 
 
 def confusion_to_csv(cm: ConfusionMatrix, path) -> None:

@@ -11,6 +11,11 @@ Gradients flow only into tensors with ``requires_grad=True`` (and into
 everything downstream of them). With no tape active, operations run in pure
 inference mode and record nothing.
 
+The generic ops are only those the model graph needs between its fused
+layers: ``add``, ``mul``, ``relu``, ``reshape`` and ``tsum`` (the scalar
+loss of the finite-difference checks). Each layer registers its own fused
+op with a hand-written backward rule through ``register_op``.
+
 The floating width is a process-wide setting (``set_default_dtype``), not a
 per-tensor property. float64 is the default and is what the finite
 difference checks assume.
@@ -63,46 +68,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; the actual rules live in the module-level functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
 
 
 class _OpRecord:
@@ -202,13 +167,6 @@ def add(a, b) -> Tensor:
     return register_op((a, b), out, lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a.data, b.data, "sub")
-    out = a.data - b.data
-    return register_op((a, b), out, lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a.data, b.data, "mul")
@@ -216,35 +174,6 @@ def mul(a, b) -> Tensor:
     return register_op(
         (a, b), out,
         lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
-
-
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a.data, b.data, "div")
-    out = a.data / b.data
-    return register_op(
-        (a, b), out,
-        lambda g: (_unbroadcast(g / b.data, a.shape),
-                   _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return register_op((a,), -a.data, lambda g: (-g,))
-
-
-def matmul(a, b) -> Tensor:
-    """2-D matrix product."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul needs 2-D operands with matching inner dimensions, "
-                         f"got {a.shape} and {b.shape}")
-    return register_op((a, b), a.data @ b.data, lambda g: (g @ b.data.T, a.data.T @ g))
-
-
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    return register_op((a,), a.data.T, lambda g: (g.T,))
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
@@ -255,18 +184,10 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return register_op((a,), out, lambda g: (g.reshape(a.shape),))
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
+    """Sum of all elements, as a 0-d tensor."""
     a = _as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def back(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return register_op((a,), out, back)
+    return register_op((a,), a.data.sum(), lambda g: (np.broadcast_to(g, a.shape),))
 
 
 def relu(a) -> Tensor:

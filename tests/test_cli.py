@@ -292,6 +292,26 @@ def test_model_checkpoint_without_standardizer_is_rejected(tmp_path):
         cli._load_model_checkpoint(path)
 
 
+@pytest.mark.parametrize("meta", [
+    {"train": {"seed": 0, "fraction": 0.8}},
+    {"class_names": ["class00", "class01", "class02"]},
+    {"class_names": ["class00", "class01", "class02"], "train": {"seed": "0", "fraction": 0.8}},
+], ids=["no_class_names", "no_train", "string_seed"])
+def test_eval_checkpoint_with_incomplete_meta_fails_cleanly_and_leaves_no_directory(
+        tmp_path, capsys, meta):
+    data = gen(tmp_path)
+    cfg, arrays = small_model_arrays()
+    arrays.update({"standardizer.mean": np.zeros(12), "standardizer.scale": np.ones(12)})
+    path = tmp_path / "partial.bin"
+    save_checkpoint(path, arrays, {"config": cfg.to_dict(), **meta})
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--checkpoint", path, "--data", data, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    missing = "'train'" if "class_names" in meta else "'class_names'"
+    assert "error [eval]" in err and str(path) in err and missing in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # ablate
 

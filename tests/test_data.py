@@ -15,6 +15,31 @@ def nearest_centroid_accuracy(train: D.Dataset, test: D.Dataset) -> float:
     return float(np.mean(d2.argmin(axis=1) == test.y))
 
 
+def brute_force_neighbors(X, k):
+    """Each row's k nearest other rows from the full n x n x F difference array."""
+    d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1)[:, :k]
+
+
+def smote_reference(train: D.Dataset, k_neighbors: int = 5, seed: int = 0):
+    """SMOTE as first written: dense neighbor search, same draws in the same order."""
+    counts = train.class_counts()
+    rng = np.random.default_rng(seed)
+    xs, ys = [train.X], [train.y]
+    for c in np.flatnonzero(counts < counts.max()):
+        need = int(counts.max() - counts[c])
+        Xc = train.X[train.y == c]
+        k = min(k_neighbors, Xc.shape[0] - 1)
+        nn = brute_force_neighbors(Xc, k)
+        base = rng.integers(0, Xc.shape[0], size=need)
+        pick = nn[base, rng.integers(0, k, size=need)]
+        lam = rng.random(need)[:, None]
+        xs.append(Xc[base] + lam * (Xc[pick] - Xc[base]))
+        ys.append(np.full(need, c, dtype=train.y.dtype))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
 def write_csv(path, header, rows):
     path.write_text("\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n")
 
@@ -121,7 +146,7 @@ def test_split_is_seed_deterministic():
 
 def test_stratified_split_preserves_proportions():
     ds = D.synth_dataset(classes=3, features=4, per_class=60, seed=3)
-    pair = D.train_test_split(ds, fraction=0.8, seed=0, stratified=True)
+    pair = D.train_test_split(ds, fraction=0.8, seed=0)
     np.testing.assert_array_equal(pair.train.class_counts(), [48, 48, 48])
     np.testing.assert_array_equal(pair.test.class_counts(), [12, 12, 12])
 
@@ -138,7 +163,7 @@ def test_stratified_split_rejects_singleton_class():
     ds = D.Dataset(X=np.zeros((3, 2)), y=np.array([0, 0, 1]), encoder=enc,
                    feature_names=["f0", "f1"])
     with pytest.raises(ContractError):
-        D.train_test_split(ds, stratified=True)
+        D.train_test_split(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +203,7 @@ def test_smote_synthetics_lie_on_base_neighbor_segments():
     minority = ds.X[ds.y == 1]
     # oracle: recompute the 5-NN sets and check each synthetic point is a
     # convex combination of some base point and one of its neighbors
-    d2 = ((minority[:, None, :] - minority[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    nn = np.argsort(d2, axis=1)[:, :5]
+    nn = brute_force_neighbors(minority, 5)
     for s in synth:
         best = np.inf
         for b in range(minority.shape[0]):
@@ -190,6 +213,27 @@ def test_smote_synthetics_lie_on_base_neighbor_segments():
                 lam = 0.0 if denom == 0 else float(np.clip((s - minority[b]) @ seg / denom, 0, 1))
                 best = min(best, float(np.abs(minority[b] + lam * seg - s).max()))
         assert best < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 511, 512, 513, 1100])
+def test_blocked_neighbors_match_brute_force(n):
+    # class sizes on both sides of the 512-row block boundary
+    X = np.random.default_rng(n).normal(size=(n, 6))
+    k = min(5, n - 1)
+    np.testing.assert_array_equal(D._nearest_neighbors(X, k), brute_force_neighbors(X, k))
+
+
+@pytest.mark.parametrize("integer_features", [False, True], ids=["gaussian", "tied_integers"])
+def test_smote_matches_dense_reference(integer_features):
+    ds = D.synth_dataset(classes=4, features=6, per_class=300,
+                         imbalance_profile=[1.0, 0.5, 0.1, 0.02], seed=12)
+    if integer_features:  # many exactly tied distances
+        ds.X = np.round(ds.X)
+    for seed in (1, 2, 3):
+        out = D.smote_oversample(ds, seed=seed)
+        X, y = smote_reference(ds, seed=seed)
+        np.testing.assert_array_equal(out.X, X)
+        np.testing.assert_array_equal(out.y, y)
 
 
 def test_smote_rejects_singleton_class():

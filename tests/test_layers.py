@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ def sdpa_brute_force(q, k, v):
 def test_conv1d_one_by_one_identity():
     p = L.Conv1DParams(kernels=Tensor(np.ones((1, 1, 1)), requires_grad=True),
                        bias=Tensor(np.zeros(1), requires_grad=True))
-    x = Tensor(np.array([[1.0], [2.0], [3.0]]))
+    x = Tensor(np.array([[[1.0], [2.0], [3.0]]]))
     np.testing.assert_allclose(L.conv1d_forward(x, p).data, x.data)
 
 
@@ -40,22 +42,22 @@ def test_conv1d_hand_cross_correlation_same():
     # = x[t-1] - x[t+1] over [0, 1, 2, 3, 4, 0] -> [-2, -2, -2, 3], plus bias 0.5
     p = L.Conv1DParams(kernels=Tensor(np.array([[[1.0, 0.0, -1.0]]])),
                        bias=Tensor(np.array([0.5])))
-    x = Tensor(np.array([[1.0], [2.0], [3.0], [4.0]]))
-    np.testing.assert_allclose(L.conv1d_forward(x, p).data, [[-1.5], [-1.5], [-1.5], [3.5]])
+    x = Tensor(np.array([[[1.0], [2.0], [3.0], [4.0]]]))
+    np.testing.assert_allclose(L.conv1d_forward(x, p).data, [[[-1.5], [-1.5], [-1.5], [3.5]]])
 
 
 def test_conv1d_same_padding_preserves_length():
     rng = np.random.default_rng(0)
     p = L.init_conv1d(rng, in_channels=2, out_channels=5, kernel_size=3)
-    x = Tensor(rng.normal(size=(7, 2)))
-    assert L.conv1d_forward(x, p).shape == (7, 5)
+    x = Tensor(rng.normal(size=(2, 7, 2)))
+    assert L.conv1d_forward(x, p).shape == (2, 7, 5)
 
 
 def test_conv1d_channel_mismatch():
     rng = np.random.default_rng(1)
     p = L.init_conv1d(rng, in_channels=3, out_channels=4)
     with pytest.raises(ShapeError):
-        L.conv1d_forward(Tensor(np.zeros((5, 2))), p)
+        L.conv1d_forward(Tensor(np.zeros((1, 5, 2))), p)
 
 
 def test_conv1d_gradients():
@@ -184,8 +186,8 @@ def test_bigru_matches_numpy_reference():
     expect = np.concatenate([gru_reference(x, fwd), gru_reference(x, bwd, reverse=True)], axis=2)
     out = L.bigru_forward(Tensor(x), fwd, bwd).data
     np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)
-    unbatched = L.bigru_forward(Tensor(x[1]), fwd, bwd).data
-    np.testing.assert_allclose(unbatched, expect[1], rtol=0, atol=1e-12)
+    one = L.bigru_forward(Tensor(x[1:]), fwd, bwd).data
+    np.testing.assert_allclose(one, expect[1:], rtol=0, atol=1e-12)
 
 
 def test_gru_zero_weights_halve_hidden_state():
@@ -194,8 +196,8 @@ def test_gru_zero_weights_halve_hidden_state():
     p = L.GRUParams(W=Tensor(np.zeros((1, 3))), U=Tensor(np.zeros((1, 3))),
                     b=Tensor(np.zeros(3)))
     p.W.data[0, 2] = 1.0  # candidate reads the input
-    x = np.array([[0.8], [0.0], [0.0]])
-    out = L.bigru_forward(Tensor(x), p, p).data[:, 0]
+    x = np.array([[[0.8], [0.0], [0.0]]])
+    out = L.bigru_forward(Tensor(x), p, p).data[0, :, 0]
     h1 = 0.5 * np.tanh(0.8)
     np.testing.assert_allclose(out, [h1, 0.5 * h1, 0.25 * h1])
 
@@ -215,46 +217,46 @@ def test_gru_gates_stay_in_unit_interval():
 def test_gru_dimension_mismatch():
     p = L.init_gru(np.random.default_rng(13), input_size=3, hidden_size=4)
     with pytest.raises(ShapeError):
-        L.bigru_forward(Tensor(np.zeros((5, 2))), p, p)
+        L.bigru_forward(Tensor(np.zeros((1, 5, 2))), p, p)
     wide = L.GRUParams(W=Tensor(np.zeros((3, 15))), U=p.U, b=p.b)
     short_bias = L.GRUParams(W=p.W, U=p.U, b=Tensor(np.zeros(4)))
     for bad in (wide, short_bias):
         with pytest.raises(ShapeError):
-            L.bigru_forward(Tensor(np.zeros((5, 3))), p, bad)
+            L.bigru_forward(Tensor(np.zeros((1, 5, 3))), p, bad)
 
 
 def test_bigru_single_step_reduces_to_two_cells():
     rng = np.random.default_rng(14)
     fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
     x1 = rng.normal(size=(1, 1, 3))
-    out = L.bigru_forward(Tensor(x1[0]), fwd, bwd)
+    out = L.bigru_forward(Tensor(x1), fwd, bwd)
     expect = np.concatenate([gru_reference(x1, fwd), gru_reference(x1, bwd)], axis=2)
-    np.testing.assert_allclose(out.data, expect[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
 
 
 def test_bigru_backward_half_equals_forward_on_reversed_input():
     rng = np.random.default_rng(15)
     a = L.init_gru(rng, 2, 3)
     b = L.init_gru(rng, 2, 3)
-    x = rng.normal(size=(5, 2))
+    x = rng.normal(size=(2, 5, 2))
     out = L.bigru_forward(Tensor(x), a, b).data
-    out_rev = L.bigru_forward(Tensor(x[::-1].copy()), b, a).data
+    out_rev = L.bigru_forward(Tensor(x[:, ::-1].copy()), b, a).data
     # the backward half over x equals the time-reversed forward half over reversed x
-    np.testing.assert_allclose(out[:, 3:], out_rev[::-1, :3], atol=1e-12)
+    np.testing.assert_allclose(out[..., 3:], out_rev[:, ::-1, :3], atol=1e-12)
 
 
 def test_bigru_hidden_size_mismatch():
     rng = np.random.default_rng(16)
     with pytest.raises(ContractError):
-        L.bigru_forward(Tensor(np.zeros((4, 2))), L.init_gru(rng, 2, 3), L.init_gru(rng, 2, 5))
+        L.bigru_forward(Tensor(np.zeros((1, 4, 2))), L.init_gru(rng, 2, 3), L.init_gru(rng, 2, 5))
 
 
 def test_bigru_reference_output_shape():
     rng = np.random.default_rng(17)
     fwd = L.init_gru(rng, 1, 64)
     bwd = L.init_gru(rng, 1, 64)
-    out = L.bigru_forward(Tensor(rng.normal(size=(60, 1))), fwd, bwd)
-    assert out.shape == (60, 128)
+    out = L.bigru_forward(Tensor(rng.normal(size=(2, 60, 1))), fwd, bwd)
+    assert out.shape == (2, 60, 128)
 
 
 def test_bigru_gradients():
@@ -337,12 +339,12 @@ def test_layernorm_gradients():
 # Attention
 
 def mha_reference(x, w_qkv, w_o):
-    """Per-head loop over ``sdpa_brute_force``: project, attend, concatenate,
-    project back. x: (T, F) or (B, T, F)."""
-    if x.ndim == 3:
-        return np.stack([mha_reference(seq, w_qkv, w_o) for seq in x])
-    heads = [sdpa_brute_force(*np.split(x @ w, 3, axis=1)) for w in w_qkv]
-    return np.concatenate(heads, axis=1) @ w_o
+    """Per-sequence, per-head loop over ``sdpa_brute_force``: project, attend,
+    concatenate, project back. x: (B, T, F)."""
+    return np.stack([
+        np.concatenate([sdpa_brute_force(*np.split(seq @ w, 3, axis=1)) for w in w_qkv],
+                       axis=1) @ w_o
+        for seq in x])
 
 
 def attend(q, k, v):
@@ -404,8 +406,8 @@ def test_sdpa_gradients():
     rng = np.random.default_rng(27)
     p = L.MHAParams(w_qkv=Tensor(3.0 * rng.normal(size=(1, 4, 6)), requires_grad=True),
                     w_o=Tensor(rng.normal(size=(2, 4)), requires_grad=True))
-    x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-    assert L._attention_weights(*np.split(x.data @ p.w_qkv.data[0], 3, axis=1)[:2]).max() > 0.9
+    x = Tensor(rng.normal(size=(1, 5, 4)), requires_grad=True)
+    assert L._attention_weights(*np.split(x.data @ p.w_qkv.data[0], 3, axis=-1)[:2]).max() > 0.9
     err = grad_check_all(
         lambda: T.tsum(T.mul(L.multi_head_attention(x, p), L.multi_head_attention(x, p))),
         [x, p.w_qkv, p.w_o], h=1e-6)
@@ -428,7 +430,7 @@ def test_init_mha_draws_per_head_q_k_v_in_order():
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
-@pytest.mark.parametrize("shape", [(7, 5), (3, 7, 5)], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("shape", [(1, 7, 5), (3, 7, 5)], ids=["batch1", "batched"])
 def test_mha_matches_per_head_reference(heads, shape):
     rng = np.random.default_rng(28)
     p = L.init_mha(rng, model_dim=5, num_heads=heads, key_dim=3)
@@ -440,13 +442,12 @@ def test_mha_matches_per_head_reference(heads, shape):
 
 
 @settings(max_examples=20, deadline=None)
-@given(batch=st.integers(0, 3), t_len=st.integers(1, 6), heads=st.integers(1, 3),
+@given(batch=st.integers(1, 3), t_len=st.integers(1, 6), heads=st.integers(1, 3),
        key_dim=st.integers(1, 4), model_dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 def test_mha_matches_per_head_reference_property(batch, t_len, heads, key_dim, model_dim, seed):
-    # batch 0 stands for unbatched (T, F) input
     rng = np.random.default_rng(seed)
     p = L.init_mha(rng, model_dim, heads, key_dim)
-    x = rng.normal(size=(batch, t_len, model_dim) if batch else (t_len, model_dim))
+    x = rng.normal(size=(batch, t_len, model_dim))
     np.testing.assert_allclose(L.multi_head_attention(Tensor(x), p).data,
                                mha_reference(x, p.w_qkv.data, p.w_o.data), rtol=0, atol=1e-12)
 
@@ -455,23 +456,23 @@ def test_mha_single_head_identity_projection_reduces_to_sdpa():
     rng = np.random.default_rng(28)
     p = L.init_mha(rng, model_dim=4, num_heads=1, key_dim=4)
     p.w_o = Tensor(np.eye(4), requires_grad=True)
-    x = rng.normal(size=(5, 4))
+    x = rng.normal(size=(1, 5, 4))
     out = L.multi_head_attention(Tensor(x), p).data
-    q, k, v = np.split(x @ p.w_qkv.data[0], 3, axis=1)
-    np.testing.assert_allclose(out, sdpa_brute_force(q, k, v), atol=1e-12)
+    q, k, v = np.split(x[0] @ p.w_qkv.data[0], 3, axis=1)
+    np.testing.assert_allclose(out[0], sdpa_brute_force(q, k, v), atol=1e-12)
 
 
 def test_mha_preserves_reference_shape():
     rng = np.random.default_rng(29)
     p = L.init_mha(rng, model_dim=128, num_heads=4, key_dim=64)
-    x = Tensor(rng.normal(size=(60, 128)))
-    assert L.multi_head_attention(x, p).shape == (60, 128)
+    x = Tensor(rng.normal(size=(2, 60, 128)))
+    assert L.multi_head_attention(x, p).shape == (2, 60, 128)
 
 
 def test_mha_gradients():
     rng = np.random.default_rng(30)
     p = L.init_mha(rng, model_dim=8, num_heads=2, key_dim=3)
-    for shape in ((4, 8), (2, 4, 8)):
+    for shape in ((1, 4, 8), (2, 4, 8)):
         x = Tensor(rng.normal(size=shape), requires_grad=True)
         err = grad_check_all(
             lambda: T.tsum(T.mul(L.multi_head_attention(x, p), L.multi_head_attention(x, p))),
@@ -483,7 +484,7 @@ def test_mha_gradients():
 def test_mha_is_one_tape_record_for_any_head_count_and_length(heads, t_len):
     rng = np.random.default_rng(31)
     p = L.init_mha(rng, model_dim=4, num_heads=heads, key_dim=2)
-    for shape in ((t_len, 4), (2, t_len, 4)):
+    for shape in ((1, t_len, 4), (2, t_len, 4)):
         with T.Tape() as tape:
             L.multi_head_attention(Tensor(rng.normal(size=shape)), p)
         assert len(tape) == 1
@@ -491,9 +492,24 @@ def test_mha_is_one_tape_record_for_any_head_count_and_length(heads, t_len):
 
 def test_mha_width_mismatch():
     p = L.init_mha(np.random.default_rng(31), model_dim=8, num_heads=2, key_dim=4)
-    for shape in ((3, 5), (8,), (1, 2, 3, 8)):
+    for shape in ((1, 3, 5), (8,), (3, 8), (1, 2, 3, 8)):
         with pytest.raises(ShapeError):
             L.multi_head_attention(Tensor(np.zeros(shape)), p)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (4,), (1, 1, 5, 4)], ids=["2d", "1d", "4d"])
+def test_sequence_layers_reject_non_3d_input(shape):
+    rng = np.random.default_rng(37)
+    gru = L.init_gru(rng, 4, 3)
+    calls = {
+        "conv1d": lambda x: L.conv1d_forward(x, L.init_conv1d(rng, 4, 2)),
+        "batchnorm": lambda x: L.batchnorm_forward(x, L.init_batchnorm(rng, 4)),
+        "bigru": lambda x: L.bigru_forward(x, gru, gru),
+        "mha": lambda x: L.multi_head_attention(x, L.init_mha(rng, 4, 2, 2)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ShapeError, match=rf"{name}: .*{re.escape(str(shape))}"):
+            call(Tensor(np.zeros(shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +542,7 @@ def test_dropout_bad_rate():
 
 def test_dense_identity():
     p = L.DenseParams(W=Tensor(np.eye(3)), b=Tensor(np.zeros(3)), activation="none")
-    x = np.array([1.0, -2.0, 3.0])
+    x = np.array([[1.0, -2.0, 3.0]])
     np.testing.assert_allclose(L.dense_forward(Tensor(x), p).data, x)
 
 
@@ -540,21 +556,38 @@ def test_dense_rejects_softmax_activation():
 def test_dense_relu_zeroes_negative_preactivations():
     p = L.DenseParams(W=Tensor(np.array([[1.0], [-1.0]])), b=Tensor(np.zeros(2)),
                       activation="relu")
-    out = L.dense_forward(Tensor(np.array([2.0])), p).data
-    np.testing.assert_allclose(out, [2.0, 0.0])
+    out = L.dense_forward(Tensor(np.array([[2.0], [-1.0]])), p).data
+    np.testing.assert_allclose(out, [[2.0, 0.0], [0.0, 1.0]])
 
 
 def test_dense_gradients():
     rng = np.random.default_rng(35)
-    p = L.init_dense(rng, in_features=4, out_features=3, activation="relu")
-    x = Tensor(rng.normal(size=(2, 4)) + 0.3, requires_grad=True)
-    err = grad_check_all(
-        lambda: T.tsum(T.mul(L.dense_forward(x, p), L.dense_forward(x, p))),
-        [x, p.W, p.b], h=1e-6)
-    assert err < 1e-5
+    x = Tensor(rng.normal(size=(5, 4)) + 0.3, requires_grad=True)
+    for activation in ("relu", "none"):
+        p = L.init_dense(rng, in_features=4, out_features=3, activation=activation)
+        p.b.data = rng.normal(size=3)
+        if activation == "relu":  # some units on each side, none at the kink
+            pre = x.data @ p.W.data.T + p.b.data
+            assert (pre > 0).any() and (pre < 0).any() and np.abs(pre).min() > 1e-3
+        # random output weights: a squared output would zero the gradient of
+        # every unit the ReLU clips, hiding a missing mask
+        c = Tensor(rng.normal(size=(5, 3)))
+        err = grad_check_all(lambda: T.tsum(T.mul(L.dense_forward(x, p), c)),
+                             [x, p.W, p.b], h=1e-6)
+        assert err < 1e-5, activation
+
+
+@pytest.mark.parametrize("activation", ["relu", "none"])
+def test_dense_is_one_tape_record(activation):
+    rng = np.random.default_rng(38)
+    p = L.init_dense(rng, in_features=4, out_features=3, activation=activation)
+    with T.Tape() as tape:
+        L.dense_forward(Tensor(rng.normal(size=(2, 4)), requires_grad=True), p)
+    assert len(tape) == 1
 
 
 def test_dense_width_mismatch():
     p = L.init_dense(np.random.default_rng(36), in_features=4, out_features=3)
-    with pytest.raises(ShapeError):
-        L.dense_forward(Tensor(np.zeros(5)), p)
+    for shape in ((2, 5), (4,), (1, 2, 4)):
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            L.dense_forward(Tensor(np.zeros(shape)), p)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from seqids import checkpoint as ckpt
+from seqids import tensor as T
 from seqids import train as TR
 from seqids.errors import ConfigError, InputError, ShapeError
 from seqids.model import Model, ModelConfig, build_model, table3_grid
@@ -174,6 +175,17 @@ def test_flagship_named_arrays_cover_every_tensor_once():
     assert m.param_count() == 687718
     other = build_model(ModelConfig(), np.random.default_rng(1))
     assert list(arrays) == list(other.named_arrays())
+
+
+def test_flagship_train_step_is_17_tape_records():
+    # residual block: conv, BN, ReLU, conv, BN, shortcut conv, add, ReLU;
+    # BiGRU, LayerNorm, MHA; dropout, flatten; one per Dense; the loss
+    m = build_model(ModelConfig(), np.random.default_rng(0))
+    X = np.random.default_rng(1).normal(size=(4, 60, 1))
+    with T.Tape() as tape:
+        TR.cross_entropy_loss(m.forward(X, mode="train", rng=np.random.default_rng(2)),
+                              np.arange(4))
+    assert len(tape) == 17
 
 
 def test_named_arrays_keeps_no_model_alive():
