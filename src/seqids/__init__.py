@@ -7,6 +7,6 @@ balancing, Adam training, and a full multiclass evaluation harness.
 
 __version__ = "0.1.0"
 
-from .tensor import Tensor, Tape, backward, grad_check, set_default_dtype
+from .tensor import Tensor, Tape, backward, grad_check_all, set_default_dtype
 
-__all__ = ["Tensor", "Tape", "backward", "grad_check", "set_default_dtype", "__version__"]
+__all__ = ["Tensor", "Tape", "backward", "grad_check_all", "set_default_dtype", "__version__"]

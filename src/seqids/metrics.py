@@ -30,14 +30,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def one_vs_rest(self, c: int) -> tuple[int, int, int, int]:
-        """(TP, FP, FN, TN) treating class ``c`` as positive."""
-        tp = int(self.counts[c, c])
-        fp = int(self.counts[:, c].sum() - tp)
-        fn = int(self.counts[c, :].sum() - tp)
-        tn = self.total - tp - fp - fn
-        return tp, fp, fn, tn
-
 
 def confusion(true_labels, predicted_labels, num_classes: int,
               class_names: list[str] | None = None) -> ConfusionMatrix:
@@ -54,11 +46,11 @@ def confusion(true_labels, predicted_labels, num_classes: int,
     return ConfusionMatrix(counts=counts, class_names=class_names)
 
 
-def _ratio(num: int, den: int) -> tuple[float, bool]:
-    """num/den with the 0/0 -> 0 convention; flag marks the degenerate case."""
-    if den == 0:
-        return 0.0, True
-    return num / den, False
+def _ratio(num, den) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise num/den with the 0/0 -> 0 convention; the flag marks those entries."""
+    num = np.asarray(num, dtype=float)
+    zero = np.asarray(den) == 0
+    return np.divide(num, den, out=np.zeros_like(num), where=~zero), zero
 
 
 @dataclass
@@ -82,35 +74,23 @@ class ClassReport:
 
 
 def class_report(cm: ConfusionMatrix) -> ClassReport:
+    """Per-class and aggregate rates, each class taken one-vs-rest."""
     if cm.total == 0:
         raise ContractError("cannot report on an empty confusion matrix")
-    k = cm.num_classes
-    precision = np.zeros(k)
-    recall = np.zeros(k)
-    f1 = np.zeros(k)
-    fpr_arr = np.zeros(k)
-    degenerate = np.zeros(k, dtype=bool)
+    tp = np.diag(cm.counts)
     support = cm.counts.sum(axis=1)
-    fp_total = tn_total = 0
-    for c in range(k):
-        tp, fp, fn, tn = cm.one_vs_rest(c)
-        precision[c], d1 = _ratio(tp, tp + fp)
-        recall[c], d2 = _ratio(tp, tp + fn)
-        fpr_arr[c], d3 = _ratio(fp, fp + tn)
-        if precision[c] + recall[c] > 0:
-            f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
-            d4 = False
-        else:
-            f1[c], d4 = 0.0, True
-        degenerate[c] = d1 or d2 or d3 or d4
-        fp_total += fp
-        tn_total += tn
+    fp = cm.counts.sum(axis=0) - tp
+    tn = cm.total - support - fp
+    precision, d1 = _ratio(tp, tp + fp)
+    recall, d2 = _ratio(tp, support)
+    fpr_arr, d3 = _ratio(fp, fp + tn)
+    f1, d4 = _ratio(2 * precision * recall, precision + recall)
     weights = support / cm.total
-    micro_fpr, _ = _ratio(fp_total, fp_total + tn_total)
+    micro_fpr, _ = _ratio(fp.sum(), fp.sum() + tn.sum())
     return ClassReport(
         class_names=list(cm.class_names),
         precision=precision, recall=recall, f1=f1,
-        support=support, fpr=fpr_arr, degenerate=degenerate,
+        support=support, fpr=fpr_arr, degenerate=d1 | d2 | d3 | d4,
         accuracy=float(np.trace(cm.counts)) / cm.total,
         macro_precision=float(precision.mean()),
         macro_recall=float(recall.mean()),

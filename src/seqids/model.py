@@ -112,7 +112,6 @@ class Model:
         self.gru_fwd = self.gru_bwd = self.lnorm = None
         self.mha = None
         self.dense: list[L.DenseParams] = []
-        self.stage_shapes: list = []
 
     def named_parameters(self) -> dict[str, Tensor]:
         """Trainable tensors, in a stable order."""
@@ -172,11 +171,10 @@ class Model:
 
 
 def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
-    """Instantiate parameters and verify the stage shape chain."""
+    """Instantiate the parameters of each enabled stage, sized to the stage before it."""
     cfg.validate()
     m = Model(cfg)
     t_len, channels = cfg.input_shape
-    shapes: list = [(t_len, channels)]
     width = channels
     if cfg.use_resnet_block:
         m.conv1 = L.init_conv1d(rng, channels, cfg.conv_filters, cfg.kernel_size)
@@ -185,25 +183,18 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
         m.bn2 = L.init_batchnorm(rng, cfg.conv_filters, momentum=cfg.bn_momentum)
         m.shortcut = L.init_conv1d(rng, channels, cfg.conv_filters, kernel_size=1)
         width = cfg.conv_filters
-        shapes.append((t_len, width))
     if cfg.use_bigru:
         m.gru_fwd = L.init_gru(rng, width, cfg.gru_units)
         m.gru_bwd = L.init_gru(rng, width, cfg.gru_units)
         width = 2 * cfg.gru_units
         m.lnorm = L.init_layernorm(rng, width)
-        shapes.append((t_len, width))
     if cfg.use_mha:
         m.mha = L.init_mha(rng, width, cfg.num_heads, cfg.key_dim)
-        shapes.append((t_len, width))
     flat = t_len * width
-    shapes.append(flat)
     for units in cfg.dense_units:
         m.dense.append(L.init_dense(rng, flat, units, activation="relu"))
         flat = units
-        shapes.append(units)
     m.dense.append(L.init_dense(rng, flat, cfg.num_classes))
-    shapes.append(cfg.num_classes)
-    m.stage_shapes = shapes
     return m
 
 

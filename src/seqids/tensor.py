@@ -207,11 +207,6 @@ def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """``grad_check_all`` for a function of the single tensor ``x``."""
-    return grad_check_all(lambda: f(x), [x], h)
-
-
 def grad_check_all(f: Callable[[], Tensor], tensors: Sequence[Tensor], h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 

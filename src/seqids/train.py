@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import Dataset, SplitPair
+from .data import Dataset, SplitPair, stratified_carve
 from .errors import ContractError, TrainingDiverged
 from .model import Model
 from .tensor import Tape, Tensor, backward
@@ -117,19 +117,6 @@ def _evaluate(model: Model, X: np.ndarray, y: np.ndarray,
     return loss, float(np.mean(logits.argmax(axis=1) == y))
 
 
-def _stratified_holdout(y: np.ndarray, fraction: float,
-                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class tail carve; returns (fit indices, holdout indices)."""
-    fit_idx, hold_idx = [], []
-    for c in np.unique(y):
-        members = rng.permutation(np.flatnonzero(y == c))
-        k = int(round(fraction * members.size))
-        k = min(k, members.size - 1)
-        hold_idx.append(members[:k])
-        fit_idx.append(members[k:])
-    return np.concatenate(fit_idx), np.concatenate(hold_idx)
-
-
 def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list[EpochRecord]]:
     """Fit on the training split; the test split is never touched here.
 
@@ -145,7 +132,7 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
     dropout_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
 
     if cfg.validation_fraction > 0 and X.shape[0] >= 2:
-        fit_idx, hold_idx = _stratified_holdout(y, cfg.validation_fraction, rng)
+        hold_idx, fit_idx = stratified_carve(y, cfg.validation_fraction, rng, min_first=0)
         if hold_idx.size == 0:
             fit_idx = np.arange(X.shape[0])
             hold_idx = fit_idx
@@ -189,8 +176,7 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
 
 
 def predict_logits(model: Model, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Infer-mode logits, (N, num_classes), computed ``batch_size`` rows at a time."""
-    X = X[:, :, None] if X.ndim == 2 else X
+    """Infer-mode logits of (N, T, C) input, (N, num_classes), ``batch_size`` rows at a time."""
     chunks = [model.forward(X[s:s + batch_size], mode="infer").data
               for s in range(0, X.shape[0], batch_size)]
     return np.concatenate(chunks)
@@ -202,21 +188,20 @@ def predict_proba(model: Model, X: np.ndarray, batch_size: int = 256) -> np.ndar
 
 
 def measure_inference(model: Model, batch: np.ndarray, repetitions: int = 30) -> float:
-    """Median wall-clock seconds per instance over ``repetitions`` runs.
+    """Median wall-clock seconds per instance of a (N, T, C) batch over ``repetitions`` runs.
 
     The input is an in-memory array, so the figure excludes any data
     loading or preprocessing. One warm-up pass runs first.
     """
     if repetitions < 10:
         raise ContractError("measure_inference needs repetitions >= 10")
-    X = batch[:, :, None] if batch.ndim == 2 else batch
-    model.forward(X, mode="infer")
+    model.forward(batch, mode="infer")
     times = []
     for _ in range(repetitions):
         tic = time.perf_counter()
-        model.forward(X, mode="infer")
+        model.forward(batch, mode="infer")
         times.append(time.perf_counter() - tic)
-    return float(np.median(times)) / X.shape[0]
+    return float(np.median(times)) / batch.shape[0]
 
 
 def write_epoch_csv(records: list[EpochRecord], path) -> None:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -11,8 +12,9 @@ import pytest
 from seqids import cli
 from seqids import data as D
 from seqids.checkpoint import save_checkpoint
-from seqids.errors import InputError
+from seqids.errors import InputError, SeqidsError
 from seqids.model import ModelConfig, build_model
+from seqids.tensor import Tensor
 
 
 def run_cli(*argv) -> int:
@@ -163,6 +165,16 @@ def test_train_bad_config_line_fails_naming_the_key(tmp_path, capsys, line, key)
     err = capsys.readouterr().err
     assert "error [train]" in err and key in err
     assert not out.exists()
+
+
+def test_train_float32_leaves_the_default_dtype_at_float64(tmp_path):
+    data = gen(tmp_path)
+    assert run_cli("train", "--data", data, "--config", config_file(tmp_path),
+                   "--out-dir", tmp_path / "run", "--dtype", "float32", *TRAIN_SPEED_FLAGS) == 0
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["settings"]["dtype"] \
+        == "float32"
+    # a later command in the same process builds float64 tensors again
+    assert Tensor([1.0]).data.dtype == np.float64
 
 
 def test_train_does_not_mutate_input(tmp_path):
@@ -326,6 +338,34 @@ def test_ablate_writes_ten_rows(tmp_path):
     for col in ("case", "model", "heads", "dropout", "accuracy", "loss", "fpr", "inf_time"):
         assert col in header
     assert (out / "manifest.json").exists()
+
+
+def test_ablate_failed_case_keeps_its_row(tmp_path, monkeypatch):
+    data = gen(tmp_path, classes=3, features=8, per_class=30)
+    train = cli.TR.train
+
+    def train_failing_case6(model, split, cfg):
+        if model.cfg.num_heads == 8:  # only case #6 has 8 heads
+            raise SeqidsError("injected failure")
+        return train(model, split, cfg)
+
+    monkeypatch.setattr(cli.TR, "train", train_failing_case6)
+    out = tmp_path / "ablation"
+    assert run_cli("ablate", "--data", data, "--out-dir", out, "--epochs", 1,
+                   "--batch-size", 32, "--seed", 0, "--bn-momentum", 0.8) == 0
+    with open(out / "ablation.csv", newline="") as fh:
+        lines = list(csv.reader(fh))
+    header, rows = lines[0], [dict(zip(lines[0], line)) for line in lines[1:]]
+    assert len(rows) == 10
+    assert {len(line) for line in lines} == {len(header)}
+    failed = rows[5]
+    assert (failed["case"], failed["heads"], failed["dropout"], failed["smote"],
+            failed["dense_layers"]) == ("6", "8", "0.5", "True", "3")
+    for col in ("accuracy", "loss", "fpr", "inf_time", "min_class_recall"):
+        assert failed[col] == ""
+        assert all(row[col] != "" for row in rows[:5] + rows[6:])
+    assert failed["error"] == "injected failure"
+    assert all(row["error"] == "" for row in rows[:5] + rows[6:])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqids import data as D
 from seqids.errors import ConfigError, ContractError, InputError
@@ -162,8 +164,37 @@ def test_stratified_split_rejects_singleton_class():
     enc = D.LabelEncoder().fit(["a", "b"])
     ds = D.Dataset(X=np.zeros((3, 2)), y=np.array([0, 0, 1]), encoder=enc,
                    feature_names=["f0", "f1"])
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError) as exc:
         D.train_test_split(ds)
+    assert "class 'b' has 1 sample(s)" in str(exc.value)
+
+
+def row_id_dataset() -> D.Dataset:
+    """18 rows in classes of 2, 3, 5 and 8, interleaved; the one feature is the row id."""
+    y = np.array([3, 0, 1, 3, 2, 3, 1, 2, 3, 0, 2, 3, 1, 2, 3, 2, 3, 3])
+    return D.Dataset(X=np.arange(18.0)[:, None], y=y, encoder=D.LabelEncoder().fit("abcd"),
+                     feature_names=["row"])
+
+
+@pytest.mark.parametrize("fraction, seed, train_rows, test_rows", [
+    (0.8, 0, [1, 12, 2, 10, 15, 13, 7, 16, 5, 17, 11, 14, 3], [9, 6, 4, 0, 8]),
+    (0.8, 1, [1, 2, 6, 13, 4, 7, 15, 3, 16, 17, 5, 8, 11], [9, 12, 10, 14, 0]),
+    (0.2, 0, [1, 12, 10, 16, 5], [9, 2, 6, 15, 13, 7, 4, 17, 11, 14, 3, 0, 8]),
+])
+def test_split_row_ids_are_pinned(fraction, seed, train_rows, test_rows):
+    # the 2-row class hits the n - 1 clamp at 0.8 and the 1-row minimum at 0.2
+    pair = D.train_test_split(row_id_dataset(), fraction=fraction, seed=seed)
+    assert pair.train.X[:, 0].astype(int).tolist() == train_rows
+    assert pair.test.X[:, 0].astype(int).tolist() == test_rows
+
+
+def test_stratified_carve_keeps_every_row_once():
+    y = row_id_dataset().y
+    first, rest = D.stratified_carve(y, 0.9, np.random.default_rng(0), min_first=0)
+    np.testing.assert_array_equal(np.sort(np.concatenate([first, rest])), np.arange(y.size))
+    # round(0.9 * 2) = 2 is clamped to n - 1, so every class keeps a row on each side
+    np.testing.assert_array_equal(np.bincount(y[first]), [1, 2, 4, 7])
+    np.testing.assert_array_equal(np.bincount(y[rest]), [1, 1, 1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +265,20 @@ def test_smote_matches_dense_reference(integer_features):
         X, y = smote_reference(ds, seed=seed)
         np.testing.assert_array_equal(out.X, X)
         np.testing.assert_array_equal(out.y, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(2, 12), min_size=2, max_size=5), seed=st.integers(0, 2**16))
+def test_smote_counts_equal_the_largest_class_and_originals_come_first(sizes, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    ds = D.Dataset(X=rng.normal(size=(y.size, 3)), y=y,
+                   encoder=D.LabelEncoder().fit(f"c{i}" for i in range(len(sizes))),
+                   feature_names=["f0", "f1", "f2"])
+    out = D.smote_oversample(ds, seed=seed)
+    np.testing.assert_array_equal(out.class_counts(), [max(sizes)] * len(sizes))
+    np.testing.assert_array_equal(out.X[:y.size], ds.X)
+    np.testing.assert_array_equal(out.y[:y.size], ds.y)
 
 
 def test_smote_rejects_singleton_class():

@@ -99,7 +99,7 @@ def test_batchnorm_infer_matches_hand_formula():
     p.running_var.data = np.array([4.0, 9.0])
     x = np.array([[[5.0, 1.0], [3.0, -2.0]]])
     out = L.batchnorm_forward(Tensor(x), p, mode="infer").data
-    expected = (x - p.running_mean.data) / np.sqrt(p.running_var.data + p.epsilon) \
+    expected = (x - p.running_mean.data) / np.sqrt(p.running_var.data + 1e-3) \
         * p.gamma.data + p.beta.data
     np.testing.assert_allclose(out, expected)
 
@@ -427,6 +427,20 @@ def test_init_mha_draws_per_head_q_k_v_in_order():
                                           rng.uniform(-bound, bound, size=(6, 2)))
     bound_o = np.sqrt(6.0 / (6 + 6))
     np.testing.assert_array_equal(p.w_o.data, rng.uniform(-bound_o, bound_o, size=(6, 6)))
+
+
+def test_init_mha_float32_is_the_float64_init_cast():
+    # under filterwarnings = error this also fails if a float32 cast sees the
+    # uninitialized w_qkv buffer and overflows
+    p64 = L.init_mha(np.random.default_rng(5), model_dim=128, num_heads=4, key_dim=64)
+    T.set_default_dtype("float32")
+    try:
+        p32 = L.init_mha(np.random.default_rng(5), model_dim=128, num_heads=4, key_dim=64)
+    finally:
+        T.set_default_dtype("float64")
+    assert p32.w_qkv.data.dtype == p32.w_o.data.dtype == np.float32
+    np.testing.assert_array_equal(p32.w_qkv.data, p64.w_qkv.data.astype(np.float32))
+    np.testing.assert_array_equal(p32.w_o.data, p64.w_o.data.astype(np.float32))
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])

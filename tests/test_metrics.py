@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seqids import metrics as M
 from seqids.errors import ContractError
@@ -45,12 +48,51 @@ def test_confusion_length_mismatch():
         M.confusion([0, 1], [0], 2)
 
 
-def test_one_vs_rest_counts_sum_to_total():
-    rng = np.random.default_rng(0)
-    cm = random_confusion(rng, 5)
-    for c in range(5):
-        tp, fp, fn, tn = cm.one_vs_rest(c)
+def per_class_reference(counts: np.ndarray):
+    """Class by class: (tp, fp, fn, tn, precision, recall, f1, fpr, degenerate)
+    with scalar 0/0 -> 0, and the micro FPR. TN counts the cells outside the
+    class's row and column."""
+    def ratio(num, den):
+        return (0.0, True) if den == 0 else (num / den, False)
+
+    rows, fp_total, tn_total = [], 0, 0
+    for c in range(counts.shape[0]):
+        tp = int(counts[c, c])
+        fp = int(counts[:, c].sum()) - tp
+        fn = int(counts[c, :].sum()) - tp
+        tn = int(np.delete(np.delete(counts, c, axis=0), c, axis=1).sum())
+        p, d1 = ratio(tp, tp + fp)
+        r, d2 = ratio(tp, tp + fn)
+        fpr, d3 = ratio(fp, fp + tn)
+        f1, d4 = (2 * p * r / (p + r), False) if p + r > 0 else (0.0, True)
+        rows.append((tp, fp, fn, tn, p, r, f1, fpr, d1 or d2 or d3 or d4))
+        fp_total, tn_total = fp_total + fp, tn_total + tn
+    return rows, ratio(fp_total, fp_total + tn_total)[0]
+
+
+confusion_counts = st.integers(1, 6).flatmap(
+    lambda k: hnp.arrays(np.int64, (k, k), elements=st.integers(0, 50))
+).filter(lambda counts: counts.sum() > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=confusion_counts)
+def test_class_report_matches_per_class_reference(counts):
+    cm = M.ConfusionMatrix(counts=counts, class_names=[str(i) for i in range(len(counts))])
+    rep = M.class_report(cm)
+    rows, micro_fpr = per_class_reference(counts)
+    for tp, fp, fn, tn, *_ in rows:
         assert tp + fp + fn + tn == cm.total
+    # exact equality, degenerate flags included
+    assert rep.precision.tolist() == [r[4] for r in rows]
+    assert rep.recall.tolist() == [r[5] for r in rows]
+    assert rep.f1.tolist() == [r[6] for r in rows]
+    assert rep.fpr.tolist() == [r[7] for r in rows]
+    assert rep.degenerate.tolist() == [r[8] for r in rows]
+    assert rep.support.tolist() == [r[0] + r[2] for r in rows]
+    assert rep.micro_fpr == micro_fpr
+    for rate in (rep.macro_precision, rep.macro_recall, rep.macro_f1):
+        assert 0.0 <= rate <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,14 @@ def test_case2_feeds_raw_input_to_bigru():
 
 
 def test_flagship_stage_shape_chain():
+    # each stage is sized to the width the one before it emits: (60, 1) -> conv
+    # (60, 64) -> BiGRU (60, 128) -> MHA (60, 128) -> 7680 -> 64 -> 32 -> 6
     m = build_model(ModelConfig(), np.random.default_rng(0))
-    assert m.stage_shapes == [(60, 1), (60, 64), (60, 128), (60, 128), 7680, 64, 32, 6]
+    assert m.conv1.kernels.shape == (64, 1, 3) and m.shortcut.kernels.shape == (64, 1, 1)
+    assert m.gru_fwd.W.shape == (64, 192) and m.lnorm.gamma.shape == (128,)
+    assert m.mha.w_qkv.shape == (4, 128, 192) and m.mha.w_o.shape == (256, 128)
+    assert [d.W.shape for d in m.dense] == [(64, 7680), (32, 64), (6, 32)]
+    assert m.forward(np.zeros((2, 60, 1))).shape == (2, 6)
 
 
 def test_forward_probability_rows_sum_to_one():

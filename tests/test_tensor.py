@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import mutually_broadcastable_shapes
 from seqids import tensor as T
 from seqids import train as TR
 from seqids.errors import ContractError, ShapeError
-from seqids.tensor import Tape, Tensor, backward, grad_check, grad_check_all
+from seqids.tensor import Tape, Tensor, backward, grad_check_all
 
 
 def test_add_identity():
@@ -143,14 +143,14 @@ def test_forward_ops_are_deterministic():
 def test_grad_check_sum_of_squares_tight():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=6), requires_grad=True)
-    assert grad_check(lambda t: T.tsum(T.mul(t, t)), x, h=1e-5) < 1e-8
+    assert grad_check_all(lambda: T.tsum(T.mul(x, x)), [x], h=1e-5) < 1e-8
 
 
 def test_grad_check_softmax_cross_entropy():
     rng = np.random.default_rng(8)
     logits = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     labels = rng.integers(0, 5, size=4)
-    assert grad_check(lambda t: TR.cross_entropy_loss(t, labels), logits, h=1e-6) < 1e-6
+    assert grad_check_all(lambda: TR.cross_entropy_loss(logits, labels), [logits], h=1e-6) < 1e-6
 
 
 def test_grad_check_relu_away_from_kink():
@@ -159,7 +159,7 @@ def test_grad_check_relu_away_from_kink():
     raw = rng.normal(size=8)
     raw[np.abs(raw) < 0.1] += 0.2
     x = Tensor(raw, requires_grad=True)
-    assert grad_check(lambda t: T.tsum(T.relu(t)), x, h=1e-6) < 1e-6
+    assert grad_check_all(lambda: T.tsum(T.relu(x)), [x], h=1e-6) < 1e-6
 
 
 def test_grad_check_all_covers_multiple_tensors():
@@ -181,7 +181,7 @@ def test_elementwise_unary_gradients():
     # gradient depend on the value, on both sides of the kink
     rng = np.random.default_rng(11)
     x = Tensor((np.abs(rng.normal(size=6)) + 0.5) * np.array([1, -1] * 3), requires_grad=True)
-    assert grad_check(lambda t: T.tsum(T.mul(T.relu(t), T.relu(t))), x) < 1e-6
+    assert grad_check_all(lambda: T.tsum(T.mul(T.relu(x), T.relu(x))), [x]) < 1e-6
 
 
 @settings(max_examples=40, deadline=None)

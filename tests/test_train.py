@@ -167,6 +167,27 @@ def test_validation_runs_in_infer_mode():
     assert (l1, a1) == (l2, a2)
 
 
+def test_validation_rows_are_pinned(monkeypatch):
+    # 18 rows in classes of 2, 3, 5 and 8 whose one feature is the row id; at
+    # 0.25 the 2-row class holds out round(0.5) = 0 rows
+    y = np.array([3, 0, 1, 3, 2, 3, 1, 2, 3, 0, 2, 3, 1, 2, 3, 2, 3, 3])
+    ds = D.Dataset(X=np.arange(18.0)[:, None], y=y, encoder=D.LabelEncoder().fit("abcd"),
+                   feature_names=["row"])
+    held = []
+
+    def capture(model, X, y, batch_size):
+        held.append(X[:, 0, 0].astype(int).tolist())
+        return 0.0, 0.0
+
+    monkeypatch.setattr(TR, "_evaluate", capture)
+    cfg = ModelConfig(input_shape=(1, 1), num_classes=4, use_bigru=False, use_mha=False,
+                      conv_filters=2, dense_units=(), dropout_rate=0.0)
+    for seed in (0, 1):
+        TR.train(build_model(cfg, np.random.default_rng(0)), D.SplitPair(ds, ds, 1.0),
+                 TR.TrainConfig(epochs=1, batch_size=32, seed=seed, validation_fraction=0.25))
+    assert held == [[12, 10, 16, 5], [2, 13, 3, 16]]
+
+
 def test_epoch_csv_round_trip(tmp_path):
     records = [TR.EpochRecord(1, 0.5, 0.8, 0.6, 0.75, 1.25),
                TR.EpochRecord(2, 0.4, 0.85, 0.55, 0.78, 1.19)]
