@@ -19,12 +19,14 @@ or a malformed value is an error. Command-line flags override file
 values. Every artifact directory receives exactly one ``manifest.json``
 capturing the command, settings, seed, dataset fingerprint, tool version
 and timestamps. ``--out-dir`` is created only once the inputs and settings
-have loaded and validated, so a run that fails on them leaves no directory.
+have loaded and validated (for ``train``, once training has finished), so a
+run that fails on them leaves no directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import dataclasses
 import hashlib
@@ -102,13 +104,37 @@ def apply_config(cfg, values: dict[str, str], allowed: set[str]):
     return cfg
 
 
+#: bytes read at a time by ``dataset_fingerprint``
+_FINGERPRINT_BLOCK = 1 << 20
+
+
 def dataset_fingerprint(path) -> dict:
-    data = Path(path).read_bytes()
-    text = data.decode("utf-8", errors="replace")
-    lines = [l for l in text.splitlines() if l]
-    cols = len(lines[0].split(",")) if lines else 0
-    return {"path": str(path), "rows": max(len(lines) - 1, 0), "columns": cols,
-            "sha256": hashlib.sha256(data).hexdigest()}
+    """sha256 of a file, its comma-separated column count and its row count.
+
+    The first non-empty line is the header; every later non-empty line is a
+    row. The file is read in blocks of ``_FINGERPRINT_BLOCK`` bytes.
+    """
+    digest = hashlib.sha256()
+    decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
+    header, lines, rest = None, 0, ""
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(_FINGERPRINT_BLOCK)
+            digest.update(block)
+            # the "." holds an unterminated last line back for the next block;
+            # at the end of the file a line break first terminates it
+            text = rest + decoder.decode(block, final=not block) + ("." if block else "\n.")
+            *done, rest = text.splitlines()
+            rest = rest[:-1]
+            done = [line for line in done if line]
+            if header is None and done:
+                header = done[0]
+            lines += len(done)
+            if not block:
+                break
+    cols = len(header.split(",")) if header is not None else 0
+    return {"path": str(path), "rows": max(lines - 1, 0), "columns": cols,
+            "sha256": digest.hexdigest()}
 
 
 def write_manifest(path: Path, command: str, settings: dict,
@@ -284,8 +310,6 @@ def cmd_train(args) -> int:
         if value is not None:
             setattr(train_cfg, key, value)
     train_cfg.validate()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     split = D.train_test_split(dataset, fraction=args.fraction, seed=train_cfg.seed)
     pre_counts = split.train.class_counts().tolist()
@@ -300,6 +324,8 @@ def cmd_train(args) -> int:
               f"| val loss {r.val_loss:.4f} acc {r.val_accuracy:.4f} "
               f"({r.wall_time_seconds:.1f}s)")
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     TR.write_epoch_csv(records, out_dir / "epochs.csv")
     _save_model_checkpoint(out_dir / "checkpoint.bin", model, standardizer,
                            dataset, train_cfg, args.fraction, use_smote)

@@ -1,6 +1,28 @@
 """Data pipeline: CSV ingestion, label encoding, stratified splitting, SMOTE
 oversampling, standardization, and synthetic dataset generation.
 
+The CSV contract of ``load_csv``:
+
+- The file is UTF-8 in the ``csv`` module's default dialect: cells are
+  separated by commas and may be quoted with ``"`` (a quoted cell may hold
+  commas, line breaks and ``""`` for a quote). The first row is the header.
+  Blank lines are skipped; any other row with a cell count unlike the
+  header's fails with an ``InputError`` that names its line.
+- A cell is missing when, stripped and lower-cased, it is one of
+  ``MISSING_MARKERS``. Rows with a missing cell in any column, label
+  included, are dropped and counted, as are rows with a non-finite number
+  (``inf``, ``1e999``) in a numeric column.
+- A column is numeric when every cell of the whole file that is not missing
+  parses with ``float()``; otherwise it is categorical and encoded by its
+  strings in lexicographic order. The class names are the label cells'
+  strings, also when they all parse as numbers.
+- Rows are parsed ``_CHUNK_ROWS`` at a time, so the cell strings of only
+  one chunk are alive at once. A column that turns categorical after the
+  first chunk, and a label column that never does, are read again in a
+  second pass. The memory peak is about twice the bytes of the final
+  ``X``, plus ~85 bytes for each cell of one chunk and ~24 bytes a row for
+  codes, masks and ``y``.
+
 The processing order is fixed: split first, oversample the training split
 only, and fit standardization statistics on the (possibly oversampled)
 training split. Synthetic rows therefore never reach the test set and test
@@ -75,39 +97,158 @@ class SplitPair:
     fraction: float
 
 
+#: data rows parsed per chunk by ``read_table``; bounds the Python strings
+#: alive at once to about ``_CHUNK_ROWS`` times the column count
+_CHUNK_ROWS = 1024
+
+
+@dataclass
+class Categories:
+    """A column's str cells as codes into its distinct strings, in first-seen order."""
+    index: dict[str, int] = field(default_factory=dict)
+    parts: list[np.ndarray] = field(default_factory=list)   # the codes, one array per chunk
+
+    def add(self, cells) -> None:
+        index = self.index
+        self.parts.append(np.fromiter((index.setdefault(c, len(index)) for c in cells),
+                                      dtype=np.intp, count=len(cells)))
+
+    def present(self) -> np.ndarray:
+        """Per row: is the cell something other than a missing marker."""
+        return _present(self.index)[np.concatenate(self.parts)]
+
+    def encode(self, keep: np.ndarray) -> tuple[LabelEncoder, np.ndarray]:
+        """The encoder of the kept rows' strings and each kept row's code in it."""
+        codes = np.concatenate(self.parts)[keep]
+        names = np.array(list(self.index), dtype=object)
+        used = np.flatnonzero(np.bincount(codes, minlength=names.size))
+        encoder = LabelEncoder().fit(names[used])
+        lut = np.zeros(names.size, dtype=np.int64)
+        lut[used] = encoder.encode(names[used])
+        return encoder, lut[codes]
+
+
 @dataclass
 class RawTable:
+    """A CSV file parsed column by column.
+
+    Every column is either numeric (float values, nan where a cell is a
+    missing marker) or categorical.
+    """
+    path: str
     column_names: list[str]
-    rows: list[list[str]]
+    row_count: int
+    numeric: dict[int, np.ndarray]
+    categorical: dict[int, Categories]
 
 
-def read_table(path) -> RawTable:
+def _row_chunks(path):
+    """Yield the header, then the non-blank data rows in lists of ``_CHUNK_ROWS``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: file is empty") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: file is empty")
+            yield header
+            chunk = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise InputError(
+                        f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+                chunk.append(row)
+                if len(chunk) == _CHUNK_ROWS:
+                    yield chunk
+                    chunk = []
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        if chunk:
+            yield chunk
+
+
+def _present(cells) -> np.ndarray:
+    """Per str cell: is it something other than a missing marker."""
+    return np.array([c.strip().lower() not in MISSING_MARKERS for c in cells], dtype=bool)
+
+
+def _parse_floats(cells: np.ndarray) -> np.ndarray | None:
+    """float() of each str cell, nan for missing markers; None if a cell is neither."""
+    try:
+        return cells.astype(np.float64)
+    except ValueError:
+        pass
+    present = _present(cells)
+    values = np.full(cells.shape, np.nan)
+    try:
+        values[present] = cells[present].astype(np.float64)
+    except ValueError:
+        return None
+    return values
+
+
+def _read_categories(path, columns) -> dict[int, Categories]:
+    """Read the file again and keep only ``columns``, as categories."""
+    found = {i: Categories() for i in columns}
+    chunks = _row_chunks(path)
+    next(chunks)
+    for chunk in chunks:
+        for i, cats in found.items():
+            cats.add([row[i] for row in chunk])
+    return found
+
+
+def read_table(path) -> RawTable:
+    """Parse a CSV file under the module's contract, ``_CHUNK_ROWS`` rows at a time.
+
+    Each chunk becomes an object array whose columns are cast to float64
+    (numpy calls ``float()`` on each cell); a column that fails is cast
+    again without its missing markers, and if that fails too it is
+    categorical for the whole file. A column that fails on the first chunk
+    keeps its strings as ``Categories`` from then on; one that fails on a
+    later chunk, whose earlier strings are gone, is read again in a second
+    pass over the file. Only one chunk's strings are alive at a time, beside
+    the float columns, so the peak is about the bytes of ``X`` plus one chunk.
+    """
+    chunks = _row_chunks(path)
+    header = next(chunks)
+    parts = {i: [] for i in range(len(header))}   # the columns numeric so far
+    categorical: dict[int, Categories] = {}
+    late = []
+    rows = 0
+    for chunk in chunks:
+        cells = np.array(chunk, dtype=object)
+        for i in list(parts):
+            values = _parse_floats(cells[:, i])
+            if values is not None:
+                parts[i].append(values)
                 continue
-            if len(row) != len(header):
-                raise InputError(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            rows.append(row)
+            del parts[i]
+            if rows == 0:   # the first chunk: its strings are all still here
+                categorical[i] = Categories()
+            else:
+                late.append(i)
+        for i, cats in categorical.items():
+            cats.add(cells[:, i])
+        rows += len(chunk)
+        del chunk, cells   # free this chunk's strings before the next one is read
     if not rows:
         raise InputError(f"{path}: no data rows")
-    return RawTable(column_names=header, rows=rows)
+    numeric = {i: np.concatenate(parts.pop(i)) for i in list(parts)}
+    if late:
+        categorical.update(_read_categories(path, late))
+    return RawTable(path=str(path), column_names=header, row_count=rows, numeric=numeric,
+                    categorical=categorical)
 
 
 def table_to_dataset(table: RawTable, label_column: str) -> tuple[Dataset, int]:
     """Numerize a raw table; returns the dataset and the dropped-row count.
 
-    A feature column is numeric when every non-missing cell parses as a
-    float; otherwise it is label-encoded per column. Rows containing a
-    missing marker, or a non-finite value (``inf``, ``-Infinity``,
-    ``1e999``) in a numeric column, are dropped.
+    Rows with a missing marker in any column, or a non-finite value in a
+    numeric one, are dropped. Categorical columns, and the label, are
+    encoded by the kept rows' strings in lexicographic order; a label
+    column whose cells all parse as numbers is read again for its strings.
     """
     if label_column not in table.column_names:
         raise ConfigError(
@@ -115,40 +256,38 @@ def table_to_dataset(table: RawTable, label_column: str) -> tuple[Dataset, int]:
     label_idx = table.column_names.index(label_column)
     feature_idx = [i for i in range(len(table.column_names)) if i != label_idx]
     feature_names = [table.column_names[i] for i in feature_idx]
+    if not feature_idx:
+        raise InputError(f"no feature column besides the label column {label_column!r}")
+    if label_idx in table.categorical:
+        labels = table.categorical[label_idx]
+    else:
+        labels = _read_categories(table.path, [label_idx])[label_idx]
 
-    keep = np.array([r[label_idx].strip().lower() not in MISSING_MARKERS for r in table.rows])
-    numeric = {}
+    keep = labels.present()
     for i in feature_idx:
-        cells = [r[i] for r in table.rows]
-        present = [c.strip().lower() not in MISSING_MARKERS for c in cells]
-        try:
-            values = np.array([float(c) if ok else np.nan for c, ok in zip(cells, present)])
-        except ValueError:  # a non-numeric cell: the column is categorical
-            keep &= present
+        if i in table.numeric:
+            keep &= np.isfinite(table.numeric[i])  # missing cells are nan here
         else:
-            numeric[i] = values
-            keep &= np.isfinite(values)  # missing cells are nan here
-    kept = [r for r, ok in zip(table.rows, keep) if ok]
-    dropped = len(table.rows) - len(kept)
+            keep &= table.categorical[i].present()
+    kept = int(keep.sum())
     if not kept:
         raise InputError("all rows dropped during numerization")
 
-    encoder = LabelEncoder().fit(r[label_idx] for r in kept)
-    y = encoder.encode([r[label_idx] for r in kept])
-
-    columns = []
-    for i in feature_idx:
-        if i in numeric:
-            columns.append(numeric[i][keep])
-        else:
-            cells = [r[i] for r in kept]
-            columns.append(LabelEncoder().fit(cells).encode(cells).astype(float))
-    X = np.column_stack(columns)
-    return Dataset(X=X, y=y, encoder=encoder, feature_names=feature_names), dropped
+    encoder, y = labels.encode(keep)
+    X = np.empty((kept, len(feature_idx)))
+    for pos, i in enumerate(feature_idx):
+        X[:, pos] = (table.numeric[i][keep] if i in table.numeric
+                     else table.categorical[i].encode(keep)[1])
+    return Dataset(X=X, y=y, encoder=encoder, feature_names=feature_names), table.row_count - kept
 
 
 def load_csv(path, label_column: str = "label") -> tuple[Dataset, int]:
-    """Read a comma-separated file with a header row into a numerized dataset."""
+    """Read a CSV file with a header row into a numerized dataset.
+
+    Returns the dataset and the count of rows dropped for a missing marker
+    or a non-finite number; the module docstring states the full contract
+    (dialect, blank lines, markers, column types and memory).
+    """
     return table_to_dataset(read_table(path), label_column)
 
 
@@ -233,7 +372,10 @@ def smote_oversample(train: Dataset, k_neighbors: int = 5, seed: int = 0) -> Dat
     counts = train.class_counts()
     target = counts.max()
     rng = np.random.default_rng(seed)
-    new_X, new_y = [train.X], [train.y]
+    n = train.X.shape[0]
+    X = np.empty((n + int((target - counts).sum()), train.X.shape[1]))
+    y = np.empty(X.shape[0], dtype=train.y.dtype)
+    X[:n], y[:n] = train.X, train.y
     for c in np.flatnonzero(counts < target):
         need = int(target - counts[c])
         members = np.flatnonzero(train.y == c)
@@ -246,11 +388,13 @@ def smote_oversample(train: Dataset, k_neighbors: int = 5, seed: int = 0) -> Dat
         base = rng.integers(0, members.size, size=need)
         pick = nn_idx[base, rng.integers(0, k, size=need)]
         lam = rng.random(need)[:, None]
-        synth = Xc[base] + lam * (Xc[pick] - Xc[base])
-        new_X.append(synth)
-        new_y.append(np.full(need, c, dtype=train.y.dtype))
-    return Dataset(X=np.concatenate(new_X), y=np.concatenate(new_y),
-                   encoder=train.encoder, feature_names=train.feature_names)
+        synth = X[n:n + need]
+        np.subtract(Xc[pick], Xc[base], out=synth)
+        synth *= lam
+        synth += Xc[base]
+        y[n:n + need] = c
+        n += need
+    return Dataset(X=X, y=y, encoder=train.encoder, feature_names=train.feature_names)
 
 
 @dataclass
@@ -259,7 +403,9 @@ class Standardizer:
     scale: np.ndarray   # per-feature std with zero-variance floored to 1
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.mean) / self.scale
+        out = X - self.mean
+        out /= self.scale
+        return out
 
 
 def fit_standardizer(X: np.ndarray) -> Standardizer:

@@ -121,8 +121,10 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
     """Fit on the training split; the test split is never touched here.
 
     The training split is expected to be preprocessed (oversampled and
-    standardized); a validation slice is carved from it per
-    ``validation_fraction`` and evaluated in infer mode each epoch.
+    standardized); a validation slice is carved from it per class per
+    ``validation_fraction`` and evaluated in infer mode each epoch. A
+    fraction that holds out no row raises ``ContractError``; 0 evaluates the
+    training rows instead.
     """
     cfg.validate()
     train_ds: Dataset = split.train
@@ -131,11 +133,13 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
     rng = np.random.default_rng(cfg.seed)
     dropout_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
 
-    if cfg.validation_fraction > 0 and X.shape[0] >= 2:
+    if cfg.validation_fraction > 0:
         hold_idx, fit_idx = stratified_carve(y, cfg.validation_fraction, rng, min_first=0)
         if hold_idx.size == 0:
-            fit_idx = np.arange(X.shape[0])
-            hold_idx = fit_idx
+            raise ContractError(
+                f"validation_fraction {cfg.validation_fraction} holds out none of the "
+                f"{y.size} rows (the largest class has {int(np.bincount(y).max())}); raise "
+                "it, or set it to 0 to validate on the training rows")
     else:
         fit_idx = np.arange(X.shape[0])
         hold_idx = fit_idx

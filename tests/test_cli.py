@@ -66,6 +66,25 @@ def test_gen_data_writes_manifest(tmp_path):
     assert manifest["dataset"]["sha256"] == hashlib.sha256(f.read_bytes()).hexdigest()
 
 
+@pytest.mark.parametrize("block", [None, 1, 2, 3, 5])
+@pytest.mark.parametrize("content, rows, columns", [
+    (b"a,b,label\n1,2,x\n3,4,y\n", 2, 3),
+    (b"a,b,label\r\n1,2,x\r\n3,4,y\r\n", 2, 3),
+    (b"a,label\n1,x\n2,y", 2, 2),
+    (b"\n\na,b,c,label\n\n1,2,3,x\r\n\r\n\n4,5,6,y\n\n", 2, 4),
+    (b"a\xc3\xa9,label\r\n\xff1,x\r", 1, 2),
+    (b"", 0, 0),
+], ids=["lf", "crlf", "no_final_newline", "blank_lines", "utf8_and_bad_bytes", "empty"])
+def test_dataset_fingerprint_counts_non_empty_lines(tmp_path, monkeypatch, content, rows,
+                                                    columns, block):
+    if block is not None:   # blocks smaller than a line, a \r\n pair or a utf-8 character
+        monkeypatch.setattr(cli, "_FINGERPRINT_BLOCK", block)
+    f = tmp_path / "d.csv"
+    f.write_bytes(content)
+    assert cli.dataset_fingerprint(f) == {"path": str(f), "rows": rows, "columns": columns,
+                                          "sha256": hashlib.sha256(content).hexdigest()}
+
+
 def test_gen_data_bad_directory_fails(tmp_path):
     assert run_cli("gen-data", "--out", tmp_path / "nope" / "d.csv") == 1
 
@@ -191,6 +210,17 @@ def test_train_missing_label_column_fails_nonzero(tmp_path, capsys):
                  "--out-dir", tmp_path / "run")
     assert rc == 1
     assert "error [train]" in capsys.readouterr().err
+
+
+
+def test_train_validation_fraction_holding_out_nothing_fails(tmp_path, capsys):
+    # 5 rows per class leave 4 for training, and round(0.1 * 4) = 0 to validate
+    data = gen(tmp_path, per_class=5)
+    rc = run_cli("train", "--data", data, "--val-fraction", "0.1", "--epochs", "1",
+                 "--out-dir", tmp_path / "run")
+    assert rc == 1
+    assert "validation_fraction 0.1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -109,6 +111,20 @@ def test_load_csv_missing_label_column(tmp_path):
         D.load_csv(f, label_column="label")
 
 
+def test_load_csv_label_only_file_fails(tmp_path):
+    f = tmp_path / "t.csv"
+    write_csv(f, ["label"], [["a"], ["b"]])
+    with pytest.raises(InputError, match="no feature column"):
+        D.load_csv(f)
+
+
+def test_load_csv_invalid_utf8_fails_with_input_error(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_bytes(b"x1,label\n1,a\xff\n2,b\n")
+    with pytest.raises(InputError, match="not UTF-8"):
+        D.load_csv(f)
+
+
 def test_load_csv_empty_file(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text("")
@@ -126,6 +142,199 @@ def test_load_csv_reference_shape(tmp_path):
     assert loaded.encoder.num_classes == 6
     np.testing.assert_allclose(loaded.X, ds.X)
     np.testing.assert_array_equal(loaded.y, ds.y)
+
+
+def test_load_csv_ragged_row_names_its_line_past_a_chunk_boundary(tmp_path, monkeypatch):
+    monkeypatch.setattr(D, "_CHUNK_ROWS", 4)
+    f = tmp_path / "t.csv"
+    # the blank line counts: the short row is the 10th data row, on line 12
+    f.write_text("x1,x2,label\n" + "1,2,a\n" * 5 + "\n" + "3,4,b\n" * 4 + "5,b\n" + "6,7,a\n")
+    with pytest.raises(InputError, match=r"t\.csv:12: expected 3 cells, got 2"):
+        D.load_csv(f)
+    f.write_text("x1,label\n1,a,extra\n")
+    with pytest.raises(InputError, match=r"t\.csv:2: expected 2 cells, got 3"):
+        D.load_csv(f)
+
+
+def test_load_csv_header_only_file_has_no_data_rows(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text("x1,x2,label\n\n")
+    with pytest.raises(InputError, match="no data rows"):
+        D.load_csv(f)
+
+
+def test_load_csv_drops_rows_whose_label_is_a_missing_marker(tmp_path):
+    f = tmp_path / "t.csv"
+    write_csv(f, ["x1", "label"], [["1", "a"], ["2", " NA "], ["3", "b"], ["4", ""]])
+    ds, dropped = D.load_csv(f)
+    assert dropped == 2
+    assert ds.encoder.class_names == ["a", "b"]
+    np.testing.assert_array_equal(ds.X[:, 0], [1.0, 3.0])
+
+
+def test_load_csv_numeric_column_with_question_marks_stays_numeric(tmp_path):
+    f = tmp_path / "t.csv"
+    write_csv(f, ["x1", "label"], [["10.5", "a"], ["?", "b"], ["-2", "a"], ["?", "a"]])
+    ds, dropped = D.load_csv(f)
+    assert dropped == 2
+    np.testing.assert_array_equal(ds.X[:, 0], [10.5, -2.0])   # values, not category codes
+
+
+def test_load_csv_column_turning_categorical_after_the_first_chunk(tmp_path, monkeypatch):
+    monkeypatch.setattr(D, "_CHUNK_ROWS", 4)
+    f = tmp_path / "t.csv"
+    proto = ["10", "2", "1.0", "10", "2", "7", "1.0", "udp", "2", "10"]
+    write_csv(f, ["proto", "size", "label"],
+              [[p, str(i), "ab"[i % 2]] for i, p in enumerate(proto)])
+    ds, dropped = D.load_csv(f)
+    assert dropped == 0
+    # codes of the cell strings in lexicographic order: 1.0 < 10 < 2 < 7 < udp
+    np.testing.assert_array_equal(ds.X[:, 0], [1, 2, 0, 1, 2, 3, 0, 4, 2, 1])
+    np.testing.assert_array_equal(ds.X[:, 1], np.arange(10.0))
+
+
+def test_load_csv_numeric_label_column_is_encoded_by_its_strings(tmp_path):
+    f = tmp_path / "t.csv"
+    write_csv(f, ["x1", "label"], [["1", "10"], ["2", "2"], ["3", "1.0"], ["4", "10"]])
+    ds, _ = D.load_csv(f)
+    assert ds.encoder.class_names == ["1.0", "10", "2"]
+    np.testing.assert_array_equal(ds.y, [1, 2, 0, 1])
+
+
+def test_load_csv_quoted_label_with_a_comma_and_blank_lines(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text('x1,label\r\n\r\n1,"scan, port"\r\n2,benign\n\n3,"scan, port"\n\n')
+    ds, dropped = D.load_csv(f)
+    assert dropped == 0
+    assert ds.encoder.class_names == ["benign", "scan, port"]
+    np.testing.assert_array_equal(ds.y, [1, 0, 1])
+    np.testing.assert_array_equal(ds.X[:, 0], [1.0, 2.0, 3.0])
+
+
+def test_load_csv_peak_memory_is_two_x_plus_one_chunk(tmp_path):
+    # 8 chunks; reading every cell into a Python str peaked near 12x the bytes of X here
+    ds = D.synth_dataset(classes=4, features=20, per_class=2 * D._CHUNK_ROWS, seed=0)
+    f = tmp_path / "t.csv"
+    D.save_csv(ds, f)
+    tracemalloc.start()
+    try:
+        loaded, _ = D.load_csv(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the str cells of one chunk, with their list and array slots: ~85 bytes a cell
+    chunk_budget = D._CHUNK_ROWS * len(ds.feature_names + ["label"]) * 128
+    assert peak <= 2 * loaded.X.nbytes + chunk_budget
+
+
+def reference_load_csv(path, label_column="label"):
+    """``load_csv`` as first written: every cell a Python str, numerized cell by cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [r for r in reader if r]
+    label_idx = header.index(label_column)
+    feature_idx = [i for i in range(len(header)) if i != label_idx]
+    keep = np.array([r[label_idx].strip().lower() not in D.MISSING_MARKERS for r in rows])
+    numeric = {}
+    for i in feature_idx:
+        cells = [r[i] for r in rows]
+        present = [c.strip().lower() not in D.MISSING_MARKERS for c in cells]
+        try:
+            values = np.array([float(c) if ok else np.nan for c, ok in zip(cells, present)])
+        except ValueError:
+            keep &= present
+        else:
+            numeric[i] = values
+            keep &= np.isfinite(values)
+    kept = [r for r, ok in zip(rows, keep) if ok]
+    if not kept:
+        raise InputError("all rows dropped during numerization")
+    encoder = D.LabelEncoder().fit(r[label_idx] for r in kept)
+    columns = []
+    for i in feature_idx:
+        if i in numeric:
+            columns.append(numeric[i][keep])
+        else:
+            cells = [r[i] for r in kept]
+            columns.append(D.LabelEncoder().fit(cells).encode(cells).astype(float))
+    X = np.column_stack(columns)
+    return X, encoder.encode([r[label_idx] for r in kept]), encoder.class_names, \
+        [header[i] for i in feature_idx], len(rows) - len(kept)
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, width=64).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["inf", "-Infinity", "1e999", "-1e999", "nan", "NaN", "1_000", "0.5e-3"]))
+MARKER_CELLS = st.sampled_from(sorted(D.MISSING_MARKERS) + ["?", " NA ", "Null", "None"])
+WORD_CELLS = st.sampled_from(["tcp", "udp", "icmp", "inf", "x y", "a,b", 'q"t', "Tcp"])
+PADDING = st.sampled_from(["", " ", "\t", "  "])
+
+
+def sometimes_missing(cells):
+    """``cells`` with a missing marker in about one cell of eight."""
+    return st.integers(0, 7).flatmap(lambda k: MARKER_CELLS if k == 0 else cells)
+
+
+COLUMN_CELLS = {"numeric": sometimes_missing(NUMBER_CELLS),
+                "late": sometimes_missing(NUMBER_CELLS),   # plus one word, placed below
+                "categorical": sometimes_missing(st.one_of(WORD_CELLS, NUMBER_CELLS))}
+LABEL_CELLS = [sometimes_missing(st.sampled_from(["benign", "ddos", "Scan, udp", "2"])),
+               sometimes_missing(st.sampled_from(["2", "10", "1.0"]))]
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, rows, rows followed by a blank line) of numeric, categorical and
+    late-categorical feature columns around a word or number label column."""
+    n = draw(st.integers(1, 30))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS)), min_size=1, max_size=5)):
+        cells = draw(st.lists(COLUMN_CELLS[kind], min_size=n, max_size=n))
+        if kind == "late":
+            cells[draw(st.integers(0, n - 1))] = draw(WORD_CELLS)
+        pad = draw(PADDING)
+        columns.append([pad + c + draw(PADDING) for c in cells])
+    labels = draw(st.lists(draw(st.sampled_from(LABEL_CELLS)), min_size=n, max_size=n))
+    position = draw(st.integers(0, len(columns)))
+    columns.insert(position, labels)
+    header = [f"c{i}" for i in range(len(columns))]
+    header[position] = "label"
+    rows = [list(r) for r in zip(*columns)]
+    return header, rows, draw(st.sets(st.integers(0, n - 1), max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=csv_tables(), chunk_rows=st.integers(1, 7))
+def test_load_csv_matches_the_cell_by_cell_reference(tmp_path_factory, table, chunk_rows):
+    header, rows, blank_after = table
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i, row in enumerate(rows):
+            writer.writerow(row)
+            if i in blank_after:
+                fh.write("\r\n")
+    try:
+        want = reference_load_csv(path)
+    except InputError as exc:
+        want = exc
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "_CHUNK_ROWS", chunk_rows)
+        if isinstance(want, InputError):
+            with pytest.raises(InputError, match=str(want)):
+                D.load_csv(path)
+            return
+        ds, dropped = D.load_csv(path)
+    X, y, class_names, feature_names, want_dropped = want
+    assert ds.X.dtype == np.float64 and ds.X.shape == X.shape
+    assert ds.X.tobytes() == X.tobytes()
+    np.testing.assert_array_equal(ds.y, y)
+    assert ds.encoder.class_names == class_names
+    assert ds.feature_names == feature_names
+    assert dropped == want_dropped
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,17 @@ def test_validation_rows_are_pinned(monkeypatch):
     assert held == [[12, 10, 16, 5], [2, 13, 3, 16]]
 
 
+def test_validation_fraction_that_holds_out_no_row_is_rejected():
+    # 3 classes of 4 rows: round(0.1 * 4) = 0 rows held out of every class
+    ds = D.Dataset(X=np.arange(12.0)[:, None], y=np.repeat([0, 1, 2], 4),
+                   encoder=D.LabelEncoder().fit("abc"), feature_names=["row"])
+    cfg = ModelConfig(input_shape=(1, 1), num_classes=3, use_bigru=False, use_mha=False,
+                      conv_filters=2, dense_units=(), dropout_rate=0.0)
+    with pytest.raises(ContractError, match=r"validation_fraction 0\.1 .*largest class has 4"):
+        TR.train(build_model(cfg, np.random.default_rng(0)), D.SplitPair(ds, ds, 1.0),
+                 TR.TrainConfig(epochs=1, batch_size=32, validation_fraction=0.1))
+
+
 def test_epoch_csv_round_trip(tmp_path):
     records = [TR.EpochRecord(1, 0.5, 0.8, 0.6, 0.75, 1.25),
                TR.EpochRecord(2, 0.4, 0.85, 0.55, 0.78, 1.19)]
