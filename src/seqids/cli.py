@@ -13,20 +13,28 @@ Subcommands:
 * ``ablate``    train and evaluate the ten-variant grid on one shared split,
                 emit ``ablation.csv``
 
-Config files are flat ``key = value`` text ('#' starts a comment). Keys
-are the model and training fields below and ``use_smote``; any other key
-or a malformed value is an error. Command-line flags override file
-values. Every artifact directory receives exactly one ``manifest.json``
-capturing the command, settings, seed, dataset fingerprint, tool version
-and timestamps. ``--out-dir`` is created only once the inputs and settings
-have loaded and validated (for ``train``, once training has finished), so a
-run that fails on them leaves no directory.
+``train`` reads its settings from ``TrainConfig``'s defaults, then the
+``--config`` file, then the flags that were given; ``ablate`` from the
+defaults and its flags. Config files are flat ``key = value`` text ('#'
+starts a comment). Their keys are the ``ModelConfig`` fields
+``use_resnet_block``, ``use_bigru``, ``use_mha``, ``conv_filters``,
+``kernel_size``, ``gru_units``, ``num_heads``, ``key_dim``,
+``dropout_rate``, ``dense_units`` (a comma list) and ``bn_momentum``; the
+``TrainConfig`` fields ``epochs``, ``batch_size``, ``lr``, ``seed`` and
+``validation_fraction``; and ``use_smote``. Any other key, a malformed value
+or an out-of-range setting is an error.
+
+Every artifact directory receives exactly one ``manifest.json`` capturing
+the command, settings, seed, dataset entry, tool version and timestamps. The
+dataset entry holds the file's path and sha256 and the reader's counts:
+``rows`` is every data row, dropped rows included, and ``columns`` is every
+column, the label included. ``--out-dir`` is created just before the first
+artifact is written, so a run that fails before that leaves no directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import codecs
 import csv
 import dataclasses
 import hashlib
@@ -94,12 +102,15 @@ def _coerce(key: str, value: str, target):
     return value
 
 
-def apply_config(cfg, values: dict[str, str], allowed: set[str]):
-    for key, value in values.items():
-        if key not in allowed:
-            continue
-        current = getattr(cfg, key)
-        setattr(cfg, key, _coerce(key, value, current))
+def apply_config(cfg, values: dict[str, str], args=None):
+    """Set ``cfg``'s fields from the config file ``values``, then from the
+    flags of ``args`` that were given (each flag's dest is the field name),
+    then validate."""
+    for f in dataclasses.fields(cfg):
+        if f.name in values:
+            setattr(cfg, f.name, _coerce(f.name, values[f.name], getattr(cfg, f.name)))
+        if getattr(args, f.name, None) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
     cfg.validate()
     return cfg
 
@@ -108,33 +119,14 @@ def apply_config(cfg, values: dict[str, str], allowed: set[str]):
 _FINGERPRINT_BLOCK = 1 << 20
 
 
-def dataset_fingerprint(path) -> dict:
-    """sha256 of a file, its comma-separated column count and its row count.
-
-    The first non-empty line is the header; every later non-empty line is a
-    row. The file is read in blocks of ``_FINGERPRINT_BLOCK`` bytes.
-    """
+def dataset_fingerprint(path, rows: int, columns: int) -> dict:
+    """The manifest's dataset entry: the given counts and the file's sha256,
+    read in blocks of ``_FINGERPRINT_BLOCK`` bytes."""
     digest = hashlib.sha256()
-    decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
-    header, lines, rest = None, 0, ""
     with open(path, "rb") as fh:
-        while True:
-            block = fh.read(_FINGERPRINT_BLOCK)
+        while block := fh.read(_FINGERPRINT_BLOCK):
             digest.update(block)
-            # the "." holds an unterminated last line back for the next block;
-            # at the end of the file a line break first terminates it
-            text = rest + decoder.decode(block, final=not block) + ("." if block else "\n.")
-            *done, rest = text.splitlines()
-            rest = rest[:-1]
-            done = [line for line in done if line]
-            if header is None and done:
-                header = done[0]
-            lines += len(done)
-            if not block:
-                break
-    cols = len(header.split(",")) if header is not None else 0
-    return {"path": str(path), "rows": max(lines - 1, 0), "columns": cols,
-            "sha256": digest.hexdigest()}
+    return {"path": str(path), "rows": rows, "columns": columns, "sha256": digest.hexdigest()}
 
 
 def write_manifest(path: Path, command: str, settings: dict,
@@ -172,17 +164,26 @@ def parse_imbalance(spec: str, classes: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline pieces shared by train / ablate
+# Pipeline pieces shared by the subcommands
 
-def _preprocess(split: D.SplitPair, use_smote: bool, seed: int,
-                smote_k: int = 5) -> tuple[D.SplitPair, D.Standardizer]:
+def _load_dataset(args) -> tuple[D.Dataset, dict]:
+    """``--data`` through ``load_csv``, and the manifest's dataset entry."""
+    dataset, dropped = D.load_csv(args.data, label_column=args.label_column)
+    if dropped:
+        print(f"dropped {dropped} unparseable row(s)", file=sys.stderr)
+    rows, features = dataset.X.shape
+    return dataset, dataset_fingerprint(args.data, rows + dropped, features + 1)
+
+
+def _preprocess(split: D.SplitPair, use_smote: bool,
+                seed: int) -> tuple[D.SplitPair, D.Standardizer]:
     """SMOTE (if ``use_smote``), then standardization, of the training half.
 
     Returns a new split, whose test half stays raw, and the standardizer.
     """
     train = split.train
     if use_smote:
-        train = D.smote_oversample(train, k_neighbors=smote_k, seed=seed)
+        train = D.smote_oversample(train, seed=seed)
     standardizer = D.fit_standardizer(train.X)
     train = dataclasses.replace(train, X=standardizer.transform(train.X))
     return D.SplitPair(train=train, test=split.test, fraction=split.fraction), standardizer
@@ -239,23 +240,6 @@ def _score(model: Model, X: np.ndarray, y: np.ndarray, class_names, repetitions:
     return logits, cm, M.class_report(cm), loss, latency
 
 
-def _evaluate_to_files(model: Model, standardizer: D.Standardizer, X_raw, y,
-                       class_names, out_dir: Path, repetitions: int) -> dict:
-    X = D.reshape_for_model(X_raw, standardizer)
-    logits, cm, report, loss, latency = _score(model, X, y, class_names, repetitions)
-    curves = M.roc_auc(T.softmax(logits, axis=1), y)
-    blob = M.report_to_dict(report, cm, curves)
-    blob["loss"] = loss
-    blob["inference_seconds_per_instance"] = latency
-    (out_dir / "report.json").write_text(json.dumps(blob, indent=2, sort_keys=True) + "\n",
-                                         encoding="utf-8")
-    (out_dir / "report.txt").write_text(M.format_report_text(report) + "\n",
-                                        encoding="utf-8")
-    M.confusion_to_csv(cm, out_dir / "confusion.csv")
-    M.roc_to_csv(curves, out_dir / "roc.csv")
-    return blob
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -266,7 +250,6 @@ def cmd_gen_data(args) -> int:
     ds = D.synth_dataset(classes=classes, features=features, per_class=args.per_class,
                          imbalance_profile=profile, seed=args.seed,
                          separation=args.separation,
-                         sequence_structure=args.sequence_structure,
                          structure_strength=args.structure_strength)
     out = Path(args.out)
     if out.parent and not out.parent.exists():
@@ -276,9 +259,8 @@ def cmd_gen_data(args) -> int:
                    {"classes": classes, "features": features,
                     "per_class": args.per_class, "imbalance": args.imbalance,
                     "separation": args.separation,
-                    "sequence_structure": args.sequence_structure,
                     "structure_strength": args.structure_strength},
-                   args.seed, dataset_fingerprint(out), started)
+                   args.seed, dataset_fingerprint(out, ds.X.shape[0], features + 1), started)
     counts = ds.class_counts()
     print(f"wrote {out} ({ds.X.shape[0]} rows, {features} features, "
           f"{classes} classes, counts {counts.tolist()})")
@@ -288,32 +270,21 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     started = time.time()
     set_default_dtype(args.dtype)
-    dataset, dropped = D.load_csv(args.data, label_column=args.label_column)
-    if dropped:
-        print(f"dropped {dropped} unparseable row(s)", file=sys.stderr)
-
-    model_cfg = ModelConfig(input_shape=(dataset.num_features, 1),
-                            num_classes=dataset.encoder.num_classes)
-    train_cfg = TR.TrainConfig()
+    dataset, fingerprint = _load_dataset(args)
     file_values = parse_config_file(args.config) if args.config else {}
     unknown = sorted(file_values.keys() - MODEL_KEYS - TRAIN_KEYS - {"use_smote"})
     if unknown:
         raise ConfigError(f"{args.config}: unknown config key(s) {unknown}")
-    apply_config(model_cfg, file_values, MODEL_KEYS)
-    apply_config(train_cfg, file_values, TRAIN_KEYS)
+    model_cfg = apply_config(ModelConfig(input_shape=(dataset.num_features, 1),
+                                         num_classes=dataset.encoder.num_classes), file_values)
+    train_cfg = apply_config(TR.TrainConfig(), file_values, args)
     use_smote = _coerce("use_smote", file_values.get("use_smote", "true"), True)
     if args.smote is not None:
         use_smote = args.smote
-    for key, value in (("epochs", args.epochs), ("batch_size", args.batch_size),
-                       ("lr", args.lr), ("seed", args.seed),
-                       ("validation_fraction", args.val_fraction)):
-        if value is not None:
-            setattr(train_cfg, key, value)
-    train_cfg.validate()
 
     split = D.train_test_split(dataset, fraction=args.fraction, seed=train_cfg.seed)
     pre_counts = split.train.class_counts().tolist()
-    split, standardizer = _preprocess(split, use_smote, train_cfg.seed, args.smote_k)
+    split, standardizer = _preprocess(split, use_smote, train_cfg.seed)
     post_counts = split.train.class_counts().tolist()
     model = build_model(model_cfg, np.random.default_rng(train_cfg.seed))
     print(f"training {model_cfg.arch_name} ({model.param_count()} parameters) "
@@ -333,12 +304,11 @@ def cmd_train(args) -> int:
         out_dir / "manifest.json", "train",
         {"model": model_cfg.to_dict(),
          "train": dataclasses.asdict(train_cfg),
-         "fraction": args.fraction, "smote": use_smote,
-         "smote_k": args.smote_k, "dtype": args.dtype,
+         "fraction": args.fraction, "smote": use_smote, "dtype": args.dtype,
          "label_column": args.label_column,
          "train_class_counts_before_smote": pre_counts,
          "train_class_counts_after_smote": post_counts},
-        train_cfg.seed, dataset_fingerprint(args.data), started)
+        train_cfg.seed, fingerprint, started)
     print(f"wrote {out_dir}/checkpoint.bin, epochs.csv, manifest.json")
     return 0
 
@@ -346,22 +316,17 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = time.time()
     model, standardizer, meta = _load_model_checkpoint(args.checkpoint)
-
-    dataset, dropped = D.load_csv(args.data, label_column=args.label_column)
-    if dropped:
-        print(f"dropped {dropped} unparseable row(s)", file=sys.stderr)
+    dataset, fingerprint = _load_dataset(args)
     expected_f = model.cfg.input_shape[0]
     if dataset.num_features != expected_f:
         raise ConfigError(
             f"feature width mismatch: checkpoint expects {expected_f} features, "
             f"data has {dataset.num_features}")
-    stored_names = meta["class_names"]
-    if dataset.encoder.class_names != stored_names:
+    class_names = meta["class_names"]
+    if dataset.encoder.class_names != class_names:
         raise ConfigError(
             f"class labels differ from the checkpoint's: data {dataset.encoder.class_names} "
-            f"vs checkpoint {stored_names}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+            f"vs checkpoint {class_names}")
 
     if args.holdout:
         split = D.train_test_split(dataset, fraction=meta["train"]["fraction"],
@@ -371,17 +336,28 @@ def cmd_eval(args) -> int:
     else:
         X_raw, y = dataset.X, dataset.y
         scope = "full file"
-
-    blob = _evaluate_to_files(model, standardizer, X_raw, y, stored_names,
-                              out_dir, args.repetitions)
+    X = D.reshape_for_model(X_raw, standardizer)
+    logits, cm, report, loss, latency = _score(model, X, y, class_names, args.repetitions)
+    curves = M.roc_auc(T.softmax(logits, axis=1), y)
+    blob = M.report_to_dict(report, cm, curves)
+    blob["loss"] = loss
+    blob["inference_seconds_per_instance"] = latency
     print(f"evaluated {scope}: accuracy {blob['accuracy']:.4f} "
-          f"(informational), loss {blob['loss']:.4f}, "
-          f"latency {blob['inference_seconds_per_instance']:.2e}s/instance")
+          f"(informational), loss {loss:.4f}, latency {latency:.2e}s/instance")
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.json").write_text(json.dumps(blob, indent=2, sort_keys=True) + "\n",
+                                         encoding="utf-8")
+    (out_dir / "report.txt").write_text(M.format_report_text(report) + "\n",
+                                        encoding="utf-8")
+    M.confusion_to_csv(cm, out_dir / "confusion.csv")
+    M.roc_to_csv(curves, out_dir / "roc.csv")
     write_manifest(out_dir / "manifest.json", "eval",
                    {"checkpoint": str(args.checkpoint), "holdout": args.holdout,
                     "repetitions": args.repetitions,
                     "label_column": args.label_column},
-                   meta["train"]["seed"], dataset_fingerprint(args.data), started)
+                   meta["train"]["seed"], fingerprint, started)
     print(f"wrote {out_dir}/report.json, report.txt, confusion.csv, roc.csv, manifest.json")
     return 0
 
@@ -389,31 +365,27 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     started = time.time()
     set_default_dtype(args.dtype)
-    dataset, dropped = D.load_csv(args.data, label_column=args.label_column)
-    if dropped:
-        print(f"dropped {dropped} unparseable row(s)", file=sys.stderr)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    dataset, fingerprint = _load_dataset(args)
+    train_cfg = apply_config(TR.TrainConfig(), {}, args)
 
     # one shared split for every case; SMOTE/standardization are per case
-    base_split = D.train_test_split(dataset, fraction=args.fraction, seed=args.seed)
+    base_split = D.train_test_split(dataset, fraction=args.fraction, seed=train_cfg.seed)
     case_seeds = [int(s.generate_state(1)[0]) % (2 ** 31)
-                  for s in np.random.SeedSequence(args.seed).spawn(10)]
+                  for s in np.random.SeedSequence(train_cfg.seed).spawn(10)]
     rows = []
     grid = table3_grid(input_shape=(dataset.num_features, 1),
                        num_classes=dataset.encoder.num_classes)
     for (case_id, cfg, use_smote), case_seed in zip(grid, case_seeds):
+        cfg = dataclasses.replace(cfg, bn_momentum=args.bn_momentum)
+        cfg.validate()   # an out-of-range --bn-momentum fails the run, not each case
         row = {"case": case_id, "model": cfg.arch_name,
                "heads": cfg.num_heads if cfg.use_mha else "",
                "dropout": cfg.dropout_rate, "smote": use_smote,
                "dense_layers": len(cfg.dense_units) + 1}
         try:
-            cfg = dataclasses.replace(cfg, bn_momentum=args.bn_momentum)
             fit_split, standardizer = _preprocess(base_split, use_smote, case_seed)
-            train_cfg = TR.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                                       lr=args.lr, seed=case_seed)
             model = build_model(cfg, np.random.default_rng(case_seed))
-            model, _ = TR.train(model, fit_split, train_cfg)
+            model, _ = TR.train(model, fit_split, dataclasses.replace(train_cfg, seed=case_seed))
             X_test = D.reshape_for_model(base_split.test.X, standardizer)
             _, _, report, loss, latency = _score(model, X_test, base_split.test.y,
                                                  dataset.encoder.class_names, 10)
@@ -426,16 +398,18 @@ def cmd_ablate(args) -> int:
             print(f"case #{case_id} failed: {exc}", file=sys.stderr)
         rows.append(row)
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     write_manifest(out_dir / "manifest.json", "ablate",
-                   {"epochs": args.epochs, "batch_size": args.batch_size,
-                    "lr": args.lr, "fraction": args.fraction,
+                   {"epochs": train_cfg.epochs, "batch_size": train_cfg.batch_size,
+                    "lr": train_cfg.lr, "fraction": args.fraction,
                     "bn_momentum": args.bn_momentum, "dtype": args.dtype,
                     "label_column": args.label_column},
-                   args.seed, dataset_fingerprint(args.data), started)
+                   train_cfg.seed, fingerprint, started)
     print(f"wrote {out_dir}/ablation.csv, manifest.json")
     return 0
 
@@ -458,51 +432,45 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'a:b' ratio (majority:rest) or per-class comma list")
     g.add_argument("--separation", type=float, default=5.0,
                    help="nearest-centroid margin in noise-sigma units")
-    g.add_argument("--sequence-structure", action=argparse.BooleanOptionalAction,
-                   default=True)
-    g.add_argument("--structure-strength", type=float, default=0.75)
+    g.add_argument("--structure-strength", type=float, default=0.75,
+                   help="per-class feature autocorrelation; 0 gives white noise")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
 
-    t = sub.add_parser("train", help="train a model on a labeled CSV")
-    t.add_argument("--data", required=True)
-    t.add_argument("--label-column", default="label")
+    # the flags of every command that reads a labeled CSV
+    data_flags = argparse.ArgumentParser(add_help=False)
+    data_flags.add_argument("--data", required=True)
+    data_flags.add_argument("--label-column", default="label")
+    data_flags.add_argument("--out-dir", required=True)
+    # the training flags of train and ablate; unset ones keep TrainConfig's defaults
+    train_flags = argparse.ArgumentParser(add_help=False)
+    train_flags.add_argument("--epochs", type=int)
+    train_flags.add_argument("--batch-size", type=int)
+    train_flags.add_argument("--lr", type=float)
+    train_flags.add_argument("--seed", type=int)
+    train_flags.add_argument("--fraction", type=float, default=0.8,
+                             help="train fraction of the 80/20-style split")
+    train_flags.add_argument("--dtype", choices=("float64", "float32"), default="float64")
+
+    t = sub.add_parser("train", parents=[data_flags, train_flags],
+                       help="train a model on a labeled CSV")
     t.add_argument("--config", default=None, help="flat key = value config file")
-    t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--batch-size", type=int, default=None)
-    t.add_argument("--lr", type=float, default=None)
-    t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--val-fraction", type=float, default=None)
-    t.add_argument("--fraction", type=float, default=0.8,
-                   help="train fraction of the 80/20-style split")
+    t.add_argument("--val-fraction", dest="validation_fraction", type=float)
     t.add_argument("--smote", action=argparse.BooleanOptionalAction, default=None)
-    t.add_argument("--smote-k", type=int, default=5)
-    t.add_argument("--dtype", choices=("float64", "float32"), default="float64")
-    t.add_argument("--out-dir", required=True)
     t.set_defaults(func=cmd_train)
 
-    e = sub.add_parser("eval", help="evaluate a checkpoint on a labeled CSV")
+    e = sub.add_parser("eval", parents=[data_flags],
+                       help="evaluate a checkpoint on a labeled CSV")
     e.add_argument("--checkpoint", required=True)
-    e.add_argument("--data", required=True)
-    e.add_argument("--label-column", default="label")
     e.add_argument("--holdout", action="store_true",
                    help="evaluate only the run's held-out split of --data")
     e.add_argument("--repetitions", type=int, default=30)
-    e.add_argument("--out-dir", required=True)
     e.set_defaults(func=cmd_eval)
 
-    a = sub.add_parser("ablate", help="train and evaluate the ten-variant grid")
-    a.add_argument("--data", required=True)
-    a.add_argument("--label-column", default="label")
-    a.add_argument("--epochs", type=int, default=15)
-    a.add_argument("--batch-size", type=int, default=128)
-    a.add_argument("--lr", type=float, default=1e-3)
-    a.add_argument("--fraction", type=float, default=0.8)
-    a.add_argument("--seed", type=int, default=0)
+    a = sub.add_parser("ablate", parents=[data_flags, train_flags],
+                       help="train and evaluate the ten-variant grid")
     a.add_argument("--bn-momentum", type=float, default=0.99)
-    a.add_argument("--dtype", choices=("float64", "float32"), default="float64")
-    a.add_argument("--out-dir", required=True)
     a.set_defaults(func=cmd_ablate)
     return parser
 

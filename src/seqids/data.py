@@ -20,8 +20,9 @@ The CSV contract of ``load_csv``:
   one chunk are alive at once. A column that turns categorical after the
   first chunk, and a label column that never does, are read again in a
   second pass. The memory peak is about twice the bytes of the final
-  ``X``, plus ~85 bytes for each cell of one chunk and ~24 bytes a row for
-  codes, masks and ``y``.
+  ``X``, plus ~85 bytes for each cell of one chunk and ~9 bytes a row for
+  the label codes, the keep mask and ``y``: each float column leaves the
+  table as ``X`` takes it in.
 
 The processing order is fixed: split first, oversample the training split
 only, and fit standardization statistics on the (possibly oversampled)
@@ -249,6 +250,8 @@ def table_to_dataset(table: RawTable, label_column: str) -> tuple[Dataset, int]:
     numeric one, are dropped. Categorical columns, and the label, are
     encoded by the kept rows' strings in lexicographic order; a label
     column whose cells all parse as numbers is read again for its strings.
+    The float columns are taken out of ``table.numeric`` as ``X`` is filled,
+    so a table is numerized once.
     """
     if label_column not in table.column_names:
         raise ConfigError(
@@ -273,11 +276,16 @@ def table_to_dataset(table: RawTable, label_column: str) -> tuple[Dataset, int]:
     if not kept:
         raise InputError("all rows dropped during numerization")
 
-    encoder, y = labels.encode(keep)
+    # with no row dropped, a column is copied without a [keep] temporary
     X = np.empty((kept, len(feature_idx)))
     for pos, i in enumerate(feature_idx):
-        X[:, pos] = (table.numeric[i][keep] if i in table.numeric
-                     else table.categorical[i].encode(keep)[1])
+        if i not in table.numeric:
+            X[:, pos] = table.categorical[i].encode(keep)[1]
+        elif kept == table.row_count:
+            X[:, pos] = table.numeric.pop(i)
+        else:
+            X[:, pos] = table.numeric.pop(i)[keep]
+    encoder, y = labels.encode(keep)
     return Dataset(X=X, y=y, encoder=encoder, feature_names=feature_names), table.row_count - kept
 
 
@@ -323,6 +331,8 @@ def stratified_carve(y: np.ndarray, fraction: float, rng: np.random.Generator,
 
 def train_test_split(d: Dataset, fraction: float = 0.8, seed: int = 0) -> SplitPair:
     """Seeded stratified split: each class keeps its proportion in both halves."""
+    if not 0.0 < fraction < 1.0:
+        raise ContractError(f"fraction must be in (0, 1), got {fraction}")
     counts = d.class_counts()
     small = np.flatnonzero(counts < 2)
     if small.size:
@@ -343,6 +353,8 @@ def train_test_split(d: Dataset, fraction: float = 0.8, seed: int = 0) -> SplitP
 #: rows per block of the SMOTE neighbor search; bounds its memory to
 #: about ``_KNN_BLOCK * n`` distances for a class of ``n`` rows
 _KNN_BLOCK = 512
+#: neighbors each SMOTE base row interpolates towards, the k = 5 of Chawla et al.
+_SMOTE_K = 5
 
 
 def _nearest_neighbors(X: np.ndarray, k: int) -> np.ndarray:
@@ -362,11 +374,12 @@ def _nearest_neighbors(X: np.ndarray, k: int) -> np.ndarray:
     return nn
 
 
-def smote_oversample(train: Dataset, k_neighbors: int = 5, seed: int = 0) -> Dataset:
+def smote_oversample(train: Dataset, seed: int = 0) -> Dataset:
     """Equalize class counts by interpolating between same-class neighbors.
 
     Each synthetic row is x + lam * (x_nn - x) for a base sample x, one of
-    its k nearest same-class neighbors x_nn (Euclidean), and lam ~ U[0, 1].
+    its ``_SMOTE_K`` nearest same-class neighbors x_nn (Euclidean; fewer in a
+    class of ``_SMOTE_K`` rows or less), and lam ~ U[0, 1].
     Original rows are preserved and come first.
     """
     counts = train.class_counts()
@@ -383,7 +396,7 @@ def smote_oversample(train: Dataset, k_neighbors: int = 5, seed: int = 0) -> Dat
             raise ContractError(
                 f"class {train.encoder.class_names[c]!r} has one sample; SMOTE needs >= 2")
         Xc = train.X[members]
-        k = min(k_neighbors, members.size - 1)
+        k = min(_SMOTE_K, members.size - 1)
         nn_idx = _nearest_neighbors(Xc, k)
         base = rng.integers(0, members.size, size=need)
         pick = nn_idx[base, rng.integers(0, k, size=need)]
@@ -427,14 +440,14 @@ def reshape_for_model(X: np.ndarray, standardizer: Standardizer | None = None) -
 
 def synth_dataset(classes: int = 6, features: int = 60, per_class: int = 500,
                   imbalance_profile=None, seed: int = 0, separation: float = 5.0,
-                  sequence_structure: bool = True, structure_strength: float = 0.75) -> Dataset:
-    """Gaussian class clusters with optional per-class feature autocorrelation.
+                  structure_strength: float = 0.75) -> Dataset:
+    """Gaussian class clusters with per-class feature autocorrelation.
 
     Centroids sit on orthonormal directions scaled so every pair is
     ``2 * separation`` apart in noise-sigma units: ``separation`` is the
-    nearest-centroid margin. With ``sequence_structure`` the noise of class
-    ``c`` is autoregressive at lag ``2c + 1`` with coefficient
-    ``structure_strength`` (unit stationary variance), so classes differ in
+    nearest-centroid margin. The noise of class ``c`` is autoregressive at
+    lag ``2c + 1`` with coefficient ``structure_strength`` (unit stationary
+    variance; 0 gives white noise), so classes differ in
     where along the feature axis their autocorrelation sits. Centroids are
     invisible to that signal and vice versa: temporal layers get
     distribution-level structure, including long-range lags no small
@@ -452,12 +465,11 @@ def synth_dataset(classes: int = 6, features: int = 60, per_class: int = 500,
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(features, classes)))
     directions = q.T
-    strength = structure_strength if sequence_structure else 0.0
 
     xs, ys = [], []
     for c in range(classes):
         centroid = np.sqrt(2.0) * separation * directions[c]
-        lag, rho = 2 * c + 1, strength
+        lag, rho = 2 * c + 1, structure_strength
         n_c = max(2, int(round(per_class * profile[c])))
         white = rng.normal(size=(n_c, features))
         noise = white

@@ -53,8 +53,13 @@ class ModelConfig:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.use_mha and (self.num_heads < 1 or self.key_dim < 1):
-            raise ConfigError("attention needs num_heads >= 1 and key_dim >= 1")
+        for name in ("conv_filters", "kernel_size", "gru_units", "num_heads", "key_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if min(self.dense_units, default=1) < 1:
+            raise ConfigError(f"dense_units must all be >= 1, got {self.dense_units}")
+        if not 0.0 <= self.bn_momentum < 1.0:
+            raise ConfigError(f"bn_momentum must be in [0, 1), got {self.bn_momentum}")
         if len(self.input_shape) != 2 or min(self.input_shape) < 1:
             raise ConfigError(f"input_shape must be (time, channels), got {self.input_shape}")
 

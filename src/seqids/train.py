@@ -23,20 +23,23 @@ from .model import Model
 from .tensor import Tape, Tensor, backward
 
 
+#: Adam's decay rates and denominator floor, the fixed values of Kingma & Ba
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 15
     batch_size: int = 128
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
     validation_fraction: float = 0.1
 
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError("epochs and batch_size must be >= 1")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ContractError(f"lr must be a finite number > 0, got {self.lr}")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ContractError("validation_fraction must be in [0, 1)")
 
@@ -80,20 +83,16 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
 class Adam:
     """Adam with bias correction; one slot pair per named parameter."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -102,7 +101,7 @@ class Adam:
             v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -146,8 +145,7 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
     X_fit, y_fit = X[fit_idx], y[fit_idx]
     X_val, y_val = X[hold_idx], y[hold_idx]
 
-    opt = Adam(model.named_parameters(), lr=cfg.lr, beta1=cfg.beta1,
-               beta2=cfg.beta2, epsilon=cfg.epsilon)
+    opt = Adam(model.named_parameters(), lr=cfg.lr)
     records: list[EpochRecord] = []
     n = X_fit.shape[0]
     for epoch in range(1, cfg.epochs + 1):

@@ -77,12 +77,15 @@ def test_gen_data_writes_manifest(tmp_path):
 ], ids=["lf", "crlf", "no_final_newline", "blank_lines", "utf8_and_bad_bytes", "empty"])
 def test_dataset_fingerprint_counts_non_empty_lines(tmp_path, monkeypatch, content, rows,
                                                     columns, block):
+    # rows and columns are the counts the caller passes, here the non-empty lines
+    # after the header and the header's cells; the sha256 covers every byte
     if block is not None:   # blocks smaller than a line, a \r\n pair or a utf-8 character
         monkeypatch.setattr(cli, "_FINGERPRINT_BLOCK", block)
     f = tmp_path / "d.csv"
     f.write_bytes(content)
-    assert cli.dataset_fingerprint(f) == {"path": str(f), "rows": rows, "columns": columns,
-                                          "sha256": hashlib.sha256(content).hexdigest()}
+    assert cli.dataset_fingerprint(f, rows, columns) == {
+        "path": str(f), "rows": rows, "columns": columns,
+        "sha256": hashlib.sha256(content).hexdigest()}
 
 
 def test_gen_data_bad_directory_fails(tmp_path):
@@ -173,7 +176,8 @@ def test_train_config_use_smote_key(tmp_path):
 
 @pytest.mark.parametrize("line,key", [("gru_unit = 6", "gru_unit"),
                                       ("gru_units = abc", "gru_units"),
-                                      ("num_classes = 4", "num_classes")])
+                                      ("num_classes = 4", "num_classes"),
+                                      ("beta1 = 0.9", "beta1")])
 def test_train_bad_config_line_fails_naming_the_key(tmp_path, capsys, line, key):
     data = gen(tmp_path)
     cfg = config_file(tmp_path)
@@ -211,6 +215,16 @@ def test_train_missing_label_column_fails_nonzero(tmp_path, capsys):
     assert rc == 1
     assert "error [train]" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("lr", ["-1", "0", "inf", "nan"])
+def test_train_lr_that_is_not_finite_and_positive_fails_naming_it(tmp_path, capsys, lr):
+    data = gen(tmp_path)
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", data, "--config", config_file(tmp_path),
+                   "--out-dir", out, "--epochs", 1, "--lr", lr) == 1
+    assert "lr must be a finite number > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_validation_fraction_holding_out_nothing_fails(tmp_path, capsys):
@@ -264,6 +278,15 @@ def test_eval_train_data_beats_heldout_on_separable_task(tmp_path):
     acc_hold = json.loads((hold / "report.json").read_text())["accuracy"]
     # full file includes the training rows, so it cannot score below holdout
     assert acc_full >= acc_hold - 1e-9
+
+
+def test_eval_that_fails_while_scoring_leaves_no_directory(tmp_path, capsys):
+    data, ckpt = trained_run(tmp_path)
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--checkpoint", ckpt, "--data", data, "--repetitions", 5,
+                   "--out-dir", out) == 1
+    assert "repetitions >= 10" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_feature_width_mismatch_names_widths(tmp_path, capsys):
@@ -396,6 +419,51 @@ def test_ablate_failed_case_keeps_its_row(tmp_path, monkeypatch):
         assert all(row[col] != "" for row in rows[:5] + rows[6:])
     assert failed["error"] == "injected failure"
     assert all(row["error"] == "" for row in rows[:5] + rows[6:])
+
+
+@pytest.mark.parametrize("extra_row, flag, message", [
+    ("0.5," * 8 + "lonely", ["--epochs", 1], "'lonely' has 1 sample(s)"),
+    (None, ["--bn-momentum", 1.5], "bn_momentum must be in [0, 1)"),
+], ids=["class_of_one_row", "bn_momentum"])
+def test_ablate_that_fails_leaves_no_directory(tmp_path, capsys, extra_row, flag, message):
+    data = gen(tmp_path, classes=3, features=8, per_class=30)
+    if extra_row:
+        with open(data, "a", encoding="utf-8") as fh:
+            fh.write(extra_row + "\n")
+    out = tmp_path / "ablation"
+    assert run_cli("ablate", "--data", data, "--out-dir", out, *flag) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# manifests
+
+def test_manifests_record_the_readers_rows_and_columns(tmp_path):
+    # a quoted comma in a header cell, a quoted line break and a U+2028 in a
+    # categorical column, and one dropped row: 90 rows and 10 columns, which a
+    # count of text lines and of commas in the first line makes 92 and 11
+    data = gen(tmp_path, classes=3, features=8, per_class=30)
+    with open(data, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    header[0] = "f00, first"
+    words = ["line\nbreak", "para\u2028graph"] + ["plain", "other"] * 44
+    rows = [[word] + row for word, row in zip(words, rows)]
+    rows[-1][1] = "?"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["kind"] + header] + rows)
+    expected = {"path": str(data), "rows": 90, "columns": 10,
+                "sha256": hashlib.sha256(data.read_bytes()).hexdigest()}
+
+    run, ev, ab = tmp_path / "run", tmp_path / "eval", tmp_path / "ablation"
+    assert run_cli("train", "--data", data, "--config", config_file(tmp_path),
+                   "--out-dir", run, *TRAIN_SPEED_FLAGS) == 0
+    assert run_cli("eval", "--checkpoint", run / "checkpoint.bin", "--data", data,
+                   "--repetitions", 10, "--out-dir", ev) == 0
+    assert run_cli("ablate", "--data", data, "--out-dir", ab, "--epochs", 1,
+                   "--batch-size", 32, "--bn-momentum", 0.8) == 0
+    for out in (run, ev, ab):
+        assert json.loads((out / "manifest.json").read_text())["dataset"] == expected
 
 
 # ---------------------------------------------------------------------------

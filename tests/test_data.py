@@ -211,9 +211,7 @@ def test_load_csv_quoted_label_with_a_comma_and_blank_lines(tmp_path):
     np.testing.assert_array_equal(ds.X[:, 0], [1.0, 2.0, 3.0])
 
 
-def test_load_csv_peak_memory_is_two_x_plus_one_chunk(tmp_path):
-    # 8 chunks; reading every cell into a Python str peaked near 12x the bytes of X here
-    ds = D.synth_dataset(classes=4, features=20, per_class=2 * D._CHUNK_ROWS, seed=0)
+def assert_load_csv_peak_is_two_x_plus_one_chunk(tmp_path, ds: D.Dataset) -> None:
     f = tmp_path / "t.csv"
     D.save_csv(ds, f)
     tracemalloc.start()
@@ -224,7 +222,22 @@ def test_load_csv_peak_memory_is_two_x_plus_one_chunk(tmp_path):
         tracemalloc.stop()
     # the str cells of one chunk, with their list and array slots: ~85 bytes a cell
     chunk_budget = D._CHUNK_ROWS * len(ds.feature_names + ["label"]) * 128
-    assert peak <= 2 * loaded.X.nbytes + chunk_budget
+    # the label codes, the keep mask and y: ~9 bytes a row above 2x X
+    row_budget = 12 * loaded.X.shape[0]
+    assert peak <= 2 * loaded.X.nbytes + chunk_budget + row_budget
+
+
+def test_load_csv_peak_memory_is_two_x_plus_one_chunk(tmp_path):
+    # 8 chunks; reading every cell into a Python str peaked near 12x the bytes of X here
+    ds = D.synth_dataset(classes=4, features=20, per_class=2 * D._CHUNK_ROWS, seed=0)
+    assert_load_csv_peak_is_two_x_plus_one_chunk(tmp_path, ds)
+
+
+def test_load_csv_peak_memory_of_a_narrow_file_grows_by_few_bytes_a_row(tmp_path):
+    # with 2 features X is 16 bytes a row, so the per-row arrays beside it, not
+    # the chunk, decide whether the peak stays within the bound
+    ds = D.synth_dataset(classes=2, features=2, per_class=50_000, seed=0)
+    assert_load_csv_peak_is_two_x_plus_one_chunk(tmp_path, ds)
 
 
 def reference_load_csv(path, label_column="label"):
@@ -397,6 +410,12 @@ def test_split_row_ids_are_pinned(fraction, seed, train_rows, test_rows):
     assert pair.test.X[:, 0].astype(int).tolist() == test_rows
 
 
+@pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2])
+def test_split_fraction_outside_zero_one_is_rejected(fraction):
+    with pytest.raises(ContractError, match="fraction must be in"):
+        D.train_test_split(row_id_dataset(), fraction=fraction)
+
+
 def test_stratified_carve_keeps_every_row_once():
     y = row_id_dataset().y
     first, rest = D.stratified_carve(y, 0.9, np.random.default_rng(0), min_first=0)
@@ -436,7 +455,7 @@ def test_smote_preserves_originals_first():
 def test_smote_synthetics_lie_on_base_neighbor_segments():
     ds = D.synth_dataset(classes=2, features=4, per_class=40,
                          imbalance_profile=[1.0, 0.3], seed=8)
-    out = D.smote_oversample(ds, k_neighbors=5, seed=2)
+    out = D.smote_oversample(ds, seed=2)
     n_orig = ds.X.shape[0]
     synth = out.X[n_orig:]
     assert synth.shape[0] > 0
@@ -583,7 +602,7 @@ def test_synth_unit_variance_regardless_of_structure():
 def test_centroid_pairwise_distances_match_separation():
     sep = 5.0
     ds = D.synth_dataset(classes=4, features=30, per_class=2000, seed=17,
-                         separation=sep, sequence_structure=False)
+                         separation=sep, structure_strength=0.0)
     cents = np.stack([ds.X[ds.y == c].mean(axis=0) for c in range(4)])
     for i in range(4):
         for j in range(i + 1, 4):

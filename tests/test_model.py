@@ -151,6 +151,16 @@ def test_invalid_configs_rejected():
         build_model(ModelConfig(dropout_rate=1.0), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("conv_filters", 0), ("kernel_size", 0), ("gru_units", 0), ("dense_units", (0,)),
+    ("dense_units", (16, 0)), ("bn_momentum", 2.0), ("bn_momentum", 1.0),
+    ("bn_momentum", -0.1),
+])
+def test_out_of_range_size_or_momentum_is_rejected_naming_it(field, value):
+    with pytest.raises(ConfigError, match=field):
+        dataclasses.replace(ModelConfig(), **{field: value}).validate()
+
+
 def test_forward_shape_mismatch():
     m = build_model(TINY, np.random.default_rng(6))
     with pytest.raises(ShapeError):
