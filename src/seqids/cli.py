@@ -315,6 +315,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.time()
+    if args.repetitions < TR.MIN_REPETITIONS:
+        raise ConfigError(f"eval needs --repetitions >= {TR.MIN_REPETITIONS}, "
+                          f"got {args.repetitions}")
     model, standardizer, meta = _load_model_checkpoint(args.checkpoint)
     dataset, fingerprint = _load_dataset(args)
     expected_f = model.cfg.input_shape[0]
@@ -352,7 +355,7 @@ def cmd_eval(args) -> int:
     (out_dir / "report.txt").write_text(M.format_report_text(report) + "\n",
                                         encoding="utf-8")
     M.confusion_to_csv(cm, out_dir / "confusion.csv")
-    M.roc_to_csv(curves, out_dir / "roc.csv")
+    M.roc_to_csv(curves, class_names, out_dir / "roc.csv")
     write_manifest(out_dir / "manifest.json", "eval",
                    {"checkpoint": str(args.checkpoint), "holdout": args.holdout,
                     "repetitions": args.repetitions,
@@ -388,7 +391,8 @@ def cmd_ablate(args) -> int:
             model, _ = TR.train(model, fit_split, dataclasses.replace(train_cfg, seed=case_seed))
             X_test = D.reshape_for_model(base_split.test.X, standardizer)
             _, _, report, loss, latency = _score(model, X_test, base_split.test.y,
-                                                 dataset.encoder.class_names, 10)
+                                                 dataset.encoder.class_names,
+                                                 TR.MIN_REPETITIONS)
             row.update(accuracy=f"{report.accuracy:.6f}", loss=f"{loss:.6f}",
                        fpr=f"{report.macro_fpr:.6f}", inf_time=f"{latency:.3e}",
                        min_class_recall=f"{report.recall.min():.6f}", error="")

@@ -16,13 +16,17 @@ The CSV contract of ``load_csv``:
   parses with ``float()``; otherwise it is categorical and encoded by its
   strings in lexicographic order. The class names are the label cells'
   strings, also when they all parse as numbers.
+- The header is checked first: a label column it lacks is a
+  ``ConfigError``, and a header with no other column an ``InputError``,
+  both raised before any data row is parsed. The label cells are kept as
+  strings from the first row on and never parsed as numbers.
 - Rows are parsed ``_CHUNK_ROWS`` at a time, so the cell strings of only
-  one chunk are alive at once. A column that turns categorical after the
-  first chunk, and a label column that never does, are read again in a
-  second pass. The memory peak is about twice the bytes of the final
-  ``X``, plus ~85 bytes for each cell of one chunk and ~9 bytes a row for
-  the label codes, the keep mask and ``y``: each float column leaves the
-  table as ``X`` takes it in.
+  one chunk are alive at once. A feature column that turns categorical
+  after the first chunk, whose earlier strings are gone, is read again in
+  a second pass; nothing else is. The memory peak is about twice the
+  bytes of the final ``X``, plus ~85 bytes for each cell of one chunk and
+  ~9 bytes a row for the label codes, the keep mask and ``y``: each float
+  column leaves the table as ``X`` takes it in.
 
 The processing order is fixed: split first, oversample the training split
 only, and fit standardization statistics on the (possibly oversampled)
@@ -134,10 +138,10 @@ class RawTable:
     """A CSV file parsed column by column.
 
     Every column is either numeric (float values, nan where a cell is a
-    missing marker) or categorical.
+    missing marker) or categorical; the label column is always categorical.
     """
-    path: str
     column_names: list[str]
+    label: int   # the label column's index
     row_count: int
     numeric: dict[int, np.ndarray]
     categorical: dict[int, Categories]
@@ -200,22 +204,30 @@ def _read_categories(path, columns) -> dict[int, Categories]:
     return found
 
 
-def read_table(path) -> RawTable:
+def read_table(path, label_column: str) -> RawTable:
     """Parse a CSV file under the module's contract, ``_CHUNK_ROWS`` rows at a time.
 
-    Each chunk becomes an object array whose columns are cast to float64
-    (numpy calls ``float()`` on each cell); a column that fails is cast
-    again without its missing markers, and if that fails too it is
-    categorical for the whole file. A column that fails on the first chunk
-    keeps its strings as ``Categories`` from then on; one that fails on a
-    later chunk, whose earlier strings are gone, is read again in a second
-    pass over the file. Only one chunk's strings are alive at a time, beside
-    the float columns, so the peak is about the bytes of ``X`` plus one chunk.
+    The header is checked for ``label_column`` and for a feature column
+    before any row is parsed. The label column is kept as ``Categories`` of
+    its cell strings and never cast. Each chunk becomes an object array
+    whose feature columns are cast to float64 (numpy calls ``float()`` on
+    each cell); a column that fails is cast again without its missing
+    markers, and if that fails too it is categorical for the whole file. A
+    column that fails on the first chunk keeps its strings as ``Categories``
+    from then on; one that fails on a later chunk, whose earlier strings are
+    gone, is read again in a second pass over the file. Only one chunk's
+    strings are alive at a time, beside the float columns, so the peak is
+    about the bytes of ``X`` plus one chunk.
     """
     chunks = _row_chunks(path)
     header = next(chunks)
-    parts = {i: [] for i in range(len(header))}   # the columns numeric so far
-    categorical: dict[int, Categories] = {}
+    if label_column not in header:
+        raise ConfigError(f"label column {label_column!r} not found; columns: {header}")
+    if len(header) < 2:
+        raise InputError(f"no feature column besides the label column {label_column!r}")
+    label = header.index(label_column)
+    parts = {i: [] for i in range(len(header)) if i != label}   # the columns numeric so far
+    categorical = {label: Categories()}
     late = []
     rows = 0
     for chunk in chunks:
@@ -239,32 +251,22 @@ def read_table(path) -> RawTable:
     numeric = {i: np.concatenate(parts.pop(i)) for i in list(parts)}
     if late:
         categorical.update(_read_categories(path, late))
-    return RawTable(path=str(path), column_names=header, row_count=rows, numeric=numeric,
+    return RawTable(column_names=header, label=label, row_count=rows, numeric=numeric,
                     categorical=categorical)
 
 
-def table_to_dataset(table: RawTable, label_column: str) -> tuple[Dataset, int]:
+def table_to_dataset(table: RawTable) -> tuple[Dataset, int]:
     """Numerize a raw table; returns the dataset and the dropped-row count.
 
     Rows with a missing marker in any column, or a non-finite value in a
     numeric one, are dropped. Categorical columns, and the label, are
-    encoded by the kept rows' strings in lexicographic order; a label
-    column whose cells all parse as numbers is read again for its strings.
-    The float columns are taken out of ``table.numeric`` as ``X`` is filled,
-    so a table is numerized once.
+    encoded by the kept rows' strings in lexicographic order. The float
+    columns are taken out of ``table.numeric`` as ``X`` is filled, so a
+    table is numerized once.
     """
-    if label_column not in table.column_names:
-        raise ConfigError(
-            f"label column {label_column!r} not found; columns: {table.column_names}")
-    label_idx = table.column_names.index(label_column)
-    feature_idx = [i for i in range(len(table.column_names)) if i != label_idx]
+    feature_idx = [i for i in range(len(table.column_names)) if i != table.label]
     feature_names = [table.column_names[i] for i in feature_idx]
-    if not feature_idx:
-        raise InputError(f"no feature column besides the label column {label_column!r}")
-    if label_idx in table.categorical:
-        labels = table.categorical[label_idx]
-    else:
-        labels = _read_categories(table.path, [label_idx])[label_idx]
+    labels = table.categorical[table.label]
 
     keep = labels.present()
     for i in feature_idx:
@@ -296,7 +298,7 @@ def load_csv(path, label_column: str = "label") -> tuple[Dataset, int]:
     or a non-finite number; the module docstring states the full contract
     (dialect, blank lines, markers, column types and memory).
     """
-    return table_to_dataset(read_table(path), label_column)
+    return table_to_dataset(read_table(path, label_column))
 
 
 def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:

@@ -25,8 +25,14 @@ varies):
   with the head count.
 * The normalizers add a fixed epsilon to the variance: 1e-3 for BatchNorm
   (the Keras default) and 1e-5 for LayerNorm (the PyTorch default).
+* BatchNorm in both modes and LayerNorm are one shared primitive,
+  ``_normalize``, and so one tape record each. They differ only in the axes
+  their statistics come from: batch and time for BatchNorm train, the
+  feature axis for LayerNorm, and none for BatchNorm infer, whose running
+  statistics are constants to the backward rule.
 * Dropout is inverted: survivors are scaled by 1/(1-rate) at train time and
-  inference is the identity.
+  inference is the identity. Train mode is one tape record whose backward
+  rule is ``g * mask``.
 * Dense is one tape record over ``(N, in)`` input: ``x W^T + b``, then ReLU
   or no activation. The model's last Dense has none, so it returns logits;
   the softmax lives in the loss and in ``predict_proba``.
@@ -108,6 +114,41 @@ def conv1d_forward(x: Tensor, p: Conv1DParams) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# Normalization: BatchNorm and LayerNorm share one primitive
+
+def _normalize(x: Tensor, p: BatchNormParams | LayerNormParams, mean: np.ndarray,
+               var: np.ndarray, epsilon: float, axes: tuple[int, ...] | None) -> Tensor:
+    """``(x - mean) * rstd * gamma + beta`` as one tape record, with
+    ``rstd = 1 / sqrt(var + epsilon)`` and gamma, beta over the last axis.
+
+    ``axes`` are the axes ``mean`` and ``var`` were taken over, the set S
+    the backward rule differentiates through:
+    ``dx = rstd * (g' - mean_S(g') - xhat * mean_S(g' * xhat))`` with
+    ``g' = g * gamma``. ``None`` means fixed statistics: ``dx = g' * rstd``.
+    """
+    rstd = 1.0 / np.sqrt(var + epsilon)
+    xhat = x.data - mean
+    xhat *= rstd
+    out_data = xhat * p.gamma.data
+    out_data += p.beta.data
+    gamma, lead = p.gamma.data, tuple(range(x.ndim - 1))
+
+    def back(g):
+        t = g * xhat
+        dgamma = t.sum(axis=lead)
+        dx = g * gamma
+        if axes is not None:
+            t *= gamma
+            proj = t.mean(axis=axes, keepdims=True)
+            dx -= dx.mean(axis=axes, keepdims=True)
+            dx -= np.multiply(xhat, proj, out=t)
+        dx *= rstd
+        return dx, dgamma, g.sum(axis=lead)
+
+    return register_op((x, p.gamma, p.beta), out_data, back)
+
+
+# ---------------------------------------------------------------------------
 # BatchNorm
 
 _BN_EPSILON = 1e-3
@@ -139,42 +180,19 @@ def batchnorm_forward(x: Tensor, p: BatchNormParams, mode: str = "train") -> Ten
     running statistics only.
     """
     _check_sequence(x, "batchnorm")
-    xd = x.data
-    n = xd.shape[0] * xd.shape[1]
-
-    if mode == "train":
-        if n < 2:
-            raise ContractError("batchnorm train mode needs at least 2 elements per channel")
-        mean = xd.mean(axis=(0, 1))
-        var = xd.var(axis=(0, 1))
-        m = p.momentum
-        p.running_mean.data = m * p.running_mean.data + (1 - m) * mean
-        p.running_var.data = m * p.running_var.data + (1 - m) * var
-    elif mode == "infer":
-        mean = p.running_mean.data
-        var = p.running_var.data
-    else:
+    if mode == "infer":
+        return _normalize(x, p, p.running_mean.data, p.running_var.data, _BN_EPSILON, None)
+    if mode != "train":
         raise ContractError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
-
-    rstd = 1.0 / np.sqrt(var + _BN_EPSILON)
-    xhat = (xd - mean) * rstd
-    out_data = xhat * p.gamma.data + p.beta.data
-    gamma = p.gamma.data
-
-    if mode == "train":
-        def back(g):
-            dgamma = (g * xhat).sum(axis=(0, 1))
-            dbeta = g.sum(axis=(0, 1))
-            dx = (gamma * rstd / n) * (n * g - dbeta - xhat * dgamma)
-            return dx, dgamma, dbeta
-    else:
-        def back(g):
-            dgamma = (g * xhat).sum(axis=(0, 1))
-            dbeta = g.sum(axis=(0, 1))
-            dx = g * (gamma * rstd)
-            return dx, dgamma, dbeta
-
-    return register_op((x, p.gamma, p.beta), out_data, back)
+    xd = x.data
+    if xd.shape[0] * xd.shape[1] < 2:
+        raise ContractError("batchnorm train mode needs at least 2 elements per channel")
+    mean = xd.mean(axis=(0, 1))
+    var = xd.var(axis=(0, 1))
+    m = p.momentum
+    p.running_mean.data = m * p.running_mean.data + (1 - m) * mean
+    p.running_var.data = m * p.running_var.data + (1 - m) * var
+    return _normalize(x, p, mean, var, _BN_EPSILON, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +315,9 @@ def layernorm_forward(x: Tensor, p: LayerNormParams) -> Tensor:
         raise ShapeError(
             f"layernorm: feature width {x.shape[-1]} does not match params {p.gamma.shape}")
     xd = x.data
-    f = xd.shape[-1]
     mean = xd.mean(axis=-1, keepdims=True)
     var = xd.var(axis=-1, keepdims=True)
-    rstd = 1.0 / np.sqrt(var + _LN_EPSILON)
-    xhat = (xd - mean) * rstd
-    out_data = xhat * p.gamma.data + p.beta.data
-    gamma = p.gamma.data
-    reduce_axes = tuple(range(xd.ndim - 1))
-
-    def back(g):
-        dgamma = (g * xhat).sum(axis=reduce_axes)
-        dbeta = g.sum(axis=reduce_axes)
-        dxhat = g * gamma
-        dx = rstd * (dxhat
-                     - dxhat.mean(axis=-1, keepdims=True)
-                     - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / f)
-        return dx, dgamma, dbeta
-
-    return register_op((x, p.gamma, p.beta), out_data, back)
+    return _normalize(x, p, mean, var, _LN_EPSILON, (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +407,8 @@ def dropout_forward(x: Tensor, rate: float, mode: str = "train",
         return x
     if rng is None:
         raise ContractError("dropout in train mode needs a seeded generator")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return T.mul(x, Tensor(mask))
+    mask = ((rng.random(x.shape) >= rate) / (1.0 - rate)).astype(x.data.dtype, copy=False)
+    return register_op((x,), x.data * mask, lambda g: (g * mask,))
 
 
 @dataclass

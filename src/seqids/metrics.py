@@ -105,7 +105,6 @@ def class_report(cm: ConfusionMatrix) -> ClassReport:
 @dataclass
 class RocCurve:
     class_index: int
-    class_name: str
     thresholds: np.ndarray
     fpr: np.ndarray
     tpr: np.ndarray
@@ -128,8 +127,8 @@ def roc_auc(scores: np.ndarray, true_labels) -> list[RocCurve]:
         pos = y == c
         n_pos, n_neg = int(pos.sum()), int((~pos).sum())
         if n_pos == 0 or n_neg == 0:
-            curves.append(RocCurve(c, str(c), np.array([]), np.array([]),
-                                   np.array([]), auc=None, defined=False))
+            curves.append(RocCurve(c, np.array([]), np.array([]), np.array([]),
+                                   auc=None, defined=False))
             continue
         s = scores[:, c]
         order = np.argsort(-s, kind="stable")
@@ -144,7 +143,7 @@ def roc_auc(scores: np.ndarray, true_labels) -> list[RocCurve]:
         fpr_pts = np.concatenate([[0.0], fps / n_neg])
         thresholds = np.concatenate([[np.inf], s_sorted[boundaries]])
         auc = float(np.trapezoid(tpr, fpr_pts))
-        curves.append(RocCurve(c, str(c), thresholds, fpr_pts, tpr, auc=auc))
+        curves.append(RocCurve(c, thresholds, fpr_pts, tpr, auc=auc))
     return curves
 
 
@@ -172,7 +171,7 @@ def report_to_dict(report: ClassReport, cm: ConfusionMatrix,
         "confusion": cm.counts.tolist(),
     }
     if curves is not None:
-        d["auc"] = {c.class_name: c.auc for c in curves}
+        d["auc"] = {report.class_names[c.class_index]: c.auc for c in curves}
     return d
 
 
@@ -205,7 +204,7 @@ def confusion_to_csv(cm: ConfusionMatrix, path) -> None:
             writer.writerow([name] + [int(v) for v in row])
 
 
-def roc_to_csv(curves: list[RocCurve], path) -> None:
+def roc_to_csv(curves: list[RocCurve], class_names: list[str], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "threshold", "fpr", "tpr"])
@@ -213,5 +212,5 @@ def roc_to_csv(curves: list[RocCurve], path) -> None:
             if not curve.defined:
                 continue
             for thr, f, t in zip(curve.thresholds, curve.fpr, curve.tpr):
-                writer.writerow([curve.class_name, repr(float(thr)),
+                writer.writerow([class_names[curve.class_index], repr(float(thr)),
                                  repr(float(f)), repr(float(t))])

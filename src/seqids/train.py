@@ -26,6 +26,9 @@ from .tensor import Tape, Tensor, backward
 #: Adam's decay rates and denominator floor, the fixed values of Kingma & Ba
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
 
+#: the fewest timed runs ``measure_inference`` takes a median over
+MIN_REPETITIONS = 10
+
 
 @dataclass
 class TrainConfig:
@@ -195,8 +198,8 @@ def measure_inference(model: Model, batch: np.ndarray, repetitions: int = 30) ->
     The input is an in-memory array, so the figure excludes any data
     loading or preprocessing. One warm-up pass runs first.
     """
-    if repetitions < 10:
-        raise ContractError("measure_inference needs repetitions >= 10")
+    if repetitions < MIN_REPETITIONS:
+        raise ContractError(f"measure_inference needs repetitions >= {MIN_REPETITIONS}")
     model.forward(batch, mode="infer")
     times = []
     for _ in range(repetitions):

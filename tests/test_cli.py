@@ -289,6 +289,45 @@ def test_eval_that_fails_while_scoring_leaves_no_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def untrained_checkpoint(tmp_path, class_names):
+    cfg, arrays = small_model_arrays()
+    arrays.update({"standardizer.mean": np.zeros(12), "standardizer.scale": np.ones(12)})
+    path = tmp_path / "untrained.bin"
+    save_checkpoint(path, arrays, {"config": cfg.to_dict(), "class_names": class_names,
+                                   "train": {"seed": 0, "fraction": 0.8}})
+    return path
+
+
+def test_eval_rejects_too_few_repetitions_before_reading_any_input(tmp_path, capsys,
+                                                                    monkeypatch):
+    data = gen(tmp_path)
+    ckpt = untrained_checkpoint(tmp_path, ["class00", "class01", "class02"])
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("eval read its inputs before checking --repetitions")
+
+    for module, name in ((cli, "load_checkpoint"), (D, "load_csv"), (cli.TR, "predict_logits")):
+        monkeypatch.setattr(module, name, not_called)
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--checkpoint", ckpt, "--data", data, "--repetitions", 5,
+                   "--out-dir", out) == 1
+    assert "--repetitions >= 10, got 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_names_roc_curves_by_class_name(tmp_path):
+    data = gen(tmp_path)
+    names = ["class00", "class01", "class02"]
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--checkpoint", untrained_checkpoint(tmp_path, names),
+                   "--data", data, "--repetitions", 10, "--out-dir", out) == 0
+    blob = json.loads((out / "report.json").read_text())
+    assert [p["name"] for p in blob["per_class"]] == names
+    assert sorted(blob["auc"]) == names
+    with open(out / "roc.csv", newline="") as fh:
+        assert {row["class"] for row in csv.DictReader(fh)} == set(names)
+
+
 def test_eval_feature_width_mismatch_names_widths(tmp_path, capsys):
     _, ckpt = trained_run(tmp_path)
     other = gen(tmp_path, name="other.csv", features=7)

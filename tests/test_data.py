@@ -201,6 +201,33 @@ def test_load_csv_numeric_label_column_is_encoded_by_its_strings(tmp_path):
     np.testing.assert_array_equal(ds.y, [1, 2, 0, 1])
 
 
+def test_load_csv_numeric_label_column_is_read_in_one_pass(tmp_path, monkeypatch):
+    f = tmp_path / "t.csv"
+    rows = [[str(i), str(i % 3)] for i in range(3 * D._CHUNK_ROWS)]
+    write_csv(f, ["x1", "label"], rows)
+    passes = []
+    row_chunks = D._row_chunks
+
+    def counted(path):
+        passes.append(path)
+        return row_chunks(path)
+
+    monkeypatch.setattr(D, "_row_chunks", counted)
+    ds, _ = D.load_csv(f)
+    assert len(passes) == 1
+    assert ds.encoder.class_names == ["0", "1", "2"]
+    np.testing.assert_array_equal(ds.y, np.arange(len(rows)) % 3)
+
+
+def test_load_csv_wrong_label_column_fails_at_the_header(tmp_path):
+    # the ragged row is past the first chunk: the label error must come first
+    f = tmp_path / "t.csv"
+    rows = [["1", "a"]] * (D._CHUNK_ROWS + 5) + [["1", "a", "extra"]]
+    write_csv(f, ["x1", "target"], rows)
+    with pytest.raises(ConfigError, match="label column 'label' not found"):
+        D.load_csv(f, label_column="label")
+
+
 def test_load_csv_quoted_label_with_a_comma_and_blank_lines(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text('x1,label\r\n\r\n1,"scan, port"\r\n2,benign\n\n3,"scan, port"\n\n')

@@ -336,6 +336,74 @@ def test_layernorm_gradients():
 
 
 # ---------------------------------------------------------------------------
+# The shared normalization primitive, against the closed forms each layer
+# had as its own backward rule
+
+def _bn_train_reference(x, p, g):
+    mean, var = x.mean(axis=(0, 1)), x.var(axis=(0, 1))
+    rstd = 1.0 / np.sqrt(var + 1e-3)
+    xhat = (x - mean) * rstd
+    dgamma, dbeta = (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))
+    n = x.shape[0] * x.shape[1]
+    dx = (p.gamma.data * rstd / n) * (n * g - dbeta - xhat * dgamma)
+    return xhat * p.gamma.data + p.beta.data, (dx, dgamma, dbeta)
+
+
+def _bn_infer_reference(x, p, g):
+    rstd = 1.0 / np.sqrt(p.running_var.data + 1e-3)
+    xhat = (x - p.running_mean.data) * rstd
+    dgamma, dbeta = (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))
+    return xhat * p.gamma.data + p.beta.data, (g * (p.gamma.data * rstd), dgamma, dbeta)
+
+
+def _ln_reference(x, p, g):
+    mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+    rstd = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mean) * rstd
+    lead = tuple(range(x.ndim - 1))
+    dgamma, dbeta = (g * xhat).sum(axis=lead), g.sum(axis=lead)
+    dxhat = g * p.gamma.data
+    dx = rstd * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                 - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / x.shape[-1])
+    return xhat * p.gamma.data + p.beta.data, (dx, dgamma, dbeta)
+
+
+NORMALIZERS = {
+    "batchnorm_train": ((4, 7, 3), lambda x, p: L.batchnorm_forward(x, p, "train"),
+                        _bn_train_reference),
+    "batchnorm_infer": ((4, 7, 3), lambda x, p: L.batchnorm_forward(x, p, "infer"),
+                        _bn_infer_reference),
+    "layernorm_3d": ((4, 7, 3), L.layernorm_forward, _ln_reference),
+    "layernorm_2d": ((6, 5), L.layernorm_forward, _ln_reference),
+}
+
+
+@pytest.mark.parametrize("name", list(NORMALIZERS))
+def test_normalizers_share_one_record_matching_their_closed_forms(name):
+    shape, forward, reference = NORMALIZERS[name]
+    rng = np.random.default_rng(23)
+    features = shape[-1]
+    p = L.init_batchnorm(rng, features) if name.startswith("batch") \
+        else L.init_layernorm(rng, features)
+    p.gamma.data = rng.normal(size=features)
+    p.beta.data = rng.normal(size=features)
+    if name.startswith("batch"):
+        p.running_mean.data = rng.normal(size=features)
+        p.running_var.data = np.abs(rng.normal(size=features)) + 0.5
+    x = Tensor(rng.normal(loc=2.0, scale=3.0, size=shape), requires_grad=True)
+    g = rng.normal(size=shape)
+    expected_out, expected_grads = reference(x.data, p, g)
+    with T.Tape() as tape:
+        out = forward(x, p)
+    [rec] = tape.records
+    assert rec.inputs == (x, p.gamma, p.beta)
+    np.testing.assert_array_equal(out.data, expected_out)
+    for got, want in zip(rec.backward_fn(g), expected_grads, strict=True):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+# ---------------------------------------------------------------------------
 # Attention
 
 def mha_reference(x, w_qkv, w_o):
@@ -552,6 +620,20 @@ def test_dropout_statistics():
 def test_dropout_bad_rate():
     with pytest.raises(ContractError):
         L.dropout_forward(Tensor([1.0]), 1.0, mode="train", rng=np.random.default_rng(0))
+
+
+def test_train_dropout_is_one_record_on_x_whose_backward_is_the_mask():
+    rng = np.random.default_rng(34)
+    x = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+    with T.Tape() as tape:
+        out = L.dropout_forward(x, 0.3, mode="train", rng=np.random.default_rng(35))
+    [rec] = tape.records
+    assert rec.inputs == (x,)
+    mask = (np.random.default_rng(35).random(x.shape) >= 0.3) / (1.0 - 0.3)
+    np.testing.assert_array_equal(out.data, x.data * mask)
+    g = rng.normal(size=x.shape)
+    [dx] = rec.backward_fn(g)
+    np.testing.assert_array_equal(dx, g * mask)
 
 
 def test_dense_identity():

@@ -253,6 +253,7 @@ def test_report_json_schema():
     assert set(blob) == {"accuracy", "macro", "weighted", "micro_fpr",
                          "per_class", "confusion", "auc"}
     assert {p["name"] for p in blob["per_class"]} == {"benign", "ddos", "mitm"}
+    assert set(blob["auc"]) == {"benign", "ddos", "mitm"}
     assert all(k in blob["per_class"][0]
                for k in ("precision", "recall", "f1", "fpr", "support", "degenerate"))
     assert blob["macro"]["fpr"] == pytest.approx(rep.macro_fpr)
@@ -276,10 +277,11 @@ def test_csv_outputs(tmp_path):
     assert lines[0].split(",")[1:] == ["a", "b"]
     assert len(lines) == 3
     scores = np.random.default_rng(7).random((5, 2))
-    M.roc_to_csv(M.roc_auc(scores, y), tmp_path / "roc.csv")
+    M.roc_to_csv(M.roc_auc(scores, y), ["a", "b"], tmp_path / "roc.csv")
     roc_lines = (tmp_path / "roc.csv").read_text().strip().splitlines()
     assert roc_lines[0] == "class,threshold,fpr,tpr"
     assert len(roc_lines) > 2
+    assert {line.split(",")[0] for line in roc_lines[1:]} == {"a", "b"}
 
 
 def test_report_independent_of_prediction_order():
