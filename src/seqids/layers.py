@@ -19,10 +19,11 @@ varies):
 * Multi-head attention is one tape record too. ``w_qkv (heads, model_dim,
   3 * key_dim)`` holds each head's query | key | value column blocks and
   ``w_o (heads * key_dim, model_dim)`` projects the concatenated heads back.
-  The forward pass keeps only the concatenated head outputs; the backward
-  rule recomputes each head's Q/K/V and weights from the input, so no
-  per-head buffer outlives its head and inference memory does not grow
-  with the head count.
+  When the op is recorded (a tape is active and an input requires grad),
+  the forward pass keeps each head's Q|K|V and attention weights, and the
+  backward rule reads them instead of recomputing them. Otherwise every head
+  reuses one Q|K|V buffer and one weights buffer, so inference memory grows
+  with the head count only by the concatenated head outputs.
 * The normalizers add a fixed epsilon to the variance: 1e-3 for BatchNorm
   (the Keras default) and 1e-5 for LayerNorm (the PyTorch default).
 * BatchNorm in both modes and LayerNorm are one shared primitive,
@@ -31,8 +32,8 @@ varies):
   feature axis for LayerNorm, and none for BatchNorm infer, whose running
   statistics are constants to the backward rule.
 * Dropout is inverted: survivors are scaled by 1/(1-rate) at train time and
-  inference is the identity. Train mode is one tape record whose backward
-  rule is ``g * mask``.
+  inference is the identity. Train mode is one tape record on a boolean
+  keep mask; its backward rule applies the same mask and scale to ``g``.
 * Dense is one tape record over ``(N, in)`` input: ``x W^T + b``, then ReLU
   or no activation. The model's last Dense has none, so it returns logits;
   the softmax lives in the loss and in ``predict_proba``.
@@ -323,11 +324,16 @@ def layernorm_forward(x: Tensor, p: LayerNormParams) -> Tensor:
 # ---------------------------------------------------------------------------
 # Attention
 
-def _attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """softmax(q k^T / sqrt(d_q)) over the keys, for (..., T, d) arrays."""
+def _attention_weights(q: np.ndarray, k: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """softmax(q k^T / sqrt(d_q)) over the keys, for (..., T, d) arrays: the
+    scores and then their softmax are written in place into ``out`` (..., T, T)
+    when given, else into a new array."""
     # a contiguous k keeps the batched product on BLAS when q is a strided view
     kt = np.swapaxes(np.ascontiguousarray(k), -1, -2)
-    return T.softmax(q @ kt * (1.0 / math.sqrt(q.shape[-1])))
+    scores = np.matmul(q, kt, out=out)
+    scores *= 1.0 / math.sqrt(q.shape[-1])
+    return T.softmax(scores, out=scores)
 
 
 @dataclass
@@ -355,40 +361,52 @@ def multi_head_attention(x: Tensor, p: MHAParams) -> Tensor:
     """Self-attention: per-head projected Q/K/V, concatenated, projected back.
 
     x: (B, T, F) -> same shape; F must equal the model dim the params were
-    built for. One tape record; its backward rule recomputes each head's
-    Q/K/V and weights from x.
+    built for. One tape record. When it is recorded, the forward pass keeps
+    each head's Q|K|V and attention weights for the backward rule; otherwise
+    every head reuses one pair of buffers.
     """
-    heads, model_dim, _ = p.w_qkv.shape
+    heads, model_dim, width = p.w_qkv.shape
     _check_sequence(x, "mha")
     if x.shape[-1] != model_dim:
         raise ShapeError(f"mha: input {x.shape} does not match model dim {model_dim}")
     lead, x2 = x.shape[:-1], x.data.reshape(-1, model_dim)
+    key_dim = width // 3
 
-    def head(h):
-        """Head h's attention weights, then its V, Q and K, laid out as x."""
-        q, k, v = np.split((x2 @ p.w_qkv.data[h]).reshape(lead + (-1,)), 3, axis=-1)
-        return _attention_weights(q, k), v, q, k
+    # one Q|K|V array and one weights array per head rather than one
+    # (heads, ...) array each: at the flagship size that would pass glibc's
+    # 32 MiB ceiling on its mmap threshold and be faulted in again every step
+    slots = heads if T.recording((x, p.w_qkv, p.w_o)) else 1
+    qkvs = [np.empty((x2.shape[0], width), dtype=x2.dtype) for _ in range(slots)]
+    ws = [np.empty(lead + lead[-1:], dtype=x2.dtype) for _ in range(slots)]
 
-    # heads write their outputs into column blocks of one concat buffer; each
-    # head's own buffers are freed before the next head allocates
+    def split_qkv(h):
+        return np.split(qkvs[h % slots].reshape(lead + (-1,)), 3, axis=-1)
+
+    # heads write their outputs into column blocks of one concat buffer
     cat = np.empty((x2.shape[0], p.w_o.shape[0]), dtype=x2.dtype)
     for h, out in enumerate(np.split(cat.reshape(lead + (-1,)), heads, axis=-1)):
-        np.matmul(*head(h)[:2], out=out)
+        np.matmul(x2, p.w_qkv.data[h], out=qkvs[h % slots])
+        q, k, v = split_qkv(h)
+        np.matmul(_attention_weights(q, k, ws[h % slots]), v, out=out)
 
     def back(g):
         g = g.reshape(-1, model_dim)
-        dcat = np.split((g @ p.w_o.data.T).reshape(lead + (-1,)), heads, axis=-1)
         dx, dw_qkv = np.zeros_like(x2), np.empty_like(p.w_qkv.data)
-        for h, dout in enumerate(dcat):
-            w, v, q, k = head(h)
-            dw = dout @ np.swapaxes(v, -1, -2)
-            ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * (1.0 / math.sqrt(q.shape[-1]))
-            dqkv = np.concatenate([ds @ k, np.swapaxes(ds, -1, -2) @ q,
-                                   np.swapaxes(w, -1, -2) @ dout], axis=-1)
-            dqkv = dqkv.reshape(x2.shape[0], -1)
-            dw_qkv[h] = x2.T @ dqkv
-            dx += dqkv @ p.w_qkv.data[h].T
-            del w, v, q, k, dw, ds, dqkv
+        dqkv, dx_h = np.empty_like(qkvs[0]), np.empty_like(x2)
+        dq, dk, dv = np.split(dqkv.reshape(lead + (-1,)), 3, axis=-1)
+        for h in range(heads):
+            q, k, v = split_qkv(h)
+            w = ws[h]
+            dout = (g @ p.w_o.data[h * key_dim:(h + 1) * key_dim].T).reshape(lead + (-1,))
+            ds = dout @ np.swapaxes(v, -1, -2)
+            ds -= (ds * w).sum(axis=-1, keepdims=True)
+            ds *= w
+            ds *= 1.0 / math.sqrt(key_dim)
+            np.matmul(ds, k, out=dq)
+            np.matmul(np.swapaxes(ds, -1, -2), q, out=dk)
+            np.matmul(np.swapaxes(w, -1, -2), dout, out=dv)
+            np.matmul(x2.T, dqkv, out=dw_qkv[h])
+            dx += np.matmul(dqkv, p.w_qkv.data[h].T, out=dx_h)
         return dx.reshape(x.shape), dw_qkv, cat.T @ g
 
     return register_op((x, p.w_qkv, p.w_o), (cat @ p.w_o.data).reshape(x.shape), back)
@@ -407,8 +425,16 @@ def dropout_forward(x: Tensor, rate: float, mode: str = "train",
         return x
     if rng is None:
         raise ContractError("dropout in train mode needs a seeded generator")
-    mask = ((rng.random(x.shape) >= rate) / (1.0 - rate)).astype(x.data.dtype, copy=False)
-    return register_op((x,), x.data * mask, lambda g: (g * mask,))
+    # scaling after the multiply by the 0/1 mask rounds once, like
+    # multiplying by the scaled mask, and the record keeps 1 byte an element
+    keep, scale = rng.random(x.shape) >= rate, 1.0 / (1.0 - rate)
+
+    def apply(a):
+        out = np.multiply(a, keep)
+        out *= scale
+        return out
+
+    return register_op((x,), apply(x.data), lambda g: (apply(g),))
 
 
 @dataclass

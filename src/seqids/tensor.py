@@ -5,7 +5,9 @@ A ``Tensor`` wraps a numpy array plus an optional gradient buffer. While a
 operation appends a record holding its inputs, its output and a backward
 rule; ``backward(loss, tape)`` replays those records in reverse and
 accumulates gradients additively, so a tensor used several times receives
-the sum of its per-use gradients.
+the sum of its per-use gradients. Only tensors that no record produced
+(parameters and inputs) keep a ``.grad`` afterwards: an op's output gradient
+is freed once the op's backward rule has used it.
 
 Gradients flow only into tensors with ``requires_grad=True`` (and into
 everything downstream of them). With no tape active, operations run in pure
@@ -99,8 +101,11 @@ class Tape:
 _tape_stack: list[Tape] = []
 
 
-def _active_tape() -> Tape | None:
-    return _tape_stack[-1] if _tape_stack else None
+def recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op over ``inputs`` is recorded: a tape is active and some
+    input requires grad. Layers ask this to keep state only their backward
+    rule reads."""
+    return bool(_tape_stack) and any(t.requires_grad for t in inputs)
 
 
 def register_op(inputs: Sequence[Tensor], out_data: np.ndarray,
@@ -112,20 +117,27 @@ def register_op(inputs: Sequence[Tensor], out_data: np.ndarray,
     primitives with custom backward rules.
     """
     out = Tensor(out_data)
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if recording(inputs):
         out.requires_grad = True
-        tape.records.append(_OpRecord(tuple(inputs), out, backward_fn))
+        _tape_stack[-1].records.append(_OpRecord(tuple(inputs), out, backward_fn))
     return out
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Accumulate d(loss)/d(x) into ``x.grad`` for every tensor on the tape."""
+    """Accumulate d(loss)/d(x) into ``x.grad`` for every tensor no record produced.
+
+    An op's output gradient is complete once the records after it have run,
+    so it is freed as soon as that op's own rule has used it: gradients do
+    not pile up over the pass, and afterwards every record's ``output.grad``
+    (the loss's too) is None. The records stay on the tape: dropping them
+    mid-pass frees their saved state early, but glibc then trims the heap
+    and the next forward pass faults it back in.
+    """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
     for rec in reversed(tape.records):
-        g = rec.output.grad
+        g, rec.output.grad = rec.output.grad, None
         if g is None:
             continue
         grads = rec.backward_fn(g)
@@ -135,6 +147,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
             t.grad += gi
+        g = grads = gi = None  # freed before the next rule allocates
 
 
 def _as_tensor(x) -> Tensor:
@@ -196,15 +209,18 @@ def relu(a) -> Tensor:
     return register_op((a,), out, lambda g: (g * (a.data > 0),))
 
 
-def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax(a: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """exp-normalize an array along ``axis``, stabilized by max subtraction.
 
     A plain array function, not a tape op: the loss fuses its own softmax.
+    The result goes into ``out`` when given (``a`` itself is allowed, for an
+    in-place softmax), else into a new array; the values are the same.
     """
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    e = np.exp(a - a.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(np.subtract(a, a.max(axis=axis, keepdims=True), out=out), out=out)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def grad_check_all(f: Callable[[], Tensor], tensors: Sequence[Tensor], h: float = 1e-5) -> float:

@@ -1,4 +1,7 @@
+import contextlib
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,6 +418,59 @@ def mha_reference(x, w_qkv, w_o):
         for seq in x])
 
 
+def mha_recomputing_rule(x, w_qkv, w_o, g):
+    """Output and (dx, dw_qkv, dw_o) of attention whose backward rule
+    recomputes each head's Q/K/V and weights from x, the rule the layer had
+    before it kept them: (x, g) are (B, T, F) arrays."""
+    heads, model_dim, _ = w_qkv.shape
+    lead, x2 = x.shape[:-1], x.reshape(-1, model_dim)
+
+    def head(h):
+        q, k, v = np.split((x2 @ w_qkv[h]).reshape(lead + (-1,)), 3, axis=-1)
+        s = q @ np.swapaxes(np.ascontiguousarray(k), -1, -2) * (1.0 / math.sqrt(q.shape[-1]))
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True), v, q, k
+
+    cat = np.empty((x2.shape[0], w_o.shape[0]), dtype=x2.dtype)
+    for h, out in enumerate(np.split(cat.reshape(lead + (-1,)), heads, axis=-1)):
+        np.matmul(*head(h)[:2], out=out)
+    g = g.reshape(-1, model_dim)
+    dcat = np.split((g @ w_o.T).reshape(lead + (-1,)), heads, axis=-1)
+    dx, dw_qkv = np.zeros_like(x2), np.empty_like(w_qkv)
+    for h, dout in enumerate(dcat):
+        w, v, q, k = head(h)
+        dw = dout @ np.swapaxes(v, -1, -2)
+        ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * (1.0 / math.sqrt(q.shape[-1]))
+        dqkv = np.concatenate([ds @ k, np.swapaxes(ds, -1, -2) @ q,
+                               np.swapaxes(w, -1, -2) @ dout], axis=-1).reshape(x2.shape[0], -1)
+        dw_qkv[h] = x2.T @ dqkv
+        dx += dqkv @ w_qkv[h].T
+    return (cat @ w_o).reshape(x.shape), (dx.reshape(x.shape), dw_qkv, cat.T @ g)
+
+
+def check_mha_against_recomputing_rule(p, x, g):
+    """Recorded and unrecorded outputs and the three gradients against
+    ``mha_recomputing_rule``: bitwise, except where several heads each get
+    their output gradient from a matrix-vector product (key_dim 1, or a
+    single row of x). numpy sums that in another order than the rule's one
+    GEMM over all heads, so there the gradients agree to rounding."""
+    heads, key_dim = p.w_qkv.shape[0], p.w_qkv.shape[2] // 3
+    want_out, want_grads = mha_recomputing_rule(x, p.w_qkv.data, p.w_o.data, g)
+    assert L.multi_head_attention(Tensor(x), p).data.tobytes() == want_out.tobytes()
+    with T.Tape() as tape:
+        out = L.multi_head_attention(Tensor(x, requires_grad=True), p)
+    assert out.data.tobytes() == want_out.tobytes()
+    got_grads = tape.records[0].backward_fn(g)
+    exact = heads == 1 or (key_dim > 1 and x[..., 0].size > 1)
+    for got, want in zip(got_grads, want_grads, strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if exact:
+            assert got.tobytes() == want.tobytes()
+        else:
+            tol = 8 * np.finfo(want.dtype).eps
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+
+
 def attend(q, k, v):
     return L._attention_weights(q, k) @ v
 
@@ -532,6 +588,49 @@ def test_mha_matches_per_head_reference_property(batch, t_len, heads, key_dim, m
     x = rng.normal(size=(batch, t_len, model_dim))
     np.testing.assert_allclose(L.multi_head_attention(Tensor(x), p).data,
                                mha_reference(x, p.w_qkv.data, p.w_o.data), rtol=0, atol=1e-12)
+    check_mha_against_recomputing_rule(p, x, rng.normal(size=x.shape))
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("heads,key_dim,shape", [
+    (1, 3, (1, 7, 5)), (2, 3, (3, 7, 5)), (3, 2, (2, 1, 4)), (4, 16, (2, 9, 8)),
+    (8, 4, (3, 6, 6)), (2, 1, (2, 5, 3)), (1, 1, (2, 5, 3)), (2, 4, (1, 1, 6))])
+def test_mha_matches_the_recomputing_rule(heads, key_dim, shape, dtype):
+    T.set_default_dtype(dtype)
+    try:
+        rng = np.random.default_rng(heads * 10 + key_dim)
+        p = L.init_mha(rng, shape[-1], heads, key_dim)
+        x, g = (Tensor(rng.normal(size=shape)).data for _ in range(2))
+        check_mha_against_recomputing_rule(p, x, g)
+    finally:
+        T.set_default_dtype("float64")
+
+
+def test_mha_keeps_per_head_state_only_when_recorded():
+    # batch 4, 32 steps, model and key dim 16: a head's Q|K|V and weights take
+    # 80 KiB, its column block of the concat buffer 16 KiB
+    x = np.random.default_rng(40).normal(size=(4, 32, 16))
+    cat_block = x[..., :16].nbytes
+
+    def peak(heads, tape, requires_grad):
+        p = L.init_mha(np.random.default_rng(41), 16, heads, 16)
+        p.w_qkv.requires_grad = p.w_o.requires_grad = requires_grad
+        inp = Tensor(x)
+        tracemalloc.start()
+        try:
+            with T.Tape() if tape else contextlib.nullcontext():
+                L.multi_head_attention(inp, p)
+                return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # two heads first, so that the one-head run is not the first call
+    for tape, requires_grad in ((False, True), (True, False)):
+        peak(2, tape, requires_grad)
+        growth = peak(8, tape, requires_grad) - peak(1, tape, requires_grad)
+        assert growth <= 7 * cat_block + 4096
+    per_head_state = x[0, 0, :1].nbytes * (4 * 32 * 48 + 4 * 32 * 32)
+    assert peak(8, True, True) - peak(1, True, True) >= 7 * (cat_block + per_head_state)
 
 
 def test_mha_single_head_identity_projection_reduces_to_sdpa():
@@ -634,6 +733,33 @@ def test_train_dropout_is_one_record_on_x_whose_backward_is_the_mask():
     g = rng.normal(size=x.shape)
     [dx] = rec.backward_fn(g)
     np.testing.assert_array_equal(dx, g * mask)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("rate", [0.1, 0.3, 1 / 3, 0.5, 0.7, 0.9])
+def test_dropout_keep_mask_matches_the_scaled_float_mask(rate, dtype):
+    # the scaled float mask the layer used to build: (keep / (1 - rate)) cast
+    # to x's dtype, multiplied in; compared byte for byte, so zero signs and
+    # non-finite cells count
+    T.set_default_dtype(dtype)
+    try:
+        rng = np.random.default_rng(36)
+        cells = rng.normal(size=(20, 30)) * 10.0 ** rng.integers(-20, 20, size=(20, 30))
+        cells.flat[:5] = [np.inf, -np.inf, np.nan, -0.0, 0.0]
+        x = Tensor(cells, requires_grad=True)
+        g = Tensor(rng.normal(size=x.shape)).data
+        g.flat[5:10] = [np.inf, -np.inf, np.nan, -0.0, 0.0]
+        with T.Tape() as tape, np.errstate(invalid="ignore"):
+            out = L.dropout_forward(x, rate, mode="train", rng=np.random.default_rng(37))
+            [dx] = tape.records[0].backward_fn(g)
+            mask = ((np.random.default_rng(37).random(x.shape) >= rate) / (1.0 - rate)).astype(
+                x.data.dtype, copy=False)
+            want_out, want_dx = x.data * mask, g * mask
+    finally:
+        T.set_default_dtype("float64")
+    assert out.data.dtype == dx.dtype == x.data.dtype
+    assert out.data.tobytes() == want_out.tobytes()
+    assert dx.tobytes() == want_dx.tobytes()
 
 
 def test_dense_identity():

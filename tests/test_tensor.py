@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis.extra.numpy import mutually_broadcastable_shapes
 from seqids import tensor as T
 from seqids import train as TR
 from seqids.errors import ContractError, ShapeError
+from seqids.model import ModelConfig, build_model
 from seqids.tensor import Tape, Tensor, backward, grad_check_all
 
 
@@ -78,6 +81,23 @@ def test_softmax_rows_sum_to_one_and_stay_in_unit_interval():
     np.testing.assert_allclose(huge.sum(axis=1), np.ones(6), atol=1e-6)
 
 
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_softmax_out_holds_the_same_values(axis):
+    rng = np.random.default_rng(15)
+    a = 30.0 * rng.normal(size=(4, 5))
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    want = e / e.sum(axis=axis, keepdims=True)
+    assert T.softmax(a, axis=axis).tobytes() == want.tobytes()
+    buf = np.empty_like(a)
+    assert T.softmax(a, axis=axis, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    in_place = a.copy()
+    T.softmax(in_place, axis=axis, out=in_place)
+    assert in_place.tobytes() == want.tobytes()
+    # without out, integer input still gives float probabilities
+    np.testing.assert_array_equal(T.softmax(np.arange(3)), T.softmax(np.arange(3.0)))
+
+
 def test_softmax_invalid_axis():
     with pytest.raises(ShapeError):
         T.softmax(np.array([1.0, 2.0]), axis=3)
@@ -130,6 +150,57 @@ def test_fanout_gradients_accumulate():
         loss = T.add(T.tsum(T.mul(x, b1)), T.tsum(T.mul(x, b2)))
     backward(loss, tape)
     np.testing.assert_allclose(x.grad, b1.data + b2.data)
+
+
+def accumulating_backward(loss, tape):
+    """The backward loop that leaves every op output's gradient in place."""
+    loss.grad = np.ones_like(loss.data)
+    for rec in reversed(tape.records):
+        g = rec.output.grad
+        if g is None:
+            continue
+        for t, gi in zip(rec.inputs, rec.backward_fn(g)):
+            if gi is None or not t.requires_grad:
+                continue
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            t.grad += gi
+
+
+def test_train_step_frees_op_gradients_and_matches_the_accumulating_loop():
+    cfg = ModelConfig(input_shape=(8, 1), num_classes=3, conv_filters=6, gru_units=4,
+                      num_heads=2, key_dim=3, dense_units=(8, 4))
+    results = []
+    for run in (backward, accumulating_backward):
+        model = build_model(cfg, np.random.default_rng(12))
+        x = Tensor(np.random.default_rng(13).normal(size=(5, 8, 1)), requires_grad=True)
+        with Tape() as tape:
+            logits = model.forward(x, mode="train", rng=np.random.default_rng(14))
+            loss = TR.cross_entropy_loss(logits, np.arange(5) % 3)
+        run(loss, tape)
+        assert len(tape) == 17
+        results.append(([rec.output.grad for rec in tape.records],
+                        [x.grad] + [p.grad for p in model.named_parameters().values()]))
+    (freed, grads), (kept, parent_grads) = results
+    assert all(g is None for g in freed)
+    assert all(g is not None for g in kept)
+    for got, want in zip(grads, parent_grads, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tapes", [0, 1, 2])
+@pytest.mark.parametrize("requires_grad", [(), (False,), (True,), (False, True), (False, False)])
+def test_recording_agrees_with_whether_register_op_records(tapes, requires_grad):
+    inputs = [Tensor(np.ones(2), requires_grad=r) for r in requires_grad]
+    with contextlib.ExitStack() as stack:
+        active = [stack.enter_context(Tape()) for _ in range(tapes)]
+        predicted = T.recording(inputs)
+        out = T.register_op(inputs, np.zeros(2), lambda g: [g] * len(inputs))
+    assert predicted == (tapes > 0 and any(requires_grad))
+    assert out.requires_grad == predicted
+    # a record goes to the innermost tape only
+    assert sum(len(tape) for tape in active) == predicted
+    assert not active or len(active[-1]) == predicted
 
 
 def test_forward_ops_are_deterministic():
