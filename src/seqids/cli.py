@@ -397,8 +397,9 @@ def cmd_ablate(args) -> int:
                        fpr=f"{report.macro_fpr:.6f}", inf_time=f"{latency:.3e}",
                        min_class_recall=f"{report.recall.min():.6f}", error="")
             print(f"case #{case_id} {cfg.arch_name}: accuracy {report.accuracy:.4f}")
-        except Exception as exc:  # keep going; the row records the failure
-            row.update(dict.fromkeys(_ABLATION_METRICS, ""), error=str(exc))
+        except (SeqidsError, MemoryError) as exc:  # keep going; the row records the failure
+            # a bare MemoryError has no text, and an empty error cell reads as success
+            row.update(dict.fromkeys(_ABLATION_METRICS, ""), error=str(exc) or type(exc).__name__)
             print(f"case #{case_id} failed: {exc}", file=sys.stderr)
         rows.append(row)
 

@@ -8,6 +8,13 @@ The CSV contract of ``load_csv``:
   commas, line breaks and ``""`` for a quote). The first row is the header.
   Blank lines are skipped; any other row with a cell count unlike the
   header's fails with an ``InputError`` that names its line.
+- A line with no ``"`` and no NUL (which the ``csv`` module of Python 3.10
+  rejects) is split on its commas directly: that gives the cells
+  ``csv.reader`` would, without its per-character tokenizer. Any other line
+  goes to one ``csv.reader`` shared by the whole file, which also reads the
+  continuation lines of a quoted cell that spans lines. So
+  ``csv.field_size_limit`` bounds only the cells of such lines, and a file
+  with every cell quoted costs what a plain ``csv.reader`` does.
 - A cell is missing when, stripped and lower-cased, it is one of
   ``MISSING_MARKERS``. Rows with a missing cell in any column, label
   included, are dropped and counted, as are rows with a non-finite number
@@ -124,7 +131,9 @@ class Categories:
 
     def encode(self, keep: np.ndarray) -> tuple[LabelEncoder, np.ndarray]:
         """The encoder of the kept rows' strings and each kept row's code in it."""
-        codes = np.concatenate(self.parts)[keep]
+        codes = np.concatenate(self.parts)
+        if not keep.all():   # with no row dropped, no [keep] copy
+            codes = codes[keep]
         names = np.array(list(self.index), dtype=object)
         used = np.flatnonzero(np.bincount(codes, minlength=names.size))
         encoder = LabelEncoder().fit(names[used])
@@ -147,10 +156,33 @@ class RawTable:
     categorical: dict[int, Categories]
 
 
+def _rows(fh):
+    """Each row of the open text file ``fh`` as ``csv.reader`` gives it, ``[]`` for a blank line.
+
+    A line with no ``"`` and no NUL is split on commas directly. Any other
+    line is fed to one ``csv.reader``, which reads the continuation lines of
+    a multi-line quoted cell from ``fh`` itself.
+    """
+    pending = []
+
+    def lines():   # the line handed over, then what the reader asks for
+        while line := pending.pop() if pending else next(fh, ""):
+            yield line
+
+    reader = csv.reader(lines())
+    for line in fh:
+        if '"' in line or "\0" in line:
+            pending.append(line)
+            yield next(reader)
+        else:
+            line = line.rstrip("\r\n")
+            yield line.split(",") if line else []
+
+
 def _row_chunks(path):
     """Yield the header, then the non-blank data rows in lists of ``_CHUNK_ROWS``."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _rows(fh)
         try:
             header = next(reader, None)
             if header is None:
@@ -207,6 +239,8 @@ def _read_categories(path, columns) -> dict[int, Categories]:
 def read_table(path, label_column: str) -> RawTable:
     """Parse a CSV file under the module's contract, ``_CHUNK_ROWS`` rows at a time.
 
+    Lines free of ``"`` and NUL are split on commas directly, and only the
+    others go through ``csv.reader`` (see ``_rows``); the rows are the same.
     The header is checked for ``label_column`` and for a feature column
     before any row is parsed. The label column is kept as ``Categories`` of
     its cell strings and never cast. Each chunk becomes an object array
@@ -346,8 +380,8 @@ def train_test_split(d: Dataset, fraction: float = 0.8, seed: int = 0) -> SplitP
                                            min_first=1)
 
     def subset(idx):
-        return Dataset(X=d.X[idx].copy(), y=d.y[idx].copy(),
-                       encoder=d.encoder, feature_names=d.feature_names)
+        return Dataset(X=d.X[idx], y=d.y[idx], encoder=d.encoder,
+                       feature_names=d.feature_names)
 
     return SplitPair(train=subset(train_idx), test=subset(test_idx), fraction=fraction)
 
@@ -360,10 +394,15 @@ _SMOTE_K = 5
 
 
 def _nearest_neighbors(X: np.ndarray, k: int) -> np.ndarray:
-    """(n, k) indices of each row's k nearest other rows, by Euclidean distance.
+    """(n, k) indices of each row's k nearest other rows, nearest first, by Euclidean distance.
 
     Squared distances are |a|^2 + |b|^2 - 2ab, computed ``_KNN_BLOCK`` rows
-    at a time, so no n x n x F difference array is built.
+    at a time, so no n x n x F difference array is built. The k smallest of
+    each row are selected in linear time and only they are sorted. Ties go
+    to the lower row index, both in the order and at the k-th place, so the
+    result does not depend on numpy's sort and partition algorithms. A tie
+    at the k-th place costs a scan to the k-th lowest-index tied distance,
+    not a sort of the row.
     """
     n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)
@@ -372,7 +411,25 @@ def _nearest_neighbors(X: np.ndarray, k: int) -> np.ndarray:
         stop = min(start + _KNN_BLOCK, n)
         d2 = sq[start:stop, None] + sq - 2.0 * (X[start:stop] @ X.T)
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf  # not its own neighbor
-        nn[start:stop] = np.argsort(d2, axis=1)[:, :k]
+        # in index order, so the stable sort below keeps ties lower index first
+        near = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+        dist = np.take_along_axis(d2, near, axis=1)
+        kth = dist.max(axis=1, keepdims=True)
+        # where more distances equal the k-th than the partition took, it took
+        # among them arbitrarily: put the lowest-index ones in their place
+        at, chosen = d2 == kth, dist == kth
+        count = chosen.sum(axis=1, keepdims=True)
+        tied = np.flatnonzero(np.count_nonzero(at, axis=1) > count[:, 0])
+        if tied.size:
+            at, count = at[tied], count[tied]
+            lowest = np.empty((tied.size, count.max()), dtype=np.intp)
+            for j in range(count.max()):   # argmax of bools stops at the first True
+                lowest[:, j] = at.argmax(axis=1)
+                at[np.arange(tied.size), lowest[:, j]] = False
+            sub = near[tied]
+            sub[chosen[tied]] = lowest[np.arange(count.max()) < count]
+            near[tied] = sub
+        nn[start:stop] = np.take_along_axis(near, np.argsort(dist, axis=1, kind="stable"), axis=1)
     return nn
 
 
@@ -403,13 +460,18 @@ def smote_oversample(train: Dataset, seed: int = 0) -> Dataset:
         base = rng.integers(0, members.size, size=need)
         pick = nn_idx[base, rng.integers(0, k, size=need)]
         lam = rng.random(need)[:, None]
-        synth = X[n:n + need]
-        np.subtract(Xc[pick], Xc[base], out=synth)
+        synth, x = X[n:n + need], Xc[base]
+        np.subtract(Xc[pick], x, out=synth)
         synth *= lam
-        synth += Xc[base]
+        synth += x
+        del x   # before the next class gathers its own base rows
         y[n:n + need] = c
         n += need
     return Dataset(X=X, y=y, encoder=train.encoder, feature_names=train.feature_names)
+
+
+#: rows per block of ``fit_standardizer``; bounds its buffer to ``_STD_BLOCK`` rows of X
+_STD_BLOCK = 2048
 
 
 @dataclass
@@ -424,8 +486,30 @@ class Standardizer:
 
 
 def fit_standardizer(X: np.ndarray) -> Standardizer:
+    """Per-feature mean and population std of (N, F) ``X``; a zero std is floored to 1.
+
+    The squared deviations are summed ``_STD_BLOCK`` rows at a time in one
+    reused block buffer, so the memory beyond ``X`` is one row block, not
+    N x F. The sum runs row by row, carried into the next block through the
+    buffer's first row: the order numpy's own axis-0 reduction takes on a
+    row-major ``X`` of two or more columns, so there the scale is byte-equal
+    to ``X.std(axis=0)``. numpy sums a single column pairwise, so one column
+    takes ``X.std`` itself.
+    """
     mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    n, f = X.shape
+    if f < 2:
+        std = X.std(axis=0)
+    else:
+        buffer = np.empty((min(n, _STD_BLOCK), f), dtype=mean.dtype)
+        for start in range(0, n, _STD_BLOCK):
+            sq = buffer[:min(_STD_BLOCK, n - start)]
+            np.subtract(X[start:start + _STD_BLOCK], mean, out=sq)
+            sq *= sq
+            if start:
+                sq[0] += total
+            total = sq.sum(axis=0)
+        std = np.sqrt(total / n)
     zero = std == 0.0
     if np.any(zero):
         warnings.warn(f"{int(zero.sum())} zero-variance feature(s) standardized to 0")

@@ -22,4 +22,4 @@ class InputError(SeqidsError, ValueError):
 
 
 class TrainingDiverged(SeqidsError, RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, parameter or Adam moment."""

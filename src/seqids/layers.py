@@ -220,12 +220,15 @@ def _gru_scan(a: np.ndarray, u: np.ndarray, hs: np.ndarray) -> None:
     hid = u.shape[0]
     u_zr, u_c = u[:, :2 * hid], u[:, 2 * hid:]
     h = np.zeros_like(hs[:, 0])
-    for t in range(a.shape[1]):
-        zr, c = a[:, t, :2 * hid], a[:, t, 2 * hid:]
-        zr[...] = 1.0 / (1.0 + np.exp(-(zr + h @ u_zr)))
-        c[...] = np.tanh(c + (zr[:, hid:] * h) @ u_c)
-        hs[:, t] = h + zr[:, :hid] * (c - h)
-        h = hs[:, t]
+    # exp(-x) overflows to inf for x < -709, where the sigmoid rightly gives 0;
+    # silenced once per scan, since an errstate per step costs about 2 us
+    with np.errstate(over="ignore"):
+        for t in range(a.shape[1]):
+            zr, c = a[:, t, :2 * hid], a[:, t, 2 * hid:]
+            zr[...] = 1.0 / (1.0 + np.exp(-(zr + h @ u_zr)))
+            c[...] = np.tanh(c + (zr[:, hid:] * h) @ u_c)
+            hs[:, t] = h + zr[:, :hid] * (c - h)
+            h = hs[:, t]
 
 
 def _gru_bptt(a: np.ndarray, u: np.ndarray, hs: np.ndarray, dhs: np.ndarray):

@@ -4,8 +4,9 @@ record), Adam, the epoch loop, batched inference, and latency measurement.
 The loop shuffles mini-batches from a seeded generator, runs forward passes
 in train mode (dropout active, BatchNorm batch statistics) and evaluates the
 validation slice in infer mode, so the train/infer separation is observable
-from the records. A non-finite loss aborts immediately with the offending
-epoch and batch.
+from the records. Training diverges, and aborts at once naming the epoch and
+batch, when the loss is non-finite or when an Adam step leaves a parameter
+or one of its moments non-finite (that error also names the parameter).
 """
 
 from __future__ import annotations
@@ -93,18 +94,31 @@ class Adam:
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
 
-    def step(self) -> None:
+    def step(self) -> str | None:
+        """Update every parameter that has a gradient; return the first one left non-finite.
+
+        The step stops at, and returns the name of, the first parameter whose
+        value or second moment the update made non-finite; None means all are
+        finite. The first moment needs no check of its own: it turns
+        non-finite only with a non-finite or overflowing gradient, whose
+        square makes the second moment non-finite too. numpy's overflow and
+        invalid-value warnings are silenced, as the returned name reports them.
+        """
         self.t += 1
         b1, b2 = _ADAM_BETA1, _ADAM_BETA2
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, p in self.params.items():
+                g = p.grad
+                if g is None:
+                    continue
+                m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
+                v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+                m_hat = m / (1 - b1 ** self.t)
+                v_hat = v / (1 - b2 ** self.t)
+                p.data -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
+                if not (np.isfinite(v).all() and np.isfinite(p.data).all()):
+                    return name
+        return None
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -166,7 +180,10 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
             if not np.isfinite(value):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bno}")
             backward(loss, tape)
-            opt.step()
+            diverged = opt.step()
+            if diverged is not None:
+                raise TrainingDiverged(f"parameter {diverged!r} or its Adam moments turned "
+                                       f"non-finite at epoch {epoch}, batch {bno}")
             loss_sum += value * xb.shape[0]
             hit_sum += int((logits.data.argmax(axis=1) == yb).sum())
         val_loss, val_acc = _evaluate(model, X_val, y_val, cfg.batch_size)

@@ -227,6 +227,18 @@ def test_train_lr_that_is_not_finite_and_positive_fails_naming_it(tmp_path, caps
     assert not out.exists()
 
 
+def test_train_that_diverges_fails_naming_the_step_and_writes_no_checkpoint(tmp_path, capsys):
+    # the first step moves every weight by about 1e30; the second one's squared
+    # gradients overflow the Adam second moment (numpy warnings are errors here)
+    data = gen(tmp_path, per_class=30)
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", data, "--out-dir", out, "--lr", "1e30") == 1
+    err = capsys.readouterr().err
+    assert "error [train]: parameter '" in err
+    assert "non-finite at epoch 2, batch 0" in err
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_train_validation_fraction_holding_out_nothing_fails(tmp_path, capsys):
     # 5 rows per class leave 4 for training, and round(0.1 * 4) = 0 to validate
     data = gen(tmp_path, per_class=5)
@@ -458,6 +470,19 @@ def test_ablate_failed_case_keeps_its_row(tmp_path, monkeypatch):
         assert all(row[col] != "" for row in rows[:5] + rows[6:])
     assert failed["error"] == "injected failure"
     assert all(row["error"] == "" for row in rows[:5] + rows[6:])
+
+
+def test_ablate_lets_an_error_that_is_not_a_seqids_error_propagate(tmp_path, monkeypatch):
+    data = gen(tmp_path, classes=3, features=8, per_class=30)
+
+    def broken_train(model, split, cfg):
+        raise RuntimeError("a bug, not a failed case")
+
+    monkeypatch.setattr(cli.TR, "train", broken_train)
+    out = tmp_path / "ablation"
+    with pytest.raises(RuntimeError, match="a bug, not a failed case"):
+        run_cli("ablate", "--data", data, "--out-dir", out, "--epochs", 1)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra_row, flag, message", [

@@ -1,4 +1,5 @@
 import csv
+import io
 import tracemalloc
 import warnings
 
@@ -20,10 +21,11 @@ def nearest_centroid_accuracy(train: D.Dataset, test: D.Dataset) -> float:
 
 
 def brute_force_neighbors(X, k):
-    """Each row's k nearest other rows from the full n x n x F difference array."""
+    """Each row's k nearest other rows from the full n x n x F difference array,
+    ties to the lower row index."""
     d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
-    return np.argsort(d2, axis=1)[:, :k]
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
 def smote_reference(train: D.Dataset, k_neighbors: int = 5, seed: int = 0):
@@ -377,6 +379,86 @@ def test_load_csv_matches_the_cell_by_cell_reference(tmp_path_factory, table, ch
     assert dropped == want_dropped
 
 
+def csv_module_row_chunks(path):
+    """``_row_chunks`` with every line tokenized by ``csv.reader``, as it was first written."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: file is empty")
+            yield header
+            chunk = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise InputError(
+                        f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+                chunk.append(row)
+                if len(chunk) == D._CHUNK_ROWS:
+                    yield chunk
+                    chunk = []
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        if chunk:
+            yield chunk
+
+
+def drain(chunks):
+    """Every chunk a generator yields, then the type and text of what it raised, if anything."""
+    out = []
+    try:
+        out.extend(chunks)
+    except Exception as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r"])
+TAME_CELLS = st.text(alphabet="ab 7.\té中\x00", max_size=5)
+WILD_CELLS = st.text(alphabet='ab ,"\r\n\x00é', max_size=5)
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text of a few columns: rows written by ``csv.writer`` (quoting cells
+    that hold commas, quotes or line breaks), rows joined by hand (NULs,
+    non-ASCII, empty last cells as trailing commas), blank lines, and lines
+    of stray commas, quotes and line breaks, in LF, CRLF or CR line breaks."""
+    width = draw(st.integers(1, 4))
+    parts = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["written", "written", "joined", "joined", "blank", "wild"]))
+        eol = draw(LINE_BREAKS)
+        if kind == "written":
+            buf = io.StringIO()
+            quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+            csv.writer(buf, lineterminator=eol, quoting=quoting).writerow(
+                draw(st.lists(st.one_of(TAME_CELLS, WILD_CELLS), min_size=width,
+                              max_size=width)))
+            parts.append(buf.getvalue())
+        elif kind == "joined":
+            parts.append(",".join(draw(st.lists(TAME_CELLS, min_size=width,
+                                                max_size=width))) + eol)
+        elif kind == "blank":
+            parts.append(eol)
+        else:
+            parts.append(draw(WILD_CELLS) + eol)
+    text = "".join(parts)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts(), chunk_rows=st.integers(1, 3))
+def test_row_chunks_yield_the_csv_module_rows(tmp_path_factory, text, chunk_rows):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "_CHUNK_ROWS", chunk_rows)
+        assert drain(D._row_chunks(path)) == drain(csv_module_row_chunks(path))
+
+
 # ---------------------------------------------------------------------------
 # Splitting
 
@@ -518,8 +600,33 @@ def test_smote_matches_dense_reference(integer_features):
     for seed in (1, 2, 3):
         out = D.smote_oversample(ds, seed=seed)
         X, y = smote_reference(ds, seed=seed)
-        np.testing.assert_array_equal(out.X, X)
-        np.testing.assert_array_equal(out.y, y)
+        assert out.X.tobytes() == X.tobytes()
+        assert out.y.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("n", [7, 600])
+def test_neighbor_ties_go_to_the_lower_row_index(n):
+    # four distinct integer rows, each repeated: most distances tie exactly,
+    # also at the k-th place, and the 600-row case crosses a block boundary
+    rng = np.random.default_rng(n)
+    X = rng.integers(-3, 4, size=(4, 5)).astype(float)[rng.integers(0, 4, size=n)]
+    nn = D._nearest_neighbors(X, 5)
+    d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    for i in range(n):
+        want = sorted(range(n), key=lambda j: (d2[i, j], j))[:5]
+        assert nn[i].tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(2, 40), cols=st.integers(1, 3), values=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+def test_neighbors_are_the_stable_argsort_of_the_distances(rows, cols, values, seed):
+    # few distinct small integers: ties at, below and above the k-th place,
+    # in a different number on every row
+    X = np.random.default_rng(seed).integers(0, values, size=(rows, cols)).astype(float)
+    k = min(5, rows - 1)
+    np.testing.assert_array_equal(D._nearest_neighbors(X, k), brute_force_neighbors(X, k))
 
 
 @settings(max_examples=40, deadline=None)
@@ -571,6 +678,35 @@ def test_test_set_uses_train_statistics():
     z = std.transform(test_X)
     np.testing.assert_allclose(z, (test_X - train_X.mean(0)) / train_X.std(0))
     assert abs(z.mean()) > 1.0  # clearly not centered on its own stats
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (1, 60), (D._STD_BLOCK - 1, 60), (D._STD_BLOCK, 60), (D._STD_BLOCK + 1, 60),
+    (96_000, 60), (5000, 1)])
+def test_standardizer_is_byte_equal_to_numpy_mean_and_std(rows, cols):
+    rng = np.random.default_rng(rows + cols)
+    X = rng.normal(loc=rng.normal(size=cols) * 50, scale=rng.uniform(0.1, 9, cols),
+                   size=(rows, cols))
+    with warnings.catch_warnings():   # one row has no variance: its scale is floored to 1
+        warnings.simplefilter("ignore", UserWarning)
+        std = D.fit_standardizer(X)
+    scale = X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    assert std.mean.tobytes() == X.mean(axis=0).tobytes()
+    assert std.scale.tobytes() == scale.tobytes()
+    assert std.transform(X).tobytes() == ((X - X.mean(axis=0)) / scale).tobytes()
+
+
+def test_standardizer_fit_holds_one_row_block_not_the_whole_array():
+    X = np.random.default_rng(0).normal(size=(50_000, 60))   # 24 MB
+    tracemalloc.start()
+    try:
+        D.fit_standardizer(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (block, 60) buffer plus numpy's reduction buffers, far from the 24 MB of X
+    assert peak < D._STD_BLOCK * 60 * 8 + 2 ** 18
 
 
 def test_zero_variance_feature_warns_and_zeroes():

@@ -93,6 +93,18 @@ def test_adam_first_step_magnitude_is_learning_rate():
     np.testing.assert_allclose(p.data, [0.5 - 1e-3], atol=1e-10)
 
 
+@pytest.mark.parametrize("grad", [[1.0, np.inf], [1.0, np.nan], [1e200, 1.0]],
+                         ids=["inf", "nan", "square_overflows"])
+def test_adam_step_names_the_parameter_it_left_non_finite(grad):
+    ok = Tensor(np.array([0.5]), requires_grad=True)
+    bad = Tensor(np.array([0.5, 0.5]), requires_grad=True)
+    ok.grad, bad.grad = np.array([1.0]), np.array(grad)
+    opt = TR.Adam({"ok": ok, "bad": bad}, lr=1e-3)
+    assert opt.step() == "bad"   # and no numpy RuntimeWarning, an error in this suite
+    ok.grad, bad.grad = np.array([1.0]), None
+    assert TR.Adam({"ok": ok, "bad": bad}, lr=1e-3).step() is None
+
+
 def test_adam_is_deterministic():
     def run():
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
