@@ -8,7 +8,8 @@ Subcommands:
                 ``checkpoint.bin``, ``epochs.csv`` and ``manifest.json``
 * ``eval``      load a checkpoint and a CSV (full file or the run's held-out
                 split), emit the classification report (JSON + text) with
-                the loss, confusion and ROC CSVs, and per-instance latency;
+                the loss, confusion and ROC CSVs, and per-instance latency
+                (p50 and p95, at a batch of up to 64 rows and at batch 1);
                 predictions and loss come from one pass over the logits
 * ``ablate``    train and evaluate the ten-variant grid on one shared split,
                 emit ``ablation.csv``
@@ -231,7 +232,7 @@ def _load_model_checkpoint(path):
 
 
 def _score(model: Model, X: np.ndarray, y: np.ndarray, class_names, repetitions: int):
-    """(logits, confusion, report, loss, latency per instance) from one infer pass."""
+    """(logits, confusion, report, loss, ``Latency`` of up to 64 rows) from one infer pass."""
     logits = TR.predict_logits(model, X)
     cm = M.confusion(y, logits.argmax(axis=1), len(class_names),
                      class_names=list(class_names))
@@ -344,9 +345,13 @@ def cmd_eval(args) -> int:
     curves = M.roc_auc(T.softmax(logits, axis=1), y)
     blob = M.report_to_dict(report, cm, curves)
     blob["loss"] = loss
-    blob["inference_seconds_per_instance"] = latency
-    print(f"evaluated {scope}: accuracy {blob['accuracy']:.4f} "
-          f"(informational), loss {loss:.4f}, latency {latency:.2e}s/instance")
+    single = TR.measure_inference(model, X[:1], repetitions=args.repetitions)
+    blob["inference_seconds_per_instance"] = latency.p50
+    blob["inference_latency"] = [dataclasses.asdict(lat) for lat in (latency, single)]
+    print(f"evaluated {scope}: accuracy {blob['accuracy']:.4f} (informational), "
+          f"loss {loss:.4f}, latency p50/p95 per instance {latency.p50:.2e}/"
+          f"{latency.p95:.2e}s at batch {latency.batch_size}, "
+          f"{single.p50:.2e}/{single.p95:.2e}s at batch 1")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -394,7 +399,7 @@ def cmd_ablate(args) -> int:
                                                  dataset.encoder.class_names,
                                                  TR.MIN_REPETITIONS)
             row.update(accuracy=f"{report.accuracy:.6f}", loss=f"{loss:.6f}",
-                       fpr=f"{report.macro_fpr:.6f}", inf_time=f"{latency:.3e}",
+                       fpr=f"{report.macro_fpr:.6f}", inf_time=f"{latency.p50:.3e}",
                        min_class_recall=f"{report.recall.min():.6f}", error="")
             print(f"case #{case_id} {cfg.arch_name}: accuracy {report.accuracy:.4f}")
         except (SeqidsError, MemoryError) as exc:  # keep going; the row records the failure

@@ -183,10 +183,12 @@ def _row_chunks(path):
     """Yield the header, then the non-blank data rows in lists of ``_CHUNK_ROWS``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _rows(fh)
+        lineno = 0   # the last row read
         try:
             header = next(reader, None)
             if header is None:
                 raise InputError(f"{path}: file is empty")
+            lineno = 1
             yield header
             chunk = []
             for lineno, row in enumerate(reader, start=2):
@@ -201,6 +203,8 @@ def _row_chunks(path):
                     chunk = []
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:   # e.g. a cell over csv's field size limit
+            raise InputError(f"{path}:{lineno + 1}: unreadable CSV row: {exc}") from None
         if chunk:
             yield chunk
 

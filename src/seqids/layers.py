@@ -14,8 +14,17 @@ varies):
   ``h_cand = tanh(x W_c + (r * h_prev) U_c + b_c)``, and the update
   ``h_t = (1 - z) * h_prev + z * h_cand``. ``W (input, 3H)``, ``U (H, 3H)``
   and ``b (3H,)`` are packed in update | reset | candidate column blocks.
-* The BiGRU is one tape record: one input-projection GEMM per direction and
-  a hand-written backpropagation-through-time backward rule.
+* The BiGRU is one tape record with a hand-written backpropagation-through-
+  time backward rule. One Python loop advances both directions, each numpy
+  call serving both. The scan's arrays are time-major, ``(T, 2, B, ·)``, the
+  backward direction stored in reversed time, so step ``s`` of both
+  directions is the contiguous block ``[s]``; the z | r and candidate
+  pre-activations are separate arrays, so the sigmoid and the tanh run on
+  contiguous blocks too. The input projection stays one GEMM per direction,
+  over the time-major rows of x. The record saves the activations and the
+  output, nothing else. The backward rule lays h, the output gradient and
+  the pre-activation gradient out direction-major, ``(2, T, B, ·)``, so
+  that dW, dU and dx are one GEMM per direction each.
 * Multi-head attention is one tape record too. ``w_qkv (heads, model_dim,
   3 * key_dim)`` holds each head's query | key | value column blocks and
   ``w_o (heads * key_dim, model_dim)`` projects the concatenated heads back.
@@ -93,23 +102,30 @@ def conv1d_forward(x: Tensor, p: Conv1DParams) -> Tensor:
     pad_left = (k - 1) // 2
 
     xd, kern, bias = x.data, p.kernels.data, p.bias.data
-    xp = np.pad(xd, ((0, 0), (pad_left, k - 1 - pad_left), (0, 0)))
-    s0, s1, s2 = xp.strides
-    patches = as_strided(xp, (batch, t_len, k, c_in), (s0, s1, s1, s2))
-    cols = patches.reshape(batch * t_len, k * c_in)
+    if k == 1:
+        cols = xd.reshape(batch * t_len, c_in)
+    else:
+        xp = np.zeros((batch, t_len + k - 1, c_in), dtype=xd.dtype)
+        xp[:, pad_left:pad_left + t_len] = xd
+        s0, s1, s2 = xp.strides
+        cols = as_strided(xp, (batch, t_len, k, c_in), (s0, s1, s1, s2)).reshape(
+            batch * t_len, k * c_in)
     w2 = kern.transpose(2, 1, 0).reshape(k * c_in, c_out)
-    out_data = (cols @ w2 + bias).reshape(batch, t_len, c_out)
+    out_data = (cols @ w2).reshape(batch, t_len, c_out)
+    out_data += bias
 
     def back(g):
         g2 = g.reshape(batch * t_len, c_out)
         db = g2.sum(axis=0)
         dw = (cols.T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
-        dcols = (g2 @ w2.T).reshape(batch, t_len, k, c_in)
-        dxp = np.zeros_like(xp)
+        dcols = g2 @ w2.T
+        if k == 1:
+            return dcols.reshape(x.shape), dw, db
+        dcols = dcols.reshape(batch, t_len, k, c_in)
+        dxp = np.zeros((batch, t_len + k - 1, c_in), dtype=dcols.dtype)
         for i in range(k):
             dxp[:, i:i + t_len, :] += dcols[:, :, i, :]
-        dx = dxp[:, pad_left:pad_left + t_len, :]
-        return dx, dw, db
+        return dxp[:, pad_left:pad_left + t_len, :], dw, db
 
     return register_op((x, p.kernels, p.bias), out_data, back)
 
@@ -214,43 +230,92 @@ def init_gru(rng, input_size: int, hidden_size: int) -> GRUParams:
         b=Tensor(np.zeros(width), requires_grad=True))
 
 
-def _gru_scan(a: np.ndarray, u: np.ndarray, hs: np.ndarray) -> None:
-    """One direction, in place, over (B, T, ...) views in its own time order:
-    ``a`` (x_t W + b) becomes the z | r | candidate activations, ``hs`` gets h_t."""
-    hid = u.shape[0]
-    u_zr, u_c = u[:, :2 * hid], u[:, 2 * hid:]
-    h = np.zeros_like(hs[:, 0])
+def _time_major(fwd_part: np.ndarray, bwd_part: np.ndarray) -> np.ndarray:
+    """(2, T, B, ·) copy of two (B, T, ·) arrays: the forward direction's in
+    time order, the backward direction's in reversed time order."""
+    tm = np.empty((2,) + fwd_part.shape[1::-1] + fwd_part.shape[2:], dtype=fwd_part.dtype)
+    tm[0] = fwd_part.transpose(1, 0, 2)
+    tm[1] = bwd_part[:, ::-1].transpose(1, 0, 2)
+    return tm
+
+
+def _gru_scan(zr: np.ndarray, cand: np.ndarray, u: np.ndarray, hs: np.ndarray) -> None:
+    """Both directions in one loop, in place, over time-major arrays whose
+    block ``s``, (2, B, ·), holds step ``s`` of each direction in its own time
+    order: ``zr`` (T, 2, B, 2H) and ``cand`` (T, 2, B, H) hold x_t W + b and
+    become the z | r and candidate activations, and ``hs`` (T, 2, B, H) gets
+    h_s. ``u`` stacks the two directions' recurrent weights, (2, H, 3H)."""
+    hid = u.shape[1]
+    u_zr, u_c = u[..., :2 * hid], u[..., 2 * hid:]
+    g_zr = np.empty_like(zr[0])
+    g_c, tmp, h = (np.zeros_like(hs[0]) for _ in range(3))
+    # Each call serves both directions and writes into a buffer or a block of
+    # zr, cand or hs. The values are those of ``h + z * (tanh(c + (r * h) U_c)
+    # - h)`` with ``z | r = 1 / (1 + exp(-(zr + h U_zr)))``, computed op by op
+    # in that order, so they are the same bits as one direction at a time.
     # exp(-x) overflows to inf for x < -709, where the sigmoid rightly gives 0;
     # silenced once per scan, since an errstate per step costs about 2 us
     with np.errstate(over="ignore"):
-        for t in range(a.shape[1]):
-            zr, c = a[:, t, :2 * hid], a[:, t, 2 * hid:]
-            zr[...] = 1.0 / (1.0 + np.exp(-(zr + h @ u_zr)))
-            c[...] = np.tanh(c + (zr[:, hid:] * h) @ u_c)
-            hs[:, t] = h + zr[:, :hid] * (c - h)
-            h = hs[:, t]
+        for zr_s, c, h_s in zip(zr, cand, hs):
+            np.matmul(h, u_zr, out=g_zr)
+            np.add(zr_s, g_zr, out=zr_s)
+            np.negative(zr_s, out=zr_s)
+            np.exp(zr_s, out=zr_s)
+            np.add(1.0, zr_s, out=zr_s)
+            np.divide(1.0, zr_s, out=zr_s)
+            np.multiply(zr_s[..., hid:], h, out=tmp)
+            np.matmul(tmp, u_c, out=g_c)
+            np.add(c, g_c, out=c)
+            np.tanh(c, out=c)
+            np.subtract(c, h, out=tmp)
+            np.multiply(zr_s[..., :hid], tmp, out=tmp)
+            h = np.add(h, tmp, out=h_s)
 
 
-def _gru_bptt(a: np.ndarray, u: np.ndarray, hs: np.ndarray, dhs: np.ndarray):
-    """BPTT of one ``_gru_scan``: the pre-activation gradient (laid out as ``a``) and dU."""
-    hid = u.shape[0]
-    u_zr, u_c = u[:, :2 * hid], u[:, 2 * hid:]
-    h_prev = np.concatenate([np.zeros_like(hs[:, :1]), hs[:, :-1]], axis=1)
-    da = np.empty_like(a)
-    dh = np.zeros_like(hs[:, 0])
-    for t in range(a.shape[1] - 1, -1, -1):
-        z, r, c = a[:, t, :hid], a[:, t, hid:2 * hid], a[:, t, 2 * hid:]
-        hp = h_prev[:, t]
-        dh = dh + dhs[:, t]
-        da[:, t, 2 * hid:] = dh * z * (1.0 - c * c)
-        drh = da[:, t, 2 * hid:] @ u_c.T
-        da[:, t, :hid] = dh * (c - hp) * z * (1.0 - z)
-        da[:, t, hid:2 * hid] = drh * hp * r * (1.0 - r)
-        dh = dh * (1.0 - z) + drh * r + da[:, t, :2 * hid] @ u_zr.T
-    rh = h_prev * a[..., hid:2 * hid]
-    du_zr = h_prev.reshape(-1, hid).T @ da[..., :2 * hid].reshape(-1, 2 * hid)
-    du_c = rh.reshape(-1, hid).T @ da[..., 2 * hid:].reshape(-1, hid)
-    return da, np.concatenate([du_zr, du_c], axis=1)
+def _gru_bptt(zr: np.ndarray, cand: np.ndarray, u: np.ndarray, hs: np.ndarray,
+              dhs: np.ndarray):
+    """BPTT of one ``_gru_scan``, from its activations and (2, T, B, H) copies
+    of h and of the output gradient, each direction in its own time order:
+    the pre-activation gradient (2, T, B, 3H) and dU, (2, H, 3H)."""
+    hid = u.shape[1]
+    u_zr_t, u_c_t = (np.swapaxes(w, -1, -2) for w in (u[..., :2 * hid], u[..., 2 * hid:]))
+    da = np.empty(hs.shape[:-1] + (3 * hid,), dtype=hs.dtype)
+    dh, drh, t1, t2, t3 = (np.zeros_like(hs[:, 0]) for _ in range(5))
+    for s in range(da.shape[1] - 1, -1, -1):
+        z, r, c, da_s = zr[s, ..., :hid], zr[s, ..., hid:], cand[s], da[:, s]
+        dz, dr, dc = da_s[..., :hid], da_s[..., hid:2 * hid], da_s[..., 2 * hid:]
+        hp = hs[:, s - 1] if s else 0.0
+        dh += dhs[:, s]
+        # dc = dh * z * (1 - c^2)
+        np.multiply(c, c, out=t1)
+        np.subtract(1.0, t1, out=t1)
+        np.multiply(dh, z, out=t2)
+        np.multiply(t2, t1, out=dc)
+        np.matmul(dc, u_c_t, out=drh)
+        # dz = dh * (c - h_prev) * z * (1 - z)
+        np.subtract(c, hp, out=t1)
+        np.multiply(dh, t1, out=t1)
+        np.multiply(t1, z, out=t1)
+        np.subtract(1.0, z, out=t2)
+        np.multiply(t1, t2, out=dz)
+        # dr = drh * h_prev * r * (1 - r)
+        np.multiply(drh, hp, out=t1)
+        np.multiply(t1, r, out=t1)
+        np.subtract(1.0, r, out=t3)
+        np.multiply(t1, t3, out=dr)
+        # dh_prev = dh * (1 - z) + drh * r + dzr U_zr^T
+        np.multiply(dh, t2, out=dh)
+        np.multiply(drh, r, out=t1)
+        dh += t1
+        np.matmul(da_s[..., :2 * hid], u_zr_t, out=t1)
+        dh += t1
+    # step 0's h_prev is zero, so it adds nothing to dU
+    hp = hs[:, :-1]
+    rh = np.multiply(hp, zr[1:, ..., hid:].swapaxes(0, 1), out=np.empty_like(hp))
+    hp, rh = (v.reshape(2, -1, hid).swapaxes(1, 2) for v in (hp, rh))
+    da_next = da[:, 1:].reshape(2, -1, 3 * hid)
+    du = np.concatenate([hp @ da_next[..., :2 * hid], rh @ da_next[..., 2 * hid:]], axis=2)
+    return da, du
 
 
 def bigru_forward(x: Tensor, fwd: GRUParams, bwd: GRUParams) -> Tensor:
@@ -271,26 +336,39 @@ def bigru_forward(x: Tensor, fwd: GRUParams, bwd: GRUParams) -> Tensor:
             raise ShapeError(
                 f"gru: input width {feat} and hidden size {hid} do not match "
                 f"W {p.W.shape}, U {p.U.shape} and b {p.b.shape}")
-    x2 = x.data.reshape(-1, feat)
+    dirs = (fwd, bwd)
+    dtype = np.result_type(x.data, *(q.data for p in dirs for q in (p.W, p.U, p.b)))
+    u = np.stack([p.U.data for p in dirs])
+    zr = np.empty((t_len, 2, batch, 2 * hid), dtype=dtype)
+    cand = np.empty((t_len, 2, batch, hid), dtype=dtype)
+    # one input-projection GEMM per direction over its time-major rows, into
+    # one buffer that both directions reuse
+    proj = np.empty((t_len * batch, 3 * hid), dtype=dtype)
+    for d, (p, xd) in enumerate(zip(dirs, (x.data, x.data[:, ::-1]))):
+        np.matmul(xd.transpose(1, 0, 2).reshape(-1, feat), p.W.data, out=proj)
+        proj += p.b.data
+        split = proj.reshape(t_len, batch, 3 * hid)
+        zr[:, d], cand[:, d] = split[..., :2 * hid], split[..., 2 * hid:]
+    del proj, split
+    hs = np.empty((t_len, 2, batch, hid), dtype=dtype)
+    _gru_scan(zr, cand, u, hs)
     out_data = np.empty((batch, t_len, 2 * hid), dtype=x.data.dtype)
-    # per direction: params, its half of the output, its time order
-    dirs = ((fwd, slice(None, hid), slice(None)), (bwd, slice(hid, None), slice(None, None, -1)))
-    acts = []
-    for p, half, order in dirs:
-        a = (x2 @ p.W.data + p.b.data).reshape(batch, t_len, 3 * hid)
-        _gru_scan(a[:, order], p.U.data, out_data[:, order, half])
-        acts.append(a)
+    out_data[..., :hid] = hs[:, 0].transpose(1, 0, 2)
+    out_data[..., hid:] = hs[::-1, 1].transpose(1, 0, 2)
 
     def back(g):
-        dx = np.zeros_like(x2)
-        grads = []
-        for (p, half, order), a in zip(dirs, acts):
-            da, du = _gru_bptt(a[:, order], p.U.data, out_data[:, order, half],
-                               g[:, order, half])
-            da = da[:, order].reshape(-1, 3 * hid)
-            dx += da @ p.W.data.T
-            grads += [x2.T @ da, du, da.sum(axis=0)]
-        return [dx.reshape(x.shape)] + grads
+        hs = _time_major(out_data[..., :hid], out_data[..., hid:])
+        da, du = _gru_bptt(zr, cand, u, hs, _time_major(g[..., :hid], g[..., hid:]))
+        del hs
+        da = da.reshape(2, -1, 3 * hid)
+        xs = _time_major(x.data, x.data).reshape(2, -1, feat)
+        dw = np.matmul(np.swapaxes(xs, 1, 2), da)
+        del xs
+        dxs = np.matmul(da, np.swapaxes(np.stack([p.W.data for p in dirs]), 1, 2))
+        dxs = dxs.reshape(2, t_len, batch, feat)
+        dx = dxs[0].transpose(1, 0, 2) + dxs[1, ::-1].transpose(1, 0, 2)
+        db = da.sum(axis=1)
+        return [dx, dw[0], du[0], db[0], dw[1], du[1], db[1]]
 
     return register_op((x, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b), out_data, back)
 
@@ -332,9 +410,7 @@ def _attention_weights(q: np.ndarray, k: np.ndarray,
     """softmax(q k^T / sqrt(d_q)) over the keys, for (..., T, d) arrays: the
     scores and then their softmax are written in place into ``out`` (..., T, T)
     when given, else into a new array."""
-    # a contiguous k keeps the batched product on BLAS when q is a strided view
-    kt = np.swapaxes(np.ascontiguousarray(k), -1, -2)
-    scores = np.matmul(q, kt, out=out)
+    scores = np.matmul(q, np.swapaxes(k, -1, -2), out=out)
     scores *= 1.0 / math.sqrt(q.shape[-1])
     return T.softmax(scores, out=scores)
 
@@ -382,23 +458,25 @@ def multi_head_attention(x: Tensor, p: MHAParams) -> Tensor:
     qkvs = [np.empty((x2.shape[0], width), dtype=x2.dtype) for _ in range(slots)]
     ws = [np.empty(lead + lead[-1:], dtype=x2.dtype) for _ in range(slots)]
 
-    def split_qkv(h):
-        return np.split(qkvs[h % slots].reshape(lead + (-1,)), 3, axis=-1)
+    def blocks(a, n):
+        """The ``n`` column blocks of width ``key_dim`` of a (rows, n * key_dim) array."""
+        a = a.reshape(lead + (-1,))
+        return [a[..., i * key_dim:(i + 1) * key_dim] for i in range(n)]
 
     # heads write their outputs into column blocks of one concat buffer
     cat = np.empty((x2.shape[0], p.w_o.shape[0]), dtype=x2.dtype)
-    for h, out in enumerate(np.split(cat.reshape(lead + (-1,)), heads, axis=-1)):
+    for h, out in enumerate(blocks(cat, heads)):
         np.matmul(x2, p.w_qkv.data[h], out=qkvs[h % slots])
-        q, k, v = split_qkv(h)
+        q, k, v = blocks(qkvs[h % slots], 3)
         np.matmul(_attention_weights(q, k, ws[h % slots]), v, out=out)
 
     def back(g):
         g = g.reshape(-1, model_dim)
         dx, dw_qkv = np.zeros_like(x2), np.empty_like(p.w_qkv.data)
         dqkv, dx_h = np.empty_like(qkvs[0]), np.empty_like(x2)
-        dq, dk, dv = np.split(dqkv.reshape(lead + (-1,)), 3, axis=-1)
+        dq, dk, dv = blocks(dqkv, 3)
         for h in range(heads):
-            q, k, v = split_qkv(h)
+            q, k, v = blocks(qkvs[h], 3)
             w = ws[h]
             dout = (g @ p.w_o.data[h * key_dim:(h + 1) * key_dim].T).reshape(lead + (-1,))
             ds = dout @ np.swapaxes(v, -1, -2)

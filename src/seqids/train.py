@@ -201,7 +201,7 @@ def predict_logits(model: Model, X: np.ndarray, batch_size: int = 256) -> np.nda
     """Infer-mode logits of (N, T, C) input, (N, num_classes), ``batch_size`` rows at a time."""
     chunks = [model.forward(X[s:s + batch_size], mode="infer").data
               for s in range(0, X.shape[0], batch_size)]
-    return np.concatenate(chunks)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def predict_proba(model: Model, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
@@ -209,8 +209,17 @@ def predict_proba(model: Model, X: np.ndarray, batch_size: int = 256) -> np.ndar
     return T.softmax(predict_logits(model, X, batch_size), axis=1)
 
 
-def measure_inference(model: Model, batch: np.ndarray, repetitions: int = 30) -> float:
-    """Median wall-clock seconds per instance of a (N, T, C) batch over ``repetitions`` runs.
+@dataclass(frozen=True)
+class Latency:
+    """Wall-clock seconds per instance of one batch size: the median and the
+    95th percentile of the timed runs, each divided by the batch size."""
+    batch_size: int
+    p50: float
+    p95: float
+
+
+def measure_inference(model: Model, batch: np.ndarray, repetitions: int = 30) -> Latency:
+    """Latency per instance of a (N, T, C) batch over ``repetitions`` runs.
 
     The input is an in-memory array, so the figure excludes any data
     loading or preprocessing. One warm-up pass runs first.
@@ -223,7 +232,8 @@ def measure_inference(model: Model, batch: np.ndarray, repetitions: int = 30) ->
         tic = time.perf_counter()
         model.forward(batch, mode="infer")
         times.append(time.perf_counter() - tic)
-    return float(np.median(times)) / batch.shape[0]
+    n = batch.shape[0]
+    return Latency(n, float(np.median(times)) / n, float(np.percentile(times, 95)) / n)
 
 
 def write_epoch_csv(records: list[EpochRecord], path) -> None:

@@ -278,6 +278,36 @@ def test_eval_emits_full_report(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+def test_eval_report_json_schema(tmp_path):
+    data, ckpt = trained_run(tmp_path)
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
+                   "--repetitions", 10, "--out-dir", out) == 0
+    blob = json.loads((out / "report.json").read_text())
+    assert set(blob) == {"accuracy", "macro", "weighted", "micro_fpr", "per_class",
+                         "confusion", "auc", "loss", "inference_seconds_per_instance",
+                         "inference_latency"}
+    for key in ("accuracy", "micro_fpr", "loss", "inference_seconds_per_instance"):
+        assert isinstance(blob[key], float), key
+    assert set(blob["macro"]) == {"precision", "recall", "f1", "fpr"}
+    assert set(blob["weighted"]) == {"precision", "recall", "f1"}
+    names = [c["name"] for c in blob["per_class"]]
+    for c in blob["per_class"]:
+        assert set(c) == {"name", "precision", "recall", "f1", "fpr", "support", "degenerate"}
+        assert isinstance(c["support"], int) and isinstance(c["degenerate"], bool)
+    assert set(blob["auc"]) == set(names)
+    cm = blob["confusion"]
+    assert len(cm) == len(names) and all(
+        len(row) == len(names) and all(isinstance(v, int) for v in row) for row in cm)
+    # latency per instance at the timed batch (up to 64 rows), then at batch 1
+    latency = blob["inference_latency"]
+    assert [lat["batch_size"] for lat in latency] == [min(64, sum(map(sum, cm))), 1]
+    for lat in latency:
+        assert set(lat) == {"batch_size", "p50", "p95"}
+        assert 0 < lat["p50"] <= lat["p95"]
+    assert blob["inference_seconds_per_instance"] == latency[0]["p50"]
+
+
 def test_eval_train_data_beats_heldout_on_separable_task(tmp_path):
     data, ckpt = trained_run(tmp_path)
     full = tmp_path / "eval_full"

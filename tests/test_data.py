@@ -127,6 +127,17 @@ def test_load_csv_invalid_utf8_fails_with_input_error(tmp_path):
         D.load_csv(f)
 
 
+@pytest.mark.parametrize("bad_row", [1, 3])
+def test_load_csv_oversized_quoted_cell_fails_with_input_error(tmp_path, bad_row):
+    # csv.reader refuses a field over its 131072-character limit
+    rows = ["x1,label", "1,a", "2,b"]
+    rows.insert(bad_row - 1, '"' + "1" * 200_000 + '",a')
+    f = tmp_path / "t.csv"
+    f.write_text("\n".join(rows) + "\n")
+    with pytest.raises(InputError, match=rf"t\.csv:{bad_row}: unreadable CSV row: field larger"):
+        D.load_csv(f, label_column="label")
+
+
 def test_load_csv_empty_file(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text("")
@@ -383,10 +394,12 @@ def csv_module_row_chunks(path):
     """``_row_chunks`` with every line tokenized by ``csv.reader``, as it was first written."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        lineno = 0
         try:
             header = next(reader, None)
             if header is None:
                 raise InputError(f"{path}: file is empty")
+            lineno = 1
             yield header
             chunk = []
             for lineno, row in enumerate(reader, start=2):
@@ -401,6 +414,8 @@ def csv_module_row_chunks(path):
                     chunk = []
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise InputError(f"{path}:{lineno + 1}: unreadable CSV row: {exc}") from None
         if chunk:
             yield chunk
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,6 +55,30 @@ def test_conv1d_same_padding_preserves_length():
     p = L.init_conv1d(rng, in_channels=2, out_channels=5, kernel_size=3)
     x = Tensor(rng.normal(size=(2, 7, 2)))
     assert L.conv1d_forward(x, p).shape == (2, 7, 5)
+
+
+def conv1d_pad_reference(x, kernels, bias):
+    """The forward pass the layer had before it built its padded input
+    itself: ``np.pad`` for every kernel size, then the same im2col GEMM."""
+    batch, t_len, c_in = x.shape
+    c_out, _, k = kernels.shape
+    pad_left = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (pad_left, k - 1 - pad_left), (0, 0)))
+    s0, s1, s2 = xp.strides
+    cols = as_strided(xp, (batch, t_len, k, c_in), (s0, s1, s1, s2)).reshape(batch * t_len, -1)
+    return (cols @ kernels.transpose(2, 1, 0).reshape(k * c_in, c_out) + bias).reshape(
+        batch, t_len, c_out)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("shape,c_out", [((1, 60, 1), 64), ((3, 60, 64), 64), ((2, 7, 3), 5)])
+def test_conv1d_is_byte_equal_to_the_np_pad_reference(k, shape, c_out):
+    rng = np.random.default_rng(k)
+    p = L.init_conv1d(rng, shape[-1], c_out, k)
+    p.bias.data = rng.normal(size=c_out)
+    x = rng.normal(size=shape)
+    want = conv1d_pad_reference(x, p.kernels.data, p.bias.data)
+    assert L.conv1d_forward(Tensor(x), p).data.tobytes() == want.tobytes()
 
 
 def test_conv1d_channel_mismatch():
@@ -206,15 +231,106 @@ def test_gru_zero_weights_halve_hidden_state():
 
 
 def test_gru_gates_stay_in_unit_interval():
-    # the scan leaves the z | r | candidate activations in its input buffer
+    # the scan leaves the z | r and candidate activations in its input
+    # buffers, time-major (T, direction, B, ·), for both directions at once
     rng = np.random.default_rng(13)
-    p = random_gru(rng, 4, 5)
-    a = (rng.normal(size=(3, 8, 4)) * 3) @ p.W.data + p.b.data
-    hs = np.empty((3, 8, 5))
-    L._gru_scan(a, p.U.data, hs)
-    zr = a[..., :10]
+    dirs = [random_gru(rng, 4, 5) for _ in range(2)]
+    x = rng.normal(size=(8, 2, 3, 4)) * 3
+    a = np.stack([x[:, d] @ p.W.data + p.b.data for d, p in enumerate(dirs)], axis=1)
+    zr, cand = a[..., :10].copy(), a[..., 10:].copy()
+    hs = np.empty((8, 2, 3, 5))
+    L._gru_scan(zr, cand, np.stack([p.U.data for p in dirs]), hs)
     assert np.all((zr > 0) & (zr < 1))
+    assert np.all(np.abs(cand) < 1.0)
     assert np.all(np.abs(hs) < 1.0)
+
+
+def per_direction_scan(a, u, hs):
+    """One direction of the scan the layer had before both shared one
+    time-major loop, in place over (B, T, ·) views in its own time order."""
+    hid = u.shape[0]
+    u_zr, u_c = u[:, :2 * hid], u[:, 2 * hid:]
+    h = np.zeros_like(hs[:, 0])
+    with np.errstate(over="ignore"):
+        for t in range(a.shape[1]):
+            zr, c = a[:, t, :2 * hid], a[:, t, 2 * hid:]
+            zr[...] = 1.0 / (1.0 + np.exp(-(zr + h @ u_zr)))
+            c[...] = np.tanh(c + (zr[:, hid:] * h) @ u_c)
+            hs[:, t] = h + zr[:, :hid] * (c - h)
+            h = hs[:, t]
+
+
+def per_direction_bptt(a, u, hs, dhs):
+    """BPTT of one ``per_direction_scan``: the pre-activation gradient and dU."""
+    hid = u.shape[0]
+    u_zr, u_c = u[:, :2 * hid], u[:, 2 * hid:]
+    h_prev = np.concatenate([np.zeros_like(hs[:, :1]), hs[:, :-1]], axis=1)
+    da = np.empty_like(a)
+    dh = np.zeros_like(hs[:, 0])
+    for t in range(a.shape[1] - 1, -1, -1):
+        z, r, c = a[:, t, :hid], a[:, t, hid:2 * hid], a[:, t, 2 * hid:]
+        hp = h_prev[:, t]
+        dh = dh + dhs[:, t]
+        da[:, t, 2 * hid:] = dh * z * (1.0 - c * c)
+        drh = da[:, t, 2 * hid:] @ u_c.T
+        da[:, t, :hid] = dh * (c - hp) * z * (1.0 - z)
+        da[:, t, hid:2 * hid] = drh * hp * r * (1.0 - r)
+        dh = dh * (1.0 - z) + drh * r + da[:, t, :2 * hid] @ u_zr.T
+    rh = h_prev * a[..., hid:2 * hid]
+    du_zr = h_prev.reshape(-1, hid).T @ da[..., :2 * hid].reshape(-1, 2 * hid)
+    du_c = rh.reshape(-1, hid).T @ da[..., 2 * hid:].reshape(-1, hid)
+    return da, np.concatenate([du_zr, du_c], axis=1)
+
+
+def per_direction_bigru(x, fwd, bwd, g=None):
+    """Output of the BiGRU with one scan per direction, and, given the output
+    gradient ``g``, its gradients for (x, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b)."""
+    hid = fwd.U.shape[0]
+    batch, t_len, feat = x.shape
+    x2 = x.reshape(-1, feat)
+    out = np.empty((batch, t_len, 2 * hid))
+    dirs = ((fwd, slice(None, hid), slice(None)), (bwd, slice(hid, None), slice(None, None, -1)))
+    acts = []
+    for p, half, order in dirs:
+        a = (x2 @ p.W.data + p.b.data).reshape(batch, t_len, 3 * hid)
+        per_direction_scan(a[:, order], p.U.data, out[:, order, half])
+        acts.append(a)
+    if g is None:
+        return out, None
+    dx, grads = np.zeros_like(x2), []
+    for (p, half, order), a in zip(dirs, acts):
+        da, du = per_direction_bptt(a[:, order], p.U.data, out[:, order, half], g[:, order, half])
+        da = da[:, order].reshape(-1, 3 * hid)
+        dx += da @ p.W.data.T
+        grads += [x2.T @ da, du, da.sum(axis=0)]
+    return out, [dx.reshape(x.shape)] + grads
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.integers(1, 6), t_len=st.integers(1, 9), feat=st.integers(1, 5),
+       hid=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_bigru_matches_the_per_direction_scan(batch, t_len, feat, hid, seed):
+    rng = np.random.default_rng(seed)
+    fwd, bwd = random_gru(rng, feat, hid), random_gru(rng, feat, hid)
+    x, g = rng.normal(size=(batch, t_len, feat)), rng.normal(size=(batch, t_len, 2 * hid))
+    want_out, want_grads = per_direction_bigru(x, fwd, bwd, g)
+    with T.Tape() as tape:
+        out = L.bigru_forward(Tensor(x, requires_grad=True), fwd, bwd)
+    np.testing.assert_allclose(out.data, want_out, rtol=1e-15,
+                               atol=1e-15 * np.abs(want_out).max())
+    for got, want in zip(tape.records[0].backward_fn(g), want_grads, strict=True):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("batch", [1, 56, 128])
+def test_bigru_output_is_byte_equal_to_the_per_direction_scan_at_the_flagship_size(batch):
+    # 60 steps, 64 input features (the conv filters), 64 units per direction
+    rng = np.random.default_rng(batch)
+    fwd, bwd = random_gru(rng, 64, 64), random_gru(rng, 64, 64)
+    x = rng.normal(size=(batch, 60, 64))
+    want, _ = per_direction_bigru(x, fwd, bwd)
+    assert L.bigru_forward(Tensor(x), fwd, bwd).data.tobytes() == want.tobytes()
 
 
 def test_gru_dimension_mismatch():
@@ -604,6 +720,15 @@ def test_mha_matches_the_recomputing_rule(heads, key_dim, shape, dtype):
         check_mha_against_recomputing_rule(p, x, g)
     finally:
         T.set_default_dtype("float64")
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_mha_matches_the_recomputing_rule_at_the_flagship_size(batch):
+    # 60 steps of the BiGRU's 128 features, 4 heads of key_dim 64
+    rng = np.random.default_rng(batch)
+    p = L.init_mha(rng, 128, 4, 64)
+    x, g = rng.normal(size=(2, batch, 60, 128))
+    check_mha_against_recomputing_rule(p, x, g)
 
 
 def test_mha_keeps_per_head_state_only_when_recorded():

@@ -228,8 +228,9 @@ def test_epoch_csv_round_trip(tmp_path):
 def test_measure_inference_positive_and_finite():
     model = build_model(SMALL_CFG, np.random.default_rng(6))
     batch = np.random.default_rng(6).normal(size=(8, 12, 1))
-    t = TR.measure_inference(model, batch, repetitions=10)
-    assert np.isfinite(t) and t > 0
+    lat = TR.measure_inference(model, batch, repetitions=10)
+    assert lat.batch_size == 8
+    assert np.isfinite(lat.p95) and lat.p95 >= lat.p50 > 0
 
 
 def test_measure_inference_batching_amortizes():
@@ -237,7 +238,7 @@ def test_measure_inference_batching_amortizes():
     rng = np.random.default_rng(7)
     t1 = TR.measure_inference(model, rng.normal(size=(1, 12, 1)), repetitions=15)
     t64 = TR.measure_inference(model, rng.normal(size=(64, 12, 1)), repetitions=15)
-    assert t64 <= t1
+    assert t64.p50 <= t1.p50
 
 
 def test_measure_inference_requires_enough_repetitions():
