@@ -39,13 +39,20 @@ varies):
   ``_normalize``, and so one tape record each. They differ only in the axes
   their statistics come from: batch and time for BatchNorm train, the
   feature axis for LayerNorm, and none for BatchNorm infer, whose running
-  statistics are constants to the backward rule.
+  statistics are constants to the backward rule. ``batchnorm_forward(...,
+  relu=True)`` applies a ReLU inside that record (the residual block's first
+  BatchNorm), its backward rule masking ``g`` before the normalization's.
+* The residual join ``relu(a + b)`` is one record too, ``residual_relu``,
+  over two inputs of one shape; no other elementwise op has a record.
 * Dropout is inverted: survivors are scaled by 1/(1-rate) at train time and
   inference is the identity. Train mode is one tape record on a boolean
   keep mask; its backward rule applies the same mask and scale to ``g``.
-* Dense is one tape record over ``(N, in)`` input: ``x W^T + b``, then ReLU
-  or no activation. The model's last Dense has none, so it returns logits;
-  the softmax lives in the loss and in ``predict_proba``.
+* Dense is one tape record: ``x W^T + b``, then ReLU or no activation. It
+  takes ``(N, ...)`` input and reads it as the view ``(N, in)``, so the
+  model's flatten is the first Dense's view, not a record of its own; ``dx``
+  comes back in the input's shape. The model's last Dense has no
+  activation, so it returns logits; the softmax lives in the loss and in
+  ``predict_proba``.
 * Weights use fan-scaled uniform init, bound sqrt(6 / (fan_in + fan_out));
   biases start at zero, scale/shift parameters at one/zero.
 """
@@ -134,23 +141,30 @@ def conv1d_forward(x: Tensor, p: Conv1DParams) -> Tensor:
 # Normalization: BatchNorm and LayerNorm share one primitive
 
 def _normalize(x: Tensor, p: BatchNormParams | LayerNormParams, mean: np.ndarray,
-               var: np.ndarray, epsilon: float, axes: tuple[int, ...] | None) -> Tensor:
+               var: np.ndarray, epsilon: float, axes: tuple[int, ...] | None,
+               relu: bool = False) -> Tensor:
     """``(x - mean) * rstd * gamma + beta`` as one tape record, with
-    ``rstd = 1 / sqrt(var + epsilon)`` and gamma, beta over the last axis.
+    ``rstd = 1 / sqrt(var + epsilon)`` and gamma, beta over the last axis,
+    then a ReLU when ``relu`` is set.
 
     ``axes`` are the axes ``mean`` and ``var`` were taken over, the set S
     the backward rule differentiates through:
     ``dx = rstd * (g' - mean_S(g') - xhat * mean_S(g' * xhat))`` with
     ``g' = g * gamma``. ``None`` means fixed statistics: ``dx = g' * rstd``.
+    The ReLU's mask is applied to ``g`` first.
     """
     rstd = 1.0 / np.sqrt(var + epsilon)
     xhat = x.data - mean
     xhat *= rstd
     out_data = xhat * p.gamma.data
     out_data += p.beta.data
+    if relu:
+        np.maximum(out_data, 0, out=out_data)
     gamma, lead = p.gamma.data, tuple(range(x.ndim - 1))
 
     def back(g):
+        if relu:
+            g = g * (out_data > 0)
         t = g * xhat
         dgamma = t.sum(axis=lead)
         dx = g * gamma
@@ -189,16 +203,17 @@ def init_batchnorm(rng, channels: int, momentum: float = 0.99) -> BatchNormParam
         momentum=momentum)
 
 
-def batchnorm_forward(x: Tensor, p: BatchNormParams, mode: str = "train") -> Tensor:
+def batchnorm_forward(x: Tensor, p: BatchNormParams, mode: str = "train",
+                      relu: bool = False) -> Tensor:
     """Per-channel normalization over batch and time. x: (B, T, C).
 
     Train mode normalizes with batch statistics and updates the running
     mean/variance in place by the momentum rule; infer mode uses the stored
-    running statistics only.
+    running statistics only. ``relu`` applies a ReLU inside the same record.
     """
     _check_sequence(x, "batchnorm")
     if mode == "infer":
-        return _normalize(x, p, p.running_mean.data, p.running_var.data, _BN_EPSILON, None)
+        return _normalize(x, p, p.running_mean.data, p.running_var.data, _BN_EPSILON, None, relu)
     if mode != "train":
         raise ContractError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
     xd = x.data
@@ -209,7 +224,22 @@ def batchnorm_forward(x: Tensor, p: BatchNormParams, mode: str = "train") -> Ten
     m = p.momentum
     p.running_mean.data = m * p.running_mean.data + (1 - m) * mean
     p.running_var.data = m * p.running_var.data + (1 - m) * var
-    return _normalize(x, p, mean, var, _BN_EPSILON, (0, 1))
+    return _normalize(x, p, mean, var, _BN_EPSILON, (0, 1), relu)
+
+
+def residual_relu(a: Tensor, b: Tensor) -> Tensor:
+    """``relu(a + b)``, the residual block's join, as one tape record."""
+    if a.shape != b.shape:
+        raise ShapeError(f"residual join: shapes {a.shape} and {b.shape} differ")
+    out_data = a.data + b.data
+    np.maximum(out_data, 0, out=out_data)
+
+    def back(g):
+        g = g * (out_data > 0)
+        # one array for both inputs is safe: backward adds each into a fresh .grad
+        return g, g
+
+    return register_op((a, b), out_data, back)
 
 
 # ---------------------------------------------------------------------------
@@ -535,17 +565,20 @@ def init_dense(rng, in_features: int, out_features: int, activation: str = "none
 
 
 def dense_forward(x: Tensor, p: DenseParams) -> Tensor:
-    """activation(x W^T + b). x: (N, in) -> (N, out), one tape record."""
-    if x.ndim != 2 or x.shape[1] != p.W.shape[1]:
-        raise ShapeError(f"dense: input {x.shape} is not (N, {p.W.shape[1]}) for W {p.W.shape}")
+    """activation(x W^T + b). x: (N, ...) read as (N, in) -> (N, out), one tape record."""
+    width = p.W.shape[1]
+    if x.ndim < 2 or math.prod(x.shape[1:]) != width:
+        raise ShapeError(
+            f"dense: input {x.shape} does not flatten to (N, {width}) for W {p.W.shape}")
+    x2 = x.data.reshape(x.shape[0], width)
     relu = p.activation == "relu"
-    y = x.data @ p.W.data.T + p.b.data
+    y = x2 @ p.W.data.T + p.b.data
     if relu:
         np.maximum(y, 0.0, out=y)
 
     def back(g):
         if relu:
             g = g * (y > 0)
-        return g @ p.W.data, g.T @ x.data, g.sum(axis=0)
+        return (g @ p.W.data).reshape(x.shape), g.T @ x2, g.sum(axis=0)
 
     return register_op((x, p.W, p.b), y, back)

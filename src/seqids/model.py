@@ -16,6 +16,11 @@ Ablation flags drop the residual block, the BiGRU+LayerNorm pair, or the
 attention block; dropout-then-flatten always precedes the dense head. ReLU
 placement inside the residual block (after the first BatchNorm and after
 the residual add) follows standard residual-block practice.
+
+Each stage is one fused record of ``layers``; there is no glue between
+them. The first ReLU lives inside the first BatchNorm's record
+(``relu=True``), the second in the residual join's (``residual_relu``), and
+the flatten is the first Dense's view of its ``(B, T, F)`` input.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from . import layers as L
-from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
@@ -141,14 +145,13 @@ class Model:
         """(B, T, C) batch -> (B, num_classes) logits."""
         x = batch if isinstance(batch, Tensor) else Tensor(batch)
         t_len, channels = self.cfg.input_shape
-        if x.ndim != 3 or x.shape[1:] != (t_len, channels):
-            raise ShapeError(
-                f"model expects batches of shape (B, {t_len}, {channels}), got {x.shape}")
+        if x.ndim != 3 or x.shape[1:] != (t_len, channels) or x.shape[0] < 1:
+            raise ShapeError(f"model expects batches of shape (B, {t_len}, {channels}) "
+                             f"with B >= 1, got {x.shape}")
         if self.cfg.use_resnet_block:
-            y = L.conv1d_forward(x, self.conv1)
-            y = T.relu(L.batchnorm_forward(y, self.bn1, mode))
+            y = L.batchnorm_forward(L.conv1d_forward(x, self.conv1), self.bn1, mode, relu=True)
             y = L.batchnorm_forward(L.conv1d_forward(y, self.conv2), self.bn2, mode)
-            y = T.relu(T.add(y, L.conv1d_forward(x, self.shortcut)))
+            y = L.residual_relu(y, L.conv1d_forward(x, self.shortcut))
         else:
             y = x
         if self.cfg.use_bigru:
@@ -157,7 +160,6 @@ class Model:
         if self.cfg.use_mha:
             y = L.multi_head_attention(y, self.mha)
         y = L.dropout_forward(y, self.cfg.dropout_rate, mode, rng)
-        y = T.reshape(y, (y.shape[0], y.shape[1] * y.shape[2]))
         for d in self.dense:
             y = L.dense_forward(y, d)
         return y

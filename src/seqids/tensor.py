@@ -13,10 +13,10 @@ Gradients flow only into tensors with ``requires_grad=True`` (and into
 everything downstream of them). With no tape active, operations run in pure
 inference mode and record nothing.
 
-The generic ops are only those the model graph needs between its fused
-layers: ``add``, ``mul``, ``relu``, ``reshape`` and ``tsum`` (the scalar
-loss of the finite-difference checks). Each layer registers its own fused
-op with a hand-written backward rule through ``register_op``.
+There are no generic ops. ``register_op`` is the only way a record is
+made: each layer, and the loss, registers its own fused op with a
+hand-written backward rule, so the model's ReLUs, residual add and flatten
+live inside those records.
 
 The floating width is a process-wide setting (``set_default_dtype``), not a
 per-tensor property. float64 is the default and is what the finite
@@ -148,65 +148,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 t.grad = np.zeros_like(t.data)
             t.grad += gi
         g = grads = gi = None  # freed before the next rule allocates
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def _check_broadcast(a: np.ndarray, b: np.ndarray, opname: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a.data, b.data, "add")
-    out = a.data + b.data
-    return register_op((a, b), out, lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a.data, b.data, "mul")
-    out = a.data * b.data
-    return register_op(
-        (a, b), out,
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
-
-
-def reshape(a, shape: tuple[int, ...]) -> Tensor:
-    a = _as_tensor(a)
-    if np.prod(shape, dtype=int) != a.size and -1 not in shape:
-        raise ShapeError(f"reshape: cannot view {a.shape} ({a.size} elements) as {tuple(shape)}")
-    out = a.data.reshape(shape)
-    return register_op((a,), out, lambda g: (g.reshape(a.shape),))
-
-
-def tsum(a) -> Tensor:
-    """Sum of all elements, as a 0-d tensor."""
-    a = _as_tensor(a)
-    return register_op((a,), a.data.sum(), lambda g: (np.broadcast_to(g, a.shape),))
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-    return register_op((a,), out, lambda g: (g * (a.data > 0),))
 
 
 def softmax(a: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:

@@ -199,8 +199,9 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
 
 def predict_logits(model: Model, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Infer-mode logits of (N, T, C) input, (N, num_classes), ``batch_size`` rows at a time."""
+    # an empty X still makes one forward call, which raises its ShapeError
     chunks = [model.forward(X[s:s + batch_size], mode="infer").data
-              for s in range(0, X.shape[0], batch_size)]
+              for s in range(0, X.shape[0], batch_size) or [0]]
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 

@@ -13,6 +13,7 @@ from seqids import layers as L
 from seqids import tensor as T
 from seqids.errors import ContractError, ShapeError
 from seqids.tensor import Tensor, grad_check_all
+from tape_ops import product_sum
 
 
 def sdpa_brute_force(q, k, v):
@@ -93,7 +94,7 @@ def test_conv1d_gradients():
     p = L.init_conv1d(rng, in_channels=2, out_channels=3, kernel_size=3)
     x = Tensor(rng.normal(size=(2, 6, 2)), requires_grad=True)
     err = grad_check_all(
-        lambda: T.tsum(T.mul(L.conv1d_forward(x, p), L.conv1d_forward(x, p))),
+        lambda: product_sum(L.conv1d_forward(x, p), L.conv1d_forward(x, p)),
         [x, p.kernels, p.bias], h=1e-6)
     assert err < 1e-5
 
@@ -156,8 +157,8 @@ def test_batchnorm_gradients_both_modes():
     x = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
     for mode in ("train", "infer"):
         err = grad_check_all(
-            lambda m=mode: T.tsum(T.mul(L.batchnorm_forward(x, p, m),
-                                        L.batchnorm_forward(x, p, m))),
+            lambda m=mode: product_sum(L.batchnorm_forward(x, p, m),
+                                       L.batchnorm_forward(x, p, m)),
             [x, p.gamma, p.beta], h=1e-6)
         assert err < 1e-5, mode
 
@@ -168,6 +169,74 @@ def test_batchnorm_updates_running_stats_with_momentum():
     L.batchnorm_forward(x, p, mode="train")
     np.testing.assert_allclose(p.running_mean.data, [0.9 * 0.0 + 0.1 * 3.5])
     np.testing.assert_allclose(p.running_var.data, [0.9 * 1.0 + 0.1 * x.data.var()])
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_batchnorm_relu_is_the_relu_of_batchnorm_in_one_record(mode):
+    rng = np.random.default_rng(40)
+    p = L.init_batchnorm(rng, channels=3)
+    p.running_mean.data, p.running_var.data = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+    x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+    plain = L.batchnorm_forward(x, p, mode).data
+    assert (plain < 0).any() and (plain > 0).any()
+    with T.Tape() as tape:
+        out = L.batchnorm_forward(x, p, mode, relu=True)
+    assert len(tape) == 1
+    assert out.data.tobytes() == np.maximum(plain, 0.0).tobytes()
+
+
+def test_batchnorm_relu_gradients_both_modes():
+    rng = np.random.default_rng(41)
+    p = L.init_batchnorm(rng, channels=2)
+    p.gamma.data, p.beta.data = rng.uniform(0.5, 2.0, size=2), rng.normal(size=2)
+    p.running_mean.data = rng.normal(size=2)
+    p.running_var.data = np.abs(rng.normal(size=2)) + 0.5
+    x = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
+    # random output weights: a squared output would zero the gradient of
+    # every element the ReLU clips, hiding a missing mask
+    c = Tensor(rng.normal(size=(2, 4, 2)))
+    for mode in ("train", "infer"):
+        pre = L.batchnorm_forward(x, p, mode).data  # train mode ignores the running stats
+        assert (pre > 0).any() and (pre < 0).any() and np.abs(pre).min() > 1e-3, mode
+        err = grad_check_all(
+            lambda m=mode: product_sum(L.batchnorm_forward(x, p, m, relu=True), c),
+            [x, p.gamma, p.beta], h=1e-6)
+        assert err < 1e-5, mode
+
+
+# ---------------------------------------------------------------------------
+# Residual join
+
+def test_residual_relu_is_the_relu_of_the_sum_in_one_record():
+    rng = np.random.default_rng(42)
+    a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3, 4)))
+    with T.Tape() as tape:
+        out = L.residual_relu(a, b)
+    assert len(tape) == 1
+    assert out.data.tobytes() == np.maximum(a.data + b.data, 0.0).tobytes()
+
+
+def test_residual_relu_rejects_different_shapes_naming_them():
+    # no broadcasting: a (B, T, 1) shortcut against (B, T, F) is a wiring fault
+    with pytest.raises(ShapeError, match=re.escape("(2, 3, 4) and (2, 3, 1)")):
+        L.residual_relu(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3, 1))))
+
+
+def test_residual_relu_gradients_over_both_inputs():
+    rng = np.random.default_rng(43)
+    a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    s = a.data + b.data
+    a.data += np.where(np.abs(s) < 0.1, 0.2 * np.sign(s), 0.0)  # off the kink
+    s = a.data + b.data
+    assert (s > 0).any() and (s < 0).any() and np.abs(s).min() > 1e-3
+    c = Tensor(rng.normal(size=(2, 3, 4)))
+    assert grad_check_all(lambda: product_sum(L.residual_relu(a, b), c), [a, b], h=1e-6) < 1e-5
+    # the rule returns one array for both inputs; each .grad is its own copy
+    assert a.grad is not b.grad and a.grad.tobytes() == b.grad.tobytes()
+    a.grad += 1.0
+    assert not np.array_equal(a.grad, b.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +453,7 @@ def test_bigru_gradients():
     x = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
     checked = [x, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b]
     err = grad_check_all(
-        lambda: T.tsum(T.mul(L.bigru_forward(x, fwd, bwd), L.bigru_forward(x, fwd, bwd))),
+        lambda: product_sum(L.bigru_forward(x, fwd, bwd), L.bigru_forward(x, fwd, bwd)),
         checked, h=1e-6)
     assert err < 1e-5
 
@@ -407,7 +476,7 @@ def test_bigru_keeps_the_input_dtype():
         x = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
         with T.Tape() as tape:
             out = L.bigru_forward(x, fwd, bwd)
-            loss = T.tsum(out)
+            loss = product_sum(out, Tensor(np.ones(out.shape)))
         T.backward(loss, tape)
     finally:
         T.set_default_dtype("float64")
@@ -449,7 +518,7 @@ def test_layernorm_gradients():
     p = L.init_layernorm(rng, features=5)
     x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
     err = grad_check_all(
-        lambda: T.tsum(T.mul(L.layernorm_forward(x, p), L.layernorm_forward(x, p))),
+        lambda: product_sum(L.layernorm_forward(x, p), L.layernorm_forward(x, p)),
         [x, p.gamma, p.beta], h=1e-6)
     assert err < 1e-5
 
@@ -649,7 +718,7 @@ def test_sdpa_gradients():
     x = Tensor(rng.normal(size=(1, 5, 4)), requires_grad=True)
     assert L._attention_weights(*np.split(x.data @ p.w_qkv.data[0], 3, axis=-1)[:2]).max() > 0.9
     err = grad_check_all(
-        lambda: T.tsum(T.mul(L.multi_head_attention(x, p), L.multi_head_attention(x, p))),
+        lambda: product_sum(L.multi_head_attention(x, p), L.multi_head_attention(x, p)),
         [x, p.w_qkv, p.w_o], h=1e-6)
     assert err < 1e-5
 
@@ -781,7 +850,7 @@ def test_mha_gradients():
     for shape in ((1, 4, 8), (2, 4, 8)):
         x = Tensor(rng.normal(size=shape), requires_grad=True)
         err = grad_check_all(
-            lambda: T.tsum(T.mul(L.multi_head_attention(x, p), L.multi_head_attention(x, p))),
+            lambda: product_sum(L.multi_head_attention(x, p), L.multi_head_attention(x, p)),
             [x, p.w_qkv, p.w_o], h=1e-6)
         assert err < 1e-5
 
@@ -919,7 +988,7 @@ def test_dense_gradients():
         # random output weights: a squared output would zero the gradient of
         # every unit the ReLU clips, hiding a missing mask
         c = Tensor(rng.normal(size=(5, 3)))
-        err = grad_check_all(lambda: T.tsum(T.mul(L.dense_forward(x, p), c)),
+        err = grad_check_all(lambda: product_sum(L.dense_forward(x, p), c),
                              [x, p.W, p.b], h=1e-6)
         assert err < 1e-5, activation
 
@@ -931,6 +1000,23 @@ def test_dense_is_one_tape_record(activation):
     with T.Tape() as tape:
         L.dense_forward(Tensor(rng.normal(size=(2, 4)), requires_grad=True), p)
     assert len(tape) == 1
+
+
+def test_dense_reads_trailing_dimensions_as_one_feature_axis():
+    rng = np.random.default_rng(44)
+    p = L.init_dense(rng, in_features=12, out_features=3, activation="relu")
+    p.b.data = rng.normal(size=3)
+    x = Tensor(rng.normal(size=(2, 3, 4)) + 0.2, requires_grad=True)
+    flat = L.dense_forward(Tensor(x.data.reshape(2, 12)), p).data
+    with T.Tape() as tape:
+        out = L.dense_forward(x, p)
+    assert len(tape) == 1
+    assert out.data.tobytes() == flat.tobytes()
+    assert np.abs(x.data.reshape(2, 12) @ p.W.data.T + p.b.data).min() > 1e-3
+    c = Tensor(rng.normal(size=(2, 3)))
+    assert grad_check_all(lambda: product_sum(L.dense_forward(x, p), c),
+                          [x, p.W, p.b], h=1e-6) < 1e-5
+    assert x.grad.shape == (2, 3, 4)
 
 
 def test_dense_width_mismatch():

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from seqids import checkpoint as ckpt
+from seqids import layers as L
 from seqids import tensor as T
 from seqids import train as TR
 from seqids.errors import ConfigError, InputError, ShapeError
 from seqids.model import Model, ModelConfig, build_model, table3_grid
+from seqids.tensor import Tensor
 
 TINY = ModelConfig(input_shape=(8, 1), num_classes=3, conv_filters=6, gru_units=4,
                    num_heads=2, key_dim=3, dense_units=(8, 4))
@@ -193,15 +195,82 @@ def test_flagship_named_arrays_cover_every_tensor_once():
     assert list(arrays) == list(other.named_arrays())
 
 
-def test_flagship_train_step_is_17_tape_records():
-    # residual block: conv, BN, ReLU, conv, BN, shortcut conv, add, ReLU;
-    # BiGRU, LayerNorm, MHA; dropout, flatten; one per Dense; the loss
-    m = build_model(ModelConfig(), np.random.default_rng(0))
+# A flagship train step: residual block (conv, BN + ReLU, conv, BN, shortcut
+# conv, add + ReLU), BiGRU, LayerNorm, MHA, dropout, one per Dense, the loss
+GLUE_CONFIGS = {
+    "flagship": (ModelConfig(), 14),
+    "no_residual": (ModelConfig(use_resnet_block=False), 8),
+    "no_bigru_no_mha": (ModelConfig(use_bigru=False, use_mha=False), 11),
+}
+
+
+@pytest.mark.parametrize("name, records", [(n, r) for n, (_, r) in GLUE_CONFIGS.items()])
+def test_train_step_tape_records(name, records):
+    m = build_model(GLUE_CONFIGS[name][0], np.random.default_rng(0))
     X = np.random.default_rng(1).normal(size=(4, 60, 1))
     with T.Tape() as tape:
         TR.cross_entropy_loss(m.forward(X, mode="train", rng=np.random.default_rng(2)),
                               np.arange(4))
-    assert len(tape) == 17
+    assert len(tape) == records
+
+
+# A reference of the generic glue the model used to compose between its layers,
+# with those ops' backward rules (same-shape add, ReLU, flatten): one record
+# each, three more per flagship step than the glue folded into the layers.
+
+def _ref_add(a, b):
+    return T.register_op((a, b), a.data + b.data, lambda g: (g, g))
+
+
+def _ref_relu(a):
+    return T.register_op((a,), np.maximum(a.data, 0.0), lambda g: (g * (a.data > 0),))
+
+
+def _ref_reshape(a, shape):
+    return T.register_op((a,), a.data.reshape(shape), lambda g: (g.reshape(a.shape),))
+
+
+def _reference_forward(m, x, mode, rng=None):
+    if m.cfg.use_resnet_block:
+        y = _ref_relu(L.batchnorm_forward(L.conv1d_forward(x, m.conv1), m.bn1, mode))
+        y = L.batchnorm_forward(L.conv1d_forward(y, m.conv2), m.bn2, mode)
+        y = _ref_relu(_ref_add(y, L.conv1d_forward(x, m.shortcut)))
+    else:
+        y = x
+    if m.cfg.use_bigru:
+        y = L.layernorm_forward(L.bigru_forward(y, m.gru_fwd, m.gru_bwd), m.lnorm)
+    if m.cfg.use_mha:
+        y = L.multi_head_attention(y, m.mha)
+    y = L.dropout_forward(y, m.cfg.dropout_rate, mode, rng)
+    y = _ref_reshape(y, (y.shape[0], y.shape[1] * y.shape[2]))
+    for d in m.dense:
+        y = L.dense_forward(y, d)
+    return y
+
+
+@pytest.mark.parametrize("name", GLUE_CONFIGS)
+def test_fused_glue_is_bit_identical_to_the_generic_ops(name):
+    cfg, records = GLUE_CONFIGS[name]
+    X = np.random.default_rng(1).normal(size=(3, 60, 1))
+    runs = []
+    for forward in (Model.forward, _reference_forward):
+        m = build_model(cfg, np.random.default_rng(0))
+        infer = forward(m, Tensor(X), "infer").data
+        x = Tensor(X, requires_grad=True)
+        with T.Tape() as tape:
+            logits = forward(m, x, "train", np.random.default_rng(2))
+            loss = TR.cross_entropy_loss(logits, np.arange(3))
+        T.backward(loss, tape)
+        params = m.named_parameters()
+        arrays = [infer, logits.data, x.grad] + [p.grad for p in params.values()]
+        TR.Adam(params).step()
+        arrays += [t.data for t in m.named_arrays().values()]  # trained weights, BN stats
+        runs.append(([a.tobytes() for a in arrays], len(tape)))
+    (fused, fused_records), (reference, reference_records) = runs
+    assert len(fused) == len(reference)
+    for i, (got, want) in enumerate(zip(fused, reference)):
+        assert got == want, i
+    assert (fused_records, reference_records) == (records, records + 1 + 2 * cfg.use_resnet_block)
 
 
 def test_named_arrays_keeps_no_model_alive():

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from seqids import data as D
 from seqids import tensor as T
 from seqids import train as TR
-from seqids.errors import ContractError
+from seqids.errors import ContractError, ShapeError
 from seqids.model import ModelConfig, build_model
 from seqids.tensor import Tensor, grad_check_all
 
@@ -245,3 +247,15 @@ def test_measure_inference_requires_enough_repetitions():
     model = build_model(SMALL_CFG, np.random.default_rng(8))
     with pytest.raises(ContractError):
         TR.measure_inference(model, np.zeros((2, 12, 1)), repetitions=5)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda m, X: m.forward(X, mode="infer"),
+    lambda m, X: m.forward(X, mode="train", rng=np.random.default_rng(0)),
+    TR.predict_logits,
+    TR.measure_inference,
+], ids=["forward_infer", "forward_train", "predict_logits", "measure_inference"])
+def test_empty_batch_is_a_shape_error_naming_the_shape(entry):
+    model = build_model(SMALL_CFG, np.random.default_rng(9))
+    with pytest.raises(ShapeError, match=re.escape("got (0, 12, 1)")):
+        entry(model, np.zeros((0, 12, 1)))
