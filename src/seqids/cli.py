@@ -7,7 +7,11 @@ Subcommands:
                 training split -> standardize -> train; writes
                 ``checkpoint.bin``, ``epochs.csv`` and ``manifest.json``
 * ``eval``      load a checkpoint and a CSV (full file or the run's held-out
-                split), emit the classification report (JSON + text) with
+                split), read through the training file's schema: feature
+                columns by name, labels and categorical columns by the
+                vocabularies the checkpoint stores, and ``--holdout`` only
+                on the training file itself (same sha256); emit the
+                classification report (JSON + text) with
                 the loss, confusion and ROC CSVs, and per-instance latency
                 (p50 and p95, at a batch of up to 64 rows and at batch 1);
                 predictions and loss come from one pass over the logits
@@ -23,7 +27,9 @@ starts a comment). Their keys are the ``ModelConfig`` fields
 ``dropout_rate``, ``dense_units`` (a comma list) and ``bn_momentum``; the
 ``TrainConfig`` fields ``epochs``, ``batch_size``, ``lr``, ``seed`` and
 ``validation_fraction``; and ``use_smote``. Any other key, a malformed value
-or an out-of-range setting is an error.
+or an out-of-range setting is an error. ``--dtype`` (``train`` and
+``ablate``) is the dtype of the models the command builds, float64 by
+default; it sets nothing beyond them. ``eval`` builds a float64 model.
 
 Every artifact directory receives exactly one ``manifest.json`` capturing
 the command, settings, seed, dataset entry, tool version and timestamps. The
@@ -54,7 +60,7 @@ from . import train as TR
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, InputError, SeqidsError
 from .model import Model, ModelConfig, build_model, table3_grid
-from .tensor import Tensor, set_default_dtype
+from .tensor import Tensor
 
 # input_shape and num_classes are read from the data, never from a config file
 MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)} - {"input_shape", "num_classes"}
@@ -167,13 +173,14 @@ def parse_imbalance(spec: str, classes: int) -> list[float]:
 # ---------------------------------------------------------------------------
 # Pipeline pieces shared by the subcommands
 
-def _load_dataset(args) -> tuple[D.Dataset, dict]:
-    """``--data`` through ``load_csv``, and the manifest's dataset entry."""
-    dataset, dropped = D.load_csv(args.data, label_column=args.label_column)
+def _load_dataset(args, schema: D.Schema | None = None) -> tuple[D.Dataset, dict]:
+    """``--data`` read as ``load_csv`` reads it, through ``schema`` when
+    given, and the manifest's dataset entry with the file's own counts."""
+    table = D.read_table(args.data, args.label_column, schema)
+    dataset, dropped = D.table_to_dataset(table, schema)
     if dropped:
         print(f"dropped {dropped} unparseable row(s)", file=sys.stderr)
-    rows, features = dataset.X.shape
-    return dataset, dataset_fingerprint(args.data, rows + dropped, features + 1)
+    return dataset, dataset_fingerprint(args.data, table.row_count, len(table.column_names))
 
 
 def _preprocess(split: D.SplitPair, use_smote: bool,
@@ -192,7 +199,9 @@ def _preprocess(split: D.SplitPair, use_smote: bool,
 
 def _save_model_checkpoint(path, model: Model, standardizer: D.Standardizer,
                            dataset: D.Dataset, train_cfg: TR.TrainConfig,
-                           fraction: float, use_smote: bool) -> None:
+                           fraction: float, use_smote: bool, data_sha256: str) -> None:
+    """The model, the standardizer and, in the meta, the training file's
+    schema (class names, feature names, vocabularies) and sha256."""
     arrays = {f"model.{n}": t.data for n, t in model.named_arrays().items()}
     arrays["standardizer.mean"] = standardizer.mean
     arrays["standardizer.scale"] = standardizer.scale
@@ -200,21 +209,28 @@ def _save_model_checkpoint(path, model: Model, standardizer: D.Standardizer,
         "config": model.cfg.to_dict(),
         "class_names": dataset.encoder.class_names,
         "feature_names": dataset.feature_names,
+        "categories": dataset.categories,
         "train": {"epochs": train_cfg.epochs, "batch_size": train_cfg.batch_size,
                   "lr": train_cfg.lr, "seed": train_cfg.seed,
-                  "fraction": fraction, "smote": use_smote},
+                  "fraction": fraction, "smote": use_smote, "data_sha256": data_sha256},
         "tool_version": __version__,
     }
     save_checkpoint(path, arrays, meta)
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _load_model_checkpoint(path):
+    """(model, standardizer, meta, the training file's ``D.Schema``) of a
+    checkpoint that ``train`` wrote; anything else is an ``InputError``."""
     arrays, meta = load_checkpoint(path)
     if not isinstance(meta.get("config"), dict):
         raise InputError(f"{path}: not a model checkpoint: its meta has no 'config' object")
     cfg = ModelConfig.from_dict(meta["config"])
     names, train = meta.get("class_names"), meta.get("train")
-    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+    if not _strings(names):
         raise InputError(f"{path}: not a model checkpoint: its meta has no 'class_names' "
                          "list of strings")
     if not (isinstance(train, dict) and isinstance(train.get("seed"), int)
@@ -228,7 +244,14 @@ def _load_model_checkpoint(path):
         raise InputError(f"{path}: not a model checkpoint: it has no standardizer arrays")
     standardizer = D.Standardizer(mean=arrays["standardizer.mean"],
                                   scale=arrays["standardizer.scale"])
-    return model, standardizer, meta
+    features, categories = meta.get("feature_names"), meta.get("categories")
+    if not (_strings(features) and isinstance(categories, dict)
+            and set(categories) <= set(features) and all(map(_strings, categories.values()))
+            and isinstance(train.get("data_sha256"), str)):
+        raise InputError(f"{path}: not a model checkpoint: its meta lacks a 'feature_names' "
+                         "list, a 'categories' object of those features' vocabularies or the "
+                         "training file's 'data_sha256' in 'train'")
+    return model, standardizer, meta, D.Schema(features, names, categories)
 
 
 def _score(model: Model, X: np.ndarray, y: np.ndarray, class_names, repetitions: int):
@@ -270,7 +293,6 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.time()
-    set_default_dtype(args.dtype)
     dataset, fingerprint = _load_dataset(args)
     file_values = parse_config_file(args.config) if args.config else {}
     unknown = sorted(file_values.keys() - MODEL_KEYS - TRAIN_KEYS - {"use_smote"})
@@ -287,7 +309,7 @@ def cmd_train(args) -> int:
     pre_counts = split.train.class_counts().tolist()
     split, standardizer = _preprocess(split, use_smote, train_cfg.seed)
     post_counts = split.train.class_counts().tolist()
-    model = build_model(model_cfg, np.random.default_rng(train_cfg.seed))
+    model = build_model(model_cfg, np.random.default_rng(train_cfg.seed), args.dtype)
     print(f"training {model_cfg.arch_name} ({model.param_count()} parameters) "
           f"on {split.train.X.shape[0]} rows")
     model, records = TR.train(model, split, train_cfg)
@@ -300,7 +322,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     TR.write_epoch_csv(records, out_dir / "epochs.csv")
     _save_model_checkpoint(out_dir / "checkpoint.bin", model, standardizer,
-                           dataset, train_cfg, args.fraction, use_smote)
+                           dataset, train_cfg, args.fraction, use_smote, fingerprint["sha256"])
     write_manifest(
         out_dir / "manifest.json", "train",
         {"model": model_cfg.to_dict(),
@@ -319,20 +341,16 @@ def cmd_eval(args) -> int:
     if args.repetitions < TR.MIN_REPETITIONS:
         raise ConfigError(f"eval needs --repetitions >= {TR.MIN_REPETITIONS}, "
                           f"got {args.repetitions}")
-    model, standardizer, meta = _load_model_checkpoint(args.checkpoint)
-    dataset, fingerprint = _load_dataset(args)
-    expected_f = model.cfg.input_shape[0]
-    if dataset.num_features != expected_f:
-        raise ConfigError(
-            f"feature width mismatch: checkpoint expects {expected_f} features, "
-            f"data has {dataset.num_features}")
-    class_names = meta["class_names"]
-    if dataset.encoder.class_names != class_names:
-        raise ConfigError(
-            f"class labels differ from the checkpoint's: data {dataset.encoder.class_names} "
-            f"vs checkpoint {class_names}")
+    model, standardizer, meta, schema = _load_model_checkpoint(args.checkpoint)
+    dataset, fingerprint = _load_dataset(args, schema)
+    class_names = schema.class_names
 
     if args.holdout:
+        trained_on = meta["train"]["data_sha256"]
+        if fingerprint["sha256"] != trained_on:
+            raise InputError(f"--holdout re-splits the training file, but {args.data} has "
+                             f"sha256 {fingerprint['sha256']} and the training file had "
+                             f"{trained_on}")
         split = D.train_test_split(dataset, fraction=meta["train"]["fraction"],
                                    seed=meta["train"]["seed"])
         X_raw, y = split.test.X, split.test.y
@@ -372,7 +390,6 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     started = time.time()
-    set_default_dtype(args.dtype)
     dataset, fingerprint = _load_dataset(args)
     train_cfg = apply_config(TR.TrainConfig(), {}, args)
 
@@ -392,7 +409,7 @@ def cmd_ablate(args) -> int:
                "dense_layers": len(cfg.dense_units) + 1}
         try:
             fit_split, standardizer = _preprocess(base_split, use_smote, case_seed)
-            model = build_model(cfg, np.random.default_rng(case_seed))
+            model = build_model(cfg, np.random.default_rng(case_seed), args.dtype)
             model, _ = TR.train(model, fit_split, dataclasses.replace(train_cfg, seed=case_seed))
             X_test = D.reshape_for_model(base_split.test.X, standardizer)
             _, _, report, loss, latency = _score(model, X_test, base_split.test.y,
@@ -497,8 +514,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)
         return 1
-    finally:
-        set_default_dtype("float64")  # --dtype holds for one command, not the process
 
 
 if __name__ == "__main__":

@@ -27,6 +27,13 @@ The CSV contract of ``load_csv``:
   ``ConfigError``, and a header with no other column an ``InputError``,
   both raised before any data row is parsed. The label cells are kept as
   strings from the first row on and never parsed as numbers.
+- Given a ``Schema`` (a training file's layout), ``read_table`` and
+  ``table_to_dataset`` read a file through it instead: its feature columns
+  are the schema's, picked by name in the schema's order (others are not
+  read), and its labels and categorical columns are coded by the schema's
+  vocabularies. A missing column, text in a column the schema has numeric,
+  or a value outside a vocabulary is an ``InputError`` that names it; a
+  class the file lacks is simply absent.
 - Rows are parsed ``_CHUNK_ROWS`` at a time, so the cell strings of only
   one chunk are alive at once. A feature column that turns categorical
   after the first chunk, whose earlier strings are gone, is read again in
@@ -45,7 +52,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,6 +96,8 @@ class Dataset:
     y: np.ndarray                 # (N,) int in 0..K-1
     encoder: LabelEncoder
     feature_names: list[str]
+    #: the vocabulary of each categorical feature, by name, in code order
+    categories: dict[str, list[str]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.X.shape[0] != self.y.shape[0]:
@@ -100,6 +109,16 @@ class Dataset:
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.y, minlength=self.encoder.num_classes)
+
+
+@dataclass(frozen=True)
+class Schema:
+    """A training file's layout, which another file is read through: the
+    feature columns in order, the class names and each categorical feature's
+    vocabulary, each in code order."""
+    feature_names: list[str]
+    class_names: list[str]
+    categories: dict[str, list[str]]
 
 
 @dataclass
@@ -129,16 +148,23 @@ class Categories:
         """Per row: is the cell something other than a missing marker."""
         return _present(self.index)[np.concatenate(self.parts)]
 
-    def encode(self, keep: np.ndarray) -> tuple[LabelEncoder, np.ndarray]:
-        """The encoder of the kept rows' strings and each kept row's code in it."""
+    def encode(self, keep: np.ndarray,
+               vocabulary: list[str] | None = None) -> tuple[LabelEncoder, np.ndarray]:
+        """The encoder of the kept rows' strings and each kept row's code in it.
+
+        The encoder is fitted to those strings, or is ``vocabulary``'s when
+        given; a kept string outside ``vocabulary`` raises ``KeyError``.
+        """
         codes = np.concatenate(self.parts)
         if not keep.all():   # with no row dropped, no [keep] copy
             codes = codes[keep]
         names = np.array(list(self.index), dtype=object)
         used = np.flatnonzero(np.bincount(codes, minlength=names.size))
-        encoder = LabelEncoder().fit(names[used])
+        encoder = LabelEncoder(list(vocabulary)) if vocabulary is not None \
+            else LabelEncoder().fit(names[used])
+        mapping = encoder.mapping
         lut = np.zeros(names.size, dtype=np.int64)
-        lut[used] = encoder.encode(names[used])
+        lut[used] = [mapping[n] for n in names[used]]
         return encoder, lut[codes]
 
 
@@ -151,6 +177,7 @@ class RawTable:
     """
     column_names: list[str]
     label: int   # the label column's index
+    features: list[int]   # the feature columns' indices, in the dataset's order
     row_count: int
     numeric: dict[int, np.ndarray]
     categorical: dict[int, Categories]
@@ -240,7 +267,7 @@ def _read_categories(path, columns) -> dict[int, Categories]:
     return found
 
 
-def read_table(path, label_column: str) -> RawTable:
+def read_table(path, label_column: str, schema: Schema | None = None) -> RawTable:
     """Parse a CSV file under the module's contract, ``_CHUNK_ROWS`` rows at a time.
 
     Lines free of ``"`` and NUL are split on commas directly, and only the
@@ -255,7 +282,8 @@ def read_table(path, label_column: str) -> RawTable:
     from then on; one that fails on a later chunk, whose earlier strings are
     gone, is read again in a second pass over the file. Only one chunk's
     strings are alive at a time, beside the float columns, so the peak is
-    about the bytes of ``X`` plus one chunk.
+    about the bytes of ``X`` plus one chunk. With a ``schema`` only its
+    columns are read, and those it has categorical are never cast.
     """
     chunks = _row_chunks(path)
     header = next(chunks)
@@ -264,8 +292,19 @@ def read_table(path, label_column: str) -> RawTable:
     if len(header) < 2:
         raise InputError(f"no feature column besides the label column {label_column!r}")
     label = header.index(label_column)
-    parts = {i: [] for i in range(len(header)) if i != label}   # the columns numeric so far
+    features = [i for i in range(len(header)) if i != label]
     categorical = {label: Categories()}
+    if schema is not None:
+        where = {header[i]: i for i in reversed(features)}   # a repeated name: its first column
+        missing = [name for name in schema.feature_names if name not in where]
+        if missing:
+            raise InputError(f"{path}: no column {missing[0]!r}: the training data had "
+                             f"{len(schema.feature_names)} feature columns, this file has "
+                             f"{len(features)}")
+        features = [where[name] for name in schema.feature_names]
+        categorical.update((where[name], Categories()) for name in schema.categories)
+    # the columns numeric so far
+    parts = {i: [] for i in features if i not in categorical}
     late = []
     rows = 0
     for chunk in chunks:
@@ -275,6 +314,9 @@ def read_table(path, label_column: str) -> RawTable:
             if values is not None:
                 parts[i].append(values)
                 continue
+            if schema is not None:
+                raise InputError(f"{path}: column {header[i]!r} holds text, but the training "
+                                 "data's was numeric")
             del parts[i]
             if rows == 0:   # the first chunk: its strings are all still here
                 categorical[i] = Categories()
@@ -289,21 +331,22 @@ def read_table(path, label_column: str) -> RawTable:
     numeric = {i: np.concatenate(parts.pop(i)) for i in list(parts)}
     if late:
         categorical.update(_read_categories(path, late))
-    return RawTable(column_names=header, label=label, row_count=rows, numeric=numeric,
-                    categorical=categorical)
+    return RawTable(column_names=header, label=label, features=features, row_count=rows,
+                    numeric=numeric, categorical=categorical)
 
 
-def table_to_dataset(table: RawTable) -> tuple[Dataset, int]:
+def table_to_dataset(table: RawTable, schema: Schema | None = None) -> tuple[Dataset, int]:
     """Numerize a raw table; returns the dataset and the dropped-row count.
 
     Rows with a missing marker in any column, or a non-finite value in a
     numeric one, are dropped. Categorical columns, and the label, are
-    encoded by the kept rows' strings in lexicographic order. The float
-    columns are taken out of ``table.numeric`` as ``X`` is filled, so a
-    table is numerized once.
+    encoded by the kept rows' strings in lexicographic order, or by the
+    ``schema``'s vocabularies when given. The float columns are taken out of
+    ``table.numeric`` as ``X`` is filled, so a table is numerized once.
     """
-    feature_idx = [i for i in range(len(table.column_names)) if i != table.label]
+    feature_idx = table.features
     feature_names = [table.column_names[i] for i in feature_idx]
+    vocabularies = {} if schema is None else schema.categories
     labels = table.categorical[table.label]
 
     keep = labels.present()
@@ -318,15 +361,29 @@ def table_to_dataset(table: RawTable) -> tuple[Dataset, int]:
 
     # with no row dropped, a column is copied without a [keep] temporary
     X = np.empty((kept, len(feature_idx)))
-    for pos, i in enumerate(feature_idx):
+    categories = {}
+    for pos, (i, name) in enumerate(zip(feature_idx, feature_names)):
         if i not in table.numeric:
-            X[:, pos] = table.categorical[i].encode(keep)[1]
+            encoder, X[:, pos] = _encode(table, i, keep, vocabularies.get(name))
+            categories[name] = encoder.class_names
         elif kept == table.row_count:
             X[:, pos] = table.numeric.pop(i)
         else:
             X[:, pos] = table.numeric.pop(i)[keep]
-    encoder, y = labels.encode(keep)
-    return Dataset(X=X, y=y, encoder=encoder, feature_names=feature_names), table.row_count - kept
+    encoder, y = _encode(table, table.label, keep, None if schema is None else schema.class_names)
+    return Dataset(X=X, y=y, encoder=encoder, feature_names=feature_names,
+                   categories=categories), table.row_count - kept
+
+
+def _encode(table: RawTable, i: int, keep: np.ndarray,
+            vocabulary: list[str] | None) -> tuple[LabelEncoder, np.ndarray]:
+    """``Categories.encode`` of column ``i``, a value outside ``vocabulary``
+    an ``InputError`` that names the column and the value."""
+    try:
+        return table.categorical[i].encode(keep, vocabulary)
+    except KeyError as exc:
+        raise InputError(f"column {table.column_names[i]!r} holds {exc.args[0]!r}, a value "
+                         "the training data did not have") from None
 
 
 def load_csv(path, label_column: str = "label") -> tuple[Dataset, int]:
@@ -384,8 +441,7 @@ def train_test_split(d: Dataset, fraction: float = 0.8, seed: int = 0) -> SplitP
                                            min_first=1)
 
     def subset(idx):
-        return Dataset(X=d.X[idx], y=d.y[idx], encoder=d.encoder,
-                       feature_names=d.feature_names)
+        return replace(d, X=d.X[idx], y=d.y[idx])
 
     return SplitPair(train=subset(train_idx), test=subset(test_idx), fraction=fraction)
 
@@ -471,7 +527,7 @@ def smote_oversample(train: Dataset, seed: int = 0) -> Dataset:
         del x   # before the next class gathers its own base rows
         y[n:n + need] = c
         n += need
-    return Dataset(X=X, y=y, encoder=train.encoder, feature_names=train.feature_names)
+    return replace(train, X=X, y=y)
 
 
 #: rows per block of ``fit_standardizer``; bounds its buffer to ``_STD_BLOCK`` rows of X

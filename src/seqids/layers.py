@@ -456,8 +456,7 @@ def init_mha(rng, model_dim: int, num_heads: int, key_dim: int) -> MHAParams:
         raise ContractError("multi-head attention needs num_heads >= 1")
     # each head's query, key and value blocks are drawn in that order, straight
     # into their columns: a single draw laid out afterwards would cost a second
-    # buffer the size of w_qkv. It becomes a Tensor only once filled, because
-    # a float32 cast of uninitialized memory can overflow
+    # buffer the size of w_qkv
     qkv = np.empty((num_heads, model_dim, 3 * key_dim))
     for block in (b for w in qkv for b in np.split(w, 3, axis=1)):
         block[...] = glorot_uniform(rng, block.shape, model_dim, key_dim).data
@@ -532,6 +531,8 @@ def dropout_forward(x: Tensor, rate: float, mode: str = "train",
     survivors by 1/(1-rate); infer is the identity."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
+    if mode not in ("train", "infer"):
+        raise ContractError(f"dropout mode must be 'train' or 'infer', got {mode!r}")
     if mode == "infer" or rate == 0.0:
         return x
     if rng is None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from . import layers as L
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor
 
 
@@ -142,8 +142,15 @@ class Model:
 
     def forward(self, batch, mode: str = "infer",
                 rng: np.random.Generator | None = None) -> Tensor:
-        """(B, T, C) batch -> (B, num_classes) logits."""
-        x = batch if isinstance(batch, Tensor) else Tensor(batch)
+        """(B, T, C) batch -> (B, num_classes) logits; ``mode`` is "train" or "infer".
+
+        A plain-array batch is cast to the parameters' dtype; a ``Tensor``
+        is taken as it is.
+        """
+        if mode not in ("train", "infer"):
+            raise ContractError(f"model mode must be 'train' or 'infer', got {mode!r}")
+        x = batch if isinstance(batch, Tensor) else Tensor(
+            np.asarray(batch, dtype=self.dense[-1].W.data.dtype))  # the parameters' dtype
         t_len, channels = self.cfg.input_shape
         if x.ndim != 3 or x.shape[1:] != (t_len, channels) or x.shape[0] < 1:
             raise ShapeError(f"model expects batches of shape (B, {t_len}, {channels}) "
@@ -177,9 +184,16 @@ class Model:
             tensor.data = src.copy()
 
 
-def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
-    """Instantiate the parameters of each enabled stage, sized to the stage before it."""
+def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype: str = "float64") -> Model:
+    """Instantiate the parameters of each enabled stage, sized to the stage before it.
+
+    ``dtype`` ("float64" or "float32") is the model's: the weights are drawn
+    in float64 whatever it is, then every array is cast to it once, so one
+    seed gives the same weights, rounded, in both.
+    """
     cfg.validate()
+    if dtype not in ("float64", "float32"):
+        raise ConfigError(f"model dtype must be 'float64' or 'float32', got {dtype!r}")
     m = Model(cfg)
     t_len, channels = cfg.input_shape
     width = channels
@@ -202,6 +216,8 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
         m.dense.append(L.init_dense(rng, flat, units, activation="relu"))
         flat = units
     m.dense.append(L.init_dense(rng, flat, cfg.num_classes))
+    for t in m.named_arrays().values():
+        t.data = t.data.astype(dtype, copy=False)
     return m
 
 

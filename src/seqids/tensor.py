@@ -18,9 +18,11 @@ made: each layer, and the loss, registers its own fused op with a
 hand-written backward rule, so the model's ReLUs, residual add and flatten
 live inside those records.
 
-The floating width is a process-wide setting (``set_default_dtype``), not a
-per-tensor property. float64 is the default and is what the finite
-difference checks assume.
+A tensor's dtype is its array's: a floating array keeps its dtype, and any
+other input (a list, an integer array) becomes float64. There is no
+process-wide setting; a model's dtype is its parameters'
+(``model.build_model(..., dtype=)``). float64 is what the finite difference
+checks assume.
 """
 
 from __future__ import annotations
@@ -31,25 +33,14 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-_DTYPES = {"float64": np.float64, "float32": np.float32}
-_default_dtype = np.float64
-
-
-def set_default_dtype(name: str) -> None:
-    """Select the process-wide floating width ("float64" or "float32")."""
-    global _default_dtype
-    if name not in _DTYPES:
-        raise ContractError(f"unsupported dtype {name!r}; pick one of {sorted(_DTYPES)}")
-    _default_dtype = _DTYPES[name]
-
-
 class Tensor:
     """N-dimensional dense value with an optional gradient slot."""
 
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_default_dtype)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
 

@@ -191,13 +191,21 @@ def test_train_bad_config_line_fails_naming_the_key(tmp_path, capsys, line, key)
 
 
 def test_train_float32_leaves_the_default_dtype_at_float64(tmp_path):
+    # float64, float32, then the default, in one process: the last checkpoint
+    # is byte-equal to the first, so the float32 run left nothing behind
     data = gen(tmp_path)
-    assert run_cli("train", "--data", data, "--config", config_file(tmp_path),
-                   "--out-dir", tmp_path / "run", "--dtype", "float32", *TRAIN_SPEED_FLAGS) == 0
-    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["settings"]["dtype"] \
+    for name, dtype in (("f64", ["--dtype", "float64"]), ("f32", ["--dtype", "float32"]),
+                        ("default", [])):
+        assert run_cli("train", "--data", data, "--config", config_file(tmp_path),
+                       "--out-dir", tmp_path / name, *dtype, *TRAIN_SPEED_FLAGS) == 0
+    assert json.loads((tmp_path / "f32" / "manifest.json").read_text())["settings"]["dtype"] \
         == "float32"
-    # a later command in the same process builds float64 tensors again
-    assert Tensor([1.0]).data.dtype == np.float64
+    # float32 weights, saved widened beside the float64 standardizer
+    for name, a in cli.load_checkpoint(tmp_path / "f32" / "checkpoint.bin")[0].items():
+        if name.startswith("model."):
+            assert a.tobytes() == a.astype(np.float32).astype(np.float64).tobytes(), name
+    assert (tmp_path / "default" / "checkpoint.bin").read_bytes() \
+        == (tmp_path / "f64" / "checkpoint.bin").read_bytes()
 
 
 def test_train_does_not_mutate_input(tmp_path):
@@ -336,7 +344,9 @@ def untrained_checkpoint(tmp_path, class_names):
     arrays.update({"standardizer.mean": np.zeros(12), "standardizer.scale": np.ones(12)})
     path = tmp_path / "untrained.bin"
     save_checkpoint(path, arrays, {"config": cfg.to_dict(), "class_names": class_names,
-                                   "train": {"seed": 0, "fraction": 0.8}})
+                                   "feature_names": [f"f{i:02d}" for i in range(12)],
+                                   "categories": {},
+                                   "train": {"seed": 0, "fraction": 0.8, "data_sha256": ""}})
     return path
 
 
@@ -456,6 +466,135 @@ def test_eval_checkpoint_with_incomplete_meta_fails_cleanly_and_leaves_no_direct
     missing = "'train'" if "class_names" in meta else "'class_names'"
     assert "error [eval]" in err and str(path) in err and missing in err
     assert not out.exists()
+
+
+def rewrite_csv(src, dst, edit):
+    """Write ``dst`` as ``src`` with ``edit(header, rows)`` applied; returns ``dst``."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    header, rows = edit(header, rows)
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    return dst
+
+
+def scores(out_dir) -> dict:
+    """report.json without its latency figures, which vary run to run."""
+    blob = json.loads((out_dir / "report.json").read_text())
+    return {k: v for k, v in blob.items() if not k.startswith("inference")}
+
+
+def test_eval_picks_columns_by_name(tmp_path):
+    data, ckpt = trained_run(tmp_path)
+
+    def swap_first_two(header, rows):
+        order = [1, 0] + list(range(2, len(header)))
+        return [header[i] for i in order], [[row[i] for i in order] for row in rows]
+
+    swapped = rewrite_csv(data, tmp_path / "swapped.csv", swap_first_two)
+    for name, path in (("plain", data), ("swapped", swapped)):
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", path, "--repetitions", 10,
+                       "--out-dir", tmp_path / name) == 0
+    assert scores(tmp_path / "swapped") == scores(tmp_path / "plain")
+
+
+def with_proto(header, rows):
+    """A first column ``proto`` cycling through icmp, tcp and udp."""
+    return ["proto"] + header, [[("icmp", "tcp", "udp")[i % 3]] + row
+                                for i, row in enumerate(rows)]
+
+
+def test_eval_codes_categories_by_the_training_vocabulary(tmp_path):
+    data = rewrite_csv(gen(tmp_path), tmp_path / "proto.csv", with_proto)
+    run = tmp_path / "run"
+    assert run_cli("train", "--data", data, "--config", config_file(tmp_path),
+                   "--out-dir", run, *TRAIN_SPEED_FLAGS) == 0
+    # a second file whose proto cells are only tcp and udp: coded by their own
+    # file, tcp would be 0, the training file's code for icmp
+    no_icmp = rewrite_csv(data, tmp_path / "no_icmp.csv", lambda header, rows: (
+        header, [row for row in rows if row[0] != "icmp"]))
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--checkpoint", run / "checkpoint.bin", "--data", no_icmp,
+                   "--repetitions", 10, "--out-dir", out) == 0
+
+    model, standardizer, meta, _ = cli._load_model_checkpoint(run / "checkpoint.bin")
+    assert meta["categories"] == {"proto": ["icmp", "tcp", "udp"]}
+    full, _ = D.load_csv(data)   # proto coded icmp 0, tcp 1, udp 2
+    rows = full.X[:, 0] != 0
+    logits = cli.TR.predict_logits(model, D.reshape_for_model(full.X[rows], standardizer))
+    loss = float(cli.TR.cross_entropy_loss(Tensor(logits), full.y[rows]).data)
+    assert json.loads((out / "report.json").read_text())["loss"] == loss
+
+
+@pytest.mark.parametrize("column, value", [("proto", "sctp"), ("label", "class09")])
+def test_eval_value_unseen_in_training_fails_naming_it(tmp_path, capsys, column, value):
+    data = rewrite_csv(gen(tmp_path), tmp_path / "proto.csv", with_proto)
+    run = tmp_path / "run"
+    assert run_cli("train", "--data", data, "--config", config_file(tmp_path),
+                   "--out-dir", run, "--epochs", 1) == 0
+
+    def plant(header, rows):
+        rows[3][header.index(column)] = value
+        return header, rows
+
+    other = rewrite_csv(data, tmp_path / "other.csv", plant)
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--checkpoint", run / "checkpoint.bin", "--data", other,
+                   "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert f"column '{column}' holds '{value}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda header, rows: (["g03" if h == "f03" else h for h in header], rows),
+     "no column 'f03'"),
+    (lambda header, rows: (header, [["tcp"] + row[1:] for row in rows]),
+     "column 'f00' holds text"),
+], ids=["renamed", "text_in_numeric"])
+def test_eval_file_unlike_the_training_file_fails_naming_the_column(tmp_path, capsys, edit,
+                                                                   message):
+    data, ckpt = trained_run(tmp_path)
+    other = rewrite_csv(data, tmp_path / "other.csv", edit)
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--checkpoint", ckpt, "--data", other, "--out-dir", out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_file_without_a_class_reports_it_with_support_zero(tmp_path):
+    data, ckpt = trained_run(tmp_path)
+    two = rewrite_csv(data, tmp_path / "two.csv", lambda header, rows: (
+        header, [row for row in rows if row[-1] != "class01"]))
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--checkpoint", ckpt, "--data", two, "--repetitions", 10,
+                   "--out-dir", out) == 0
+    per_class = json.loads((out / "report.json").read_text())["per_class"]
+    assert [(c["name"], c["support"]) for c in per_class] == [
+        ("class00", 40), ("class01", 0), ("class02", 40)]
+
+
+def test_eval_holdout_of_another_file_fails_naming_both_hashes(tmp_path, capsys):
+    data, ckpt = trained_run(tmp_path)
+    other = gen(tmp_path, name="other.csv", seed=1)
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--checkpoint", ckpt, "--data", other, "--holdout",
+                   "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    for path in (data, other):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("drop", ["feature_names", "categories", "data_sha256"])
+def test_checkpoint_without_the_training_schema_is_rejected(tmp_path, drop):
+    _, ckpt = trained_run(tmp_path)
+    arrays, meta = cli.load_checkpoint(ckpt)
+    del (meta["train"] if drop == "data_sha256" else meta)[drop]
+    path = tmp_path / "old.bin"
+    save_checkpoint(path, arrays, meta)
+    with pytest.raises(InputError, match=f"not a model checkpoint: .*'{drop}'"):
+        cli._load_model_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------

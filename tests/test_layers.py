@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -14,6 +15,15 @@ from seqids import tensor as T
 from seqids.errors import ContractError, ShapeError
 from seqids.tensor import Tensor, grad_check_all
 from tape_ops import product_sum
+
+
+def cast_params(p, dtype):
+    """``p`` with the array of each of its ``Tensor`` fields cast to ``dtype``."""
+    for f in dataclasses.fields(p):
+        t = getattr(p, f.name)
+        if isinstance(t, Tensor):
+            t.data = t.data.astype(dtype)
+    return p
 
 
 def sdpa_brute_force(q, k, v):
@@ -469,17 +479,13 @@ def test_bigru_is_one_tape_record_for_any_length(t_len):
 
 
 def test_bigru_keeps_the_input_dtype():
-    T.set_default_dtype("float32")
-    try:
-        rng = np.random.default_rng(20)
-        fwd, bwd = L.init_gru(rng, 2, 3), L.init_gru(rng, 2, 3)
-        x = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
-        with T.Tape() as tape:
-            out = L.bigru_forward(x, fwd, bwd)
-            loss = product_sum(out, Tensor(np.ones(out.shape)))
-        T.backward(loss, tape)
-    finally:
-        T.set_default_dtype("float64")
+    rng = np.random.default_rng(20)
+    fwd, bwd = (cast_params(L.init_gru(rng, 2, 3), np.float32) for _ in range(2))
+    x = Tensor(rng.normal(size=(2, 4, 2)).astype(np.float32), requires_grad=True)
+    with T.Tape() as tape:
+        out = L.bigru_forward(x, fwd, bwd)
+        loss = product_sum(out, Tensor(np.ones(out.shape, dtype=np.float32)))
+    T.backward(loss, tape)
     assert out.data.dtype == np.float32
     assert x.grad.dtype == fwd.U.grad.dtype == np.float32
 
@@ -738,20 +744,6 @@ def test_init_mha_draws_per_head_q_k_v_in_order():
     np.testing.assert_array_equal(p.w_o.data, rng.uniform(-bound_o, bound_o, size=(6, 6)))
 
 
-def test_init_mha_float32_is_the_float64_init_cast():
-    # under filterwarnings = error this also fails if a float32 cast sees the
-    # uninitialized w_qkv buffer and overflows
-    p64 = L.init_mha(np.random.default_rng(5), model_dim=128, num_heads=4, key_dim=64)
-    T.set_default_dtype("float32")
-    try:
-        p32 = L.init_mha(np.random.default_rng(5), model_dim=128, num_heads=4, key_dim=64)
-    finally:
-        T.set_default_dtype("float64")
-    assert p32.w_qkv.data.dtype == p32.w_o.data.dtype == np.float32
-    np.testing.assert_array_equal(p32.w_qkv.data, p64.w_qkv.data.astype(np.float32))
-    np.testing.assert_array_equal(p32.w_o.data, p64.w_o.data.astype(np.float32))
-
-
 @pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("shape", [(1, 7, 5), (3, 7, 5)], ids=["batch1", "batched"])
 def test_mha_matches_per_head_reference(heads, shape):
@@ -781,14 +773,10 @@ def test_mha_matches_per_head_reference_property(batch, t_len, heads, key_dim, m
     (1, 3, (1, 7, 5)), (2, 3, (3, 7, 5)), (3, 2, (2, 1, 4)), (4, 16, (2, 9, 8)),
     (8, 4, (3, 6, 6)), (2, 1, (2, 5, 3)), (1, 1, (2, 5, 3)), (2, 4, (1, 1, 6))])
 def test_mha_matches_the_recomputing_rule(heads, key_dim, shape, dtype):
-    T.set_default_dtype(dtype)
-    try:
-        rng = np.random.default_rng(heads * 10 + key_dim)
-        p = L.init_mha(rng, shape[-1], heads, key_dim)
-        x, g = (Tensor(rng.normal(size=shape)).data for _ in range(2))
-        check_mha_against_recomputing_rule(p, x, g)
-    finally:
-        T.set_default_dtype("float64")
+    rng = np.random.default_rng(heads * 10 + key_dim)
+    p = cast_params(L.init_mha(rng, shape[-1], heads, key_dim), dtype)
+    x, g = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+    check_mha_against_recomputing_rule(p, x, g)
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -901,6 +889,11 @@ def test_dropout_rate_zero_is_identity():
     assert L.dropout_forward(x, 0.0, mode="train", rng=rng) is x
 
 
+def test_dropout_rejects_an_unknown_mode():
+    with pytest.raises(ContractError, match="dropout mode must be 'train' or 'infer', got 'eval'"):
+        L.dropout_forward(Tensor([1.0]), 0.5, mode="eval", rng=np.random.default_rng(0))
+
+
 def test_dropout_statistics():
     rng = np.random.default_rng(33)
     x = Tensor(np.full(100_000, 2.0))
@@ -935,22 +928,19 @@ def test_dropout_keep_mask_matches_the_scaled_float_mask(rate, dtype):
     # the scaled float mask the layer used to build: (keep / (1 - rate)) cast
     # to x's dtype, multiplied in; compared byte for byte, so zero signs and
     # non-finite cells count
-    T.set_default_dtype(dtype)
-    try:
-        rng = np.random.default_rng(36)
-        cells = rng.normal(size=(20, 30)) * 10.0 ** rng.integers(-20, 20, size=(20, 30))
-        cells.flat[:5] = [np.inf, -np.inf, np.nan, -0.0, 0.0]
-        x = Tensor(cells, requires_grad=True)
-        g = Tensor(rng.normal(size=x.shape)).data
-        g.flat[5:10] = [np.inf, -np.inf, np.nan, -0.0, 0.0]
-        with T.Tape() as tape, np.errstate(invalid="ignore"):
-            out = L.dropout_forward(x, rate, mode="train", rng=np.random.default_rng(37))
-            [dx] = tape.records[0].backward_fn(g)
-            mask = ((np.random.default_rng(37).random(x.shape) >= rate) / (1.0 - rate)).astype(
-                x.data.dtype, copy=False)
-            want_out, want_dx = x.data * mask, g * mask
-    finally:
-        T.set_default_dtype("float64")
+    rng = np.random.default_rng(36)
+    cells = rng.normal(size=(20, 30)) * 10.0 ** rng.integers(-20, 20, size=(20, 30))
+    cells.flat[:5] = [np.inf, -np.inf, np.nan, -0.0, 0.0]
+    x = Tensor(cells.astype(dtype), requires_grad=True)
+    g = rng.normal(size=x.shape).astype(dtype)
+    g.flat[5:10] = [np.inf, -np.inf, np.nan, -0.0, 0.0]
+    with T.Tape() as tape, np.errstate(invalid="ignore"):
+        out = L.dropout_forward(x, rate, mode="train", rng=np.random.default_rng(37))
+        [dx] = tape.records[0].backward_fn(g)
+        mask = ((np.random.default_rng(37).random(x.shape) >= rate) / (1.0 - rate)).astype(
+            x.data.dtype, copy=False)
+        want_out, want_dx = x.data * mask, g * mask
+    assert x.data.dtype == dtype
     assert out.data.dtype == dx.dtype == x.data.dtype
     assert out.data.tobytes() == want_out.tobytes()
     assert dx.tobytes() == want_dx.tobytes()

@@ -15,7 +15,7 @@ from seqids import checkpoint as ckpt
 from seqids import layers as L
 from seqids import tensor as T
 from seqids import train as TR
-from seqids.errors import ConfigError, InputError, ShapeError
+from seqids.errors import ConfigError, ContractError, InputError, ShapeError
 from seqids.model import Model, ModelConfig, build_model, table3_grid
 from seqids.tensor import Tensor
 
@@ -36,6 +36,77 @@ def test_build_is_seed_deterministic():
                                   m2.named_parameters().items()):
         assert n1 == n2
         assert np.array_equal(t1.data, t2.data)
+
+
+def test_build_model_float32_is_the_float64_init_cast():
+    # the weights are drawn in float64 and cast once; under filterwarnings =
+    # error this also fails if a float32 cast overflows
+    a64 = build_model(ModelConfig(), np.random.default_rng(5)).named_arrays()
+    a32 = build_model(ModelConfig(), np.random.default_rng(5), "float32").named_arrays()
+    assert list(a32) == list(a64)
+    for name, t in a32.items():
+        assert (a64[name].data.dtype, t.data.dtype) == (np.float64, np.float32), name
+        assert t.data.tobytes() == a64[name].data.astype(np.float32).tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", ["float16", "int64", "bfloat16"])
+def test_build_model_rejects_another_dtype(dtype):
+    with pytest.raises(ConfigError, match=f"'float64' or 'float32', got '{dtype}'"):
+        build_model(TINY, np.random.default_rng(0), dtype)
+
+
+def test_float32_train_step_never_upcasts():
+    # float64 input, as train feeds it: every record's output and backward
+    # values, the loss, the gradients, Adam's moments and the updated arrays
+    # (BatchNorm's running statistics included) stay float32
+    f32 = np.dtype(np.float32)
+    m = build_model(ModelConfig(), np.random.default_rng(7), "float32")
+    X = np.random.default_rng(8).normal(size=(4, 60, 1))
+    opt = TR.Adam(m.named_parameters())
+    with T.Tape() as tape:
+        loss = TR.cross_entropy_loss(m.forward(X, mode="train", rng=np.random.default_rng(9)),
+                                     np.array([0, 1, 2, 5]))
+    seen = []
+
+    def watched(rule):
+        def run(g):
+            grads = rule(g)
+            seen.extend([g, *(d for d in grads if d is not None)])
+            return grads
+        return run
+
+    for rec in tape.records:
+        rec.backward_fn = watched(rec.backward_fn)
+    T.backward(loss, tape)
+    assert opt.step() is None
+    assert loss.data.dtype == f32 and len(seen) > len(tape.records)
+    assert {rec.output.data.dtype for rec in tape.records} == {f32}
+    assert {t.data.dtype for rec in tape.records for t in rec.inputs} == {f32}
+    assert {a.dtype for a in seen} == {f32}
+    assert {p.grad.dtype for p in m.named_parameters().values()} == {f32}
+    assert {a.dtype for a in [*opt.m.values(), *opt.v.values()]} == {f32}
+    assert {t.data.dtype for t in m.named_arrays().values()} == {f32}
+
+
+def test_float32_logits_track_float64():
+    # relative to the largest logit: elementwise, logits near 0 differ by more
+    X = np.random.default_rng(8).normal(size=(32, 60, 1))
+    l64, l32 = (build_model(ModelConfig(), np.random.default_rng(7), dtype).forward(X).data
+                for dtype in ("float64", "float32"))
+    assert (l64.dtype, l32.dtype) == (np.float64, np.float32)
+    assert np.abs(l32 - l64).max() <= 1e-5 * np.abs(l64).max()
+    np.testing.assert_array_equal(l32.argmax(axis=1), l64.argmax(axis=1))
+
+
+@pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(use_resnet_block=False)],
+                         ids=["flagship", "no_residual"])
+def test_forward_rejects_an_unknown_mode(cfg):
+    # without the residual block no BatchNorm checks the mode; dropout would
+    # have run in train mode, or asked for a generator
+    m = build_model(cfg, np.random.default_rng(0))
+    for rng in (None, np.random.default_rng(1)):
+        with pytest.raises(ContractError, match="mode must be 'train' or 'infer', got 'eval'"):
+            m.forward(np.zeros((2, 60, 1)), mode="eval", rng=rng)
 
 
 def test_resnet_only_case_has_no_recurrent_or_attention_params():

@@ -3,6 +3,7 @@ import contextlib
 import numpy as np
 import pytest
 
+import seqids
 from seqids import tensor as T
 from seqids import train as TR
 from seqids.errors import ContractError, ShapeError
@@ -188,10 +189,29 @@ def test_no_tape_means_no_gradients():
     assert not y.requires_grad
 
 
-def test_set_default_dtype_switches_width():
-    T.set_default_dtype("float32")
-    try:
-        assert Tensor([1.0]).data.dtype == np.float32
-    finally:
-        T.set_default_dtype("float64")
+def test_set_default_dtype_accepts_only_float64():
+    # kept for callers that pin float64; the width is a model's, not the process's
+    assert seqids.set_default_dtype("float64") is None
+    assert not hasattr(T, "set_default_dtype")
+    with pytest.raises(ContractError, match=r"build_model\(\.\.\., dtype='float32'\)"):
+        seqids.set_default_dtype("float32")
     assert Tensor([1.0]).data.dtype == np.float64
+
+
+@pytest.mark.parametrize("data, dtype", [
+    (np.ones(3, dtype=np.float32), np.float32),
+    (np.float32(1.5), np.float32),
+    (np.ones(3), np.float64),
+    ([1.0, 2.0], np.float64),
+    ([1, 2], np.float64),
+    (np.arange(3, dtype=np.int32), np.float64),
+    (np.array([True, False]), np.float64),
+    (7, np.float64),
+], ids=["float32_array", "float32_scalar", "float64_array", "float_list", "int_list",
+        "int_array", "bool_array", "int"])
+def test_tensor_dtype_is_its_arrays(data, dtype):
+    t = Tensor(data)
+    assert t.data.dtype == dtype
+    np.testing.assert_array_equal(t.data, np.asarray(data))
+    if isinstance(data, np.ndarray) and data.dtype == dtype:
+        assert t.data is data   # a floating array is wrapped, not copied
