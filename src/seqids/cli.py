@@ -29,7 +29,8 @@ starts a comment). Their keys are the ``ModelConfig`` fields
 ``validation_fraction``; and ``use_smote``. Any other key, a malformed value
 or an out-of-range setting is an error. ``--dtype`` (``train`` and
 ``ablate``) is the dtype of the models the command builds, float64 by
-default; it sets nothing beyond them. ``eval`` builds a float64 model.
+default; it sets nothing beyond them. ``eval`` builds its model in the
+checkpoint's dtype.
 
 Every artifact directory receives exactly one ``manifest.json`` capturing
 the command, settings, seed, dataset entry, tool version and timestamps. The
@@ -160,10 +161,10 @@ def parse_imbalance(spec: str, classes: int) -> list[float]:
     except ValueError:
         raise ConfigError(f"imbalance must be 'a:b' or a comma list of numbers, "
                           f"got {spec!r}") from None
+    if not all(np.isfinite(w) and w > 0 for w in weights):
+        raise ConfigError(f"imbalance weights must be finite and positive, got {spec!r}")
     if ratio:
         a, b = weights
-        if a <= 0 or b <= 0:
-            raise ConfigError(f"imbalance ratio parts must be positive, got {spec!r}")
         return [1.0] + [b / a] * (classes - 1)
     if len(weights) != classes:
         raise ConfigError(f"imbalance list has {len(weights)} entries for {classes} classes")
@@ -224,22 +225,30 @@ def _strings(value) -> bool:
 
 def _load_model_checkpoint(path):
     """(model, standardizer, meta, the training file's ``D.Schema``) of a
-    checkpoint that ``train`` wrote; anything else is an ``InputError``."""
+    checkpoint that ``train`` wrote; anything else is an ``InputError``. The
+    model is built in the dtype its weights were saved in."""
     arrays, meta = load_checkpoint(path)
     if not isinstance(meta.get("config"), dict):
         raise InputError(f"{path}: not a model checkpoint: its meta has no 'config' object")
-    cfg = ModelConfig.from_dict(meta["config"])
+    try:
+        cfg = ModelConfig.from_dict(meta["config"])
+    except ConfigError as exc:
+        raise InputError(f"{path}: not a model checkpoint: {exc}") from None
     names, train = meta.get("class_names"), meta.get("train")
     if not _strings(names):
         raise InputError(f"{path}: not a model checkpoint: its meta has no 'class_names' "
                          "list of strings")
-    if not (isinstance(train, dict) and isinstance(train.get("seed"), int)
+    if not (isinstance(train, dict) and type(train.get("seed")) is int and train["seed"] >= 0
             and isinstance(train.get("fraction"), (int, float))):
         raise InputError(f"{path}: not a model checkpoint: its meta has no 'train' object "
-                         "with an integer 'seed' and a numeric 'fraction'")
-    model = build_model(cfg, np.random.default_rng(0))
-    model.load_arrays({n[len("model."):]: a for n, a in arrays.items()
-                       if n.startswith("model.")})
+                         "with a non-negative integer 'seed' and a numeric 'fraction'")
+    weights = {n[len("model."):]: a for n, a in arrays.items() if n.startswith("model.")}
+    dtypes = sorted({a.dtype.name for a in weights.values()})
+    if dtypes not in (["float64"], ["float32"]):
+        raise InputError(f"{path}: not a model checkpoint: its model arrays must be all "
+                         f"float64 or all float32, not {dtypes}")
+    model = build_model(cfg, np.random.default_rng(0), dtypes[0])
+    model.load_arrays(weights)
     if not {"standardizer.mean", "standardizer.scale"} <= set(arrays):
         raise InputError(f"{path}: not a model checkpoint: it has no standardizer arrays")
     standardizer = D.Standardizer(mean=arrays["standardizer.mean"],
@@ -381,7 +390,7 @@ def cmd_eval(args) -> int:
     M.roc_to_csv(curves, class_names, out_dir / "roc.csv")
     write_manifest(out_dir / "manifest.json", "eval",
                    {"checkpoint": str(args.checkpoint), "holdout": args.holdout,
-                    "repetitions": args.repetitions,
+                    "repetitions": args.repetitions, "dtype": logits.dtype.name,
                     "label_column": args.label_column},
                    meta["train"]["seed"], fingerprint, started)
     print(f"wrote {out_dir}/report.json, report.txt, confusion.csv, roc.csv, manifest.json")

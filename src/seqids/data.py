@@ -602,6 +602,13 @@ def synth_dataset(classes: int = 6, features: int = 60, per_class: int = 500,
     """
     if per_class < 2:
         raise ContractError("per_class must be >= 2")
+    if classes < 1:
+        raise ContractError(f"classes must be >= 1, got {classes}")
+    if not (np.isfinite(separation) and separation >= 0):
+        raise ContractError(f"separation must be a finite number >= 0, got {separation}")
+    if not (np.isfinite(structure_strength) and abs(structure_strength) <= 1):
+        raise ContractError(f"structure_strength must be a finite number in [-1, 1], "
+                            f"got {structure_strength}")
     if classes > features:
         raise ContractError("synth_dataset needs features >= classes for orthogonal centroids")
     profile = np.ones(classes) if imbalance_profile is None else np.asarray(

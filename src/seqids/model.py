@@ -92,6 +92,15 @@ class ModelConfig:
             raise ConfigError(
                 f"model config does not match this version: unknown keys {unknown}, "
                 f"missing keys {missing}")
+        for f in fields(cls):
+            default, value = f.default, d[f.name]
+            if isinstance(default, tuple):  # stored as a JSON list
+                ok = type(value) is list and all(type(v) is int for v in value)
+            else:  # a float field takes an int too; an int field never takes a bool
+                ok = type(value) is type(default) or (type(default), type(value)) == (float, int)
+            if not ok:
+                raise ConfigError(f"model config {f.name!r}: expected "
+                                  f"{type(default).__name__} like {default!r}, got {value!r}")
         d = dict(d)
         d["input_shape"] = tuple(d["input_shape"])
         d["dense_units"] = tuple(d["dense_units"])
@@ -181,7 +190,7 @@ class Model:
             if src.shape != tensor.data.shape:
                 raise ConfigError(
                     f"checkpoint array {name} has shape {src.shape}, expected {tensor.data.shape}")
-            tensor.data = src.copy()
+            tensor.data[...] = src  # into the model's own arrays: no new memory
 
 
 def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype: str = "float64") -> Model:

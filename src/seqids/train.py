@@ -46,6 +46,8 @@ class TrainConfig:
             raise ContractError(f"lr must be a finite number > 0, got {self.lr}")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ContractError("validation_fraction must be in [0, 1)")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -98,6 +98,21 @@ def test_gen_data_malformed_imbalance_fails_with_message(tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--classes", "0"), ("--classes", "-1"),
+    ("--imbalance", "nan:1"), ("--imbalance", "1:nan"), ("--imbalance", "1,nan,1"),
+    ("--imbalance", "1,inf,1"), ("--imbalance", "1,-2,1"), ("--imbalance", "0,0,0"),
+    ("--structure-strength", "1.5"), ("--structure-strength", "nan"),
+    ("--separation", "nan"), ("--separation", "inf"), ("--separation", "-1.0"),
+])
+def test_gen_data_bad_value_fails_naming_it_and_writes_no_csv(tmp_path, capsys, flag, value):
+    out = tmp_path / "d.csv"
+    assert run_cli("gen-data", "--out", out, "--classes", 3, "--features", 12, flag, value) == 1
+    err = capsys.readouterr().err
+    assert "error [gen-data]" in err and (f"got {value}\n" in err or f"got '{value}'\n" in err)
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -200,12 +215,14 @@ def test_train_float32_leaves_the_default_dtype_at_float64(tmp_path):
                        "--out-dir", tmp_path / name, *dtype, *TRAIN_SPEED_FLAGS) == 0
     assert json.loads((tmp_path / "f32" / "manifest.json").read_text())["settings"]["dtype"] \
         == "float32"
-    # float32 weights, saved widened beside the float64 standardizer
-    for name, a in cli.load_checkpoint(tmp_path / "f32" / "checkpoint.bin")[0].items():
-        if name.startswith("model."):
-            assert a.tobytes() == a.astype(np.float32).astype(np.float64).tobytes(), name
-    assert (tmp_path / "default" / "checkpoint.bin").read_bytes() \
-        == (tmp_path / "f64" / "checkpoint.bin").read_bytes()
+    # float32 weights are saved as float32, 4 bytes a value, beside the float64 standardizer
+    f32, f64 = (tmp_path / name / "checkpoint.bin" for name in ("f32", "f64"))
+    arrays = cli.load_checkpoint(f32)[0]
+    assert {n: a.dtype.name for n, a in arrays.items()} == {
+        n: "float32" if n.startswith("model.") else "float64" for n in cli.load_checkpoint(f64)[0]}
+    assert f64.stat().st_size - f32.stat().st_size == 4 * sum(
+        a.size for n, a in arrays.items() if n.startswith("model."))
+    assert (tmp_path / "default" / "checkpoint.bin").read_bytes() == f64.read_bytes()
 
 
 def test_train_does_not_mutate_input(tmp_path):
@@ -223,6 +240,22 @@ def test_train_missing_label_column_fails_nonzero(tmp_path, capsys):
     assert rc == 1
     assert "error [train]" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("command,flags,seed", [
+    ("train", ["--seed", -1], -1),
+    ("train", ["--config", "{config}"], -1),
+    ("ablate", ["--seed", -3], -3),
+], ids=["train_flag", "train_config_line", "ablate_flag"])
+def test_negative_seed_fails_naming_it(tmp_path, capsys, command, flags, seed):
+    data = gen(tmp_path)
+    config = tmp_path / "seed.cfg"
+    config.write_text("seed = -1\n")
+    out = tmp_path / "run"
+    assert run_cli(command, "--data", data, "--out-dir", out,
+                   *(str(f).format(config=config) for f in flags)) == 1
+    assert f"seed must be >= 0, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lr", ["-1", "0", "inf", "nan"])
@@ -448,24 +481,75 @@ def test_model_checkpoint_without_standardizer_is_rejected(tmp_path):
         cli._load_model_checkpoint(path)
 
 
-@pytest.mark.parametrize("meta", [
-    {"train": {"seed": 0, "fraction": 0.8}},
-    {"class_names": ["class00", "class01", "class02"]},
-    {"class_names": ["class00", "class01", "class02"], "train": {"seed": "0", "fraction": 0.8}},
-], ids=["no_class_names", "no_train", "string_seed"])
+CLASSES = ["class00", "class01", "class02"]
+
+
+@pytest.mark.parametrize("meta,named", [
+    ({"train": {"seed": 0, "fraction": 0.8}}, "'class_names'"),
+    ({"class_names": CLASSES}, "'train'"),
+    ({"class_names": CLASSES, "train": {"seed": "0", "fraction": 0.8}}, "'train'"),
+    ({"class_names": CLASSES, "train": {"seed": -1, "fraction": 0.8}}, "'train'"),
+    ({"config": {"num_heads": "2"}}, "'num_heads'"),
+    ({"config": {"dense_units": 5}}, "'dense_units'"),
+    ({"config": {"input_shape": 8}}, "'input_shape'"),
+    ({"config": {"dropout_rate": None}}, "'dropout_rate'"),
+    ({"config": {"use_mha": 1}}, "'use_mha'"),
+    ({"config": {"gru_units": True}}, "'gru_units'"),
+], ids=["no_class_names", "no_train", "string_seed", "negative_seed", "string_num_heads",
+        "int_dense_units", "int_input_shape", "null_dropout_rate", "int_use_mha",
+        "bool_gru_units"])
 def test_eval_checkpoint_with_incomplete_meta_fails_cleanly_and_leaves_no_directory(
-        tmp_path, capsys, meta):
+        tmp_path, capsys, meta, named):
+    # a "config" entry holds the keys that replace the valid config's
     data = gen(tmp_path)
     cfg, arrays = small_model_arrays()
     arrays.update({"standardizer.mean": np.zeros(12), "standardizer.scale": np.ones(12)})
     path = tmp_path / "partial.bin"
-    save_checkpoint(path, arrays, {"config": cfg.to_dict(), **meta})
+    save_checkpoint(path, arrays, {**meta, "config": {**cfg.to_dict(), **meta.get("config", {})}})
     out = tmp_path / "eval"
     assert run_cli("eval", "--checkpoint", path, "--data", data, "--out-dir", out) == 1
     err = capsys.readouterr().err
-    missing = "'train'" if "class_names" in meta else "'class_names'"
-    assert "error [eval]" in err and str(path) in err and missing in err
+    assert "error [eval]" in err and str(path) in err and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dtypes", [("float32", "float64"), ("float16", "float16"),
+                                    ("int64", "int64")], ids=["mixed", "float16", "int64"])
+def test_model_checkpoint_with_weights_not_all_float64_or_all_float32_is_rejected(
+        tmp_path, dtypes):
+    path = untrained_checkpoint(tmp_path, CLASSES)
+    arrays, meta = cli.load_checkpoint(path)
+    names = [n for n in arrays if n.startswith("model.")]
+    for i, name in enumerate(names):
+        arrays[name] = arrays[name].astype(dtypes[i % 2])
+    save_checkpoint(path, arrays, meta)
+    with pytest.raises(InputError, match="model arrays must be all float64 or all float32, "
+                                         rf"not \[{', '.join(map(repr, sorted(set(dtypes))))}\]"):
+        cli._load_model_checkpoint(path)
+
+
+def test_eval_builds_the_model_in_the_checkpoints_dtype(tmp_path):
+    # saved and loaded the way train and eval do, a model keeps its dtype and
+    # its logits bit for bit; eval's manifest records the dtype
+    data = gen(tmp_path)
+    dataset, _ = D.load_csv(data)
+    standardizer = D.fit_standardizer(dataset.X)
+    X = D.reshape_for_model(dataset.X, standardizer)
+    cfg, _ = small_model_arrays()
+    for dtype in ("float32", "float64"):
+        model = build_model(cfg, np.random.default_rng(4), dtype)
+        path = tmp_path / f"{dtype}.bin"
+        cli._save_model_checkpoint(path, model, standardizer, dataset, cli.TR.TrainConfig(),
+                                   0.8, True, "")
+        loaded = cli._load_model_checkpoint(path)[0]
+        assert {t.data.dtype.name for t in loaded.named_arrays().values()} == {dtype}
+        logits = cli.TR.predict_logits(loaded, X)
+        assert logits.dtype == dtype
+        assert logits.tobytes() == cli.TR.predict_logits(model, X).tobytes()
+        out = tmp_path / f"eval-{dtype}"
+        assert run_cli("eval", "--checkpoint", path, "--data", data, "--repetitions", 10,
+                       "--out-dir", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["settings"]["dtype"] == dtype
 
 
 def rewrite_csv(src, dst, edit):
