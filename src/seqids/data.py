@@ -615,25 +615,38 @@ def synth_dataset(classes: int = 6, features: int = 60, per_class: int = 500,
         imbalance_profile, dtype=float)
     if profile.size != classes:
         raise ContractError(f"imbalance profile has {profile.size} entries for {classes} classes")
+    asked = f"per_class {per_class} with imbalance profile {profile.tolist()}"
+    try:
+        counts = [max(2, round(per_class * w)) for w in profile.tolist()]
+    except OverflowError:  # a row count past the float range
+        counts = None
+    # numpy indexes an array's bytes with intp, so X's float64 rows are bounded
+    max_rows = np.iinfo(np.intp).max // (8 * features)
+    if counts is None or sum(counts) > max_rows:
+        raise ContractError(f"{asked} asks for more rows than the {max_rows} of "
+                            f"{features} float64 features numpy can index")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(features, classes)))
     directions = q.T
 
     xs, ys = [], []
-    for c in range(classes):
-        centroid = np.sqrt(2.0) * separation * directions[c]
-        lag, rho = 2 * c + 1, structure_strength
-        n_c = max(2, int(round(per_class * profile[c])))
-        white = rng.normal(size=(n_c, features))
-        noise = white
-        if rho != 0.0 and lag < features:
-            noise = white.copy()
-            scale = np.sqrt(1.0 - rho ** 2)
-            for t in range(lag, features):
-                noise[:, t] = rho * noise[:, t - lag] + scale * white[:, t]
-        xs.append(centroid + noise)
-        ys.append(np.full(n_c, c, dtype=np.int64))
-    X = np.concatenate(xs)
+    try:
+        for c, n_c in enumerate(counts):
+            centroid = np.sqrt(2.0) * separation * directions[c]
+            lag, rho = 2 * c + 1, structure_strength
+            white = rng.normal(size=(n_c, features))
+            noise = white
+            if rho != 0.0 and lag < features:
+                noise = white.copy()
+                scale = np.sqrt(1.0 - rho ** 2)
+                for t in range(lag, features):
+                    noise[:, t] = rho * noise[:, t - lag] + scale * white[:, t]
+            xs.append(centroid + noise)
+            ys.append(np.full(n_c, c, dtype=np.int64))
+        X = np.concatenate(xs)
+    except MemoryError:
+        raise ContractError(f"{asked} asks for {sum(counts)} rows of {features} features, "
+                            f"more than fits in memory") from None
     y = np.concatenate(ys)
     encoder = LabelEncoder().fit(f"class{c:02d}" for c in range(classes))
     feature_names = [f"f{i:02d}" for i in range(features)]

@@ -9,7 +9,10 @@ varies):
 
 * Conv1D computes cross-correlation (no kernel flip), the usual
   deep-learning convention, at stride 1 with "same" zero padding only, so
-  stacked blocks and the residual shortcut keep the time length.
+  stacked blocks and the residual shortcut keep the time length. Its record
+  keeps the zero-padded input (at k = 1 the input itself), not the im2col
+  matrix, k times as large: the backward rule rebuilds that matrix with the
+  forward pass's strided view and reshape.
 * The GRU uses sigmoid gates and a tanh candidate with reset-before-candidate,
   ``h_cand = tanh(x W_c + (r * h_prev) U_c + b_c)``, and the update
   ``h_t = (1 - z) * h_prev + z * h_cand``. ``W (input, 3H)``, ``U (H, 3H)``
@@ -30,9 +33,12 @@ varies):
   ``w_o (heads * key_dim, model_dim)`` projects the concatenated heads back.
   When the op is recorded (a tape is active and an input requires grad),
   the forward pass keeps each head's Q|K|V and attention weights, and the
-  backward rule reads them instead of recomputing them. Otherwise every head
-  reuses one Q|K|V buffer and one weights buffer, so inference memory grows
-  with the head count only by the concatenated head outputs.
+  backward rule reads them instead of recomputing them. The rule releases
+  what it has read: the concatenated head outputs once ``dw_o`` is computed,
+  and a head's Q|K|V and weights once its ``dw_qkv`` block and ``dx`` term
+  are written. Unrecorded, every head reuses one Q|K|V buffer and one
+  weights buffer, so inference memory grows with the head count only by the
+  concatenated head outputs.
 * The normalizers add a fixed epsilon to the variance: 1e-3 for BatchNorm
   (the Keras default) and 1e-5 for LayerNorm (the PyTorch default).
 * BatchNorm in both modes and LayerNorm are one shared primitive,
@@ -42,6 +48,9 @@ varies):
   statistics are constants to the backward rule. ``batchnorm_forward(...,
   relu=True)`` applies a ReLU inside that record (the residual block's first
   BatchNorm), its backward rule masking ``g`` before the normalization's.
+  The record keeps x, the mean and ``rstd``, not the normalized ``xhat``:
+  the backward rule rebuilds ``xhat`` with the forward pass's two ops, and
+  the forward pass scales and shifts that same array in place.
 * The residual join ``relu(a + b)`` is one record too, ``residual_relu``,
   over two inputs of one shape; no other elementwise op has a record.
 * Dropout is inverted: survivors are scaled by 1/(1-rate) at train time and
@@ -108,23 +117,26 @@ def conv1d_forward(x: Tensor, p: Conv1DParams) -> Tensor:
         raise ShapeError(f"conv1d: input has {c_in} channels but kernels expect {kc_in}")
     pad_left = (k - 1) // 2
 
-    xd, kern, bias = x.data, p.kernels.data, p.bias.data
-    if k == 1:
-        cols = xd.reshape(batch * t_len, c_in)
-    else:
-        xp = np.zeros((batch, t_len + k - 1, c_in), dtype=xd.dtype)
-        xp[:, pad_left:pad_left + t_len] = xd
+    xp = x.data
+    if k > 1:
+        xp = np.zeros((batch, t_len + k - 1, c_in), dtype=xp.dtype)
+        xp[:, pad_left:pad_left + t_len] = x.data
+
+    def im2col():
+        """The (B·T, k·C_in) matrix whose row (b, t) is x's window at t: a
+        copy when k > 1, so the record keeps xp and each pass builds it."""
         s0, s1, s2 = xp.strides
-        cols = as_strided(xp, (batch, t_len, k, c_in), (s0, s1, s1, s2)).reshape(
+        return as_strided(xp, (batch, t_len, k, c_in), (s0, s1, s1, s2)).reshape(
             batch * t_len, k * c_in)
-    w2 = kern.transpose(2, 1, 0).reshape(k * c_in, c_out)
-    out_data = (cols @ w2).reshape(batch, t_len, c_out)
-    out_data += bias
+
+    w2 = p.kernels.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
+    out_data = (im2col() @ w2).reshape(batch, t_len, c_out)
+    out_data += p.bias.data
 
     def back(g):
         g2 = g.reshape(batch * t_len, c_out)
         db = g2.sum(axis=0)
-        dw = (cols.T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
+        dw = (im2col().T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
         dcols = g2 @ w2.T
         if k == 1:
             return dcols.reshape(x.shape), dw, db
@@ -154,9 +166,15 @@ def _normalize(x: Tensor, p: BatchNormParams | LayerNormParams, mean: np.ndarray
     The ReLU's mask is applied to ``g`` first.
     """
     rstd = 1.0 / np.sqrt(var + epsilon)
-    xhat = x.data - mean
-    xhat *= rstd
-    out_data = xhat * p.gamma.data
+
+    def normalized():
+        xhat = x.data - mean
+        xhat *= rstd
+        return xhat
+
+    # the record keeps x, mean and rstd, and the rule rebuilds xhat from them
+    out_data = normalized()
+    out_data *= p.gamma.data
     out_data += p.beta.data
     if relu:
         np.maximum(out_data, 0, out=out_data)
@@ -165,6 +183,7 @@ def _normalize(x: Tensor, p: BatchNormParams | LayerNormParams, mean: np.ndarray
     def back(g):
         if relu:
             g = g * (out_data > 0)
+        xhat = normalized()
         t = g * xhat
         dgamma = t.sum(axis=lead)
         dx = g * gamma
@@ -470,8 +489,8 @@ def multi_head_attention(x: Tensor, p: MHAParams) -> Tensor:
 
     x: (B, T, F) -> same shape; F must equal the model dim the params were
     built for. One tape record. When it is recorded, the forward pass keeps
-    each head's Q|K|V and attention weights for the backward rule; otherwise
-    every head reuses one pair of buffers.
+    each head's Q|K|V and attention weights for the backward rule, which
+    releases them as it goes; otherwise every head reuses one pair of buffers.
     """
     heads, model_dim, width = p.w_qkv.shape
     _check_sequence(x, "mha")
@@ -500,7 +519,11 @@ def multi_head_attention(x: Tensor, p: MHAParams) -> Tensor:
         np.matmul(_attention_weights(q, k, ws[h % slots]), v, out=out)
 
     def back(g):
+        # each saved array is dropped once read: cat after dw_o, a head's
+        # Q|K|V and weights after its dw_qkv block and dx term
+        nonlocal cat
         g = g.reshape(-1, model_dim)
+        dw_o, cat = cat.T @ g, None
         dx, dw_qkv = np.zeros_like(x2), np.empty_like(p.w_qkv.data)
         dqkv, dx_h = np.empty_like(qkvs[0]), np.empty_like(x2)
         dq, dk, dv = blocks(dqkv, 3)
@@ -517,7 +540,8 @@ def multi_head_attention(x: Tensor, p: MHAParams) -> Tensor:
             np.matmul(np.swapaxes(w, -1, -2), dout, out=dv)
             np.matmul(x2.T, dqkv, out=dw_qkv[h])
             dx += np.matmul(dqkv, p.w_qkv.data[h].T, out=dx_h)
-        return dx.reshape(x.shape), dw_qkv, cat.T @ g
+            q = k = v = w = qkvs[h] = ws[h] = None
+        return dx.reshape(x.shape), dw_qkv, dw_o
 
     return register_op((x, p.w_qkv, p.w_o), (cat @ p.w_o.data).reshape(x.shape), back)
 

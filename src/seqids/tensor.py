@@ -7,7 +7,9 @@ rule; ``backward(loss, tape)`` replays those records in reverse and
 accumulates gradients additively, so a tensor used several times receives
 the sum of its per-use gradients. Only tensors that no record produced
 (parameters and inputs) keep a ``.grad`` afterwards: an op's output gradient
-is freed once the op's backward rule has used it.
+is freed once the op's backward rule has used it. A rule may also release
+the state its op saved, once it has read it, so a tape is replayed once: a
+second ``backward`` on it is a ``ContractError``.
 
 Gradients flow only into tensors with ``requires_grad=True`` (and into
 everything downstream of them). With no tape active, operations run in pure
@@ -77,6 +79,7 @@ class Tape:
 
     def __init__(self):
         self.records: list[_OpRecord] = []
+        self.replayed = False
 
     def __enter__(self) -> "Tape":
         _tape_stack.append(self)
@@ -123,9 +126,16 @@ def backward(loss: Tensor, tape: Tape) -> None:
     (the loss's too) is None. The records stay on the tape: dropping them
     mid-pass frees their saved state early, but glibc then trims the heap
     and the next forward pass faults it back in.
+
+    A tape is replayed once: a rule may release the state it saved, and a
+    second pass would add every gradient again, so it is a ``ContractError``
+    raised before any rule runs.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if tape.replayed:
+        raise ContractError("backward: this tape was already replayed; record a new one")
+    tape.replayed = True
     loss.grad = np.ones_like(loss.data)
     for rec in reversed(tape.records):
         g, rec.output.grad = rec.output.grad, None

@@ -113,6 +113,46 @@ def test_gen_data_bad_value_fails_naming_it_and_writes_no_csv(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag,value,named", [
+    ("--imbalance", "1:1e300", "imbalance profile [1.0, 1e+300, 1e+300]"),
+    ("--imbalance", "1,1e300,1", "imbalance profile [1.0, 1e+300, 1.0]"),
+    ("--per-class", str(2**62), f"per_class {2**62} "),
+    ("--per-class", "1" + "0" * 400, "per_class 1" + "0" * 400),  # past the float range
+])
+def test_gen_data_row_count_numpy_cannot_index_fails_naming_it(tmp_path, capsys, flag, value,
+                                                               named):
+    out = tmp_path / "d.csv"
+    assert run_cli("gen-data", "--out", out, "--classes", 3, "--features", 12, flag, value) == 1
+    err = capsys.readouterr().err
+    assert "error [gen-data]" in err and named in err and "numpy can index" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_data_rows_that_do_not_fit_in_memory_fail_naming_the_request(
+        tmp_path, capsys, monkeypatch):
+    # no real allocation is attempted: the generator's draw of a class's rows
+    # raises MemoryError, as numpy does when the OS refuses the array
+    real = np.random.default_rng
+
+    class Refusing:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def normal(self, size):
+            if size[0] == 40:
+                raise MemoryError("refused")
+            return self.rng.normal(size=size)
+
+    monkeypatch.setattr(np.random, "default_rng", Refusing)
+    out = tmp_path / "d.csv"
+    assert run_cli("gen-data", "--out", out, "--classes", 3, "--features", 12,
+                   "--per-class", 40, "--imbalance", "1,1,0.5") == 1
+    err = capsys.readouterr().err
+    assert "error [gen-data]" in err
+    assert "per_class 40 with imbalance profile [1.0, 1.0, 0.5] asks for 100 rows" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # train
 

@@ -26,6 +26,19 @@ def cast_params(p, dtype):
     return p
 
 
+def bytes_held_by_record(op):
+    """Traced bytes that ``op()``, run on a tape, still holds beside its
+    output once it returns: the state its record saved for the rule."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with T.Tape():
+            out = op()
+            return tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+
+
 def sdpa_brute_force(q, k, v):
     """Double-loop reference: softmax(q k^T / sqrt(d)) v, computed row by row."""
     tq, d = q.shape
@@ -90,6 +103,17 @@ def test_conv1d_is_byte_equal_to_the_np_pad_reference(k, shape, c_out):
     x = rng.normal(size=shape)
     want = conv1d_pad_reference(x, p.kernels.data, p.bias.data)
     assert L.conv1d_forward(Tensor(x), p).data.tobytes() == want.tobytes()
+
+
+def test_conv1d_record_keeps_the_padded_input_not_the_im2col_matrix():
+    # batch 4, 32 steps, 16 channels, k = 3: the padded input (4, 34, 16) takes
+    # 17 KiB, the im2col matrix (128, 48) 48 KiB; two output channels keep the
+    # rule's reshaped kernels at 768 bytes
+    rng = np.random.default_rng(3)
+    p = L.init_conv1d(rng, 16, 2, 3)
+    x = Tensor(rng.normal(size=(4, 32, 16)), requires_grad=True)
+    padded = x.data[0, 0, :1].nbytes * 4 * 34 * 16
+    assert padded <= bytes_held_by_record(lambda: L.conv1d_forward(x, p)) < padded + 8192
 
 
 def test_conv1d_channel_mismatch():
@@ -597,6 +621,21 @@ def test_normalizers_share_one_record_matching_their_closed_forms(name):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("forward", [
+    lambda x, p: L.batchnorm_forward(x, p, "train"),
+    lambda x, p: L.batchnorm_forward(x, p, "train", relu=True),
+    lambda x, p: L.batchnorm_forward(x, p, "infer"),
+    L.layernorm_forward,
+], ids=["batchnorm_train", "batchnorm_train_relu", "batchnorm_infer", "layernorm"])
+def test_normalizer_record_keeps_no_second_array_of_the_input_shape(forward):
+    # (4, 32, 64): x takes 64 KiB; LayerNorm's per-row mean and rstd 1 KiB each
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.normal(size=(4, 32, 64)), requires_grad=True)
+    p = L.init_batchnorm(rng, 64) if forward is not L.layernorm_forward \
+        else L.init_layernorm(rng, 64)
+    assert bytes_held_by_record(lambda: forward(x, p)) < x.data.nbytes // 8
+
+
 # ---------------------------------------------------------------------------
 # Attention
 
@@ -813,6 +852,31 @@ def test_mha_keeps_per_head_state_only_when_recorded():
         assert growth <= 7 * cat_block + 4096
     per_head_state = x[0, 0, :1].nbytes * (4 * 32 * 48 + 4 * 32 * 32)
     assert peak(8, True, True) - peak(1, True, True) >= 7 * (cat_block + per_head_state)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 8])
+def test_mha_rule_releases_the_saved_state_it_has_read(heads):
+    # batch 4, 32 steps, model and key dim 16, as above
+    rng = np.random.default_rng(42)
+    p = L.init_mha(rng, 16, heads, 16)
+    x, g = (rng.normal(size=(4, 32, 16)) for _ in range(2))
+    cell = x[0, 0, :1].nbytes
+    saved = cell * (heads * (4 * 32 * 48 + 4 * 32 * 32) + 4 * 32 * heads * 16)
+    with T.Tape() as tape:  # a first pass, untraced, so lazy caches are not counted
+        L.multi_head_attention(Tensor(x, requires_grad=True), p)
+    tape.records[0].backward_fn(g)
+    tracemalloc.start()
+    try:
+        with T.Tape() as tape:
+            L.multi_head_attention(Tensor(x, requires_grad=True), p)
+        [rec] = tape.records
+        before = tracemalloc.get_traced_memory()[0]
+        rec.backward_fn(g)  # the gradients are dropped at once; the record stays
+        released = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # less a KiB: the interpreter's free lists keep a few small objects the rule made
+    assert released >= saved - 1024
 
 
 def test_mha_single_head_identity_projection_reduces_to_sdpa():

@@ -138,6 +138,25 @@ def test_train_step_frees_op_gradients_and_matches_the_accumulating_loop():
         assert got.tobytes() == want.tobytes()
 
 
+def test_a_tape_is_replayed_once():
+    cfg = ModelConfig(input_shape=(8, 1), num_classes=3, conv_filters=6, gru_units=4,
+                      num_heads=2, key_dim=3, dense_units=(8, 4))
+    model = build_model(cfg, np.random.default_rng(12))
+    with Tape() as tape:
+        logits = model.forward(np.random.default_rng(13).normal(size=(5, 8, 1)),
+                               mode="train", rng=np.random.default_rng(14))
+        loss = TR.cross_entropy_loss(logits, np.arange(5) % 3)
+    backward(loss, tape)
+    first = {n: p.grad.tobytes() for n, p in model.named_parameters().items()}
+    ran = []
+    for rec in tape.records:
+        rec.backward_fn = lambda g, fn=rec.backward_fn: ran.append(fn) or fn(g)
+    with pytest.raises(ContractError, match="already replayed"):
+        backward(loss, tape)
+    assert ran == []
+    assert {n: p.grad.tobytes() for n, p in model.named_parameters().items()} == first
+
+
 @pytest.mark.parametrize("tapes", [0, 1, 2])
 @pytest.mark.parametrize("requires_grad", [(), (False,), (True,), (False, True), (False, False)])
 def test_recording_agrees_with_whether_register_op_records(tapes, requires_grad):
