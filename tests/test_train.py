@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,61 @@ def test_epoch_csv_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Inference in row blocks
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+def test_predict_logits_blocks_match_one_whole_batch_forward(n, dtype):
+    model = build_model(SMALL_CFG, np.random.default_rng(10), dtype)
+    X = np.random.default_rng(n).normal(size=(n, 12, 1))
+    whole = model.forward(X, mode="infer").data
+    for batch_size in (1, 10, 64, 128, 256):
+        logits = TR.predict_logits(model, X, batch_size)
+        assert logits.shape == (n, SMALL_CFG.num_classes) and logits.dtype == np.dtype(dtype)
+        assert np.array_equal(logits.argmax(axis=1), whole.argmax(axis=1)), batch_size
+        # a tolerance, not bits: BLAS builds may split a GEMM by its row count
+        if dtype == "float64":
+            assert np.abs(logits - whole).max() <= 1e-12, batch_size
+        probs = TR.predict_proba(model, X, batch_size)
+        assert probs.dtype == np.dtype(dtype)
+        assert np.array_equal(probs, T.softmax(logits, axis=1)), batch_size
+
+
+@pytest.mark.parametrize("batch_size", [0, -1, -3, 2.5, True, False, "4", None, np.float64(8)])
+@pytest.mark.parametrize("entry", [TR.predict_logits, TR.predict_proba],
+                         ids=["predict_logits", "predict_proba"])
+def test_batch_size_that_is_not_a_positive_int_is_a_contract_error(entry, batch_size):
+    model = build_model(SMALL_CFG, np.random.default_rng(11))
+    with pytest.raises(ContractError, match=re.escape(f"got {batch_size!r}")):
+        entry(model, np.zeros((5, 12, 1)), batch_size)
+
+
+def test_numpy_int_batch_size_is_accepted():
+    model = build_model(SMALL_CFG, np.random.default_rng(12))
+    X = np.random.default_rng(12).normal(size=(5, 12, 1))
+    assert np.array_equal(TR.predict_logits(model, X, np.int64(2)),
+                          TR.predict_logits(model, X, 2))
+
+
+def test_predict_logits_memory_does_not_grow_with_the_batch():
+    model = build_model(SMALL_CFG, np.random.default_rng(13))
+    X = np.random.default_rng(13).normal(size=(640, 12, 1))
+
+    def peak(n):
+        TR.predict_logits(model, X[:n], batch_size=640)  # untraced, so lazy caches are not counted
+        tracemalloc.start()
+        try:
+            TR.predict_logits(model, X[:n], batch_size=640)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # one 640-row forward pass needs several MB above one of 64 rows
+    logits = X[:640, :SMALL_CFG.num_classes, 0].nbytes
+    assert peak(640) <= peak(64) + logits + 64 * 1024
+
+
+# ---------------------------------------------------------------------------
 # Inference timing
 
 def test_measure_inference_positive_and_finite():
@@ -241,6 +297,14 @@ def test_measure_inference_batching_amortizes():
     t1 = TR.measure_inference(model, rng.normal(size=(1, 12, 1)), repetitions=15)
     t64 = TR.measure_inference(model, rng.normal(size=(64, 12, 1)), repetitions=15)
     assert t64.p50 <= t1.p50
+
+
+def test_measure_inference_times_a_batch_above_one_block():
+    model = build_model(SMALL_CFG, np.random.default_rng(14))
+    lat = TR.measure_inference(model, np.random.default_rng(14).normal(size=(65, 12, 1)),
+                               repetitions=10)
+    assert lat.batch_size == 65
+    assert np.isfinite(lat.p95) and lat.p95 >= lat.p50 > 0
 
 
 def test_measure_inference_requires_enough_repetitions():
