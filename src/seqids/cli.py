@@ -74,9 +74,17 @@ _ABLATION_METRICS = ("accuracy", "loss", "fpr", "inf_time", "min_class_recall")
 # Config files and manifests
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat key-value grammar: ``key = value`` per line, '#' comments."""
+    """Flat key-value grammar: ``key = value`` per line, '#' comments, in UTF-8.
+
+    A byte that is not UTF-8 is a ``ConfigError`` naming its offset in the file.
+    """
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

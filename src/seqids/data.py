@@ -7,7 +7,8 @@ The CSV contract of ``load_csv``:
   separated by commas and may be quoted with ``"`` (a quoted cell may hold
   commas, line breaks and ``""`` for a quote). The first row is the header.
   Blank lines are skipped; any other row with a cell count unlike the
-  header's fails with an ``InputError`` that names its line.
+  header's fails with an ``InputError`` that names the file line the row
+  starts on, counting the lines of quoted cells that span lines.
 - A line with no ``"`` and no NUL (which the ``csv`` module of Python 3.10
   rejects) is split on its commas directly: that gives the cells
   ``csv.reader`` would, without its per-character tokenizer. Any other line
@@ -183,12 +184,15 @@ class RawTable:
     categorical: dict[int, Categories]
 
 
-def _rows(fh):
-    """Each row of the open text file ``fh`` as ``csv.reader`` gives it, ``[]`` for a blank line.
+def _rows(fh, path):
+    """Each row of the open text file ``fh`` as ``csv.reader`` gives it, ``[]``
+    for a blank line, with the number of the row's first line in the file.
 
     A line with no ``"`` and no NUL is split on commas directly. Any other
     line is fed to one ``csv.reader``, which reads the continuation lines of
-    a multi-line quoted cell from ``fh`` itself.
+    a multi-line quoted cell from ``fh`` itself; the line numbers count
+    those lines too. A row ``csv.reader`` refuses is an ``InputError`` that
+    names ``path`` and the row's first line.
     """
     pending = []
 
@@ -197,28 +201,33 @@ def _rows(fh):
             yield line
 
     reader = csv.reader(lines())
-    for line in fh:
+    quoted = 0   # rows the reader has read; its line_num counts all their lines
+    for lineno, line in enumerate(fh, 1):
+        lineno += reader.line_num - quoted
         if '"' in line or "\0" in line:
             pending.append(line)
-            yield next(reader)
+            quoted += 1
+            try:
+                row = next(reader)
+            except csv.Error as exc:   # e.g. a cell over csv's field size limit
+                raise InputError(f"{path}:{lineno}: unreadable CSV row: {exc}") from None
+            yield lineno, row
         else:
             line = line.rstrip("\r\n")
-            yield line.split(",") if line else []
+            yield lineno, line.split(",") if line else []
 
 
 def _row_chunks(path):
     """Yield the header, then the non-blank data rows in lists of ``_CHUNK_ROWS``."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _rows(fh)
-        lineno = 0   # the last row read
+        rows = _rows(fh, path)
         try:
-            header = next(reader, None)
+            _, header = next(rows, (0, None))
             if header is None:
                 raise InputError(f"{path}: file is empty")
-            lineno = 1
             yield header
             chunk = []
-            for lineno, row in enumerate(reader, start=2):
+            for lineno, row in rows:
                 if not row:
                     continue
                 if len(row) != len(header):
@@ -230,8 +239,6 @@ def _row_chunks(path):
                     chunk = []
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
-        except csv.Error as exc:   # e.g. a cell over csv's field size limit
-            raise InputError(f"{path}:{lineno + 1}: unreadable CSV row: {exc}") from None
         if chunk:
             yield chunk
 

@@ -10,9 +10,9 @@ varies):
 * Conv1D computes cross-correlation (no kernel flip), the usual
   deep-learning convention, at stride 1 with "same" zero padding only, so
   stacked blocks and the residual shortcut keep the time length. Its record
-  keeps the zero-padded input (at k = 1 the input itself), not the im2col
-  matrix, k times as large: the backward rule rebuilds that matrix with the
-  forward pass's strided view and reshape.
+  keeps x and the reshaped kernels, neither the zero-padded copy nor the
+  im2col matrix, k times as large: the backward rule pads x again and
+  rebuilds that matrix with the forward pass's strided view and reshape.
 * The GRU uses sigmoid gates and a tanh candidate with reset-before-candidate,
   ``h_cand = tanh(x W_c + (r * h_prev) U_c + b_c)``, and the update
   ``h_t = (1 - z) * h_prev + z * h_cand``. ``W (input, 3H)``, ``U (H, 3H)``
@@ -35,10 +35,13 @@ varies):
   the forward pass keeps each head's Q|K|V and attention weights, and the
   backward rule reads them instead of recomputing them. The rule releases
   what it has read: the concatenated head outputs once ``dw_o`` is computed,
-  and a head's Q|K|V and weights once its ``dw_qkv`` block and ``dx`` term
-  are written. Unrecorded, every head reuses one Q|K|V buffer and one
-  weights buffer, so inference memory grows with the head count only by the
-  concatenated head outputs.
+  a head's weights once dv and the softmax backward have read them, and its
+  Q|K|V once its ``dw_qkv`` block and ``dx`` term are written. It writes a
+  head's dq|dk|dv into that head's own Q|K|V columns, each block once it is
+  dead: dv over v, dk over k, and dq, through one (B, T, key_dim) scratch,
+  over q. Head 0's ``dx`` term is ``dx`` itself. Unrecorded, every head
+  reuses one Q|K|V buffer and one weights buffer, so inference memory grows
+  with the head count only by the concatenated head outputs.
 * The normalizers add a fixed epsilon to the variance: 1e-3 for BatchNorm
   (the Keras default) and 1e-5 for LayerNorm (the PyTorch default).
 * BatchNorm in both modes and LayerNorm are one shared primitive,
@@ -117,26 +120,33 @@ def conv1d_forward(x: Tensor, p: Conv1DParams) -> Tensor:
         raise ShapeError(f"conv1d: input has {c_in} channels but kernels expect {kc_in}")
     pad_left = (k - 1) // 2
 
-    xp = x.data
-    if k > 1:
-        xp = np.zeros((batch, t_len + k - 1, c_in), dtype=xp.dtype)
+    def padded():
+        """x zero-padded to T + k - 1 steps; x itself when k = 1."""
+        if k == 1:
+            return x.data
+        xp = np.zeros((batch, t_len + k - 1, c_in), dtype=x.data.dtype)
         xp[:, pad_left:pad_left + t_len] = x.data
+        return xp
 
-    def im2col():
-        """The (B·T, k·C_in) matrix whose row (b, t) is x's window at t: a
-        copy when k > 1, so the record keeps xp and each pass builds it."""
+    def im2col(xp):
+        """The (B·T, k·C_in) matrix whose row (b, t) is the padded input's
+        window at t: a copy when k > 1, so each pass builds it from x."""
         s0, s1, s2 = xp.strides
         return as_strided(xp, (batch, t_len, k, c_in), (s0, s1, s1, s2)).reshape(
             batch * t_len, k * c_in)
 
+    # the padded copy is freed once the output is complete, the order it had
+    # when the record kept it; freeing it inside im2col raised infer's peak RSS
+    xp = padded()
     w2 = p.kernels.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
-    out_data = (im2col() @ w2).reshape(batch, t_len, c_out)
+    out_data = (im2col(xp) @ w2).reshape(batch, t_len, c_out)
     out_data += p.bias.data
+    del xp
 
     def back(g):
         g2 = g.reshape(batch * t_len, c_out)
         db = g2.sum(axis=0)
-        dw = (im2col().T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
+        dw = (im2col(padded()).T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
         dcols = g2 @ w2.T
         if k == 1:
             return dcols.reshape(x.shape), dw, db
@@ -255,7 +265,8 @@ def residual_relu(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         g = g * (out_data > 0)
-        # one array for both inputs is safe: backward adds each into a fresh .grad
+        # one array for both inputs is safe: backward adopts it as a's .grad
+        # and adds it into zeros for b's
         return g, g
 
     return register_op((a, b), out_data, back)
@@ -519,28 +530,39 @@ def multi_head_attention(x: Tensor, p: MHAParams) -> Tensor:
         np.matmul(_attention_weights(q, k, ws[h % slots]), v, out=out)
 
     def back(g):
-        # each saved array is dropped once read: cat after dw_o, a head's
-        # Q|K|V and weights after its dw_qkv block and dx term
+        # Each saved array is dropped once read: cat after dw_o, a head's
+        # weights after dv and the softmax backward, its Q|K|V after its
+        # dw_qkv block and dx term. dv, dk and dq overwrite v, k and q once
+        # nothing reads them: v after ds, k after dq, q after dk.
         nonlocal cat
         g = g.reshape(-1, model_dim)
         dw_o, cat = cat.T @ g, None
-        dx, dw_qkv = np.zeros_like(x2), np.empty_like(p.w_qkv.data)
-        dqkv, dx_h = np.empty_like(qkvs[0]), np.empty_like(x2)
-        dq, dk, dv = blocks(dqkv, 3)
+        dw_qkv = np.empty_like(p.w_qkv.data)
+        dq = np.empty(lead + (key_dim,), dtype=x2.dtype)
+        dx = dx_h = None
         for h in range(heads):
-            q, k, v = blocks(qkvs[h], 3)
-            w = ws[h]
+            dqkv, w = qkvs[h], ws[h]
+            q, k, v = blocks(dqkv, 3)
             dout = (g @ p.w_o.data[h * key_dim:(h + 1) * key_dim].T).reshape(lead + (-1,))
             ds = dout @ np.swapaxes(v, -1, -2)
+            np.matmul(np.swapaxes(w, -1, -2), dout, out=v)
+            dout = None
             ds -= (ds * w).sum(axis=-1, keepdims=True)
             ds *= w
+            w = ws[h] = None
             ds *= 1.0 / math.sqrt(key_dim)
             np.matmul(ds, k, out=dq)
-            np.matmul(np.swapaxes(ds, -1, -2), q, out=dk)
-            np.matmul(np.swapaxes(w, -1, -2), dout, out=dv)
+            np.matmul(np.swapaxes(ds, -1, -2), q, out=k)
+            q[...] = dq
+            ds = None
             np.matmul(x2.T, dqkv, out=dw_qkv[h])
-            dx += np.matmul(dqkv, p.w_qkv.data[h].T, out=dx_h)
-            q = k = v = w = qkvs[h] = ws[h] = None
+            if dx is None:
+                dx = dqkv @ p.w_qkv.data[h].T
+            else:
+                if dx_h is None:
+                    dx_h = np.empty_like(x2)
+                dx += np.matmul(dqkv, p.w_qkv.data[h].T, out=dx_h)
+            q = k = v = dqkv = qkvs[h] = None
         return dx.reshape(x.shape), dw_qkv, dw_o
 
     return register_op((x, p.w_qkv, p.w_o), (cat @ p.w_o.data).reshape(x.shape), back)

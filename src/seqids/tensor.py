@@ -11,6 +11,12 @@ is freed once the op's backward rule has used it. A rule may also release
 the state its op saved, once it has read it, so a tape is replayed once: a
 second ``backward`` on it is a ``ContractError``.
 
+A rule's returned gradient becomes the input's ``.grad`` itself when that
+slot is empty, not a copy added into zeros, so each gradient array exists
+once. That rests on the rule contract: every array a rule returns is fresh,
+or a view of a fresh array, and the record keeps none of them; two returned
+arrays share no memory unless they are the same object.
+
 Gradients flow only into tensors with ``requires_grad=True`` (and into
 everything downstream of them). With no tape active, operations run in pure
 inference mode and record nothing.
@@ -107,8 +113,9 @@ def register_op(inputs: Sequence[Tensor], out_data: np.ndarray,
     """Create an op output and record it on the active tape.
 
     ``backward_fn`` maps the output gradient to one gradient array (or None)
-    per input, in input order. This is the hook layer code uses to define
-    primitives with custom backward rules.
+    per input, in input order, under the rule contract the module docstring
+    states: fresh arrays that the record does not keep. This is the hook
+    layer code uses to define primitives with custom backward rules.
     """
     out = Tensor(out_data)
     if recording(inputs):
@@ -127,6 +134,15 @@ def backward(loss: Tensor, tape: Tape) -> None:
     mid-pass frees their saved state early, but glibc then trims the heap
     and the next forward pass faults it back in.
 
+    A gradient into an empty ``.grad`` is adopted: the rule's array itself
+    becomes the ``.grad``, after 0.0 is added to it in place, which turns
+    -0.0 into +0.0 as adding into zeros would. The rule contract (the module
+    docstring's) makes that safe. The array is added into zeros instead when
+    its shape or dtype differs from the input's, or when the same rule
+    returned that same object for an earlier input (``residual_relu``
+    returns one array for both of its inputs). Later gradients of a tensor
+    used more than once are added into its ``.grad``.
+
     A tape is replayed once: a rule may release the state it saved, and a
     second pass would add every gradient again, so it is a ``ContractError``
     raised before any rule runs.
@@ -142,13 +158,20 @@ def backward(loss: Tensor, tape: Tape) -> None:
         if g is None:
             continue
         grads = rec.backward_fn(g)
+        adopted = []
         for t, gi in zip(rec.inputs, grads):
             if gi is None or not t.requires_grad:
                 continue
             if t.grad is None:
+                if (gi.shape == t.data.shape and gi.dtype == t.data.dtype
+                        and not any(gi is a for a in adopted)):
+                    gi += 0.0  # -0.0 becomes +0.0, as accumulating into zeros gives
+                    t.grad = gi
+                    adopted.append(gi)
+                    continue
                 t.grad = np.zeros_like(t.data)
             t.grad += gi
-        g = grads = gi = None  # freed before the next rule allocates
+        g = grads = gi = adopted = None  # freed before the next rule allocates
 
 
 def softmax(a: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:

@@ -116,6 +116,12 @@ class Adam:
         non-finite only with a non-finite or overflowing gradient, whose
         square makes the second moment non-finite too. numpy's overflow and
         invalid-value warnings are silenced, as the returned name reports them.
+
+        m and v are updated in place, in their own arrays, and the step
+        takes two scratch arrays of the parameter's size. The operations and
+        their order are those of ``m = b1 m + (1 - b1) g``, ``v = b2 v +
+        (1 - b2) g g`` and ``p -= lr m_hat / (sqrt(v_hat) + eps)``, so the
+        bits are too.
         """
         self.t += 1
         b1, b2 = _ADAM_BETA1, _ADAM_BETA2
@@ -124,11 +130,18 @@ class Adam:
                 g = p.grad
                 if g is None:
                     continue
-                m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
-                v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-                m_hat = m / (1 - b1 ** self.t)
-                v_hat = v / (1 - b2 ** self.t)
-                p.data -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
+                m, v = self.m[name], self.v[name]
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * g * g
+                step = m / (1 - b1 ** self.t)
+                step *= self.lr
+                den = v / (1 - b2 ** self.t)
+                np.sqrt(den, out=den)
+                den += _ADAM_EPSILON
+                step /= den
+                p.data -= step
                 if not (np.isfinite(v).all() and np.isfinite(p.data).all()):
                     return name
         return None

@@ -245,6 +245,18 @@ def test_train_bad_config_line_fails_naming_the_key(tmp_path, capsys, line, key)
     assert not out.exists()
 
 
+def test_train_config_that_is_not_utf8_fails_naming_the_file_and_byte(tmp_path, capsys):
+    data = gen(tmp_path)
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("lr = 0.001 # café\n".encode("latin-1"))
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", data, "--config", cfg, "--out-dir", out,
+                   *TRAIN_SPEED_FLAGS) == 1
+    err = capsys.readouterr().err
+    assert f"error [train]: {cfg}: not UTF-8 text: byte 0xe9 at offset 16" in err
+    assert not out.exists()
+
+
 def test_train_float32_leaves_the_default_dtype_at_float64(tmp_path):
     # float64, float32, then the default, in one process: the last checkpoint
     # is byte-equal to the first, so the float32 run left nothing behind

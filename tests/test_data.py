@@ -169,6 +169,19 @@ def test_load_csv_ragged_row_names_its_line_past_a_chunk_boundary(tmp_path, monk
         D.load_csv(f)
 
 
+def test_load_csv_error_names_the_file_line_after_a_cell_that_spans_lines(tmp_path):
+    # the quoted cell of the first data row holds a line break, so the short
+    # row is the third data row but sits on the file's fifth line
+    f = tmp_path / "bad.csv"
+    f.write_text('x1,x2,label\n1,"two\nlines",a\n2,3,b\n4,b\n')
+    with pytest.raises(InputError, match=r"bad\.csv:5: expected 3 cells, got 2"):
+        D.load_csv(f)
+    # a row that csv.reader refuses is named by its first line too
+    f.write_text('x1,label\n"1\n2",a\n3,b\n"' + "1" * 200_000 + '",a\n')
+    with pytest.raises(InputError, match=r"bad\.csv:5: unreadable CSV row"):
+        D.load_csv(f)
+
+
 def test_load_csv_header_only_file_has_no_data_rows(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text("x1,x2,label\n\n")
@@ -391,23 +404,25 @@ def test_load_csv_matches_the_cell_by_cell_reference(tmp_path_factory, table, ch
 
 
 def csv_module_row_chunks(path):
-    """``_row_chunks`` with every line tokenized by ``csv.reader``, as it was first written."""
+    """``_row_chunks`` with every line tokenized by ``csv.reader``; an error
+    names the file line its row starts on, from the reader's line count."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        lineno = 0
+        lineno = 1   # the first line of the row being read
         try:
             header = next(reader, None)
             if header is None:
                 raise InputError(f"{path}: file is empty")
-            lineno = 1
             yield header
             chunk = []
-            for lineno, row in enumerate(reader, start=2):
+            lineno = reader.line_num + 1
+            for row in reader:
+                first, lineno = lineno, reader.line_num + 1
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise InputError(
-                        f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+                        f"{path}:{first}: expected {len(header)} cells, got {len(row)}")
                 chunk.append(row)
                 if len(chunk) == D._CHUNK_ROWS:
                     yield chunk
@@ -415,7 +430,7 @@ def csv_module_row_chunks(path):
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
         except csv.Error as exc:
-            raise InputError(f"{path}:{lineno + 1}: unreadable CSV row: {exc}") from None
+            raise InputError(f"{path}:{lineno}: unreadable CSV row: {exc}") from None
         if chunk:
             yield chunk
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from seqids import layers as L
 from seqids import tensor as T
+from seqids import train as TR
 from seqids.errors import ContractError, ShapeError
 from seqids.tensor import Tensor, grad_check_all
 from tape_ops import product_sum
@@ -37,6 +38,20 @@ def bytes_held_by_record(op):
             return tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
     finally:
         tracemalloc.stop()
+
+
+def _record_arrays(rec):
+    """The arrays a record reaches: its inputs' and output's data and the
+    arrays (alone, in lists or as a Tensor's data) in its rule's closure."""
+    found = [t.data for t in rec.inputs] + [rec.output.data]
+    for cell in rec.backward_fn.__closure__ or ():
+        value = cell.cell_contents
+        for item in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(item, Tensor):
+                item = item.data
+            if isinstance(item, np.ndarray):
+                found.append(item)
+    return found
 
 
 def sdpa_brute_force(q, k, v):
@@ -105,15 +120,14 @@ def test_conv1d_is_byte_equal_to_the_np_pad_reference(k, shape, c_out):
     assert L.conv1d_forward(Tensor(x), p).data.tobytes() == want.tobytes()
 
 
-def test_conv1d_record_keeps_the_padded_input_not_the_im2col_matrix():
-    # batch 4, 32 steps, 16 channels, k = 3: the padded input (4, 34, 16) takes
-    # 17 KiB, the im2col matrix (128, 48) 48 KiB; two output channels keep the
-    # rule's reshaped kernels at 768 bytes
+def test_conv1d_record_holds_under_8_kib_beside_x():
+    # batch 4, 32 steps, 16 channels, k = 3: a padded copy of x (4, 34, 16)
+    # would take 17 KiB, the im2col matrix (128, 48) 48 KiB; two output
+    # channels keep the rule's reshaped kernels at 768 bytes
     rng = np.random.default_rng(3)
     p = L.init_conv1d(rng, 16, 2, 3)
     x = Tensor(rng.normal(size=(4, 32, 16)), requires_grad=True)
-    padded = x.data[0, 0, :1].nbytes * 4 * 34 * 16
-    assert padded <= bytes_held_by_record(lambda: L.conv1d_forward(x, p)) < padded + 8192
+    assert bytes_held_by_record(lambda: L.conv1d_forward(x, p)) < 8192
 
 
 def test_conv1d_channel_mismatch():
@@ -879,6 +893,39 @@ def test_mha_rule_releases_the_saved_state_it_has_read(heads):
     assert released >= saved - 1024
 
 
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_mha_rule_peak_is_dx_and_one_heads_scratch(heads):
+    # batch 2, 8 steps, model dim 8, key_dim 32: a (rows, 3 * key_dim)
+    # gradient array would take 12 KiB, more than dx (1 KiB) and one head's
+    # dq and output gradient (4 KiB each) and scores (1 KiB each)
+    batch, t_len, model_dim, key_dim = 2, 8, 8, 32
+    rng = np.random.default_rng(45)
+    p = L.init_mha(rng, model_dim, heads, key_dim)
+    x, g = (rng.normal(size=(batch, t_len, model_dim)) for _ in range(2))
+    with T.Tape() as tape:  # a first pass, untraced, so lazy caches are not counted
+        L.multi_head_attention(Tensor(x, requires_grad=True), p)
+    tape.records[0].backward_fn(g)
+    tracemalloc.start()
+    try:
+        with T.Tape() as tape:
+            L.multi_head_attention(Tensor(x, requires_grad=True), p)
+        [rec] = tape.records
+        held = _record_arrays(rec)  # so the saved state the rule drops stays counted
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = rec.backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    rows, cell = batch * t_len, x[0, 0, :1].nbytes
+    # dq and the output gradient, the scores and their product with the
+    # weights, and from the second head on the scratch of its dx term
+    head_scratch = cell * (2 * rows * key_dim + 2 * batch * t_len * t_len
+                           + (heads > 1) * rows * model_dim)
+    # and 2 KiB for the views and the row sums of the softmax backward
+    assert peak < sum(a.nbytes for a in grads) + head_scratch + 2048
+
+
 def test_mha_single_head_identity_projection_reduces_to_sdpa():
     rng = np.random.default_rng(28)
     p = L.init_mha(rng, model_dim=4, num_heads=1, key_dim=4)
@@ -1078,3 +1125,45 @@ def test_dense_width_mismatch():
     for shape in ((2, 5), (4,), (1, 2, 4)):
         with pytest.raises(ShapeError, match=re.escape(str(shape))):
             L.dense_forward(Tensor(np.zeros(shape)), p)
+
+
+# ---------------------------------------------------------------------------
+# The rule contract that ``backward`` adopts gradients on
+
+def _rule_cases():
+    rng = np.random.default_rng(50)
+
+    def seq(shape=(2, 5, 4)):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    bn, ln = L.init_batchnorm(rng, 4), L.init_layernorm(rng, 4)
+    gru = [L.init_gru(rng, 4, 3) for _ in range(2)]
+    return {
+        "conv1d_k3": lambda: L.conv1d_forward(seq(), L.init_conv1d(rng, 4, 3, 3)),
+        "conv1d_k1": lambda: L.conv1d_forward(seq(), L.init_conv1d(rng, 4, 3, 1)),
+        "batchnorm_train_relu": lambda: L.batchnorm_forward(seq(), bn, "train", relu=True),
+        "batchnorm_infer": lambda: L.batchnorm_forward(seq(), bn, "infer"),
+        "layernorm": lambda: L.layernorm_forward(seq(), ln),
+        "residual_relu": lambda: L.residual_relu(seq(), seq()),
+        "bigru": lambda: L.bigru_forward(seq(), *gru),
+        "mha": lambda: L.multi_head_attention(seq(), L.init_mha(rng, 4, 2, 3)),
+        "dropout": lambda: L.dropout_forward(seq(), 0.5, "train", rng),
+        "dense_relu": lambda: L.dense_forward(seq(), L.init_dense(rng, 20, 3, "relu")),
+        "dense": lambda: L.dense_forward(seq((3, 4)), L.init_dense(rng, 4, 3)),
+        "cross_entropy": lambda: TR.cross_entropy_loss(seq((3, 4)), np.array([0, 3, 1])),
+    }
+
+
+@pytest.mark.parametrize("name", list(_rule_cases()))
+def test_rule_returns_fresh_arrays_that_share_no_memory(name):
+    with T.Tape() as tape:
+        out = _rule_cases()[name]()
+    [rec] = tape.records
+    kept = _record_arrays(rec)
+    g = np.random.default_rng(51).normal(size=out.shape)
+    grads = [a for a in rec.backward_fn(g) if a is not None]
+    assert len(grads) == len(rec.inputs)
+    for i, a in enumerate(grads):
+        for b in grads[:i]:
+            assert a is b or not np.shares_memory(a, b)
+        assert not any(np.shares_memory(a, k) for k in kept)

@@ -131,6 +131,26 @@ def test_adam_first_step_matches_closed_form():
     np.testing.assert_allclose(p.data, p0 - 0.01 * g / (np.abs(g) + 1e-8), atol=1e-15)
 
 
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_adam_updates_its_moments_in_place_with_the_textbook_bits(dtype):
+    rng = np.random.default_rng(3)
+    p = Tensor(rng.normal(size=(3, 4)).astype(dtype), requires_grad=True)
+    opt = TR.Adam({"p": p}, lr=0.01)
+    m, v = opt.m["p"], opt.v["p"]
+    want_p, want_m, want_v = p.data.copy(), m.copy(), v.copy()
+    b1, b2 = 0.9, 0.999
+    for t in (1, 2, 3):
+        p.grad = rng.normal(size=(3, 4)).astype(dtype)
+        # the update as three expressions, with new arrays for m, v and every temporary
+        want_m = b1 * want_m + (1 - b1) * p.grad
+        want_v = b2 * want_v + (1 - b2) * p.grad * p.grad
+        want_p -= 0.01 * (want_m / (1 - b1 ** t)) / (np.sqrt(want_v / (1 - b2 ** t)) + 1e-8)
+        assert opt.step() is None
+        assert opt.m["p"] is m and opt.v["p"] is v
+        for got, want in ((p.data, want_p), (m, want_m), (v, want_v)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_adam_single_step_decreases_convex_quadratic():
     rng = np.random.default_rng(2)
     for lr in (1e-3, 1e-2):
