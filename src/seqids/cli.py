@@ -524,9 +524,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SeqidsError as exc:
+    except (SeqidsError, MemoryError) as exc:
         stage = args.command if hasattr(args, "command") else "seqids"
-        print(f"error [{stage}]: {exc}", file=sys.stderr)
+        what = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error [{stage}]: {what}{exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)

@@ -5,7 +5,9 @@ The CSV contract of ``load_csv``:
 
 - The file is UTF-8 in the ``csv`` module's default dialect: cells are
   separated by commas and may be quoted with ``"`` (a quoted cell may hold
-  commas, line breaks and ``""`` for a quote). The first row is the header.
+  commas, line breaks and ``""`` for a quote). A byte-order mark at the
+  start of the file (Excel's "CSV UTF-8" writes one) is dropped, so it
+  never reaches the first column's name. The first row is the header.
   Blank lines are skipped; any other row with a cell count unlike the
   header's fails with an ``InputError`` that names the file line the row
   starts on, counting the lines of quoted cells that span lines.
@@ -219,7 +221,7 @@ def _rows(fh, path):
 
 def _row_chunks(path):
     """Yield the header, then the non-blank data rows in lists of ``_CHUNK_ROWS``."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = _rows(fh, path)
         try:
             _, header = next(rows, (0, None))

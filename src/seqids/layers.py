@@ -55,10 +55,19 @@ varies):
   the backward rule rebuilds ``xhat`` with the forward pass's two ops, and
   the forward pass scales and shifts that same array in place.
 * The residual join ``relu(a + b)`` is one record too, ``residual_relu``,
-  over two inputs of one shape; no other elementwise op has a record.
+  over two inputs of one shape; no other elementwise op has a record. Its
+  backward rule writes the masked gradient into a new array and returns it
+  for ``a`` and a copy of it for ``b``, as no two returned arrays may share
+  memory. It does not mask ``g`` in place: its ``g`` is the BiGRU's
+  time-major ``dx``, and a masked array in that layout changes the
+  summation order, and so the bits, of the BatchNorm gradients below it.
+  ``_normalize(relu=True)`` and the Dense ReLU mask into a new array too.
 * Dropout is inverted: survivors are scaled by 1/(1-rate) at train time and
   inference is the identity. Train mode is one tape record on a boolean
-  keep mask; its backward rule applies the same mask and scale to ``g``.
+  keep mask; its backward rule multiplies the same mask and then the scale
+  into ``g`` itself and returns it, the only rule that writes into ``g``:
+  its ``g`` is the first Dense's C-contiguous ``dx``, so the bits are those
+  of a new array, and the step holds one ``(B, T, F)`` gradient, not two.
 * Dense is one tape record: ``x W^T + b``, then ReLU or no activation. It
   takes ``(N, ...)`` input and reads it as the view ``(N, in)``, so the
   model's flatten is the first Dense's view, not a record of its own; ``dx``
@@ -265,9 +274,7 @@ def residual_relu(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         g = g * (out_data > 0)
-        # one array for both inputs is safe: backward adopts it as a's .grad
-        # and adds it into zeros for b's
-        return g, g
+        return g, g.copy()
 
     return register_op((a, b), out_data, back)
 
@@ -587,12 +594,12 @@ def dropout_forward(x: Tensor, rate: float, mode: str = "train",
     # multiplying by the scaled mask, and the record keeps 1 byte an element
     keep, scale = rng.random(x.shape) >= rate, 1.0 / (1.0 - rate)
 
-    def apply(a):
-        out = np.multiply(a, keep)
+    def apply(a, out=None):
+        out = np.multiply(a, keep, out=out)
         out *= scale
         return out
 
-    return register_op((x,), apply(x.data), lambda g: (apply(g),))
+    return register_op((x,), apply(x.data), lambda g: (apply(g, out=g),))
 
 
 @dataclass

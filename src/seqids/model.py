@@ -154,12 +154,15 @@ class Model:
         """(B, T, C) batch -> (B, num_classes) logits; ``mode`` is "train" or "infer".
 
         A plain-array batch is cast to the parameters' dtype; a ``Tensor``
-        is taken as it is.
+        is taken as it is, so one of another dtype is a ``ContractError``:
+        its gradients would reach the parameters in its dtype.
         """
         if mode not in ("train", "infer"):
             raise ContractError(f"model mode must be 'train' or 'infer', got {mode!r}")
-        x = batch if isinstance(batch, Tensor) else Tensor(
-            np.asarray(batch, dtype=self.dense[-1].W.data.dtype))  # the parameters' dtype
+        dtype = self.dense[-1].W.data.dtype  # the parameters'
+        x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch, dtype=dtype))
+        if x.data.dtype != dtype:
+            raise ContractError(f"model is {dtype}, but the Tensor batch is {x.data.dtype}")
         t_len, channels = self.cfg.input_shape
         if x.ndim != 3 or x.shape[1:] != (t_len, channels) or x.shape[0] < 1:
             raise ShapeError(f"model expects batches of shape (B, {t_len}, {channels}) "

@@ -11,11 +11,13 @@ is freed once the op's backward rule has used it. A rule may also release
 the state its op saved, once it has read it, so a tape is replayed once: a
 second ``backward`` on it is a ``ContractError``.
 
-A rule's returned gradient becomes the input's ``.grad`` itself when that
-slot is empty, not a copy added into zeros, so each gradient array exists
-once. That rests on the rule contract: every array a rule returns is fresh,
-or a view of a fresh array, and the record keeps none of them; two returned
-arrays share no memory unless they are the same object.
+Each gradient array has one owner, under one rule contract. ``g``, the
+output gradient a rule is handed, is the rule's own. Each returned array
+has its input's shape and dtype and is ``g``, a fresh array, or a view of
+one of them. No two returned arrays share memory, and the record keeps none
+of them. So a returned array becomes its input's ``.grad`` as it is when
+that slot is empty, and is added into it otherwise; a rule may write into
+``g`` and return it.
 
 Gradients flow only into tensors with ``requires_grad=True`` (and into
 everything downstream of them). With no tape active, operations run in pure
@@ -64,9 +66,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -112,10 +111,13 @@ def register_op(inputs: Sequence[Tensor], out_data: np.ndarray,
                 backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
     """Create an op output and record it on the active tape.
 
-    ``backward_fn`` maps the output gradient to one gradient array (or None)
-    per input, in input order, under the rule contract the module docstring
-    states: fresh arrays that the record does not keep. This is the hook
-    layer code uses to define primitives with custom backward rules.
+    ``backward_fn`` maps the output gradient ``g`` to one gradient array (or
+    None) per input, in input order, under the module's rule contract:
+    ``g`` is the rule's own. Each returned array has its input's shape and
+    dtype and is ``g``, a fresh array, or a view of one of them. No two
+    returned arrays share memory, and the record keeps none of them. This
+    is the hook layer code uses to define primitives with custom backward
+    rules.
     """
     out = Tensor(out_data)
     if recording(inputs):
@@ -134,14 +136,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
     mid-pass frees their saved state early, but glibc then trims the heap
     and the next forward pass faults it back in.
 
-    A gradient into an empty ``.grad`` is adopted: the rule's array itself
-    becomes the ``.grad``, after 0.0 is added to it in place, which turns
-    -0.0 into +0.0 as adding into zeros would. The rule contract (the module
-    docstring's) makes that safe. The array is added into zeros instead when
-    its shape or dtype differs from the input's, or when the same rule
-    returned that same object for an earlier input (``residual_relu``
-    returns one array for both of its inputs). Later gradients of a tensor
-    used more than once are added into its ``.grad``.
+    Each array a rule returns becomes its input's gradient as it is: into
+    an empty ``.grad`` it is adopted, after 0.0 is added to it in place,
+    which turns -0.0 into +0.0 as adding into zeros would; into a ``.grad``
+    that a tensor used more than once already holds, it is added. The rule
+    contract (the module docstring's) makes adoption safe.
 
     A tape is replayed once: a rule may release the state it saved, and a
     second pass would add every gradient again, so it is a ``ContractError``
@@ -158,20 +157,15 @@ def backward(loss: Tensor, tape: Tape) -> None:
         if g is None:
             continue
         grads = rec.backward_fn(g)
-        adopted = []
         for t, gi in zip(rec.inputs, grads):
             if gi is None or not t.requires_grad:
                 continue
             if t.grad is None:
-                if (gi.shape == t.data.shape and gi.dtype == t.data.dtype
-                        and not any(gi is a for a in adopted)):
-                    gi += 0.0  # -0.0 becomes +0.0, as accumulating into zeros gives
-                    t.grad = gi
-                    adopted.append(gi)
-                    continue
-                t.grad = np.zeros_like(t.data)
-            t.grad += gi
-        g = grads = gi = adopted = None  # freed before the next rule allocates
+                gi += 0.0  # -0.0 becomes +0.0, as accumulating into zeros gives
+                t.grad = gi
+            else:
+                t.grad += gi
+        g = grads = gi = None  # freed before the next rule allocates
 
 
 def softmax(a: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
@@ -197,7 +191,7 @@ def grad_check_all(f: Callable[[], Tensor], tensors: Sequence[Tensor], h: float 
     (e.g. ReLU exactly at 0).
     """
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     with Tape() as tape:
         loss = f()
     backward(loss, tape)

@@ -167,6 +167,10 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
     ``validation_fraction`` and evaluated in infer mode each epoch. A
     fraction that holds out no row raises ``ContractError``; 0 evaluates the
     training rows instead.
+
+    The rows are held once, in the split's ``X``: each batch, and each
+    epoch's validation slice, is taken from it by index, so no resident
+    copy of the fit or validation rows is made.
     """
     cfg.validate()
     train_ds: Dataset = split.train
@@ -183,21 +187,18 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
                 f"{y.size} rows (the largest class has {int(np.bincount(y).max())}); raise "
                 "it, or set it to 0 to validate on the training rows")
     else:
-        fit_idx = np.arange(X.shape[0])
-        hold_idx = fit_idx
-    X_fit, y_fit = X[fit_idx], y[fit_idx]
-    X_val, y_val = X[hold_idx], y[hold_idx]
+        fit_idx, hold_idx = np.arange(X.shape[0]), slice(None)
 
     opt = Adam(model.named_parameters(), lr=cfg.lr)
     records: list[EpochRecord] = []
-    n = X_fit.shape[0]
+    n = fit_idx.size
     for epoch in range(1, cfg.epochs + 1):
         tic = time.perf_counter()
-        order = rng.permutation(n)
+        order = fit_idx[rng.permutation(n)]
         loss_sum, hit_sum = 0.0, 0
         for bno, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            xb, yb = X_fit[idx], y_fit[idx]
+            xb, yb = X[idx], y[idx]
             opt.zero_grad()
             with Tape() as tape:
                 logits = model.forward(xb, mode="train", rng=dropout_rng)
@@ -212,7 +213,7 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
                                        f"non-finite at epoch {epoch}, batch {bno}")
             loss_sum += value * xb.shape[0]
             hit_sum += int((logits.data.argmax(axis=1) == yb).sum())
-        val_loss, val_acc = _evaluate(model, X_val, y_val, cfg.batch_size)
+        val_loss, val_acc = _evaluate(model, X[hold_idx], y[hold_idx], cfg.batch_size)
         records.append(EpochRecord(
             epoch=epoch,
             train_loss=loss_sum / n,

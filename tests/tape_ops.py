@@ -20,4 +20,4 @@ def product_sum(a: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b)
-    return register_op((a, b), a.data + b.data, lambda g: (g, g))
+    return register_op((a, b), a.data + b.data, lambda g: (g, g.copy()))

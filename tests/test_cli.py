@@ -294,6 +294,23 @@ def test_train_missing_label_column_fails_nonzero(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_out_of_memory_is_one_line_naming_the_command(tmp_path, capsys, monkeypatch, command):
+    # no real allocation is attempted: the split, which both commands run
+    # outside ablate's per-case recovery, raises what numpy raises when the
+    # OS refuses an array
+    data = gen(tmp_path)
+    text = "Unable to allocate 8.00 GiB for an array with shape (1000, 1000000) and data type float64"
+
+    def refusing(*args, **kwargs):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(D, "train_test_split", refusing)
+    assert run_cli(command, "--data", data, "--epochs", 1, "--out-dir", tmp_path / "run") == 1
+    assert capsys.readouterr().err == f"error [{command}]: out of memory: {text}\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command,flags,seed", [
     ("train", ["--seed", -1], -1),
     ("train", ["--config", "{config}"], -1),

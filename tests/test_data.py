@@ -127,6 +127,19 @@ def test_load_csv_invalid_utf8_fails_with_input_error(tmp_path):
         D.load_csv(f)
 
 
+@pytest.mark.parametrize("header", [["label", "f1", "f2"], ["f1", "f2", "label"]])
+def test_load_csv_drops_a_byte_order_mark(tmp_path, header):
+    # Excel's "CSV UTF-8" export starts the file with one; it names no column
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_csv(plain, header, [["a", "1", "2"], ["b", "3", "4"]] if header[0] == "label"
+              else [["1", "2", "a"], ["3", "4", "b"]])
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    (want, _), (got, dropped) = D.load_csv(plain), D.load_csv(marked)
+    assert dropped == 0 and got.feature_names == ["f1", "f2"]
+    assert got.encoder.class_names == want.encoder.class_names == ["a", "b"]
+    np.testing.assert_array_equal(got.X, want.X)
+
+
 @pytest.mark.parametrize("bad_row", [1, 3])
 def test_load_csv_oversized_quoted_cell_fails_with_input_error(tmp_path, bad_row):
     # csv.reader refuses a field over its 131072-character limit
@@ -406,7 +419,7 @@ def test_load_csv_matches_the_cell_by_cell_reference(tmp_path_factory, table, ch
 def csv_module_row_chunks(path):
     """``_row_chunks`` with every line tokenized by ``csv.reader``; an error
     names the file line its row starts on, from the reader's line count."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         lineno = 1   # the first line of the row being read
         try:

@@ -1029,8 +1029,9 @@ def test_train_dropout_is_one_record_on_x_whose_backward_is_the_mask():
     mask = (np.random.default_rng(35).random(x.shape) >= 0.3) / (1.0 - 0.3)
     np.testing.assert_array_equal(out.data, x.data * mask)
     g = rng.normal(size=x.shape)
+    want = g * mask  # before the rule, which writes into g
     [dx] = rec.backward_fn(g)
-    np.testing.assert_array_equal(dx, g * mask)
+    np.testing.assert_array_equal(dx, want)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -1047,10 +1048,11 @@ def test_dropout_keep_mask_matches_the_scaled_float_mask(rate, dtype):
     g.flat[5:10] = [np.inf, -np.inf, np.nan, -0.0, 0.0]
     with T.Tape() as tape, np.errstate(invalid="ignore"):
         out = L.dropout_forward(x, rate, mode="train", rng=np.random.default_rng(37))
+        g_before = g.copy()  # the rule writes into g
         [dx] = tape.records[0].backward_fn(g)
         mask = ((np.random.default_rng(37).random(x.shape) >= rate) / (1.0 - rate)).astype(
             x.data.dtype, copy=False)
-        want_out, want_dx = x.data * mask, g * mask
+        want_out, want_dx = x.data * mask, g_before * mask
     assert x.data.dtype == dtype
     assert out.data.dtype == dx.dtype == x.data.dtype
     assert out.data.tobytes() == want_out.tobytes()
@@ -1128,7 +1130,8 @@ def test_dense_width_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# The rule contract that ``backward`` adopts gradients on
+# The rule contract: ``g`` is the rule's, and each returned array becomes
+# its input's gradient as it is
 
 def _rule_cases():
     rng = np.random.default_rng(50)
@@ -1156,14 +1159,16 @@ def _rule_cases():
 
 @pytest.mark.parametrize("name", list(_rule_cases()))
 def test_rule_returns_fresh_arrays_that_share_no_memory(name):
+    # a returned array may be g itself, or a view of it, but no two returned
+    # arrays share memory, one object for two inputs included
     with T.Tape() as tape:
         out = _rule_cases()[name]()
     [rec] = tape.records
     kept = _record_arrays(rec)
-    g = np.random.default_rng(51).normal(size=out.shape)
+    g = np.random.default_rng(51).normal(size=out.shape).astype(out.data.dtype)
     grads = [a for a in rec.backward_fn(g) if a is not None]
     assert len(grads) == len(rec.inputs)
-    for i, a in enumerate(grads):
-        for b in grads[:i]:
-            assert a is b or not np.shares_memory(a, b)
+    for i, (t, a) in enumerate(zip(rec.inputs, grads)):
+        assert (a.shape, a.dtype) == (t.shape, t.data.dtype)
+        assert not any(np.shares_memory(a, b) for b in grads[:i])
         assert not any(np.shares_memory(a, k) for k in kept)

@@ -113,25 +113,18 @@ def test_backward_adopts_the_rules_array_as_an_empty_grad():
     assert x.grad.tobytes() == np.array([0.0, 2.0, -1.0]).tobytes()
 
 
-def test_backward_adds_what_it_cannot_adopt_into_zeros():
-    # x fans out to two records: the array of the one replayed first is
-    # adopted, the other's added into it. One object returned for two
-    # inputs, a shape that broadcasts and another dtype go into zeros.
-    x, u, w, y = (Tensor(np.ones(3), requires_grad=True) for _ in range(4))
-    z = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-    first, later = np.array([10.0, 20.0, 30.0]), np.array([0.5, -0.0, 0.25])
-    shared = np.array([1.0, 2.0, 3.0])
-    with Tape() as tape:
-        a = T.register_op((x,), np.ones(3), lambda g: (first,))
-        b = T.register_op((x, u, w), np.ones(3), lambda g: (later, shared, shared))
-        loss = T.register_op((a, b, y, z), np.array(0.0),
-                             lambda g: (np.ones(3), np.ones(3), np.array([5.0]), shared * 2))
-    backward(loss, tape)
-    assert x.grad is later and x.grad.tobytes() == np.array([10.5, 20.0, 30.25]).tobytes()
-    assert u.grad is shared and w.grad is not shared and w.grad.tolist() == [1.0, 2.0, 3.0]
-    assert y.grad.tolist() == [5.0, 5.0, 5.0]
-    assert z.grad.dtype == np.float32 and z.grad.tolist() == [2.0, 4.0, 6.0]
-    assert first.tolist() == [10.0, 20.0, 30.0]
+def test_model_rejects_a_tensor_batch_of_another_dtype():
+    # its gradients would reach the float32 parameters as float64 arrays;
+    # a plain array is cast to the parameters' dtype instead
+    cfg = ModelConfig(input_shape=(8, 1), num_classes=3, conv_filters=6, gru_units=4,
+                      num_heads=2, key_dim=3, dense_units=(8, 4))
+    model = build_model(cfg, np.random.default_rng(12), "float32")
+    batch = np.random.default_rng(13).normal(size=(5, 8, 1))
+    with pytest.raises(ContractError, match="model is float32, but the Tensor batch is float64"):
+        model.forward(Tensor(batch, requires_grad=True), mode="train",
+                      rng=np.random.default_rng(14))
+    assert model.forward(batch).data.dtype == np.float32
+    assert model.forward(Tensor(batch.astype(np.float32))).data.dtype == np.float32
 
 
 def accumulating_backward(loss, tape):

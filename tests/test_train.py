@@ -234,6 +234,33 @@ def test_validation_fraction_that_holds_out_no_row_is_rejected():
                  TR.TrainConfig(epochs=1, batch_size=32, validation_fraction=0.1))
 
 
+@pytest.mark.parametrize("fraction", [0.0, 0.1])
+def test_train_holds_the_split_rows_once(fraction):
+    # the training rows are indexed out of the split's X batch by batch, with
+    # no resident copy of the fit or validation rows: doubling the rows adds
+    # under half of the added bytes of X to the peak (copies of the fit and
+    # validation rows would add all of them, or twice that at fraction 0)
+    cfg = ModelConfig(input_shape=(48, 1), num_classes=3, use_bigru=False, use_mha=False,
+                      conv_filters=2, dense_units=(), dropout_rate=0.0)
+    rng = np.random.default_rng(14)
+    X, y = rng.normal(size=(4000, 48)), np.arange(4000) % 3
+    tc = TR.TrainConfig(epochs=1, batch_size=256, validation_fraction=fraction)
+
+    def peak(n):
+        ds = D.Dataset(X=X[:n], y=y[:n], encoder=D.LabelEncoder().fit("abc"),
+                       feature_names=[f"f{i}" for i in range(48)])
+        model = build_model(cfg, np.random.default_rng(15))
+        tracemalloc.start()
+        try:
+            TR.train(model, D.SplitPair(ds, ds, 1.0), tc)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2000)  # a first run, so the caches numpy fills on first use are not counted
+    assert peak(4000) - peak(2000) < X[2000:].nbytes / 2
+
+
 def test_epoch_csv_round_trip(tmp_path):
     records = [TR.EpochRecord(1, 0.5, 0.8, 0.6, 0.75, 1.25),
                TR.EpochRecord(2, 0.4, 0.85, 0.55, 0.78, 1.19)]
