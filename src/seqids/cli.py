@@ -13,7 +13,8 @@ Subcommands:
                 on the training file itself (same sha256); emit the
                 classification report (JSON + text) with
                 the loss, confusion and ROC CSVs, and per-instance latency
-                (p50 and p95, at a batch of up to 64 rows and at batch 1);
+                (p50 and p95, at a batch of up to ``train.INFER_ROWS`` rows
+                and at batch 1);
                 predictions and loss come from one pass over the logits
 * ``ablate``    train and evaluate the ten-variant grid on one shared split,
                 emit ``ablation.csv``
@@ -207,18 +208,19 @@ def _preprocess(split: D.SplitPair, use_smote: bool,
 
 
 def _save_model_checkpoint(path, model: Model, standardizer: D.Standardizer,
-                           dataset: D.Dataset, train_cfg: TR.TrainConfig,
+                           schema: D.Schema, train_cfg: TR.TrainConfig,
                            fraction: float, use_smote: bool, data_sha256: str) -> None:
     """The model, the standardizer and, in the meta, the training file's
-    schema (class names, feature names, vocabularies) and sha256."""
+    ``schema`` (class names, feature names, vocabularies) and sha256: what
+    ``_load_model_checkpoint`` returns."""
     arrays = {f"model.{n}": t.data for n, t in model.named_arrays().items()}
     arrays["standardizer.mean"] = standardizer.mean
     arrays["standardizer.scale"] = standardizer.scale
     meta = {
         "config": model.cfg.to_dict(),
-        "class_names": dataset.encoder.class_names,
-        "feature_names": dataset.feature_names,
-        "categories": dataset.categories,
+        "class_names": schema.class_names,
+        "feature_names": schema.feature_names,
+        "categories": schema.categories,
         "train": {"epochs": train_cfg.epochs, "batch_size": train_cfg.batch_size,
                   "lr": train_cfg.lr, "seed": train_cfg.seed,
                   "fraction": fraction, "smote": use_smote, "data_sha256": data_sha256},
@@ -272,12 +274,13 @@ def _load_model_checkpoint(path):
 
 
 def _score(model: Model, X: np.ndarray, y: np.ndarray, class_names, repetitions: int):
-    """(logits, confusion, report, loss, ``Latency`` of up to 64 rows) from one infer pass."""
+    """(logits, confusion, report, loss, ``Latency`` of up to ``TR.INFER_ROWS`` rows)
+    from one infer pass."""
     logits = TR.predict_logits(model, X)
     cm = M.confusion(y, logits.argmax(axis=1), len(class_names),
                      class_names=list(class_names))
     loss = float(TR.cross_entropy_loss(Tensor(logits), y).data)
-    latency = TR.measure_inference(model, X[: min(64, X.shape[0])], repetitions=repetitions)
+    latency = TR.measure_inference(model, X[:TR.INFER_ROWS], repetitions=repetitions)
     return logits, cm, M.class_report(cm), loss, latency
 
 
@@ -322,7 +325,9 @@ def cmd_train(args) -> int:
     if args.smote is not None:
         use_smote = args.smote
 
+    schema = D.Schema(dataset.feature_names, dataset.encoder.class_names, dataset.categories)
     split = D.train_test_split(dataset, fraction=args.fraction, seed=train_cfg.seed)
+    del dataset   # the split holds copies of its rows: the raw ones are not kept alive
     pre_counts = split.train.class_counts().tolist()
     split, standardizer = _preprocess(split, use_smote, train_cfg.seed)
     post_counts = split.train.class_counts().tolist()
@@ -339,7 +344,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     TR.write_epoch_csv(records, out_dir / "epochs.csv")
     _save_model_checkpoint(out_dir / "checkpoint.bin", model, standardizer,
-                           dataset, train_cfg, args.fraction, use_smote, fingerprint["sha256"])
+                           schema, train_cfg, args.fraction, use_smote, fingerprint["sha256"])
     write_manifest(
         out_dir / "manifest.json", "train",
         {"model": model_cfg.to_dict(),
@@ -410,13 +415,15 @@ def cmd_ablate(args) -> int:
     dataset, fingerprint = _load_dataset(args)
     train_cfg = apply_config(TR.TrainConfig(), {}, args)
 
+    class_names = dataset.encoder.class_names
+    grid = table3_grid(input_shape=(dataset.num_features, 1),
+                       num_classes=dataset.encoder.num_classes)
     # one shared split for every case; SMOTE/standardization are per case
     base_split = D.train_test_split(dataset, fraction=args.fraction, seed=train_cfg.seed)
+    del dataset   # the split holds copies of its rows: the raw ones are not kept alive
     case_seeds = [int(s.generate_state(1)[0]) % (2 ** 31)
                   for s in np.random.SeedSequence(train_cfg.seed).spawn(10)]
     rows = []
-    grid = table3_grid(input_shape=(dataset.num_features, 1),
-                       num_classes=dataset.encoder.num_classes)
     for (case_id, cfg, use_smote), case_seed in zip(grid, case_seeds):
         cfg = dataclasses.replace(cfg, bn_momentum=args.bn_momentum)
         cfg.validate()   # an out-of-range --bn-momentum fails the run, not each case
@@ -430,8 +437,7 @@ def cmd_ablate(args) -> int:
             model, _ = TR.train(model, fit_split, dataclasses.replace(train_cfg, seed=case_seed))
             X_test = D.reshape_for_model(base_split.test.X, standardizer)
             _, _, report, loss, latency = _score(model, X_test, base_split.test.y,
-                                                 dataset.encoder.class_names,
-                                                 TR.MIN_REPETITIONS)
+                                                 class_names, TR.MIN_REPETITIONS)
             row.update(accuracy=f"{report.accuracy:.6f}", loss=f"{loss:.6f}",
                        fpr=f"{report.macro_fpr:.6f}", inf_time=f"{latency.p50:.3e}",
                        min_class_recall=f"{report.recall.min():.6f}", error="")

@@ -27,9 +27,11 @@ The CSV contract of ``load_csv``:
   strings in lexicographic order. The class names are the label cells'
   strings, also when they all parse as numbers.
 - The header is checked first: a label column it lacks is a
-  ``ConfigError``, and a header with no other column an ``InputError``,
-  both raised before any data row is parsed. The label cells are kept as
-  strings from the first row on and never parsed as numbers.
+  ``ConfigError``, and a column name it repeats, or a header with no other
+  column, an ``InputError``, each raised before any data row is parsed. So
+  every column, the label's included, has a name of its own. The label
+  cells are kept as strings from the first row on and never parsed as
+  numbers.
 - Given a ``Schema`` (a training file's layout), ``read_table`` and
   ``table_to_dataset`` read a file through it instead: its feature columns
   are the schema's, picked by name in the schema's order (others are not
@@ -281,30 +283,34 @@ def read_table(path, label_column: str, schema: Schema | None = None) -> RawTabl
 
     Lines free of ``"`` and NUL are split on commas directly, and only the
     others go through ``csv.reader`` (see ``_rows``); the rows are the same.
-    The header is checked for ``label_column`` and for a feature column
-    before any row is parsed. The label column is kept as ``Categories`` of
-    its cell strings and never cast. Each chunk becomes an object array
-    whose feature columns are cast to float64 (numpy calls ``float()`` on
-    each cell); a column that fails is cast again without its missing
-    markers, and if that fails too it is categorical for the whole file. A
-    column that fails on the first chunk keeps its strings as ``Categories``
-    from then on; one that fails on a later chunk, whose earlier strings are
-    gone, is read again in a second pass over the file. Only one chunk's
-    strings are alive at a time, beside the float columns, so the peak is
-    about the bytes of ``X`` plus one chunk. With a ``schema`` only its
-    columns are read, and those it has categorical are never cast.
+    The header is checked for ``label_column``, for a repeated name and for
+    a feature column before any row is parsed. The label column is kept as
+    ``Categories`` of its cell strings and never cast. Each chunk becomes an
+    object array whose feature columns are cast to float64 (numpy calls
+    ``float()`` on each cell); a column that fails is cast again without its
+    missing markers, and if that fails too it is categorical for the whole
+    file. A column that fails on the first chunk keeps its strings as
+    ``Categories`` from then on; one that fails on a later chunk, whose
+    earlier strings are gone, is read again in a second pass over the file.
+    Only one chunk's strings are alive at a time, beside the float columns,
+    so the peak is about the bytes of ``X`` plus one chunk. With a
+    ``schema`` only its columns are read, and those it has categorical are
+    never cast.
     """
     chunks = _row_chunks(path)
     header = next(chunks)
     if label_column not in header:
         raise ConfigError(f"label column {label_column!r} not found; columns: {header}")
+    if len(set(header)) < len(header):
+        name = next(name for i, name in enumerate(header) if name in header[:i])
+        raise InputError(f"{path}: the header repeats the column name {name!r}")
     if len(header) < 2:
         raise InputError(f"no feature column besides the label column {label_column!r}")
     label = header.index(label_column)
     features = [i for i in range(len(header)) if i != label]
     categorical = {label: Categories()}
     if schema is not None:
-        where = {header[i]: i for i in reversed(features)}   # a repeated name: its first column
+        where = {header[i]: i for i in features}
         missing = [name for name in schema.feature_names if name not in where]
         if missing:
             raise InputError(f"{path}: no column {missing[0]!r}: the training data had "
@@ -571,12 +577,12 @@ def fit_standardizer(X: np.ndarray) -> Standardizer:
         std = X.std(axis=0)
     else:
         buffer = np.empty((min(n, _STD_BLOCK), f), dtype=mean.dtype)
+        total = 0.0   # adding +0.0 to a square leaves its bits
         for start in range(0, n, _STD_BLOCK):
             sq = buffer[:min(_STD_BLOCK, n - start)]
             np.subtract(X[start:start + _STD_BLOCK], mean, out=sq)
             sq *= sq
-            if start:
-                sq[0] += total
+            sq[0] += total
             total = sq.sum(axis=0)
         std = np.sqrt(total / n)
     zero = std == 0.0

@@ -9,10 +9,13 @@ varies):
 
 * Conv1D computes cross-correlation (no kernel flip), the usual
   deep-learning convention, at stride 1 with "same" zero padding only, so
-  stacked blocks and the residual shortcut keep the time length. Its record
-  keeps x and the reshaped kernels, neither the zero-padded copy nor the
-  im2col matrix, k times as large: the backward rule pads x again and
-  rebuilds that matrix with the forward pass's strided view and reshape.
+  stacked blocks and the residual shortcut keep the time length. Every
+  kernel width, the shortcut's k = 1 included, takes the one padded im2col
+  path: at k = 1 the padded copy pads nothing and the backward rule's
+  scatter adds one term into zeros. The record keeps x and the reshaped
+  kernels, neither the zero-padded copy nor the im2col matrix, k times as
+  large: the backward rule pads x again and rebuilds that matrix with the
+  forward pass's strided view and reshape.
 * The GRU uses sigmoid gates and a tanh candidate with reset-before-candidate,
   ``h_cand = tanh(x W_c + (r * h_prev) U_c + b_c)``, and the update
   ``h_t = (1 - z) * h_prev + z * h_cand``. ``W (input, 3H)``, ``U (H, 3H)``
@@ -130,9 +133,7 @@ def conv1d_forward(x: Tensor, p: Conv1DParams) -> Tensor:
     pad_left = (k - 1) // 2
 
     def padded():
-        """x zero-padded to T + k - 1 steps; x itself when k = 1."""
-        if k == 1:
-            return x.data
+        """x zero-padded to T + k - 1 steps."""
         xp = np.zeros((batch, t_len + k - 1, c_in), dtype=x.data.dtype)
         xp[:, pad_left:pad_left + t_len] = x.data
         return xp
@@ -156,10 +157,7 @@ def conv1d_forward(x: Tensor, p: Conv1DParams) -> Tensor:
         g2 = g.reshape(batch * t_len, c_out)
         db = g2.sum(axis=0)
         dw = (im2col(padded()).T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
-        dcols = g2 @ w2.T
-        if k == 1:
-            return dcols.reshape(x.shape), dw, db
-        dcols = dcols.reshape(batch, t_len, k, c_in)
+        dcols = (g2 @ w2.T).reshape(batch, t_len, k, c_in)
         dxp = np.zeros((batch, t_len + k - 1, c_in), dtype=dcols.dtype)
         for i in range(k):
             dxp[:, i:i + t_len, :] += dcols[:, :, i, :]

@@ -23,10 +23,6 @@ class ConfusionMatrix:
     class_names: list[str]
 
     @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
     def total(self) -> int:
         return int(self.counts.sum())
 

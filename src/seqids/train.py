@@ -2,7 +2,7 @@
 record), Adam, the epoch loop, inference, and latency measurement.
 
 Inference has one path, ``predict_logits``: infer-mode forward passes over
-row blocks of at most ``_INFER_ROWS`` rows, written into one output array,
+row blocks of at most ``INFER_ROWS`` rows, written into one output array,
 so its memory beyond that array stays bounded however many rows a caller
 scores. ``predict_proba``, ``measure_inference``, ``eval``, ``ablate`` and
 the epoch loop's validation all take it.
@@ -36,7 +36,7 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
 #: the most rows one infer-mode forward pass takes. With numpy 2.4's
 #: OpenBLAS 0.3.31, 64-row blocks give logits bitwise equal to 128-row ones
 #: on the benchmark's rows, while 32, 48 and 56 differ by up to 1.2e-15
-_INFER_ROWS = 64
+INFER_ROWS = 64
 
 #: the fewest timed runs ``measure_inference`` takes a median over
 MIN_REPETITIONS = 10
@@ -168,13 +168,14 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
     fraction that holds out no row raises ``ContractError``; 0 evaluates the
     training rows instead.
 
-    The rows are held once, in the split's ``X``: each batch, and each
-    epoch's validation slice, is taken from it by index, so no resident
-    copy of the fit or validation rows is made.
+    The rows are held once, in the split's ``X``, which is (N, F) as
+    ``Dataset`` has it; the model's channel axis is added as a view. Each
+    batch, and each epoch's validation slice, is taken from it by index, so
+    no resident copy of the fit or validation rows is made.
     """
     cfg.validate()
     train_ds: Dataset = split.train
-    X = train_ds.X[:, :, None] if train_ds.X.ndim == 2 else train_ds.X
+    X = train_ds.X[:, :, None]
     y = train_ds.y
     rng = np.random.default_rng(cfg.seed)
     dropout_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
@@ -227,7 +228,7 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
 def predict_logits(model: Model, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Infer-mode logits of (N, T, C) input, (N, num_classes) in the model's dtype.
 
-    The forward passes run over row blocks of at most ``_INFER_ROWS`` rows;
+    The forward passes run over row blocks of at most ``INFER_ROWS`` rows;
     ``batch_size`` (an int >= 1, else ``ContractError``) can only lower that
     number. Each block's logits are written into one preallocated array, so
     the memory a call needs beyond its output does not grow with N.
@@ -235,11 +236,9 @@ def predict_logits(model: Model, X: np.ndarray, batch_size: int = 256) -> np.nda
     is_int = isinstance(batch_size, (int, np.integer)) and not isinstance(batch_size, bool)
     if not (is_int and batch_size >= 1):
         raise ContractError(f"batch_size must be an int >= 1, got {batch_size!r}")
-    rows, n = min(batch_size, _INFER_ROWS), X.shape[0]
+    rows, n = min(batch_size, INFER_ROWS), X.shape[0]
     # an empty X still makes this forward call, which raises its ShapeError
     first = model.forward(X[:rows], mode="infer").data
-    if n <= rows:
-        return first
     out = np.empty((n, first.shape[1]), dtype=first.dtype)
     out[:rows] = first
     for s in range(rows, n, rows):
@@ -267,7 +266,7 @@ def measure_inference(model: Model, batch: np.ndarray, repetitions: int = 30) ->
 
     Each run is one ``predict_logits`` call with its default ``batch_size``,
     the path ``eval`` and training's validation take, so a batch above
-    ``_INFER_ROWS`` rows is timed as blocks of that many rows. The input is an
+    ``INFER_ROWS`` rows is timed as blocks of that many rows. The input is an
     in-memory array, so the figure excludes any data loading or
     preprocessing. One warm-up pass runs first.
     """

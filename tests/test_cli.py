@@ -1,9 +1,11 @@
 import csv
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +294,39 @@ def test_train_missing_label_column_fails_nonzero(tmp_path, capsys):
     assert rc == 1
     assert "error [train]" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("header,name", [("a,a,label", "a"), ("label,f1,label", "label")])
+def test_train_repeated_column_name_fails_naming_it(tmp_path, capsys, header, name):
+    data = tmp_path / "t.csv"
+    data.write_text(header + "\n" + "1,2,3\n4,5,6\n" * 10)
+    assert run_cli("train", "--data", data, "--out-dir", tmp_path / "run") == 1
+    assert capsys.readouterr().err == \
+        f"error [train]: {data}: the header repeats the column name {name!r}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,cases", [("train", 1), ("ablate", 10)])
+def test_the_raw_rows_are_freed_before_training(tmp_path, monkeypatch, command, cases):
+    # the split holds copies of the rows it keeps, so the file's X is dead by
+    # the time a model trains; each case is stopped right after the check
+    data = gen(tmp_path)
+    to_dataset = D.table_to_dataset
+    raw, alive = [], []
+
+    def keeping_a_weakref(*args, **kwargs):
+        dataset, dropped = to_dataset(*args, **kwargs)
+        raw.append(weakref.ref(dataset.X))
+        return dataset, dropped
+
+    def checking(model, split, cfg):
+        gc.collect()
+        alive.append([r() is not None for r in raw])
+        raise SeqidsError("stopped after the check")
+
+    monkeypatch.setattr(D, "table_to_dataset", keeping_a_weakref)
+    monkeypatch.setattr(cli.TR, "train", checking)
+    run_cli(command, "--data", data, "--epochs", 1, "--out-dir", tmp_path / "run")
+    assert alive == [[False]] * cases
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -604,11 +639,12 @@ def test_eval_builds_the_model_in_the_checkpoints_dtype(tmp_path):
     dataset, _ = D.load_csv(data)
     standardizer = D.fit_standardizer(dataset.X)
     X = D.reshape_for_model(dataset.X, standardizer)
+    schema = D.Schema(dataset.feature_names, dataset.encoder.class_names, dataset.categories)
     cfg, _ = small_model_arrays()
     for dtype in ("float32", "float64"):
         model = build_model(cfg, np.random.default_rng(4), dtype)
         path = tmp_path / f"{dtype}.bin"
-        cli._save_model_checkpoint(path, model, standardizer, dataset, cli.TR.TrainConfig(),
+        cli._save_model_checkpoint(path, model, standardizer, schema, cli.TR.TrainConfig(),
                                    0.8, True, "")
         loaded = cli._load_model_checkpoint(path)[0]
         assert {t.data.dtype.name for t in loaded.named_arrays().values()} == {dtype}

@@ -267,6 +267,16 @@ def test_load_csv_wrong_label_column_fails_at_the_header(tmp_path):
         D.load_csv(f, label_column="label")
 
 
+@pytest.mark.parametrize("header,name", [(["a", "a", "label"], "a"),
+                                         (["label", "f1", "label"], "label")])
+def test_load_csv_repeated_column_name_fails_at_the_header(tmp_path, header, name):
+    # the ragged row would fail the first chunk: the header error must come first
+    f = tmp_path / "t.csv"
+    write_csv(f, header, [["1", "2", "3"], ["1"]])
+    with pytest.raises(InputError, match=f"the header repeats the column name '{name}'"):
+        D.load_csv(f)
+
+
 def test_load_csv_quoted_label_with_a_comma_and_blank_lines(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text('x1,label\r\n\r\n1,"scan, port"\r\n2,benign\n\n3,"scan, port"\n\n')

@@ -234,6 +234,16 @@ def test_validation_fraction_that_holds_out_no_row_is_rejected():
                  TR.TrainConfig(epochs=1, batch_size=32, validation_fraction=0.1))
 
 
+def test_train_takes_the_datasets_two_dimensional_rows_only():
+    # Dataset.X is (N, F): an (N, T, 1) array gains a fourth axis and the
+    # model's shape check refuses it
+    pair = small_split(seed=6, per_class=20)
+    pair.train.X = pair.train.X[:, :, None]
+    with pytest.raises(ShapeError, match=r"got \(\d+, 12, 1, 1\)"):
+        TR.train(build_model(SMALL_CFG, np.random.default_rng(6)), pair,
+                 TR.TrainConfig(epochs=1, batch_size=32, seed=6))
+
+
 @pytest.mark.parametrize("fraction", [0.0, 0.1])
 def test_train_holds_the_split_rows_once(fraction):
     # the training rows are indexed out of the split's X batch by batch, with
