@@ -19,19 +19,22 @@ Subcommands:
 * ``ablate``    train and evaluate the ten-variant grid on one shared split,
                 emit ``ablation.csv``
 
-``train`` reads its settings from ``TrainConfig``'s defaults, then the
-``--config`` file, then the flags that were given; ``ablate`` from the
-defaults and its flags. Config files are flat ``key = value`` text ('#'
-starts a comment). Their keys are the ``ModelConfig`` fields
-``use_resnet_block``, ``use_bigru``, ``use_mha``, ``conv_filters``,
-``kernel_size``, ``gru_units``, ``num_heads``, ``key_dim``,
-``dropout_rate``, ``dense_units`` (a comma list) and ``bn_momentum``; the
-``TrainConfig`` fields ``epochs``, ``batch_size``, ``lr``, ``seed`` and
-``validation_fraction``; and ``use_smote``. Any other key, a malformed value
-or an out-of-range setting is an error. ``--dtype`` (``train`` and
-``ablate``) is the dtype of the models the command builds, float64 by
-default; it sets nothing beyond them. ``eval`` builds its model in the
-checkpoint's dtype.
+``train`` and ``ablate`` settle their settings in one path before the CSV
+is read, so a bad setting fails before any row is parsed: the flagship
+``ModelConfig``, the ``TrainConfig`` and the SMOTE switch each take their
+defaults, then the ``--config`` file (``train`` only), then the flags that
+were given. Once the file is read, the flagship takes its input shape and
+classes from it, and ``ablate`` grows its ten cases from that flagship.
+Config files are flat ``key = value`` text ('#' starts a comment). Their
+keys are the ``ModelConfig`` fields ``use_resnet_block``, ``use_bigru``,
+``use_mha``, ``conv_filters``, ``kernel_size``, ``gru_units``,
+``num_heads``, ``key_dim``, ``dropout_rate``, ``dense_units`` (a comma
+list) and ``bn_momentum``; the ``TrainConfig`` fields ``epochs``,
+``batch_size``, ``lr``, ``seed`` and ``validation_fraction``; and
+``use_smote``. Any other key, a malformed value or an out-of-range setting
+is an error. ``--dtype`` (``train`` and ``ablate``) is the dtype of the
+models the command builds, float64 by default; it sets nothing beyond
+them. ``eval`` builds its model in the checkpoint's dtype.
 
 Every artifact directory receives exactly one ``manifest.json`` capturing
 the command, settings, seed, dataset entry, tool version and timestamps. The
@@ -132,6 +135,22 @@ def apply_config(cfg, values: dict[str, str], args=None):
     return cfg
 
 
+def _settings(args) -> tuple[ModelConfig, TR.TrainConfig, bool]:
+    """(flagship ``ModelConfig``, ``TrainConfig``, use SMOTE) of ``train`` or
+    ``ablate``, validated: defaults, then the ``--config`` file, then the
+    flags. The model's input shape and classes wait for ``_sized_to``."""
+    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(values.keys() - MODEL_KEYS - TRAIN_KEYS - {"use_smote"})
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown config key(s) {unknown}")
+    model_cfg = apply_config(ModelConfig(), values, args)
+    train_cfg = apply_config(TR.TrainConfig(), values, args)
+    use_smote = _coerce("use_smote", values.get("use_smote", "true"), True)
+    if getattr(args, "smote", None) is not None:
+        use_smote = args.smote
+    return model_cfg, train_cfg, use_smote
+
+
 #: bytes read at a time by ``dataset_fingerprint``
 _FINGERPRINT_BLOCK = 1 << 20
 
@@ -193,6 +212,15 @@ def _load_dataset(args, schema: D.Schema | None = None) -> tuple[D.Dataset, dict
     return dataset, dataset_fingerprint(args.data, table.row_count, len(table.column_names))
 
 
+def _sized_to(cfg: ModelConfig, dataset: D.Dataset) -> ModelConfig:
+    """``cfg`` with the input shape (features, 1) and the classes of
+    ``dataset``, validated: a file of one class fails here."""
+    cfg = dataclasses.replace(cfg, input_shape=(dataset.num_features, 1),
+                              num_classes=dataset.encoder.num_classes)
+    cfg.validate()
+    return cfg
+
+
 def _preprocess(split: D.SplitPair, use_smote: bool,
                 seed: int) -> tuple[D.SplitPair, D.Standardizer]:
     """SMOTE (if ``use_smote``), then standardization, of the training half.
@@ -235,8 +263,9 @@ def _strings(value) -> bool:
 
 def _load_model_checkpoint(path):
     """(model, standardizer, meta, the training file's ``D.Schema``) of a
-    checkpoint that ``train`` wrote; anything else is an ``InputError``. The
-    model is built in the dtype its weights were saved in."""
+    checkpoint that ``train`` wrote; anything else, a standardizer or a
+    feature list whose width is not the model's included, is an
+    ``InputError``. The model is built in the dtype its weights were saved in."""
     arrays, meta = load_checkpoint(path)
     if not isinstance(meta.get("config"), dict):
         raise InputError(f"{path}: not a model checkpoint: its meta has no 'config' object")
@@ -261,6 +290,13 @@ def _load_model_checkpoint(path):
     model.load_arrays(weights)
     if not {"standardizer.mean", "standardizer.scale"} <= set(arrays):
         raise InputError(f"{path}: not a model checkpoint: it has no standardizer arrays")
+    width = cfg.input_shape[0]
+    for name, floor in (("standardizer.mean", ""), ("standardizer.scale", " > 0")):
+        a = arrays[name]
+        if not (a.dtype.kind == "f" and a.shape == (width,) and np.isfinite(a).all()
+                and (not floor or (a > 0).all())):
+            raise InputError(f"{path}: not a model checkpoint: its {name!r} array is not "
+                             f"{width} finite floats{floor}: {a.dtype.name} of shape {a.shape}")
     standardizer = D.Standardizer(mean=arrays["standardizer.mean"],
                                   scale=arrays["standardizer.scale"])
     features, categories = meta.get("feature_names"), meta.get("categories")
@@ -270,6 +306,9 @@ def _load_model_checkpoint(path):
         raise InputError(f"{path}: not a model checkpoint: its meta lacks a 'feature_names' "
                          "list, a 'categories' object of those features' vocabularies or the "
                          "training file's 'data_sha256' in 'train'")
+    if len(features) != width:
+        raise InputError(f"{path}: not a model checkpoint: its 'feature_names' list has "
+                         f"{len(features)} names for a model of {width} features")
     return model, standardizer, meta, D.Schema(features, names, categories)
 
 
@@ -313,17 +352,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.time()
+    model_cfg, train_cfg, use_smote = _settings(args)
     dataset, fingerprint = _load_dataset(args)
-    file_values = parse_config_file(args.config) if args.config else {}
-    unknown = sorted(file_values.keys() - MODEL_KEYS - TRAIN_KEYS - {"use_smote"})
-    if unknown:
-        raise ConfigError(f"{args.config}: unknown config key(s) {unknown}")
-    model_cfg = apply_config(ModelConfig(input_shape=(dataset.num_features, 1),
-                                         num_classes=dataset.encoder.num_classes), file_values)
-    train_cfg = apply_config(TR.TrainConfig(), file_values, args)
-    use_smote = _coerce("use_smote", file_values.get("use_smote", "true"), True)
-    if args.smote is not None:
-        use_smote = args.smote
+    model_cfg = _sized_to(model_cfg, dataset)
 
     schema = D.Schema(dataset.feature_names, dataset.encoder.class_names, dataset.categories)
     split = D.train_test_split(dataset, fraction=args.fraction, seed=train_cfg.seed)
@@ -412,12 +443,12 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     started = time.time()
+    flagship, train_cfg, _ = _settings(args)   # the grid sets SMOTE per case
     dataset, fingerprint = _load_dataset(args)
-    train_cfg = apply_config(TR.TrainConfig(), {}, args)
+    flagship = _sized_to(flagship, dataset)
 
     class_names = dataset.encoder.class_names
-    grid = table3_grid(input_shape=(dataset.num_features, 1),
-                       num_classes=dataset.encoder.num_classes)
+    grid = table3_grid(flagship)
     # one shared split for every case; SMOTE/standardization are per case
     base_split = D.train_test_split(dataset, fraction=args.fraction, seed=train_cfg.seed)
     del dataset   # the split holds copies of its rows: the raw ones are not kept alive
@@ -425,8 +456,6 @@ def cmd_ablate(args) -> int:
                   for s in np.random.SeedSequence(train_cfg.seed).spawn(10)]
     rows = []
     for (case_id, cfg, use_smote), case_seed in zip(grid, case_seeds):
-        cfg = dataclasses.replace(cfg, bn_momentum=args.bn_momentum)
-        cfg.validate()   # an out-of-range --bn-momentum fails the run, not each case
         row = {"case": case_id, "model": cfg.arch_name,
                "heads": cfg.num_heads if cfg.use_mha else "",
                "dropout": cfg.dropout_rate, "smote": use_smote,
@@ -457,7 +486,7 @@ def cmd_ablate(args) -> int:
     write_manifest(out_dir / "manifest.json", "ablate",
                    {"epochs": train_cfg.epochs, "batch_size": train_cfg.batch_size,
                     "lr": train_cfg.lr, "fraction": args.fraction,
-                    "bn_momentum": args.bn_momentum, "dtype": args.dtype,
+                    "bn_momentum": flagship.bn_momentum, "dtype": args.dtype,
                     "label_column": args.label_column},
                    train_cfg.seed, fingerprint, started)
     print(f"wrote {out_dir}/ablation.csv, manifest.json")
@@ -520,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("ablate", parents=[data_flags, train_flags],
                        help="train and evaluate the ten-variant grid")
-    a.add_argument("--bn-momentum", type=float, default=0.99)
+    a.add_argument("--bn-momentum", type=float)
     a.set_defaults(func=cmd_ablate)
     return parser
 

@@ -80,13 +80,6 @@ class LabelEncoder:
     def mapping(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.class_names)}
 
-    def encode(self, names) -> np.ndarray:
-        mapping = self.mapping
-        try:
-            return np.array([mapping[n] for n in names], dtype=np.int64)
-        except KeyError as exc:
-            raise ContractError(f"unknown class label {exc.args[0]!r}") from None
-
     def decode(self, indices) -> list[str]:
         return [self.class_names[i] for i in indices]
 

@@ -233,15 +233,15 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype: str = "float6
     return m
 
 
-def table3_grid(input_shape: tuple[int, int] = (60, 1),
-                num_classes: int = 6) -> list[tuple[int, ModelConfig, bool]]:
+def table3_grid(flagship: ModelConfig) -> list[tuple[int, ModelConfig, bool]]:
     """The ten-variant ablation grid as (case id, model config, use SMOTE).
 
-    #1 residual block only; #2 BiGRU+MHA; #3 residual block + BiGRU;
-    #4/#5/#6 full model with 2/4/8 heads; #7/#8 dropout 0.3/0.7;
-    #9 one fewer hidden dense layer; #10 full model without SMOTE.
+    Each case is ``flagship`` with the fields it varies replaced, so all
+    others (input shape, classes, widths, ``bn_momentum``) are the
+    flagship's. #1 residual block only; #2 BiGRU+MHA; #3 residual block +
+    BiGRU; #4/#6 2/8 heads; #5 the flagship; #7/#8 dropout 0.3/0.7; #9 one
+    hidden dense layer of 64; #10 the flagship without SMOTE.
     """
-    flagship = ModelConfig(input_shape=input_shape, num_classes=num_classes)
     return [
         (1, replace(flagship, use_bigru=False, use_mha=False), True),
         (2, replace(flagship, use_resnet_block=False), True),

@@ -37,6 +37,14 @@ def gen(tmp_path, name="data.csv", **kw):
 TRAIN_SPEED_FLAGS = ["--epochs", 2, "--batch-size", 32, "--lr", "3e-3"]
 
 
+def forbid_reading_the_csv(monkeypatch):
+    """Fail the test if the command reads its CSV: a bad setting must stop it first."""
+    def not_called(*args, **kwargs):
+        raise AssertionError("the CSV was read before the settings were checked")
+
+    monkeypatch.setattr(cli.D, "read_table", not_called)
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 
@@ -234,14 +242,18 @@ def test_train_config_use_smote_key(tmp_path):
 @pytest.mark.parametrize("line,key", [("gru_unit = 6", "gru_unit"),
                                       ("gru_units = abc", "gru_units"),
                                       ("num_classes = 4", "num_classes"),
-                                      ("beta1 = 0.9", "beta1")])
-def test_train_bad_config_line_fails_naming_the_key(tmp_path, capsys, line, key):
+                                      ("beta1 = 0.9", "beta1"),
+                                      ("use_smote = maybe", "use_smote"),
+                                      ("lr = -1", "lr must be")])
+def test_train_bad_config_line_fails_naming_the_key(tmp_path, capsys, monkeypatch, line, key):
     data = gen(tmp_path)
+    forbid_reading_the_csv(monkeypatch)
     cfg = config_file(tmp_path)
     cfg.write_text(cfg.read_text().replace("gru_units = 6\n", line + "\n"))
     out = tmp_path / "run"
+    # no --lr flag: it would override the file's lr
     assert run_cli("train", "--data", data, "--config", cfg, "--out-dir", out,
-                   *TRAIN_SPEED_FLAGS) == 1
+                   "--epochs", 2, "--batch-size", 32) == 1
     err = capsys.readouterr().err
     assert "error [train]" in err and key in err
     assert not out.exists()
@@ -775,6 +787,34 @@ def test_eval_holdout_of_another_file_fails_naming_both_hashes(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda arrays, meta: arrays.update({"standardizer.mean": np.zeros(3)}),
+     "'standardizer.mean' array is not 12 finite floats: float64 of shape (3,)"),
+    (lambda arrays, meta: arrays.update({"standardizer.scale": np.ones(1)}),
+     "'standardizer.scale' array is not 12 finite floats > 0: float64 of shape (1,)"),
+    (lambda arrays, meta: arrays["standardizer.scale"].fill(0.0),
+     "'standardizer.scale' array is not 12 finite floats > 0: float64 of shape (12,)"),
+    (lambda arrays, meta: meta["feature_names"].pop(),
+     "'feature_names' list has 11 names for a model of 12 features"),
+], ids=["mean_of_3", "scale_of_1", "zero_scale", "one_feature_name_short"])
+def test_eval_checkpoint_whose_standardizer_or_features_disagree_with_its_model_fails(
+        tmp_path, capsys, edit, named):
+    data = gen(tmp_path)
+    run = tmp_path / "run"
+    assert run_cli("train", "--data", data, "--config", config_file(tmp_path),
+                   "--out-dir", run, "--epochs", 1) == 0
+    arrays, meta = cli.load_checkpoint(run / "checkpoint.bin")
+    edit(arrays, meta)
+    path = tmp_path / "edited.bin"
+    save_checkpoint(path, arrays, meta)
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--checkpoint", path, "--data", data, "--repetitions", 10,
+                   "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert f"error [eval]: {path}: not a model checkpoint: its {named}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("drop", ["feature_names", "categories", "data_sha256"])
 def test_checkpoint_without_the_training_schema_is_rejected(tmp_path, drop):
     _, ckpt = trained_run(tmp_path)
@@ -846,12 +886,22 @@ def test_ablate_lets_an_error_that_is_not_a_seqids_error_propagate(tmp_path, mon
 @pytest.mark.parametrize("extra_row, flag, message", [
     ("0.5," * 8 + "lonely", ["--epochs", 1], "'lonely' has 1 sample(s)"),
     (None, ["--bn-momentum", 1.5], "bn_momentum must be in [0, 1)"),
-], ids=["class_of_one_row", "bn_momentum"])
-def test_ablate_that_fails_leaves_no_directory(tmp_path, capsys, extra_row, flag, message):
+    (None, ["--epochs", 0], "epochs and batch_size must be >= 1"),
+    ("one class", ["--epochs", 1], "num_classes must be >= 2, got 1"),
+], ids=["class_of_one_row", "bn_momentum", "epochs", "one_class_file"])
+def test_ablate_that_fails_leaves_no_directory(tmp_path, capsys, monkeypatch, extra_row, flag,
+                                               message):
+    # a bad flag fails before the CSV is read; a file of one class fails the
+    # run once, not each of the ten cases
     data = gen(tmp_path, classes=3, features=8, per_class=30)
-    if extra_row:
+    if extra_row == "one class":
+        rewrite_csv(data, data, lambda header, rows: (
+            header, [row[:-1] + ["class00"] for row in rows]))
+    elif extra_row:
         with open(data, "a", encoding="utf-8") as fh:
             fh.write(extra_row + "\n")
+    else:
+        forbid_reading_the_csv(monkeypatch)
     out = tmp_path / "ablation"
     assert run_cli("ablate", "--data", data, "--out-dir", out, *flag) == 1
     assert message in capsys.readouterr().err

@@ -56,13 +56,13 @@ def write_csv(path, header, rows):
 def test_encoder_is_lexicographic():
     enc = D.LabelEncoder().fit(["b", "a", "b"])
     assert enc.class_names == ["a", "b"]
-    np.testing.assert_array_equal(enc.encode(["a", "b", "a"]), [0, 1, 0])
+    assert enc.mapping == {"a": 0, "b": 1}
 
 
 def test_encoder_round_trip():
     enc = D.LabelEncoder().fit(["ddos", "benign", "mitm"])
     for name in enc.class_names:
-        assert enc.decode(enc.encode([name]))[0] == name
+        assert enc.decode([enc.mapping[name]])[0] == name
 
 
 def test_load_csv_basic(tmp_path):
@@ -346,9 +346,12 @@ def reference_load_csv(path, label_column="label"):
             columns.append(numeric[i][keep])
         else:
             cells = [r[i] for r in kept]
-            columns.append(D.LabelEncoder().fit(cells).encode(cells).astype(float))
+            mapping = D.LabelEncoder().fit(cells).mapping
+            columns.append(np.array([mapping[c] for c in cells], dtype=float))
     X = np.column_stack(columns)
-    return X, encoder.encode([r[label_idx] for r in kept]), encoder.class_names, \
+    labels = encoder.mapping
+    y = np.array([labels[r[label_idx]] for r in kept], dtype=np.int64)
+    return X, y, encoder.class_names, \
         [header[i] for i in feature_idx], len(rows) - len(kept)
 
 

@@ -25,8 +25,8 @@ TINY = ModelConfig(input_shape=(8, 1), num_classes=3, conv_filters=6, gru_units=
                    num_heads=2, key_dim=3, dense_units=(8, 4))
 
 
-def grid_configs(**kw) -> dict[int, ModelConfig]:
-    return {case_id: cfg for case_id, cfg, _ in table3_grid(**kw)}
+def grid_configs(flagship: ModelConfig | None = None) -> dict[int, ModelConfig]:
+    return {case_id: cfg for case_id, cfg, _ in table3_grid(flagship or ModelConfig())}
 
 
 def test_build_is_seed_deterministic():
@@ -129,9 +129,17 @@ def test_two_dense_case_has_one_fewer_hidden_layer():
 
 
 def test_grid_has_ten_cases():
-    grid = table3_grid()
+    grid = table3_grid(ModelConfig())
     assert len(grid) == 10
     assert [case_id for case_id, _, _ in grid] == list(range(1, 11))
+
+
+def test_grid_grows_from_the_given_flagship():
+    flagship = dataclasses.replace(TINY, gru_units=5, bn_momentum=0.7)
+    grid = table3_grid(flagship)
+    assert all((cfg.gru_units, cfg.bn_momentum, cfg.input_shape, cfg.num_classes)
+               == (5, 0.7, TINY.input_shape, TINY.num_classes) for _, cfg, _ in grid)
+    assert grid[4][1] == flagship and grid[9][1] == flagship
 
 
 def test_case6_differs_from_case5_only_in_heads():
@@ -141,7 +149,7 @@ def test_case6_differs_from_case5_only_in_heads():
 
 
 def test_case10_differs_from_case5_only_in_smote():
-    grid = {case_id: (cfg, use_smote) for case_id, cfg, use_smote in table3_grid()}
+    grid = {case_id: (cfg, use_smote) for case_id, cfg, use_smote in table3_grid(ModelConfig())}
     assert grid[10] == (grid[5][0], False) and grid[5][1] is True
     assert [case_id for case_id, (_, use_smote) in grid.items() if not use_smote] == [10]
 
@@ -207,7 +215,7 @@ def test_batch_forward_equals_stacked_single_samples():
 
 def test_every_grid_config_forward_passes():
     rng = np.random.default_rng(5)
-    for case_id, cfg in grid_configs(input_shape=(9, 1), num_classes=4).items():
+    for case_id, cfg in grid_configs(ModelConfig(input_shape=(9, 1), num_classes=4)).items():
         small = dataclasses.replace(cfg, conv_filters=5, gru_units=3, key_dim=4,
                                     dense_units=(6,) if cfg.dense_units == (64,) else (6, 5))
         m = build_model(small, np.random.default_rng(case_id))
