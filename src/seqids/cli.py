@@ -102,6 +102,8 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def _coerce(key: str, value: str, target):
+    """``value`` as the type of ``target``, a config field's current value: a
+    bool, an int, a float or, as a comma list, a tuple of ints."""
     if isinstance(target, bool):
         low = value.lower()
         if low in ("true", "1", "yes", "on"):
@@ -114,15 +116,13 @@ def _coerce(key: str, value: str, target):
             return int(value)
         if isinstance(target, float):
             return float(value)
-        if isinstance(target, tuple):
-            return tuple(int(v) for v in value.split(",") if v.strip())
+        return tuple(int(v) for v in value.split(",") if v.strip())
     except ValueError:
         raise ConfigError(
             f"{key}: expected {type(target).__name__} like {target!r}, got {value!r}") from None
-    return value
 
 
-def apply_config(cfg, values: dict[str, str], args=None):
+def apply_config(cfg, values: dict[str, str], args):
     """Set ``cfg``'s fields from the config file ``values``, then from the
     flags of ``args`` that were given (each flag's dest is the field name),
     then validate."""
@@ -263,9 +263,10 @@ def _strings(value) -> bool:
 
 def _load_model_checkpoint(path):
     """(model, standardizer, meta, the training file's ``D.Schema``) of a
-    checkpoint that ``train`` wrote; anything else, a standardizer or a
-    feature list whose width is not the model's included, is an
-    ``InputError``. The model is built in the dtype its weights were saved in."""
+    checkpoint that ``train`` wrote; anything else is an ``InputError``. That
+    includes a standardizer, class list or feature list whose width is not
+    the model's, and a class or feature list that repeats a name. The model
+    is built in the dtype its weights were saved in."""
     arrays, meta = load_checkpoint(path)
     if not isinstance(meta.get("config"), dict):
         raise InputError(f"{path}: not a model checkpoint: its meta has no 'config' object")
@@ -274,9 +275,9 @@ def _load_model_checkpoint(path):
     except ConfigError as exc:
         raise InputError(f"{path}: not a model checkpoint: {exc}") from None
     names, train = meta.get("class_names"), meta.get("train")
-    if not _strings(names):
+    if not (_strings(names) and len(names) == len(set(names)) == cfg.num_classes):
         raise InputError(f"{path}: not a model checkpoint: its meta has no 'class_names' "
-                         "list of strings")
+                         f"list of {cfg.num_classes} distinct strings, one per model class")
     if not (isinstance(train, dict) and type(train.get("seed")) is int and train["seed"] >= 0
             and isinstance(train.get("fraction"), (int, float))):
         raise InputError(f"{path}: not a model checkpoint: its meta has no 'train' object "
@@ -306,9 +307,10 @@ def _load_model_checkpoint(path):
         raise InputError(f"{path}: not a model checkpoint: its meta lacks a 'feature_names' "
                          "list, a 'categories' object of those features' vocabularies or the "
                          "training file's 'data_sha256' in 'train'")
-    if len(features) != width:
+    if not len(features) == len(set(features)) == width:
         raise InputError(f"{path}: not a model checkpoint: its 'feature_names' list has "
-                         f"{len(features)} names for a model of {width} features")
+                         f"{len(features)} names for a model of {width} features, "
+                         f"{len(set(features))} of them distinct")
     return model, standardizer, meta, D.Schema(features, names, categories)
 
 
@@ -335,7 +337,7 @@ def cmd_gen_data(args) -> int:
                          separation=args.separation,
                          structure_strength=args.structure_strength)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
+    if not out.parent.exists():
         raise InputError(f"output directory does not exist: {out.parent}")
     D.save_csv(ds, out)
     write_manifest(out.with_name(out.name + ".manifest.json"), "gen-data",
@@ -413,7 +415,7 @@ def cmd_eval(args) -> int:
         scope = "full file"
     X = D.reshape_for_model(X_raw, standardizer)
     logits, cm, report, loss, latency = _score(model, X, y, class_names, args.repetitions)
-    curves = M.roc_auc(T.softmax(logits, axis=1), y)
+    curves = M.roc_auc(T.softmax(logits), y)
     blob = M.report_to_dict(report, cm, curves)
     blob["loss"] = loss
     single = TR.measure_inference(model, X[:1], repetitions=args.repetitions)

@@ -404,10 +404,12 @@ def load_csv(path, label_column: str = "label") -> tuple[Dataset, int]:
     return table_to_dataset(read_table(path, label_column))
 
 
-def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
+def save_csv(dataset: Dataset, path) -> None:
+    """Write ``dataset`` with its feature names as the header and the class
+    names in a last column named ``label``, the default ``load_csv`` reads."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(dataset.feature_names + [label_column])
+        writer.writerow(dataset.feature_names + ["label"])
         names = dataset.encoder.decode(dataset.y)
         for row, name in zip(dataset.X, names):
             writer.writerow([repr(float(v)) for v in row] + [name])
@@ -434,7 +436,7 @@ def stratified_carve(y: np.ndarray, fraction: float, rng: np.random.Generator,
     return np.concatenate(first), np.concatenate(rest)
 
 
-def train_test_split(d: Dataset, fraction: float = 0.8, seed: int = 0) -> SplitPair:
+def train_test_split(d: Dataset, fraction: float, seed: int) -> SplitPair:
     """Seeded stratified split: each class keeps its proportion in both halves."""
     if not 0.0 < fraction < 1.0:
         raise ContractError(f"fraction must be in (0, 1), got {fraction}")
@@ -501,7 +503,7 @@ def _nearest_neighbors(X: np.ndarray, k: int) -> np.ndarray:
     return nn
 
 
-def smote_oversample(train: Dataset, seed: int = 0) -> Dataset:
+def smote_oversample(train: Dataset, seed: int) -> Dataset:
     """Equalize class counts by interpolating between same-class neighbors.
 
     Each synthetic row is x + lam * (x_nn - x) for a base sample x, one of
@@ -585,11 +587,9 @@ def fit_standardizer(X: np.ndarray) -> Standardizer:
     return Standardizer(mean=mean, scale=std)
 
 
-def reshape_for_model(X: np.ndarray, standardizer: Standardizer | None = None) -> np.ndarray:
+def reshape_for_model(X: np.ndarray, standardizer: Standardizer) -> np.ndarray:
     """Scale (N, F) features and add the trailing channel axis -> (N, F, 1)."""
-    if standardizer is not None:
-        X = standardizer.transform(X)
-    return X[:, :, None]
+    return standardizer.transform(X)[:, :, None]
 
 
 def synth_dataset(classes: int = 6, features: int = 60, per_class: int = 500,

@@ -71,11 +71,12 @@ varies):
   into ``g`` itself and returns it, the only rule that writes into ``g``:
   its ``g`` is the first Dense's C-contiguous ``dx``, so the bits are those
   of a new array, and the step holds one ``(B, T, F)`` gradient, not two.
-* Dense is one tape record: ``x W^T + b``, then ReLU or no activation. It
-  takes ``(N, ...)`` input and reads it as the view ``(N, in)``, so the
-  model's flatten is the first Dense's view, not a record of its own; ``dx``
-  comes back in the input's shape. The model's last Dense has no
-  activation, so it returns logits; the softmax lives in the loss and in
+* Dense is one tape record: ``x W^T + b``, then a ReLU when the call asks
+  for one, ``dense_forward(..., relu=True)``, as ``batchnorm_forward`` asks
+  for its own. It takes ``(N, ...)`` input and reads it as the view ``(N,
+  in)``, so the model's flatten is the first Dense's view, not a record of
+  its own; ``dx`` comes back in the input's shape. The model asks no ReLU of
+  its last Dense, so it returns logits; the softmax lives in the loss and in
   ``predict_proba``.
 * Weights use fan-scaled uniform init, bound sqrt(6 / (fan_in + fan_out));
   biases start at zero, scale/shift parameters at one/zero.
@@ -113,7 +114,7 @@ class Conv1DParams:
     bias: Tensor     # (out_channels,)
 
 
-def init_conv1d(rng, in_channels: int, out_channels: int, kernel_size: int = 3) -> Conv1DParams:
+def init_conv1d(rng, in_channels: int, out_channels: int, kernel_size: int) -> Conv1DParams:
     if kernel_size < 1 or out_channels < 1:
         raise ContractError("conv1d needs kernel_size >= 1 and out_channels >= 1")
     fan_in = in_channels * kernel_size
@@ -227,10 +228,10 @@ class BatchNormParams:
     beta: Tensor
     running_mean: Tensor
     running_var: Tensor
-    momentum: float = 0.99
+    momentum: float
 
 
-def init_batchnorm(rng, channels: int, momentum: float = 0.99) -> BatchNormParams:
+def init_batchnorm(rng, channels: int, momentum: float) -> BatchNormParams:
     return BatchNormParams(
         gamma=Tensor(np.ones(channels), requires_grad=True),
         beta=Tensor(np.zeros(channels), requires_grad=True),
@@ -602,28 +603,26 @@ def dropout_forward(x: Tensor, rate: float, mode: str = "train",
 
 @dataclass
 class DenseParams:
+    """A Dense layer's weights; whether a ReLU follows is the caller's
+    ``dense_forward(..., relu=)``."""
     W: Tensor  # (out, in)
     b: Tensor  # (out,)
-    activation: str = "none"  # "relu" | "none"
 
 
-def init_dense(rng, in_features: int, out_features: int, activation: str = "none") -> DenseParams:
-    if activation not in ("relu", "none"):
-        raise ContractError(f"dense activation must be relu/none, got {activation!r}")
+def init_dense(rng, in_features: int, out_features: int) -> DenseParams:
     return DenseParams(
         W=glorot_uniform(rng, (out_features, in_features), in_features, out_features),
-        b=Tensor(np.zeros(out_features), requires_grad=True),
-        activation=activation)
+        b=Tensor(np.zeros(out_features), requires_grad=True))
 
 
-def dense_forward(x: Tensor, p: DenseParams) -> Tensor:
-    """activation(x W^T + b). x: (N, ...) read as (N, in) -> (N, out), one tape record."""
+def dense_forward(x: Tensor, p: DenseParams, relu: bool = False) -> Tensor:
+    """``x W^T + b``, then a ReLU when ``relu`` is set. x: (N, ...) read as
+    (N, in) -> (N, out), one tape record."""
     width = p.W.shape[1]
     if x.ndim < 2 or math.prod(x.shape[1:]) != width:
         raise ShapeError(
             f"dense: input {x.shape} does not flatten to (N, {width}) for W {p.W.shape}")
     x2 = x.data.reshape(x.shape[0], width)
-    relu = p.activation == "relu"
     y = x2 @ p.W.data.T + p.b.data
     if relu:
         np.maximum(y, 0.0, out=y)

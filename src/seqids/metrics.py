@@ -100,12 +100,17 @@ def class_report(cm: ConfusionMatrix) -> ClassReport:
 
 @dataclass
 class RocCurve:
-    class_index: int
+    """One class's one-vs-rest curve; its class is its position in
+    ``roc_auc``'s list. A curve is undefined when the labels hold no row of
+    its class, or no other: it has no points and no ``auc``."""
     thresholds: np.ndarray
     fpr: np.ndarray
     tpr: np.ndarray
     auc: float | None
-    defined: bool = True
+
+    @property
+    def defined(self) -> bool:
+        return self.auc is not None
 
 
 def roc_auc(scores: np.ndarray, true_labels) -> list[RocCurve]:
@@ -123,8 +128,7 @@ def roc_auc(scores: np.ndarray, true_labels) -> list[RocCurve]:
         pos = y == c
         n_pos, n_neg = int(pos.sum()), int((~pos).sum())
         if n_pos == 0 or n_neg == 0:
-            curves.append(RocCurve(c, np.array([]), np.array([]), np.array([]),
-                                   auc=None, defined=False))
+            curves.append(RocCurve(np.array([]), np.array([]), np.array([]), auc=None))
             continue
         s = scores[:, c]
         order = np.argsort(-s, kind="stable")
@@ -139,16 +143,15 @@ def roc_auc(scores: np.ndarray, true_labels) -> list[RocCurve]:
         fpr_pts = np.concatenate([[0.0], fps / n_neg])
         thresholds = np.concatenate([[np.inf], s_sorted[boundaries]])
         auc = float(np.trapezoid(tpr, fpr_pts))
-        curves.append(RocCurve(c, thresholds, fpr_pts, tpr, auc=auc))
+        curves.append(RocCurve(thresholds, fpr_pts, tpr, auc=auc))
     return curves
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
-def report_to_dict(report: ClassReport, cm: ConfusionMatrix,
-                   curves: list[RocCurve] | None = None) -> dict:
-    d = {
+def report_to_dict(report: ClassReport, cm: ConfusionMatrix, curves: list[RocCurve]) -> dict:
+    return {
         "accuracy": report.accuracy,
         "macro": {"precision": report.macro_precision, "recall": report.macro_recall,
                   "f1": report.macro_f1, "fpr": report.macro_fpr},
@@ -165,10 +168,8 @@ def report_to_dict(report: ClassReport, cm: ConfusionMatrix,
              "degenerate": bool(report.degenerate[c])}
             for c in range(len(report.class_names))],
         "confusion": cm.counts.tolist(),
+        "auc": {name: c.auc for name, c in zip(report.class_names, curves)},
     }
-    if curves is not None:
-        d["auc"] = {report.class_names[c.class_index]: c.auc for c in curves}
-    return d
 
 
 def format_report_text(report: ClassReport) -> str:
@@ -204,9 +205,6 @@ def roc_to_csv(curves: list[RocCurve], class_names: list[str], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "threshold", "fpr", "tpr"])
-        for curve in curves:
-            if not curve.defined:
-                continue
+        for name, curve in zip(class_names, curves):
             for thr, f, t in zip(curve.thresholds, curve.fpr, curve.tpr):
-                writer.writerow([class_names[curve.class_index], repr(float(thr)),
-                                 repr(float(f)), repr(float(t))])
+                writer.writerow([name, repr(float(thr)), repr(float(f)), repr(float(t))])

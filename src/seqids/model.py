@@ -149,6 +149,11 @@ class Model:
     def param_count(self) -> int:
         return sum(t.size for t in self.named_parameters().values())
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The model's dtype, its parameters' (``build_model(..., dtype=)``)."""
+        return self.dense[-1].W.data.dtype
+
     def forward(self, batch, mode: str = "infer",
                 rng: np.random.Generator | None = None) -> Tensor:
         """(B, T, C) batch -> (B, num_classes) logits; ``mode`` is "train" or "infer".
@@ -159,10 +164,9 @@ class Model:
         """
         if mode not in ("train", "infer"):
             raise ContractError(f"model mode must be 'train' or 'infer', got {mode!r}")
-        dtype = self.dense[-1].W.data.dtype  # the parameters'
-        x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch, dtype=dtype))
-        if x.data.dtype != dtype:
-            raise ContractError(f"model is {dtype}, but the Tensor batch is {x.data.dtype}")
+        x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch, dtype=self.dtype))
+        if x.data.dtype != self.dtype:
+            raise ContractError(f"model is {self.dtype}, but the Tensor batch is {x.data.dtype}")
         t_len, channels = self.cfg.input_shape
         if x.ndim != 3 or x.shape[1:] != (t_len, channels) or x.shape[0] < 1:
             raise ShapeError(f"model expects batches of shape (B, {t_len}, {channels}) "
@@ -179,9 +183,10 @@ class Model:
         if self.cfg.use_mha:
             y = L.multi_head_attention(y, self.mha)
         y = L.dropout_forward(y, self.cfg.dropout_rate, mode, rng)
-        for d in self.dense:
-            y = L.dense_forward(y, d)
-        return y
+        *hidden, last = self.dense
+        for d in hidden:
+            y = L.dense_forward(y, d, relu=True)
+        return L.dense_forward(y, last)
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         own = self.named_arrays()
@@ -211,9 +216,9 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype: str = "float6
     width = channels
     if cfg.use_resnet_block:
         m.conv1 = L.init_conv1d(rng, channels, cfg.conv_filters, cfg.kernel_size)
-        m.bn1 = L.init_batchnorm(rng, cfg.conv_filters, momentum=cfg.bn_momentum)
+        m.bn1 = L.init_batchnorm(rng, cfg.conv_filters, cfg.bn_momentum)
         m.conv2 = L.init_conv1d(rng, cfg.conv_filters, cfg.conv_filters, cfg.kernel_size)
-        m.bn2 = L.init_batchnorm(rng, cfg.conv_filters, momentum=cfg.bn_momentum)
+        m.bn2 = L.init_batchnorm(rng, cfg.conv_filters, cfg.bn_momentum)
         m.shortcut = L.init_conv1d(rng, channels, cfg.conv_filters, kernel_size=1)
         width = cfg.conv_filters
     if cfg.use_bigru:
@@ -225,7 +230,7 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype: str = "float6
         m.mha = L.init_mha(rng, width, cfg.num_heads, cfg.key_dim)
     flat = t_len * width
     for units in cfg.dense_units:
-        m.dense.append(L.init_dense(rng, flat, units, activation="relu"))
+        m.dense.append(L.init_dense(rng, flat, units))
         flat = units
     m.dense.append(L.init_dense(rng, flat, cfg.num_classes))
     for t in m.named_arrays().values():

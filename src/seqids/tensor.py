@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 class Tensor:
     """N-dimensional dense value with an optional gradient slot."""
@@ -168,17 +168,17 @@ def backward(loss: Tensor, tape: Tape) -> None:
         g = grads = gi = None  # freed before the next rule allocates
 
 
-def softmax(a: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """exp-normalize an array along ``axis``, stabilized by max subtraction.
+def softmax(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp-normalize an array along its last axis, stabilized by max subtraction.
 
     A plain array function, not a tape op: the loss fuses its own softmax.
-    The result goes into ``out`` when given (``a`` itself is allowed, for an
-    in-place softmax), else into a new array; the values are the same.
+    Its callers (attention's keys, ``predict_proba``'s and ``eval``'s
+    classes) all normalize the last axis. The result goes into ``out`` when
+    given (``a`` itself is allowed, for an in-place softmax), else into a new
+    array; the values are the same.
     """
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    e = np.exp(np.subtract(a, a.max(axis=axis, keepdims=True), out=out), out=out)
-    e /= e.sum(axis=axis, keepdims=True)
+    e = np.exp(np.subtract(a, a.max(axis=-1, keepdims=True), out=out), out=out)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 

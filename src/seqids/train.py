@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Dataset, SplitPair, stratified_carve
-from .errors import ContractError, TrainingDiverged
+from .errors import ConfigError, ContractError, TrainingDiverged
 from .model import Model
 from .tensor import Tape, Tensor, backward
 
@@ -52,13 +52,13 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
-            raise ContractError("epochs and batch_size must be >= 1")
+            raise ConfigError("epochs and batch_size must be >= 1")
         if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ContractError(f"lr must be a finite number > 0, got {self.lr}")
+            raise ConfigError(f"lr must be a finite number > 0, got {self.lr}")
         if not 0.0 <= self.validation_fraction < 1.0:
-            raise ContractError("validation_fraction must be in [0, 1)")
+            raise ConfigError("validation_fraction must be in [0, 1)")
         if self.seed < 0:
-            raise ContractError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -100,7 +100,7 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
 class Adam:
     """Adam with bias correction; one slot pair per named parameter."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
         self.t = 0
@@ -225,31 +225,31 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
     return model, records
 
 
-def predict_logits(model: Model, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def predict_logits(model: Model, X: np.ndarray, batch_size: int = INFER_ROWS) -> np.ndarray:
     """Infer-mode logits of (N, T, C) input, (N, num_classes) in the model's dtype.
 
-    The forward passes run over row blocks of at most ``INFER_ROWS`` rows;
-    ``batch_size`` (an int >= 1, else ``ContractError``) can only lower that
-    number. Each block's logits are written into one preallocated array, so
-    the memory a call needs beyond its output does not grow with N.
+    The forward passes run over row blocks of ``batch_size`` rows, at most
+    ``INFER_ROWS``: ``batch_size`` (an int >= 1, else ``ContractError``) can
+    only lower that number. Each block's logits are written into one array
+    allocated up front, so the memory a call needs beyond its output does
+    not grow with N.
     """
     is_int = isinstance(batch_size, (int, np.integer)) and not isinstance(batch_size, bool)
     if not (is_int and batch_size >= 1):
         raise ContractError(f"batch_size must be an int >= 1, got {batch_size!r}")
     rows, n = min(batch_size, INFER_ROWS), X.shape[0]
-    # an empty X still makes this forward call, which raises its ShapeError
-    first = model.forward(X[:rows], mode="infer").data
-    out = np.empty((n, first.shape[1]), dtype=first.dtype)
-    out[:rows] = first
-    for s in range(rows, n, rows):
+    out = np.empty((n, model.cfg.num_classes), dtype=model.dtype)
+    # an empty X still makes one forward call, which raises its ShapeError
+    for s in range(0, max(n, 1), rows):
         out[s:s + rows] = model.forward(X[s:s + rows], mode="infer").data
     return out
 
 
-def predict_proba(model: Model, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Class probability rows: the softmax of ``predict_logits``, taken in place."""
+def predict_proba(model: Model, X: np.ndarray, batch_size: int = INFER_ROWS) -> np.ndarray:
+    """Class probability rows: the softmax of ``predict_logits`` (blocks of
+    ``batch_size`` rows, at most ``INFER_ROWS``), taken in place."""
     logits = predict_logits(model, X, batch_size)
-    return T.softmax(logits, axis=1, out=logits)
+    return T.softmax(logits, out=logits)
 
 
 @dataclass(frozen=True)

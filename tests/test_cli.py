@@ -796,7 +796,17 @@ def test_eval_holdout_of_another_file_fails_naming_both_hashes(tmp_path, capsys)
      "'standardizer.scale' array is not 12 finite floats > 0: float64 of shape (12,)"),
     (lambda arrays, meta: meta["feature_names"].pop(),
      "'feature_names' list has 11 names for a model of 12 features"),
-], ids=["mean_of_3", "scale_of_1", "zero_scale", "one_feature_name_short"])
+    (lambda arrays, meta: meta["feature_names"].__setitem__(1, meta["feature_names"][0]),
+     "'feature_names' list has 12 names for a model of 12 features, 11 of them distinct"),
+    (lambda arrays, meta: meta["class_names"].append("extra"),
+     "meta has no 'class_names' list of 3 distinct strings, one per model class"),
+    (lambda arrays, meta: meta["class_names"].pop(),
+     "meta has no 'class_names' list of 3 distinct strings, one per model class"),
+    (lambda arrays, meta: meta["class_names"].__setitem__(1, meta["class_names"][0]),
+     "meta has no 'class_names' list of 3 distinct strings, one per model class"),
+], ids=["mean_of_3", "scale_of_1", "zero_scale", "one_feature_name_short",
+        "repeated_feature_name", "one_class_name_extra", "one_class_name_short",
+        "repeated_class_name"])
 def test_eval_checkpoint_whose_standardizer_or_features_disagree_with_its_model_fails(
         tmp_path, capsys, edit, named):
     data = gen(tmp_path)

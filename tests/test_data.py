@@ -527,8 +527,8 @@ def test_split_sizes():
 
 def test_split_is_seed_deterministic():
     ds = D.synth_dataset(classes=3, features=5, per_class=30, seed=2)
-    p1 = D.train_test_split(ds, seed=7)
-    p2 = D.train_test_split(ds, seed=7)
+    p1 = D.train_test_split(ds, fraction=0.8, seed=7)
+    p2 = D.train_test_split(ds, fraction=0.8, seed=7)
     np.testing.assert_array_equal(p1.train.X, p2.train.X)
     np.testing.assert_array_equal(p1.test.y, p2.test.y)
 
@@ -542,7 +542,7 @@ def test_stratified_split_preserves_proportions():
 
 def test_split_train_test_disjoint():
     ds = D.synth_dataset(classes=2, features=3, per_class=25, seed=4)
-    pair = D.train_test_split(ds, seed=1)
+    pair = D.train_test_split(ds, fraction=0.8, seed=1)
     train_rows = {tuple(r) for r in pair.train.X}
     assert not any(tuple(r) in train_rows for r in pair.test.X)
 
@@ -552,7 +552,7 @@ def test_stratified_split_rejects_singleton_class():
     ds = D.Dataset(X=np.zeros((3, 2)), y=np.array([0, 0, 1]), encoder=enc,
                    feature_names=["f0", "f1"])
     with pytest.raises(ContractError) as exc:
-        D.train_test_split(ds)
+        D.train_test_split(ds, fraction=0.8, seed=0)
     assert "class 'b' has 1 sample(s)" in str(exc.value)
 
 
@@ -578,7 +578,7 @@ def test_split_row_ids_are_pinned(fraction, seed, train_rows, test_rows):
 @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2])
 def test_split_fraction_outside_zero_one_is_rejected(fraction):
     with pytest.raises(ContractError, match="fraction must be in"):
-        D.train_test_split(row_id_dataset(), fraction=fraction)
+        D.train_test_split(row_id_dataset(), fraction=fraction, seed=0)
 
 
 def test_stratified_carve_keeps_every_row_once():
@@ -704,7 +704,7 @@ def test_smote_rejects_singleton_class():
     ds = D.Dataset(X=np.random.default_rng(0).normal(size=(4, 2)),
                    y=np.array([0, 0, 0, 1]), encoder=enc, feature_names=["f0", "f1"])
     with pytest.raises(ContractError) as exc:
-        D.smote_oversample(ds)
+        D.smote_oversample(ds, seed=0)
     assert "'b'" in str(exc.value)
 
 

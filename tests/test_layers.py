@@ -132,7 +132,7 @@ def test_conv1d_record_holds_under_8_kib_beside_x():
 
 def test_conv1d_channel_mismatch():
     rng = np.random.default_rng(1)
-    p = L.init_conv1d(rng, in_channels=3, out_channels=4)
+    p = L.init_conv1d(rng, in_channels=3, out_channels=4, kernel_size=3)
     with pytest.raises(ShapeError):
         L.conv1d_forward(Tensor(np.zeros((1, 5, 2))), p)
 
@@ -152,7 +152,7 @@ def test_conv1d_gradients():
 
 def test_batchnorm_train_normalizes_per_channel():
     rng = np.random.default_rng(4)
-    p = L.init_batchnorm(rng, channels=3)
+    p = L.init_batchnorm(rng, channels=3, momentum=0.99)
     x = Tensor(rng.normal(loc=5.0, scale=2.0, size=(4, 6, 3)))
     out = L.batchnorm_forward(x, p, mode="train").data
     np.testing.assert_allclose(out.mean(axis=(0, 1)), np.zeros(3), atol=1e-5)
@@ -161,7 +161,7 @@ def test_batchnorm_train_normalizes_per_channel():
 
 def test_batchnorm_constant_channel_is_zeroed_without_nan():
     rng = np.random.default_rng(5)
-    p = L.init_batchnorm(rng, channels=2)
+    p = L.init_batchnorm(rng, channels=2, momentum=0.99)
     x = Tensor(np.full((3, 4, 2), 7.0))
     out = L.batchnorm_forward(x, p, mode="train").data
     assert np.all(np.isfinite(out))
@@ -169,7 +169,7 @@ def test_batchnorm_constant_channel_is_zeroed_without_nan():
 
 
 def test_batchnorm_infer_matches_hand_formula():
-    p = L.init_batchnorm(np.random.default_rng(6), channels=2)
+    p = L.init_batchnorm(np.random.default_rng(6), channels=2, momentum=0.99)
     p.gamma.data = np.array([2.0, 0.5])
     p.beta.data = np.array([1.0, -1.0])
     p.running_mean.data = np.array([3.0, -2.0])
@@ -182,7 +182,7 @@ def test_batchnorm_infer_matches_hand_formula():
 
 
 def test_batchnorm_single_element_train_is_contract_error():
-    p = L.init_batchnorm(np.random.default_rng(7), channels=2)
+    p = L.init_batchnorm(np.random.default_rng(7), channels=2, momentum=0.99)
     with pytest.raises(ContractError):
         L.batchnorm_forward(Tensor(np.zeros((1, 1, 2))), p, mode="train")
 
@@ -191,7 +191,7 @@ def test_batchnorm_identical_constant_samples_give_zero_before_scale_shift():
     # statistics pool over batch and time, so "identical" means constant
     # along both; gamma=1, beta=0 at init exposes the raw normalization
     rng = np.random.default_rng(8)
-    p = L.init_batchnorm(rng, channels=3)
+    p = L.init_batchnorm(rng, channels=3, momentum=0.99)
     row = np.tile(rng.normal(size=(1, 1, 3)), (4, 5, 1))
     out = L.batchnorm_forward(Tensor(row), p, mode="train").data
     np.testing.assert_allclose(out, np.zeros_like(out), atol=1e-6)
@@ -199,7 +199,7 @@ def test_batchnorm_identical_constant_samples_give_zero_before_scale_shift():
 
 def test_batchnorm_gradients_both_modes():
     rng = np.random.default_rng(9)
-    p = L.init_batchnorm(rng, channels=2)
+    p = L.init_batchnorm(rng, channels=2, momentum=0.99)
     p.running_mean.data = rng.normal(size=2)
     p.running_var.data = np.abs(rng.normal(size=2)) + 0.5
     x = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
@@ -222,7 +222,7 @@ def test_batchnorm_updates_running_stats_with_momentum():
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_batchnorm_relu_is_the_relu_of_batchnorm_in_one_record(mode):
     rng = np.random.default_rng(40)
-    p = L.init_batchnorm(rng, channels=3)
+    p = L.init_batchnorm(rng, channels=3, momentum=0.99)
     p.running_mean.data, p.running_var.data = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
     x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
     plain = L.batchnorm_forward(x, p, mode).data
@@ -235,7 +235,7 @@ def test_batchnorm_relu_is_the_relu_of_batchnorm_in_one_record(mode):
 
 def test_batchnorm_relu_gradients_both_modes():
     rng = np.random.default_rng(41)
-    p = L.init_batchnorm(rng, channels=2)
+    p = L.init_batchnorm(rng, channels=2, momentum=0.99)
     p.gamma.data, p.beta.data = rng.uniform(0.5, 2.0, size=2), rng.normal(size=2)
     p.running_mean.data = rng.normal(size=2)
     p.running_var.data = np.abs(rng.normal(size=2)) + 0.5
@@ -615,7 +615,7 @@ def test_normalizers_share_one_record_matching_their_closed_forms(name):
     shape, forward, reference = NORMALIZERS[name]
     rng = np.random.default_rng(23)
     features = shape[-1]
-    p = L.init_batchnorm(rng, features) if name.startswith("batch") \
+    p = L.init_batchnorm(rng, features, momentum=0.99) if name.startswith("batch") \
         else L.init_layernorm(rng, features)
     p.gamma.data = rng.normal(size=features)
     p.beta.data = rng.normal(size=features)
@@ -645,7 +645,7 @@ def test_normalizer_record_keeps_no_second_array_of_the_input_shape(forward):
     # (4, 32, 64): x takes 64 KiB; LayerNorm's per-row mean and rstd 1 KiB each
     rng = np.random.default_rng(24)
     x = Tensor(rng.normal(size=(4, 32, 64)), requires_grad=True)
-    p = L.init_batchnorm(rng, 64) if forward is not L.layernorm_forward \
+    p = L.init_batchnorm(rng, 64, momentum=0.99) if forward is not L.layernorm_forward \
         else L.init_layernorm(rng, 64)
     assert bytes_held_by_record(lambda: forward(x, p)) < x.data.nbytes // 8
 
@@ -976,8 +976,8 @@ def test_sequence_layers_reject_non_3d_input(shape):
     rng = np.random.default_rng(37)
     gru = L.init_gru(rng, 4, 3)
     calls = {
-        "conv1d": lambda x: L.conv1d_forward(x, L.init_conv1d(rng, 4, 2)),
-        "batchnorm": lambda x: L.batchnorm_forward(x, L.init_batchnorm(rng, 4)),
+        "conv1d": lambda x: L.conv1d_forward(x, L.init_conv1d(rng, 4, 2, 3)),
+        "batchnorm": lambda x: L.batchnorm_forward(x, L.init_batchnorm(rng, 4, momentum=0.99)),
         "bigru": lambda x: L.bigru_forward(x, gru, gru),
         "mha": lambda x: L.multi_head_attention(x, L.init_mha(rng, 4, 2, 2)),
     }
@@ -1060,64 +1060,56 @@ def test_dropout_keep_mask_matches_the_scaled_float_mask(rate, dtype):
 
 
 def test_dense_identity():
-    p = L.DenseParams(W=Tensor(np.eye(3)), b=Tensor(np.zeros(3)), activation="none")
+    p = L.DenseParams(W=Tensor(np.eye(3)), b=Tensor(np.zeros(3)))
     x = np.array([[1.0, -2.0, 3.0]])
     np.testing.assert_allclose(L.dense_forward(Tensor(x), p).data, x)
 
 
-def test_dense_rejects_softmax_activation():
-    # the softmax belongs to the loss and to predict_proba, not to a layer
-    with pytest.raises(ContractError):
-        L.init_dense(np.random.default_rng(34), in_features=10, out_features=6,
-                     activation="softmax")
-
-
 def test_dense_relu_zeroes_negative_preactivations():
-    p = L.DenseParams(W=Tensor(np.array([[1.0], [-1.0]])), b=Tensor(np.zeros(2)),
-                      activation="relu")
-    out = L.dense_forward(Tensor(np.array([[2.0], [-1.0]])), p).data
+    p = L.DenseParams(W=Tensor(np.array([[1.0], [-1.0]])), b=Tensor(np.zeros(2)))
+    out = L.dense_forward(Tensor(np.array([[2.0], [-1.0]])), p, relu=True).data
     np.testing.assert_allclose(out, [[2.0, 0.0], [0.0, 1.0]])
 
 
 def test_dense_gradients():
     rng = np.random.default_rng(35)
     x = Tensor(rng.normal(size=(5, 4)) + 0.3, requires_grad=True)
-    for activation in ("relu", "none"):
-        p = L.init_dense(rng, in_features=4, out_features=3, activation=activation)
+    for relu in (True, False):
+        p = L.init_dense(rng, in_features=4, out_features=3)
         p.b.data = rng.normal(size=3)
-        if activation == "relu":  # some units on each side, none at the kink
+        if relu:  # some units on each side, none at the kink
             pre = x.data @ p.W.data.T + p.b.data
             assert (pre > 0).any() and (pre < 0).any() and np.abs(pre).min() > 1e-3
         # random output weights: a squared output would zero the gradient of
         # every unit the ReLU clips, hiding a missing mask
         c = Tensor(rng.normal(size=(5, 3)))
-        err = grad_check_all(lambda: product_sum(L.dense_forward(x, p), c),
+        err = grad_check_all(lambda: product_sum(L.dense_forward(x, p, relu), c),
                              [x, p.W, p.b], h=1e-6)
-        assert err < 1e-5, activation
+        assert err < 1e-5, relu
 
 
-@pytest.mark.parametrize("activation", ["relu", "none"])
-def test_dense_is_one_tape_record(activation):
+@pytest.mark.parametrize("relu", [True, False], ids=["relu", "none"])
+def test_dense_is_one_tape_record(relu):
     rng = np.random.default_rng(38)
-    p = L.init_dense(rng, in_features=4, out_features=3, activation=activation)
+    p = L.init_dense(rng, in_features=4, out_features=3)
     with T.Tape() as tape:
-        L.dense_forward(Tensor(rng.normal(size=(2, 4)), requires_grad=True), p)
+        L.dense_forward(Tensor(rng.normal(size=(2, 4)), requires_grad=True), p, relu)
     assert len(tape) == 1
 
 
 def test_dense_reads_trailing_dimensions_as_one_feature_axis():
     rng = np.random.default_rng(44)
-    p = L.init_dense(rng, in_features=12, out_features=3, activation="relu")
+    p = L.init_dense(rng, in_features=12, out_features=3)
     p.b.data = rng.normal(size=3)
     x = Tensor(rng.normal(size=(2, 3, 4)) + 0.2, requires_grad=True)
-    flat = L.dense_forward(Tensor(x.data.reshape(2, 12)), p).data
+    flat = L.dense_forward(Tensor(x.data.reshape(2, 12)), p, relu=True).data
     with T.Tape() as tape:
-        out = L.dense_forward(x, p)
+        out = L.dense_forward(x, p, relu=True)
     assert len(tape) == 1
     assert out.data.tobytes() == flat.tobytes()
     assert np.abs(x.data.reshape(2, 12) @ p.W.data.T + p.b.data).min() > 1e-3
     c = Tensor(rng.normal(size=(2, 3)))
-    assert grad_check_all(lambda: product_sum(L.dense_forward(x, p), c),
+    assert grad_check_all(lambda: product_sum(L.dense_forward(x, p, relu=True), c),
                           [x, p.W, p.b], h=1e-6) < 1e-5
     assert x.grad.shape == (2, 3, 4)
 
@@ -1139,7 +1131,7 @@ def _rule_cases():
     def seq(shape=(2, 5, 4)):
         return Tensor(rng.normal(size=shape), requires_grad=True)
 
-    bn, ln = L.init_batchnorm(rng, 4), L.init_layernorm(rng, 4)
+    bn, ln = L.init_batchnorm(rng, 4, momentum=0.99), L.init_layernorm(rng, 4)
     gru = [L.init_gru(rng, 4, 3) for _ in range(2)]
     return {
         "conv1d_k3": lambda: L.conv1d_forward(seq(), L.init_conv1d(rng, 4, 3, 3)),
@@ -1151,7 +1143,7 @@ def _rule_cases():
         "bigru": lambda: L.bigru_forward(seq(), *gru),
         "mha": lambda: L.multi_head_attention(seq(), L.init_mha(rng, 4, 2, 3)),
         "dropout": lambda: L.dropout_forward(seq(), 0.5, "train", rng),
-        "dense_relu": lambda: L.dense_forward(seq(), L.init_dense(rng, 20, 3, "relu")),
+        "dense_relu": lambda: L.dense_forward(seq(), L.init_dense(rng, 20, 3), relu=True),
         "dense": lambda: L.dense_forward(seq((3, 4)), L.init_dense(rng, 4, 3)),
         "cross_entropy": lambda: TR.cross_entropy_loss(seq((3, 4)), np.array([0, 3, 1])),
     }

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -236,8 +237,10 @@ def test_absent_class_yields_undefined_curve():
     y = np.array([0, 0, 1, 1])
     scores = np.full((4, 3), 1 / 3)
     curves = M.roc_auc(scores, y)
-    assert curves[2].defined is False
-    assert curves[2].auc is None
+    assert [c.defined for c in curves] == [True, True, False]
+    assert curves[2].auc is None and curves[2].fpr.size == 0
+    # a curve's class is its position in the list, not a field of its own
+    assert "class_index" not in {f.name for f in dataclasses.fields(M.RocCurve)}
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_float32_train_step_never_upcasts():
     f32 = np.dtype(np.float32)
     m = build_model(ModelConfig(), np.random.default_rng(7), "float32")
     X = np.random.default_rng(8).normal(size=(4, 60, 1))
-    opt = TR.Adam(m.named_parameters())
+    opt = TR.Adam(m.named_parameters(), lr=1e-3)
     with T.Tape() as tape:
         loss = TR.cross_entropy_loss(m.forward(X, mode="train", rng=np.random.default_rng(9)),
                                      np.array([0, 1, 2, 5]))
@@ -324,9 +324,9 @@ def _reference_forward(m, x, mode, rng=None):
         y = L.multi_head_attention(y, m.mha)
     y = L.dropout_forward(y, m.cfg.dropout_rate, mode, rng)
     y = _ref_reshape(y, (y.shape[0], y.shape[1] * y.shape[2]))
-    for d in m.dense:
-        y = L.dense_forward(y, d)
-    return y
+    for d in m.dense[:-1]:
+        y = L.dense_forward(y, d, relu=True)
+    return L.dense_forward(y, m.dense[-1])
 
 
 @pytest.mark.parametrize("name", GLUE_CONFIGS)
@@ -344,7 +344,7 @@ def test_fused_glue_is_bit_identical_to_the_generic_ops(name):
         T.backward(loss, tape)
         params = m.named_parameters()
         arrays = [infer, logits.data, x.grad] + [p.grad for p in params.values()]
-        TR.Adam(params).step()
+        TR.Adam(params, lr=1e-3).step()
         arrays += [t.data for t in m.named_arrays().values()]  # trained weights, BN stats
         runs.append(([a.tobytes() for a in arrays], len(tape)))
     (fused, fused_records), (reference, reference_records) = runs

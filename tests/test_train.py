@@ -7,7 +7,7 @@ import pytest
 from seqids import data as D
 from seqids import tensor as T
 from seqids import train as TR
-from seqids.errors import ContractError, ShapeError
+from seqids.errors import ConfigError, ContractError, ShapeError
 from seqids.model import ModelConfig, build_model
 from seqids.tensor import Tensor, grad_check_all
 
@@ -51,7 +51,7 @@ def test_cross_entropy_gradient_through_softmax_is_probs_minus_onehot():
         loss = TR.cross_entropy_loss(logits, labels)
     assert len(tape) == 1
     T.backward(loss, tape)
-    probs = T.softmax(logits.data, axis=1)
+    probs = T.softmax(logits.data)
     expected = (probs - np.eye(4)[labels]) / 5
     np.testing.assert_allclose(logits.grad, expected, atol=1e-12)
     err = grad_check_all(lambda: TR.cross_entropy_loss(logits, labels), [logits], h=1e-6)
@@ -83,7 +83,7 @@ def test_cross_entropy_label_out_of_range():
 def test_adam_zero_gradient_leaves_params_unchanged():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.zeros(2)
-    opt = TR.Adam({"p": p})
+    opt = TR.Adam({"p": p}, lr=1e-3)
     opt.step()
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
@@ -167,6 +167,14 @@ def test_adam_single_step_decreases_convex_quadratic():
 
 # ---------------------------------------------------------------------------
 # Training loop
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("batch_size", 0), ("lr", -1.0), ("lr", float("nan")),
+    ("validation_fraction", 1.0), ("seed", -1)])
+def test_bad_train_config_value_is_a_config_error_naming_it(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TR.TrainConfig(**{field: value}).validate()
+
 
 def test_training_converges_on_separable_task():
     pair = small_split(seed=3)
@@ -300,7 +308,7 @@ def test_predict_logits_blocks_match_one_whole_batch_forward(n, dtype):
             assert np.abs(logits - whole).max() <= 1e-12, batch_size
         probs = TR.predict_proba(model, X, batch_size)
         assert probs.dtype == np.dtype(dtype)
-        assert np.array_equal(probs, T.softmax(logits, axis=1)), batch_size
+        assert np.array_equal(probs, T.softmax(logits)), batch_size
 
 
 @pytest.mark.parametrize("batch_size", [0, -1, -3, 2.5, True, False, "4", None, np.float64(8)])
