@@ -7,21 +7,24 @@ The CSV contract of ``load_csv``:
   separated by commas and may be quoted with ``"`` (a quoted cell may hold
   commas, line breaks and ``""`` for a quote). A byte-order mark at the
   start of the file (Excel's "CSV UTF-8" writes one) is dropped, so it
-  never reaches the first column's name. The first row is the header.
-  Blank lines are skipped; any other row with a cell count unlike the
-  header's fails with an ``InputError`` that names the file line the row
-  starts on, counting the lines of quoted cells that span lines.
+  never reaches the first column's name. Blank lines are skipped, also
+  before the header, which is the first row that is not blank. Any other
+  row with a cell count unlike the header's fails with an ``InputError``
+  that names the file line the row starts on, counting every physical line
+  of the file: blank ones, and those of quoted cells that span lines.
 - A line with no ``"`` and no NUL (which the ``csv`` module of Python 3.10
   rejects) is split on its commas directly: that gives the cells
   ``csv.reader`` would, without its per-character tokenizer. Any other line
-  goes to one ``csv.reader`` shared by the whole file, which also reads the
-  continuation lines of a quoted cell that spans lines. So
+  goes to one ``csv.reader`` shared by the whole byte range being parsed
+  (see below), which also reads the continuation lines of a quoted cell
+  that spans lines. So
   ``csv.field_size_limit`` bounds only the cells of such lines, and a file
   with every cell quoted costs what a plain ``csv.reader`` does.
 - A cell is missing when, stripped and lower-cased, it is one of
   ``MISSING_MARKERS``. Rows with a missing cell in any column, label
   included, are dropped and counted, as are rows with a non-finite number
-  (``inf``, ``1e999``) in a numeric column.
+  (``inf``, ``1e999``) in a numeric column. When every row is dropped, the
+  ``InputError`` names each column that has no usable cell at all.
 - A column is numeric when every cell of the whole file that is not missing
   parses with ``float()``; otherwise it is categorical and encoded by its
   strings in lexicographic order. The class names are the label cells'
@@ -46,6 +49,20 @@ The CSV contract of ``load_csv``:
   bytes of the final ``X``, plus ~85 bytes for each cell of one chunk and
   ~9 bytes a row for the label codes, the keep mask and ``y``: each float
   column leaves the table as ``X`` takes it in.
+- A file of at least ``2 * _PART_BYTES`` bytes is parsed on several CPUs,
+  where the process can fork: ``read_table`` cuts it into up to one byte
+  range per CPU, parses the first range itself and each other one in a
+  forked child, through the same chunk loop and the same ``float()``, and
+  merges the ranges in file order. The table is the one a single pass
+  gives, so ``load_csv`` returns the same bytes. A cut always follows a
+  ``\\n`` byte past the header's first line, and never follows a ``"``
+  byte: a quoted cell may span lines, and ``csv.reader`` returns a partial
+  row when its input ends inside quotes. So a file with an early ``"`` is
+  parsed in one process. The scan that finds the cuts also counts the
+  lines before each, so every error names the line a single pass would,
+  and the first failing range in file order gives the error. Each process
+  holds the strings of one chunk at a time; the parent also receives each
+  child's float columns, which stays within the peak above.
 
 The processing order is fixed: split first, oversample the training split
 only, and fit standardization statistics on the (possibly oversampled)
@@ -55,13 +72,18 @@ features are always scaled with training statistics.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
+import os
+import re
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, InputError
+from .errors import ConfigError, ContractError, InputError, SeqidsError
 
 #: cell values treated as unparseable in any column
 MISSING_MARKERS = {"", "?", "na", "n/a", "nan", "null", "none"}
@@ -129,6 +151,11 @@ class SplitPair:
 #: data rows parsed per chunk by ``read_table``; bounds the Python strings
 #: alive at once to about ``_CHUNK_ROWS`` times the column count
 _CHUNK_ROWS = 1024
+#: the fewest file bytes each process of ``read_table`` parses, so a file of
+#: under twice this is parsed in one. On a 2-vCPU x86-64 machine a MiB took
+#: ~25 ms to parse and a fork with its join 4-8 ms; split in two, a 1 MiB file
+#: gained ~1 ms and a 0.5 MiB file lost ~2 ms
+_PART_BYTES = 1 << 20
 
 
 @dataclass
@@ -141,6 +168,13 @@ class Categories:
         index = self.index
         self.parts.append(np.fromiter((index.setdefault(c, len(index)) for c in cells),
                                       dtype=np.intp, count=len(cells)))
+
+    def extend(self, other: "Categories") -> None:
+        """Append ``other``'s rows, its codes remapped into this index, in first-seen order."""
+        index = self.index
+        lut = np.fromiter((index.setdefault(c, len(index)) for c in other.index),
+                          dtype=np.intp, count=len(other.index))
+        self.parts.extend(lut[codes] for codes in other.parts)
 
     def present(self) -> np.ndarray:
         """Per row: is the cell something other than a missing marker."""
@@ -181,9 +215,10 @@ class RawTable:
     categorical: dict[int, Categories]
 
 
-def _rows(fh, path):
+def _rows(fh, path, first=1):
     """Each row of the open text file ``fh`` as ``csv.reader`` gives it, ``[]``
-    for a blank line, with the number of the row's first line in the file.
+    for a blank line, with the number of the row's first line in the file,
+    ``first`` being the number of ``fh``'s first line.
 
     A line with no ``"`` and no NUL is split on commas directly. Any other
     line is fed to one ``csv.reader``, which reads the continuation lines of
@@ -199,7 +234,7 @@ def _rows(fh, path):
 
     reader = csv.reader(lines())
     quoted = 0   # rows the reader has read; its line_num counts all their lines
-    for lineno, line in enumerate(fh, 1):
+    for lineno, line in enumerate(fh, first):
         lineno += reader.line_num - quoted
         if '"' in line or "\0" in line:
             pending.append(line)
@@ -214,15 +249,25 @@ def _rows(fh, path):
             yield lineno, line.split(",") if line else []
 
 
-def _row_chunks(path):
-    """Yield the header, then the non-blank data rows in lists of ``_CHUNK_ROWS``."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = _rows(fh, path)
+def _row_chunks(path, start=0, first=1, lines=None, header=None):
+    """Yield the header, then the non-blank data rows in lists of ``_CHUNK_ROWS``.
+
+    Reads ``lines`` lines, or to the end of the file when None, from byte
+    ``start``, the first of them being line ``first`` of the file. The
+    header is the first non-blank row. Given a ``header``, the lines hold
+    data rows only: the rows are checked against it and it is not yielded.
+    """
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        # a byte-order mark is dropped at the start of the file only
+        fh = io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig", newline="")
+        rows = _rows(islice(fh, lines), path, first)
         try:
-            _, header = next(rows, (0, None))
             if header is None:
-                raise InputError(f"{path}: file is empty")
-            yield header
+                header = next((row for _, row in rows if row), None)
+                if header is None:
+                    raise InputError(f"{path}: file is empty")
+                yield header
             chunk = []
             for lineno, row in rows:
                 if not row:
@@ -238,6 +283,71 @@ def _row_chunks(path):
             raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
         if chunk:
             yield chunk
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on where it can tell them, and fork
+    (Linux); 1 elsewhere."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _line_breaks(b: np.ndarray, after_cr: bool) -> int:
+    """The line ends among the bytes ``b`` as text mode with ``newline=""``
+    counts them: ``\\r\\n``, ``\\n`` and a bare ``\\r``. ``after_cr`` when the
+    byte before ``b`` is a ``\\r``, whose line a ``\\n`` at ``b[0]`` then ends.
+
+    numpy counts a MiB in ~0.6 ms, where three ``bytes.count`` calls took
+    ~2.2 ms (2-vCPU x86-64).
+    """
+    cr = np.flatnonzero(b == 13)
+    crlf = np.count_nonzero(b[cr[cr + 1 < b.size] + 1] == 10)
+    return int(np.count_nonzero(b == 10) + cr.size - crlf) - (after_cr and b[:1].tolist() == [10])
+
+
+def _ranges(path) -> list[tuple[int, int, int, int | None]]:
+    """The byte ranges ``read_table`` parses the file in, in file order, each
+    as (first byte, end byte, number of its first line, its line count, None
+    for the last range).
+
+    ``min(_cpus(), file bytes // _PART_BYTES)`` ranges are aimed at, of
+    equal size. A cut follows the first ``\\n`` byte past its aim and past
+    the header's first byte, and no ``"`` byte may come before it, so no
+    quoted cell, which may span lines, spans two ranges: a file whose first
+    ``"`` comes early is cut fewer times or not at all. One pass over the
+    bytes before the last cut, ``_PART_BYTES`` at a time, finds the cuts and
+    counts the lines before each.
+    """
+    size = os.path.getsize(path)
+    parts = min(_cpus(), size // _PART_BYTES)
+    aims = [size * k // parts for k in range(parts - 1, 0, -1)]   # popped in file order
+    cuts = [(0, 1)]   # (first byte, first line) of each range
+    text, pos, line, cr = None, 0, 1, False
+    with open(path, "rb") as fh:
+        while aims and (block := fh.read(_PART_BYTES)):
+            # the header's first byte: neither a line break nor the byte-order mark
+            if text is None and (found := re.compile(rb"[^\r\n]").search(
+                    block, 3 if pos == 0 and block.startswith(codecs.BOM_UTF8) else 0)):
+                text = pos + found.start()
+            quote = block.find(b'"')
+            data = np.frombuffer(block, dtype=np.uint8)
+            counted = 0   # the bytes of the block whose line ends are in ``line``
+            while aims and text is not None:
+                at = block.find(b"\n", max(aims[-1] - pos, text - pos, counted),
+                                len(block) if quote < 0 else quote)
+                if at < 0:
+                    break
+                line += _line_breaks(data[counted:at + 1], cr)
+                cr, counted = False, at + 1
+                cuts.append((pos + counted, line))
+                aims.pop()
+            if quote >= 0:
+                break
+            line += _line_breaks(data[counted:], cr)
+            cr = block.endswith(b"\r")
+            pos += len(block)
+    ends = cuts[1:] + [(size, None)]
+    return [(start, stop, first, None if next_line is None else next_line - first)
+            for (start, first), (stop, next_line) in zip(cuts, ends)]
 
 
 def _present(cells) -> np.ndarray:
@@ -271,6 +381,75 @@ def _read_categories(path, columns) -> dict[int, Categories]:
     return found
 
 
+@dataclass
+class _Part:
+    """A byte range of a file, parsed: its data rows, the chunk arrays of each
+    column numeric in all of them, and each column kept as ``Categories``
+    from the range's first chunk on. A column in neither held text only
+    past the first chunk."""
+    rows: int
+    numeric: dict[int, list[np.ndarray]]
+    categorical: dict[int, Categories]
+
+
+def _parse(chunks, path, header, floats, kept, schema) -> _Part:
+    """Parse the row chunks of one byte range: cast each of the ``floats``
+    columns to float64 while it parses, and keep the strings of the ``kept``
+    columns as ``Categories``."""
+    numeric = {i: [] for i in floats}
+    categorical = {i: Categories() for i in kept}
+    rows = 0
+    for chunk in chunks:
+        cells = np.array(chunk, dtype=object)
+        for i in list(numeric):
+            values = _parse_floats(cells[:, i])
+            if values is not None:
+                numeric[i].append(values)
+                continue
+            if schema is not None:
+                raise InputError(f"{path}: column {header[i]!r} holds text, but the training "
+                                 "data's was numeric")
+            del numeric[i]
+            if rows == 0:   # the first chunk: its strings are all still here
+                categorical[i] = Categories()
+        for i, cats in categorical.items():
+            cats.add(cells[:, i])
+        rows += len(chunk)
+        del chunk, cells   # free this chunk's strings before the next one is read
+    return _Part(rows, numeric, categorical)
+
+
+def _parse_in_child(reader, writer, path, span, header, floats, kept, schema) -> None:
+    """In a forked child: parse the byte range ``span`` and send the parent
+    its ``_Part``, or the error that stopped it."""
+    # imported here, as ``multiprocessing`` is in read_table: a command that
+    # splits no file then loads neither, nor multiprocessing's socket and
+    # selectors modules
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # on an interrupt the parent ends it
+    reader.close()
+    start, _, first, lines = span
+    try:
+        part = _parse(_row_chunks(path, start, first, lines, header), path, header, floats,
+                      kept, schema)
+    except (SeqidsError, MemoryError) as exc:
+        part = exc
+    writer.send(part)
+
+
+def _receive(child, reader, path, span) -> _Part:
+    """The ``_Part`` a child sends; its error raised here."""
+    try:
+        part = reader.recv()
+    except EOFError:
+        child.join()
+        raise SeqidsError(f"{path}: the process parsing bytes {span[0]} to {span[1]} ended "
+                          f"with exit code {child.exitcode} and no result") from None
+    if isinstance(part, BaseException):
+        raise part
+    return part
+
+
 def read_table(path, label_column: str, schema: Schema | None = None) -> RawTable:
     """Parse a CSV file under the module's contract, ``_CHUNK_ROWS`` rows at a time.
 
@@ -285,12 +464,26 @@ def read_table(path, label_column: str, schema: Schema | None = None) -> RawTabl
     file. A column that fails on the first chunk keeps its strings as
     ``Categories`` from then on; one that fails on a later chunk, whose
     earlier strings are gone, is read again in a second pass over the file.
-    Only one chunk's strings are alive at a time, beside the float columns,
-    so the peak is about the bytes of ``X`` plus one chunk. With a
-    ``schema`` only its columns are read, and those it has categorical are
-    never cast.
+    With a ``schema`` only its columns are read, and those it has
+    categorical are never cast.
+
+    A file of at least ``2 * _PART_BYTES`` bytes is cut into byte ranges
+    (see ``_ranges``). The parent parses the first and a forked child each
+    other one, through the same chunk loop (``_parse``). It forks rather
+    than spawns, which would import numpy again in each child; that is safe
+    as a child makes no BLAS call and starts no thread, so it waits on no
+    lock the parent's threads may hold. The parent merges the ranges in file
+    order: a column numeric in every range is concatenated, one kept as
+    ``Categories`` in every range has the later codes remapped into
+    first-seen order, and any other is read again as above, so the table is
+    that of one pass. The first failing range in file order raises its
+    error. Every child is joined before this returns or raises, and is
+    ended first on an error or an interrupt; one that ends with no result
+    is a ``SeqidsError`` naming its byte range and exit code.
     """
-    chunks = _row_chunks(path)
+    ranges = _ranges(path)
+    start, _, first, lines = ranges[0]
+    chunks = _row_chunks(path, start, first, lines)
     header = next(chunks)
     if label_column not in header:
         raise ConfigError(f"label column {label_column!r} not found; columns: {header}")
@@ -301,7 +494,7 @@ def read_table(path, label_column: str, schema: Schema | None = None) -> RawTabl
         raise InputError(f"no feature column besides the label column {label_column!r}")
     label = header.index(label_column)
     features = [i for i in range(len(header)) if i != label]
-    categorical = {label: Categories()}
+    kept = [label]   # the columns kept as Categories from the first row on
     if schema is not None:
         where = {header[i]: i for i in features}
         missing = [name for name in schema.feature_names if name not in where]
@@ -310,33 +503,42 @@ def read_table(path, label_column: str, schema: Schema | None = None) -> RawTabl
                              f"{len(schema.feature_names)} feature columns, this file has "
                              f"{len(features)}")
         features = [where[name] for name in schema.feature_names]
-        categorical.update((where[name], Categories()) for name in schema.categories)
-    # the columns numeric so far
-    parts = {i: [] for i in features if i not in categorical}
-    late = []
-    rows = 0
-    for chunk in chunks:
-        cells = np.array(chunk, dtype=object)
-        for i in list(parts):
-            values = _parse_floats(cells[:, i])
-            if values is not None:
-                parts[i].append(values)
-                continue
-            if schema is not None:
-                raise InputError(f"{path}: column {header[i]!r} holds text, but the training "
-                                 "data's was numeric")
-            del parts[i]
-            if rows == 0:   # the first chunk: its strings are all still here
-                categorical[i] = Categories()
-            else:
-                late.append(i)
-        for i, cats in categorical.items():
-            cats.add(cells[:, i])
-        rows += len(chunk)
-        del chunk, cells   # free this chunk's strings before the next one is read
+        kept += [where[name] for name in schema.categories]
+    floats = [i for i in features if i not in kept]
+    children = []
+    try:
+        for span in ranges[1:]:
+            import multiprocessing   # see _parse_in_child
+            fork = multiprocessing.get_context("fork")
+            reader, writer = fork.Pipe(duplex=False)
+            child = fork.Process(target=_parse_in_child, args=(
+                reader, writer, path, span, header, floats, kept, schema))
+            child.start()
+            writer.close()
+            children.append((child, reader, span))
+        parts = [_parse(chunks, path, header, floats, kept, schema)]
+        parts += [_receive(child, reader, path, span) for child, reader, span in children]
+    except BaseException:
+        for child, _, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, reader, _ in children:
+            child.join()
+            reader.close()
+    rows = sum(part.rows for part in parts)
     if not rows:
         raise InputError(f"{path}: no data rows")
-    numeric = {i: np.concatenate(parts.pop(i)) for i in list(parts)}
+    numeric, categorical, late = {}, {}, []
+    for i in kept + floats:
+        if all(i in part.numeric for part in parts):
+            numeric[i] = np.concatenate([a for part in parts for a in part.numeric.pop(i)])
+        elif all(i in part.categorical for part in parts):
+            categorical[i] = parts[0].categorical[i]
+            for part in parts[1:]:
+                categorical[i].extend(part.categorical[i])
+        else:
+            late.append(i)
     if late:
         categorical.update(_read_categories(path, late))
     return RawTable(column_names=header, label=label, features=features, row_count=rows,
@@ -355,17 +557,22 @@ def table_to_dataset(table: RawTable, schema: Schema | None = None) -> tuple[Dat
     feature_idx = table.features
     feature_names = [table.column_names[i] for i in feature_idx]
     vocabularies = {} if schema is None else schema.categories
-    labels = table.categorical[table.label]
 
-    keep = labels.present()
-    for i in feature_idx:
+    def usable(i):   # per row: is column i's cell neither missing nor non-finite
         if i in table.numeric:
-            keep &= np.isfinite(table.numeric[i])  # missing cells are nan here
-        else:
-            keep &= table.categorical[i].present()
+            return np.isfinite(table.numeric[i])  # missing cells are nan here
+        return table.categorical[i].present()
+
+    keep = usable(table.label)
+    for i in feature_idx:
+        keep &= usable(i)
     kept = int(keep.sum())
     if not kept:
-        raise InputError("all rows dropped during numerization")
+        empty = [table.column_names[i] for i in [table.label, *feature_idx]
+                 if not usable(i).any()]
+        raise InputError("all rows dropped during numerization" + (
+            f"; no usable cell in column{'s' * (len(empty) > 1)} "
+            f"{', '.join(map(repr, empty))}" if empty else ""))
 
     # with no row dropped, a column is copied without a [keep] temporary
     X = np.empty((kept, len(feature_idx)))

@@ -261,7 +261,7 @@ class Latency:
     p95: float
 
 
-def measure_inference(model: Model, batch: np.ndarray, repetitions: int = 30) -> Latency:
+def measure_inference(model: Model, batch: np.ndarray, repetitions: int) -> Latency:
     """Latency per instance of a (N, T, C) batch over ``repetitions`` runs.
 
     Each run is one ``predict_logits`` call with its default ``batch_size``,

@@ -1,5 +1,7 @@
 import csv
 import io
+import multiprocessing as mp
+import os
 import tracemalloc
 import warnings
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqids import data as D
-from seqids.errors import ConfigError, ContractError, InputError
+from seqids.errors import ConfigError, ContractError, InputError, SeqidsError
 
 
 def nearest_centroid_accuracy(train: D.Dataset, test: D.Dataset) -> float:
@@ -247,9 +249,9 @@ def test_load_csv_numeric_label_column_is_read_in_one_pass(tmp_path, monkeypatch
     passes = []
     row_chunks = D._row_chunks
 
-    def counted(path):
+    def counted(path, *span):
         passes.append(path)
-        return row_chunks(path)
+        return row_chunks(path, *span)
 
     monkeypatch.setattr(D, "_row_chunks", counted)
     ds, _ = D.load_csv(f)
@@ -307,6 +309,15 @@ def test_load_csv_peak_memory_is_two_x_plus_one_chunk(tmp_path):
     # 8 chunks; reading every cell into a Python str peaked near 12x the bytes of X here
     ds = D.synth_dataset(classes=4, features=20, per_class=2 * D._CHUNK_ROWS, seed=0)
     assert_load_csv_peak_is_two_x_plus_one_chunk(tmp_path, ds)
+
+
+def test_load_csv_peak_memory_of_a_split_read_is_two_x_plus_one_chunk(tmp_path, monkeypatch):
+    # the parent's peak, with each child's float columns received into it
+    monkeypatch.setattr(D, "_cpus", lambda: 3)
+    monkeypatch.setattr(D, "_PART_BYTES", 1 << 18)
+    ds = D.synth_dataset(classes=4, features=20, per_class=2 * D._CHUNK_ROWS, seed=0)
+    assert_load_csv_peak_is_two_x_plus_one_chunk(tmp_path, ds)
+    assert len(D._ranges(tmp_path / "t.csv")) == 3
 
 
 def test_load_csv_peak_memory_of_a_narrow_file_grows_by_few_bytes_a_row(tmp_path):
@@ -398,8 +409,10 @@ def csv_tables(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(table=csv_tables(), chunk_rows=st.integers(1, 7))
-def test_load_csv_matches_the_cell_by_cell_reference(tmp_path_factory, table, chunk_rows):
+@given(table=csv_tables(), chunk_rows=st.integers(1, 7), cpus=st.integers(1, 3),
+       part_bytes=st.integers(16, 256))
+def test_load_csv_matches_the_cell_by_cell_reference(tmp_path_factory, table, chunk_rows, cpus,
+                                                     part_bytes):
     header, rows, blank_after = table
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -413,8 +426,10 @@ def test_load_csv_matches_the_cell_by_cell_reference(tmp_path_factory, table, ch
         want = reference_load_csv(path)
     except InputError as exc:
         want = exc
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(D, "_CHUNK_ROWS", chunk_rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(D, "_CHUNK_ROWS", chunk_rows)
+        patch.setattr(D, "_cpus", lambda: cpus)   # up to 3 byte ranges of part_bytes or more
+        patch.setattr(D, "_PART_BYTES", part_bytes)
         if isinstance(want, InputError):
             with pytest.raises(InputError, match=str(want)):
                 D.load_csv(path)
@@ -430,13 +445,14 @@ def test_load_csv_matches_the_cell_by_cell_reference(tmp_path_factory, table, ch
 
 
 def csv_module_row_chunks(path):
-    """``_row_chunks`` with every line tokenized by ``csv.reader``; an error
-    names the file line its row starts on, from the reader's line count."""
+    """``_row_chunks`` with every line tokenized by ``csv.reader``; the header
+    is the first non-blank row, and an error names the file line its row
+    starts on, from the reader's line count."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         lineno = 1   # the first line of the row being read
         try:
-            header = next(reader, None)
+            header = next((row for row in reader if row), None)
             if header is None:
                 raise InputError(f"{path}: file is empty")
             yield header
@@ -510,9 +526,201 @@ def csv_texts(draw):
 def test_row_chunks_yield_the_csv_module_rows(tmp_path_factory, text, chunk_rows):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     path.write_bytes(text.encode("utf-8"))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(D, "_CHUNK_ROWS", chunk_rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(D, "_CHUNK_ROWS", chunk_rows)
         assert drain(D._row_chunks(path)) == drain(csv_module_row_chunks(path))
+
+
+def rows_by_range(path):
+    """Every row ``_row_chunks`` yields over the file's ``_ranges``, the
+    header first; or the text of the first error."""
+    out = []
+    try:
+        (start, _, first, lines), *rest = D._ranges(path)
+        chunks = D._row_chunks(path, start, first, lines)
+        header = next(chunks)
+        out.append(header)
+        for chunk in chunks:
+            out.extend(chunk)
+        for start, _, first, lines in rest:
+            for chunk in D._row_chunks(path, start, first, lines, header):
+                out.extend(chunk)
+    except InputError as exc:
+        return str(exc)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts(), unquoted=st.booleans(), cpus=st.integers(2, 4),
+       part_bytes=st.integers(3, 40))
+def test_byte_ranges_hold_the_rows_and_line_numbers_of_one_pass(tmp_path_factory, text, unquoted,
+                                                                cpus, part_bytes):
+    # LF, CRLF and bare CR line ends meet the cuts and the scan's block ends;
+    # most texts hold a quote, which allows no cut after it, so half lose theirs
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes((text.replace('"', "") if unquoted else text).encode("utf-8"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(D, "_cpus", lambda: 1)
+        want = rows_by_range(path)
+        patch.setattr(D, "_cpus", lambda: cpus)
+        patch.setattr(D, "_PART_BYTES", part_bytes)
+        ranges = D._ranges(path)
+        got = rows_by_range(path)
+    assert got == want
+    data = path.read_bytes()
+    quote = data.find(b'"')
+    for start, *_ in ranges[1:]:
+        assert data[start - 1:start] == b"\n" and not 0 <= quote < start
+    assert [r[1] for r in ranges] == [r[0] for r in ranges[1:]] + [len(data)]
+
+
+@pytest.fixture(params=[1, 3], ids=["one_part", "three_parts"])
+def parts(request, monkeypatch):
+    """Files read in one part, or cut into three byte ranges where 64-byte
+    parts and the quotes allow: each test asserts the same in both."""
+    monkeypatch.setattr(D, "_cpus", lambda: request.param)
+    monkeypatch.setattr(D, "_PART_BYTES", 64)
+    return request.param
+
+
+def test_split_read_of_a_column_with_text_only_in_the_last_range(tmp_path, monkeypatch, parts):
+    monkeypatch.setattr(D, "_CHUNK_ROWS", 4)
+    f = tmp_path / "t.csv"
+    proto = [str(i % 3) for i in range(40)]
+    proto[37] = "udp"
+    write_csv(f, ["size", "proto", "label"], [[str(i), p, "ab"[i % 2]] for i, p in enumerate(proto)])
+    assert len(D._ranges(f)) == parts
+    ds, dropped = D.load_csv(f)
+    assert dropped == 0 and ds.categories == {"proto": ["0", "1", "2", "udp"]}
+    np.testing.assert_array_equal(ds.X[:, 1], [3 if p == "udp" else int(p) for p in proto])
+    np.testing.assert_array_equal(ds.X[:, 0], np.arange(40.0))
+    assert mp.active_children() == []
+
+
+def test_split_read_keeps_first_seen_order_across_ranges(tmp_path, parts):
+    f = tmp_path / "t.csv"
+    labels = ["b", "a"] * 10 + ["d", "a", "c"] * 10   # d and c first appear past the first third
+    protos = ["tcp", "udp"] * 10 + ["icmp", "udp", "tcp"] * 10
+    write_csv(f, ["size", "proto", "label"],
+              [[str(i), p, lab] for i, (p, lab) in enumerate(zip(protos, labels))])
+    assert len(D._ranges(f)) == parts
+    table = D.read_table(f, "label")
+    assert list(table.categorical[table.label].index) == ["b", "a", "d", "c"]
+    assert list(table.categorical[1].index) == ["tcp", "udp", "icmp"]
+    ds, _ = D.table_to_dataset(table)
+    assert ds.encoder.class_names == ["a", "b", "c", "d"]
+    np.testing.assert_array_equal(ds.y, ["abcd".index(lab) for lab in labels])
+    np.testing.assert_array_equal(ds.X[:, 1], [["icmp", "tcp", "udp"].index(p) for p in protos])
+
+
+def test_split_read_names_the_line_of_a_short_row_in_the_last_range(tmp_path, parts):
+    f = tmp_path / "t.csv"
+    # header on line 1, rows on 2-21, a CRLF and a bare CR blank line on 22
+    # and 23, rows on 24-43: the short row is on line 44
+    f.write_bytes(b"x1,x2,label\r\n" + b"1,2,a\r\n" * 20 + b"\r\n\r" + b"3,4,b\r\n" * 20
+                  + b"5,b\r\n6,7,a\r\n")
+    assert len(D._ranges(f)) == parts
+    with pytest.raises(InputError, match=r"t\.csv:44: expected 3 cells, got 2"):
+        D.load_csv(f)
+    assert mp.active_children() == []
+
+
+def test_split_read_makes_no_cut_after_a_quote(tmp_path, parts):
+    # the quoted label spans lines 22 and 23, past a third of the file but
+    # before two thirds: a cut may come before it, none after it
+    f = tmp_path / "t.csv"
+    rows = "x1,x2,label\n" + "1,2,a\n" * 20 + '3,4,"scan\nport"\n' + "6,7,a\n" * 20
+    f.write_text(rows)
+    ranges = D._ranges(f)
+    assert len(ranges) == min(parts, 2)
+    assert all(start <= rows.index('"') for start, *_ in ranges)
+    ds, _ = D.load_csv(f)
+    assert ds.encoder.class_names == ["a", "scan\nport"]
+    np.testing.assert_array_equal(ds.y, [0] * 20 + [1] + [0] * 20)
+    f.write_text(rows + "8,a\n")
+    with pytest.raises(InputError, match=r"t\.csv:44: expected 3 cells, got 2"):
+        D.load_csv(f)
+
+
+def test_split_read_through_a_schema(tmp_path, parts):
+    schema = D.Schema(feature_names=["size", "proto"], class_names=["a", "b", "c"],
+                      categories={"proto": ["icmp", "tcp", "udp"]})
+    f = tmp_path / "t.csv"
+    protos = ["udp", "tcp", "icmp"] * 15
+    # other columns and order than the training file's; class c is absent
+    write_csv(f, ["label", "proto", "extra", "size"],
+              [["ab"[i % 2], p, "x", str(i)] for i, p in enumerate(protos)])
+    assert len(D._ranges(f)) == parts
+    ds, dropped = D.table_to_dataset(D.read_table(f, "label", schema), schema)
+    assert dropped == 0 and ds.encoder.class_names == ["a", "b", "c"]
+    np.testing.assert_array_equal(ds.X, [[i, ["icmp", "tcp", "udp"].index(p)]
+                                         for i, p in enumerate(protos)])
+    np.testing.assert_array_equal(ds.y, np.arange(45) % 2)
+    # text in the schema's numeric column, in the last range only
+    write_csv(f, ["label", "proto", "extra", "size"],
+              [["a", p, "x", "big" if i == 40 else str(i)] for i, p in enumerate(protos)])
+    with pytest.raises(InputError, match="column 'size' holds text, but the training data's"):
+        D.read_table(f, "label", schema)
+    assert mp.active_children() == []
+
+
+def test_split_read_ends_its_child_processes(tmp_path, monkeypatch):
+    monkeypatch.setattr(D, "_cpus", lambda: 3)
+    monkeypatch.setattr(D, "_PART_BYTES", 64)
+    f = tmp_path / "t.csv"
+    write_csv(f, ["x1", "label"], [[str(i), "ab"[i % 2]] for i in range(60)])
+    assert len(D._ranges(f)) == 3
+    D.load_csv(f)
+    assert mp.active_children() == []
+    parse, parent = D._parse, os.getpid()
+
+    def interrupted(*args):   # the parent is interrupted while the children parse
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return parse(*args)
+
+    monkeypatch.setattr(D, "_parse", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        D.load_csv(f)
+    assert mp.active_children() == []
+
+    def dying(*args):   # a child ends without sending a result
+        if os.getpid() != parent:
+            os._exit(3)
+        return parse(*args)
+
+    monkeypatch.setattr(D, "_parse", dying)
+    with pytest.raises(SeqidsError, match=r"t\.csv: the process parsing bytes \d+ to \d+ ended "
+                                          "with exit code 3 and no result"):
+        D.load_csv(f)
+    assert mp.active_children() == []
+
+
+def test_load_csv_skips_blank_lines_before_the_header(tmp_path, parts):
+    # the blank lines are over two thirds of the file: no cut may come before the header
+    f = tmp_path / "t.csv"
+    blank = "\n" * 100 + "\r\n" * 50
+    f.write_text(blank + "x,label\n" + "1,a\n\n2,b\n" * 8)
+    assert len(D._ranges(f)) == parts
+    ds, dropped = D.load_csv(f)
+    assert dropped == 0 and ds.feature_names == ["x"] and ds.encoder.class_names == ["a", "b"]
+    # the lines are still counted from the file's first: the header is on
+    # line 151 and the last row on line 175
+    f.write_text(blank + "x,label\n" + "1,a\n\n2,b\n" * 7 + "1,a\n\n2,b,extra\n")
+    with pytest.raises(InputError, match=r"t\.csv:175: expected 2 cells, got 3"):
+        D.load_csv(f)
+
+
+def test_all_rows_dropped_names_the_columns_with_no_usable_cell(tmp_path):
+    # a comma at the end of every line makes an unnamed column of empty cells
+    f = tmp_path / "t.csv"
+    f.write_text("x,label,\n1,a,\n2,b,\n")
+    with pytest.raises(InputError, match="^all rows dropped during numerization; no usable "
+                                         "cell in column ''$"):
+        D.load_csv(f)
+    write_csv(f, ["x", "y", "label"], [["?", "1", "a"], ["2", "nan", "b"]])
+    with pytest.raises(InputError, match="^all rows dropped during numerization$"):
+        D.load_csv(f)
 
 
 # ---------------------------------------------------------------------------

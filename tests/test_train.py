@@ -382,7 +382,7 @@ def test_measure_inference_requires_enough_repetitions():
     lambda m, X: m.forward(X, mode="infer"),
     lambda m, X: m.forward(X, mode="train", rng=np.random.default_rng(0)),
     TR.predict_logits,
-    TR.measure_inference,
+    lambda m, X: TR.measure_inference(m, X, repetitions=TR.MIN_REPETITIONS),
 ], ids=["forward_infer", "forward_train", "predict_logits", "measure_inference"])
 def test_empty_batch_is_a_shape_error_naming_the_shape(entry):
     model = build_model(SMALL_CFG, np.random.default_rng(9))
