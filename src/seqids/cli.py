@@ -13,8 +13,9 @@ Subcommands:
                 on the training file itself (same sha256); emit the
                 classification report (JSON + text) with
                 the loss, confusion and ROC CSVs, and per-instance latency
-                (p50 and p95, at a batch of up to ``train.INFER_ROWS`` rows
-                and at batch 1);
+                (p50 and p95, at a batch of up to ``train.INFER_ROWS`` rows,
+                scored in parts on up to two CPUs where it has enough rows,
+                and at batch 1, on one);
                 predictions and loss come from one pass over the logits
 * ``ablate``    train and evaluate the ten-variant grid on one shared split,
                 emit ``ablation.csv``
@@ -50,6 +51,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -328,24 +330,27 @@ def _score(model: Model, X: np.ndarray, y: np.ndarray, class_names, repetitions:
 # ---------------------------------------------------------------------------
 # Subcommands
 
+#: the ``gen-data`` flags, each a ``synth_dataset`` parameter of its name
+_SYNTH_FLAGS = ("classes", "features", "per_class", "separation", "structure_strength", "seed")
+
+
 def cmd_gen_data(args) -> int:
     started = time.time()
-    classes, features = args.classes, args.features
+    given = {k: v for k in _SYNTH_FLAGS if (v := getattr(args, k)) is not None}
+    bound = inspect.signature(D.synth_dataset).bind(**given)
+    bound.apply_defaults()   # the values used: the flags given, then its defaults
+    used = bound.arguments
+    classes, features = used["classes"], used["features"]
     profile = parse_imbalance(args.imbalance, classes) if args.imbalance else None
-    ds = D.synth_dataset(classes=classes, features=features, per_class=args.per_class,
-                         imbalance_profile=profile, seed=args.seed,
-                         separation=args.separation,
-                         structure_strength=args.structure_strength)
+    ds = D.synth_dataset(**given, imbalance_profile=profile)
     out = Path(args.out)
     if not out.parent.exists():
         raise InputError(f"output directory does not exist: {out.parent}")
     D.save_csv(ds, out)
     write_manifest(out.with_name(out.name + ".manifest.json"), "gen-data",
-                   {"classes": classes, "features": features,
-                    "per_class": args.per_class, "imbalance": args.imbalance,
-                    "separation": args.separation,
-                    "structure_strength": args.structure_strength},
-                   args.seed, dataset_fingerprint(out, ds.X.shape[0], features + 1), started)
+                   {**{k: used[k] for k in _SYNTH_FLAGS if k != "seed"},
+                    "imbalance": args.imbalance},
+                   used["seed"], dataset_fingerprint(out, ds.X.shape[0], features + 1), started)
     counts = ds.class_counts()
     print(f"wrote {out} ({ds.X.shape[0]} rows, {features} features, "
           f"{classes} classes, counts {counts.tolist()})")
@@ -506,16 +511,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="write a synthetic labeled CSV")
-    g.add_argument("--classes", type=int, default=6)
-    g.add_argument("--features", type=int, default=60)
-    g.add_argument("--per-class", type=int, default=500)
+    # unset ones keep synth_dataset's defaults
+    g.add_argument("--classes", type=int)
+    g.add_argument("--features", type=int)
+    g.add_argument("--per-class", type=int)
     g.add_argument("--imbalance", default=None,
                    help="'a:b' ratio (majority:rest) or per-class comma list")
-    g.add_argument("--separation", type=float, default=5.0,
+    g.add_argument("--separation", type=float,
                    help="nearest-centroid margin in noise-sigma units")
-    g.add_argument("--structure-strength", type=float, default=0.75,
+    g.add_argument("--structure-strength", type=float,
                    help="per-class feature autocorrelation; 0 gives white noise")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
 

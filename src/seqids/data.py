@@ -51,18 +51,19 @@ The CSV contract of ``load_csv``:
   column leaves the table as ``X`` takes it in.
 - A file of at least ``2 * _PART_BYTES`` bytes is parsed on several CPUs,
   where the process can fork: ``read_table`` cuts it into up to one byte
-  range per CPU, parses the first range itself and each other one in a
-  forked child, through the same chunk loop and the same ``float()``, and
-  merges the ranges in file order. The table is the one a single pass
-  gives, so ``load_csv`` returns the same bytes. A cut always follows a
-  ``\\n`` byte past the header's first line, and never follows a ``"``
-  byte: a quoted cell may span lines, and ``csv.reader`` returns a partial
-  row when its input ends inside quotes. So a file with an early ``"`` is
-  parsed in one process. The scan that finds the cuts also counts the
-  lines before each, so every error names the line a single pass would,
-  and the first failing range in file order gives the error. Each process
-  holds the strings of one chunk at a time; the parent also receives each
-  child's float columns, which stays within the peak above.
+  range per CPU that ``cpus.cpus()`` counts, parses the first range itself
+  and each other one in a forked child, through the same chunk loop and the
+  same ``float()``, and merges the ranges in file order. The table is the
+  one a single pass gives, so ``load_csv`` returns the same bytes. A cut
+  always follows a ``\\n`` byte past the header's first line, and never
+  follows a ``"`` byte: a quoted cell may span lines, and ``csv.reader``
+  returns a partial row when its input ends inside quotes. So a file with
+  an early ``"`` is parsed in one process. The scan that finds the cuts
+  also counts the lines before each, so every error names the line a
+  single pass would, and the first failing range in file order gives the
+  error. Each process holds the strings of one chunk at a time; the parent
+  also receives each child's float columns, which stays within the peak
+  above.
 
 The processing order is fixed: split first, oversample the training split
 only, and fit standardization statistics on the (possibly oversampled)
@@ -83,6 +84,7 @@ from itertools import islice
 
 import numpy as np
 
+from .cpus import cpus
 from .errors import ConfigError, ContractError, InputError, SeqidsError
 
 #: cell values treated as unparseable in any column
@@ -285,12 +287,6 @@ def _row_chunks(path, start=0, first=1, lines=None, header=None):
             yield chunk
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on where it can tell them, and fork
-    (Linux); 1 elsewhere."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _line_breaks(b: np.ndarray, after_cr: bool) -> int:
     """The line ends among the bytes ``b`` as text mode with ``newline=""``
     counts them: ``\\r\\n``, ``\\n`` and a bare ``\\r``. ``after_cr`` when the
@@ -309,7 +305,7 @@ def _ranges(path) -> list[tuple[int, int, int, int | None]]:
     as (first byte, end byte, number of its first line, its line count, None
     for the last range).
 
-    ``min(_cpus(), file bytes // _PART_BYTES)`` ranges are aimed at, of
+    ``min(cpus(), file bytes // _PART_BYTES)`` ranges are aimed at, of
     equal size. A cut follows the first ``\\n`` byte past its aim and past
     the header's first byte, and no ``"`` byte may come before it, so no
     quoted cell, which may span lines, spans two ranges: a file whose first
@@ -318,7 +314,7 @@ def _ranges(path) -> list[tuple[int, int, int, int | None]]:
     counts the lines before each.
     """
     size = os.path.getsize(path)
-    parts = min(_cpus(), size // _PART_BYTES)
+    parts = min(cpus(), size // _PART_BYTES)
     aims = [size * k // parts for k in range(parts - 1, 0, -1)]   # popped in file order
     cuts = [(0, 1)]   # (first byte, first line) of each range
     text, pos, line, cr = None, 0, 1, False

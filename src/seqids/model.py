@@ -162,6 +162,14 @@ class Model:
         is taken as it is, so one of another dtype is a ``ContractError``:
         its gradients would reach the parameters in its dtype.
         """
+        return self.head(self.features(batch, mode, rng))
+
+    def features(self, batch, mode: str = "infer",
+                 rng: np.random.Generator | None = None) -> Tensor:
+        """The first part of ``forward``: every stage through the first hidden
+        Dense and its ReLU, (B, dense_units[0]); with no hidden Dense, through
+        the dropout. In infer mode each row's output depends on that row
+        alone, so a block's rows may go through it in parts."""
         if mode not in ("train", "infer"):
             raise ContractError(f"model mode must be 'train' or 'infer', got {mode!r}")
         x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch, dtype=self.dtype))
@@ -183,8 +191,16 @@ class Model:
         if self.cfg.use_mha:
             y = L.multi_head_attention(y, self.mha)
         y = L.dropout_forward(y, self.cfg.dropout_rate, mode, rng)
+        *hidden, _ = self.dense
+        for d in hidden[:1]:
+            y = L.dense_forward(y, d, relu=True)
+        return y
+
+    def head(self, y: Tensor) -> Tensor:
+        """The rest of ``forward``: ``features``' output -> logits, through
+        every hidden Dense after the first, then the output Dense."""
         *hidden, last = self.dense
-        for d in hidden:
+        for d in hidden[1:]:
             y = L.dense_forward(y, d, relu=True)
         return L.dense_forward(y, last)
 

@@ -21,7 +21,8 @@ that slot is empty, and is added into it otherwise; a rule may write into
 
 Gradients flow only into tensors with ``requires_grad=True`` (and into
 everything downstream of them). With no tape active, operations run in pure
-inference mode and record nothing.
+inference mode and record nothing. A tape is active on the thread that
+entered it only: an operation on another thread never records onto it.
 
 There are no generic ops. ``register_op`` is the only way a record is
 made: each layer, and the loss, registers its own fused op with a
@@ -37,6 +38,7 @@ checks assume.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,24 +89,32 @@ class Tape:
         self.replayed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack.append(self)
+        _active.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _tape_stack.pop()
+        _active.tapes.pop()
 
     def __len__(self) -> int:
         return len(self.records)
 
 
-_tape_stack: list[Tape] = []
+class _Active(threading.local):
+    """The tapes a thread has entered, innermost last: an op records onto its
+    own thread's tape, so a forward pass on another thread records nothing."""
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_active = _Active()
 
 
 def recording(inputs: Sequence[Tensor]) -> bool:
     """Whether an op over ``inputs`` is recorded: a tape is active and some
     input requires grad. Layers ask this to keep state only their backward
     rule reads."""
-    return bool(_tape_stack) and any(t.requires_grad for t in inputs)
+    return bool(_active.tapes) and any(t.requires_grad for t in inputs)
 
 
 def register_op(inputs: Sequence[Tensor], out_data: np.ndarray,
@@ -122,7 +132,7 @@ def register_op(inputs: Sequence[Tensor], out_data: np.ndarray,
     out = Tensor(out_data)
     if recording(inputs):
         out.requires_grad = True
-        _tape_stack[-1].records.append(_OpRecord(tuple(inputs), out, backward_fn))
+        _active.tapes[-1].records.append(_OpRecord(tuple(inputs), out, backward_fn))
     return out
 
 

@@ -4,8 +4,12 @@ record), Adam, the epoch loop, inference, and latency measurement.
 Inference has one path, ``predict_logits``: infer-mode forward passes over
 row blocks of at most ``INFER_ROWS`` rows, written into one output array,
 so its memory beyond that array stays bounded however many rows a caller
-scores. ``predict_proba``, ``measure_inference``, ``eval``, ``ablate`` and
-the epoch loop's validation all take it.
+scores. A block of at least ``2 * _PART_ROWS`` rows runs on several CPUs:
+threads each take a part of its rows through ``Model.features``, with
+numpy's BLAS threads shared out among them, and ``Model.head`` takes the
+whole block, so the logits keep the bits of one forward pass per block.
+``predict_proba``, ``measure_inference``, ``eval``, ``ablate`` and the epoch
+loop's validation all take it.
 
 The loop shuffles mini-batches from a seeded generator, runs forward passes
 in train mode (dropout active, BatchNorm batch statistics) and evaluates the
@@ -19,11 +23,14 @@ from __future__ import annotations
 
 import csv
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .cpus import blas_threads, cpus
 from .data import Dataset, SplitPair, stratified_carve
 from .errors import ConfigError, ContractError, TrainingDiverged
 from .model import Model
@@ -37,6 +44,14 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
 #: OpenBLAS 0.3.31, 64-row blocks give logits bitwise equal to 128-row ones
 #: on the benchmark's rows, while 32, 48 and 56 differ by up to 1.2e-15
 INFER_ROWS = 64
+
+#: the fewest rows a part of a split inference block takes, so a full block
+#: of ``INFER_ROWS`` rows is cut in two. On a 2-vCPU x86-64 machine, two parts
+#: scored a flagship block at 1.67x one pass with 32-row parts, 1.4x with 12
+#: to 16 and 0.83x with 4. Every stage through the first hidden Dense gives a
+#: part of 3 rows or more the bits of its whole block; the Dense layers after
+#: it do not at 32 rows, so ``model.head`` takes the whole block
+_PART_ROWS = 32
 
 #: the fewest timed runs ``measure_inference`` takes a median over
 MIN_REPETITIONS = 10
@@ -233,15 +248,39 @@ def predict_logits(model: Model, X: np.ndarray, batch_size: int = INFER_ROWS) ->
     only lower that number. Each block's logits are written into one array
     allocated up front, so the memory a call needs beyond its output does
     not grow with N.
+
+    A block of at least ``2 * _PART_ROWS`` rows runs on several CPUs: its
+    rows are cut into ``min(cpus(), rows // _PART_ROWS)`` contiguous parts,
+    ``model.features`` runs on each, the caller's thread taking the first
+    and a pool thread each other one, and ``model.head`` runs on the joined
+    features of the whole block. Meanwhile numpy's BLAS is shared among the
+    parts (``cpus.blas_threads``); where it cannot be, every block runs as one
+    ``model.forward``, as do smaller blocks. The logits are bitwise those of
+    ``model.forward`` on each block.
     """
     is_int = isinstance(batch_size, (int, np.integer)) and not isinstance(batch_size, bool)
     if not (is_int and batch_size >= 1):
         raise ContractError(f"batch_size must be an int >= 1, got {batch_size!r}")
     rows, n = min(batch_size, INFER_ROWS), X.shape[0]
     out = np.empty((n, model.cfg.num_classes), dtype=model.dtype)
-    # an empty X still makes one forward call, which raises its ShapeError
-    for s in range(0, max(n, 1), rows):
-        out[s:s + rows] = model.forward(X[s:s + rows], mode="infer").data
+    parts = min(cpus(), rows // _PART_ROWS)
+    with ExitStack() as stack:
+        pool = None
+        if parts > 1 and stack.enter_context(blas_threads(parts)):
+            # entered after the pinning, so its threads are joined before the
+            # count is restored, also when a part raises
+            pool = stack.enter_context(ThreadPoolExecutor(parts - 1))
+        # an empty X still makes one forward call, which raises its ShapeError
+        for s in range(0, max(n, 1), rows):
+            block = X[s:s + rows]
+            k = min(parts, block.shape[0] // _PART_ROWS) if pool else 1
+            if k < 2:
+                out[s:s + rows] = model.forward(block, mode="infer").data
+                continue
+            first, *rest = np.array_split(block, k)
+            futures = [pool.submit(model.features, part) for part in rest]
+            features = [model.features(first)] + [f.result() for f in futures]
+            out[s:s + rows] = model.head(Tensor(np.concatenate([f.data for f in features]))).data
     return out
 
 
@@ -266,9 +305,10 @@ def measure_inference(model: Model, batch: np.ndarray, repetitions: int) -> Late
 
     Each run is one ``predict_logits`` call with its default ``batch_size``,
     the path ``eval`` and training's validation take, so a batch above
-    ``INFER_ROWS`` rows is timed as blocks of that many rows. The input is an
-    in-memory array, so the figure excludes any data loading or
-    preprocessing. One warm-up pass runs first.
+    ``INFER_ROWS`` rows is timed as blocks of that many rows, and a block of
+    at least ``2 * _PART_ROWS`` rows as parts on several CPUs; batch 1 runs
+    on one. The input is an in-memory array, so the figure excludes any data
+    loading or preprocessing. One warm-up pass runs first.
     """
     if repetitions < MIN_REPETITIONS:
         raise ContractError(f"measure_inference needs repetitions >= {MIN_REPETITIONS}")

@@ -98,6 +98,21 @@ def test_dataset_fingerprint_counts_non_empty_lines(tmp_path, monkeypatch, conte
         "sha256": hashlib.sha256(content).hexdigest()}
 
 
+def test_gen_data_without_flags_uses_synth_datasets_defaults(tmp_path):
+    # the values the flags defaulted to before they passed only those given
+    assert run_cli("gen-data", "--out", tmp_path / "bare.csv") == 0
+    assert run_cli("gen-data", "--out", tmp_path / "set.csv", "--classes", 6,
+                   "--features", 60, "--per-class", 500, "--separation", 5.0,
+                   "--structure-strength", 0.75, "--seed", 0) == 0
+    assert (tmp_path / "bare.csv").read_bytes() == (tmp_path / "set.csv").read_bytes()
+    bare, given = (json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
+                   for name in ("bare", "set"))
+    assert bare["settings"] == given["settings"] == {
+        "classes": 6, "features": 60, "per_class": 500, "imbalance": None,
+        "separation": 5.0, "structure_strength": 0.75}
+    assert bare["seed"] == given["seed"] == 0
+
+
 def test_gen_data_bad_directory_fails(tmp_path):
     assert run_cli("gen-data", "--out", tmp_path / "nope" / "d.csv") == 1
 

@@ -313,7 +313,7 @@ def test_load_csv_peak_memory_is_two_x_plus_one_chunk(tmp_path):
 
 def test_load_csv_peak_memory_of_a_split_read_is_two_x_plus_one_chunk(tmp_path, monkeypatch):
     # the parent's peak, with each child's float columns received into it
-    monkeypatch.setattr(D, "_cpus", lambda: 3)
+    monkeypatch.setattr(D, "cpus", lambda: 3)
     monkeypatch.setattr(D, "_PART_BYTES", 1 << 18)
     ds = D.synth_dataset(classes=4, features=20, per_class=2 * D._CHUNK_ROWS, seed=0)
     assert_load_csv_peak_is_two_x_plus_one_chunk(tmp_path, ds)
@@ -428,7 +428,7 @@ def test_load_csv_matches_the_cell_by_cell_reference(tmp_path_factory, table, ch
         want = exc
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(D, "_CHUNK_ROWS", chunk_rows)
-        patch.setattr(D, "_cpus", lambda: cpus)   # up to 3 byte ranges of part_bytes or more
+        patch.setattr(D, "cpus", lambda: cpus)   # up to 3 byte ranges of part_bytes or more
         patch.setattr(D, "_PART_BYTES", part_bytes)
         if isinstance(want, InputError):
             with pytest.raises(InputError, match=str(want)):
@@ -560,9 +560,9 @@ def test_byte_ranges_hold_the_rows_and_line_numbers_of_one_pass(tmp_path_factory
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     path.write_bytes((text.replace('"', "") if unquoted else text).encode("utf-8"))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(D, "_cpus", lambda: 1)
+        patch.setattr(D, "cpus", lambda: 1)
         want = rows_by_range(path)
-        patch.setattr(D, "_cpus", lambda: cpus)
+        patch.setattr(D, "cpus", lambda: cpus)
         patch.setattr(D, "_PART_BYTES", part_bytes)
         ranges = D._ranges(path)
         got = rows_by_range(path)
@@ -578,7 +578,7 @@ def test_byte_ranges_hold_the_rows_and_line_numbers_of_one_pass(tmp_path_factory
 def parts(request, monkeypatch):
     """Files read in one part, or cut into three byte ranges where 64-byte
     parts and the quotes allow: each test asserts the same in both."""
-    monkeypatch.setattr(D, "_cpus", lambda: request.param)
+    monkeypatch.setattr(D, "cpus", lambda: request.param)
     monkeypatch.setattr(D, "_PART_BYTES", 64)
     return request.param
 
@@ -665,7 +665,7 @@ def test_split_read_through_a_schema(tmp_path, parts):
 
 
 def test_split_read_ends_its_child_processes(tmp_path, monkeypatch):
-    monkeypatch.setattr(D, "_cpus", lambda: 3)
+    monkeypatch.setattr(D, "cpus", lambda: 3)
     monkeypatch.setattr(D, "_PART_BYTES", 64)
     f = tmp_path / "t.csv"
     write_csv(f, ["x1", "label"], [[str(i), "ab"[i % 2]] for i in range(60)])

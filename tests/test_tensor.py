@@ -1,4 +1,5 @@
 import contextlib
+import threading
 
 import numpy as np
 import pytest
@@ -192,6 +193,22 @@ def test_recording_agrees_with_whether_register_op_records(tapes, requires_grad)
     # a record goes to the innermost tape only
     assert sum(len(tape) for tape in active) == predicted
     assert not active or len(active[-1]) == predicted
+
+
+def test_a_forward_on_another_thread_records_nothing_on_this_threads_tape():
+    cfg = ModelConfig(input_shape=(8, 1), num_classes=3, conv_filters=6, gru_units=4,
+                      num_heads=2, key_dim=3, dense_units=(8, 4))
+    model = build_model(cfg, np.random.default_rng(15))   # its parameters require grad
+    X = np.random.default_rng(16).normal(size=(5, 8, 1))
+    scored = []
+    with Tape() as tape:
+        worker = threading.Thread(target=lambda: scored.append(model.forward(X, mode="infer")))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and len(scored) == 1
+        assert len(tape) == 0 and not scored[0].requires_grad
+        model.forward(X, mode="infer")   # this thread's ops still record onto it
+        assert len(tape) > 0
 
 
 def test_forward_ops_are_deterministic():

@@ -1,14 +1,18 @@
+import contextlib
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from seqids import cpus as CPU
 from seqids import data as D
 from seqids import tensor as T
 from seqids import train as TR
-from seqids.errors import ConfigError, ContractError, ShapeError
-from seqids.model import ModelConfig, build_model
+from seqids.errors import ConfigError, ContractError, ShapeError, TrainingDiverged
+from seqids.model import ModelConfig, build_model, table3_grid
 from seqids.tensor import Tensor, grad_check_all
 
 
@@ -327,22 +331,170 @@ def test_numpy_int_batch_size_is_accepted():
                           TR.predict_logits(model, X, 2))
 
 
-def test_predict_logits_memory_does_not_grow_with_the_batch():
+def traced_peak(model, X):
+    TR.predict_logits(model, X, batch_size=len(X))  # untraced, so lazy caches are not counted
+    tracemalloc.start()
+    try:
+        TR.predict_logits(model, X, batch_size=len(X))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_logits_memory_does_not_grow_with_the_batch(monkeypatch):
+    monkeypatch.setattr(TR, "cpus", lambda: 1)   # one pass a block; the split's test is below
     model = build_model(SMALL_CFG, np.random.default_rng(13))
     X = np.random.default_rng(13).normal(size=(640, 12, 1))
-
-    def peak(n):
-        TR.predict_logits(model, X[:n], batch_size=640)  # untraced, so lazy caches are not counted
-        tracemalloc.start()
-        try:
-            TR.predict_logits(model, X[:n], batch_size=640)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     # one 640-row forward pass needs several MB above one of 64 rows
     logits = X[:640, :SMALL_CFG.num_classes, 0].nbytes
-    assert peak(640) <= peak(64) + logits + 64 * 1024
+    assert traced_peak(model, X) <= traced_peak(model, X[:64]) + logits + 64 * 1024
+
+
+def test_split_predict_logits_memory_does_not_grow_with_the_batch(monkeypatch):
+    # how far the two parts' allocations overlap varies from block to block:
+    # one 64-row block peaked at 267-512 KB over 20 runs, ten blocks at 496-535
+    # KB and twenty at 550 KB. So both calls score ten blocks or more
+    monkeypatch.setattr(TR, "cpus", lambda: 2)
+    model = build_model(SMALL_CFG, np.random.default_rng(13))
+    X = np.random.default_rng(13).normal(size=(1280, 12, 1))
+    logits = X[:640, :SMALL_CFG.num_classes, 0].nbytes
+    assert traced_peak(model, X) <= traced_peak(model, X[:640]) + logits + 64 * 1024
+
+
+# ---------------------------------------------------------------------------
+# Inference blocks in parts on several CPUs
+
+def spy_features(monkeypatch, model, fail_off_the_caller=False):
+    """Record the rows of each ``model.features`` call, and the BLAS thread
+    count it ran with; optionally raise on a pool thread."""
+    calls, caller, blas = [], threading.get_ident(), CPU._openblas()
+    features = model.features
+
+    def spy(batch, *args):
+        calls.append((np.shape(batch)[0], blas[1]() if blas else None))
+        if fail_off_the_caller and threading.get_ident() != caller:
+            raise TrainingDiverged("a part on a pool thread failed")
+        return features(batch, *args)
+
+    monkeypatch.setattr(model, "features", spy)
+    return calls
+
+
+@pytest.fixture
+def blas_count():
+    """The OpenBLAS thread count, set to 3 for the test and put back after;
+    skips where this numpy's thread count cannot be set."""
+    blas = CPU._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread control found")
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(3)   # odd, so a pinned count (3 // 2 = 1) cannot read as restored
+    try:
+        yield get_threads
+    finally:
+        set_threads(before)
+
+
+SPLIT_CONFIGS = {
+    **{f"table3_{case}": cfg for case, cfg, _ in table3_grid(ModelConfig())},
+    "t9": ModelConfig(input_shape=(9, 1), conv_filters=16, gru_units=8, key_dim=8),
+    "no_hidden_dense": ModelConfig(input_shape=(8, 1), num_classes=3, conv_filters=6,
+                                   gru_units=4, num_heads=2, key_dim=3, dense_units=()),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 13])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("name", SPLIT_CONFIGS)
+def test_split_blocks_give_the_bits_of_one_forward_per_block(monkeypatch, name, dtype, seed):
+    cfg = SPLIT_CONFIGS[name]
+    model = build_model(cfg, np.random.default_rng(seed), dtype)
+    X = np.random.default_rng(seed + 1).normal(size=(TR.INFER_ROWS, *cfg.input_shape))
+    whole = model.forward(X, mode="infer").data
+    calls = spy_features(monkeypatch, model)
+    for cpus in (2, 4):   # two 32-row parts either way
+        monkeypatch.setattr(TR, "cpus", lambda: cpus)
+        calls.clear()
+        assert np.array_equal(TR.predict_logits(model, X), whole), cpus
+        assert sorted(rows for rows, _ in calls) == [TR._PART_ROWS, TR._PART_ROWS], cpus
+
+
+def test_split_runs_its_parts_on_a_shared_blas_and_restores_its_thread_count(
+        monkeypatch, blas_count):
+    model = build_model(SMALL_CFG, np.random.default_rng(15))
+    X = np.random.default_rng(15).normal(size=(150, 12, 1))
+    monkeypatch.setattr(TR, "cpus", lambda: 2)
+    calls = spy_features(monkeypatch, model)
+    logits = TR.predict_logits(model, X)
+    # two full blocks in two parts each at 3 // 2 threads; the 22-row tail in one pass
+    assert sorted(calls) == [(22, 1)] + [(32, 1)] * 4
+    assert blas_count() == 3
+    assert np.array_equal(logits[128:], model.forward(X[128:], mode="infer").data)
+
+    with pytest.raises(ShapeError, match=re.escape("got (32, 11, 1)")):
+        TR.predict_logits(model, X[:, :11])
+    assert blas_count() == 3
+    calls = spy_features(monkeypatch, model, fail_off_the_caller=True)
+    with pytest.raises(TrainingDiverged, match="pool thread"):
+        TR.predict_logits(model, X)
+    assert blas_count() == 3
+    assert len(calls) == 2   # the first block's two parts, then no further block
+
+
+def test_split_without_blas_control_runs_each_block_in_one_pass(monkeypatch):
+    model = build_model(SMALL_CFG, np.random.default_rng(16))
+    X = np.random.default_rng(16).normal(size=(150, 12, 1))
+    monkeypatch.setattr(TR, "cpus", lambda: 2)
+    split = TR.predict_logits(model, X)
+
+    @contextlib.contextmanager
+    def no_control(parts):
+        yield False
+
+    monkeypatch.setattr(TR, "blas_threads", no_control)
+    calls = spy_features(monkeypatch, model)
+    assert np.array_equal(TR.predict_logits(model, X), split)
+    assert [rows for rows, _ in calls] == [64, 64, 22]
+
+
+def test_blas_threads_lends_one_caller_at_a_time_a_share(blas_count):
+    with pytest.raises(TrainingDiverged):
+        with CPU.blas_threads(2) as pinned:
+            assert pinned and blas_count() == 1
+            with CPU.blas_threads(2) as nested:   # the count is lowered already
+                assert not nested and blas_count() == 1
+            raise TrainingDiverged("the body raised")
+    assert blas_count() == 3
+    with CPU.blas_threads(3) as pinned:   # released on the way out
+        assert pinned and blas_count() == 1
+
+
+def test_concurrent_split_calls_keep_their_bits_and_restore_the_thread_count(
+        monkeypatch, blas_count):
+    model = build_model(SMALL_CFG, np.random.default_rng(17))
+    X = np.random.default_rng(17).normal(size=(128, 12, 1))
+    monkeypatch.setattr(TR, "cpus", lambda: 2)
+    want = TR.predict_logits(model, X)
+    got = []
+
+    def score():
+        for _ in range(3):
+            got.append(np.array_equal(TR.predict_logits(model, X), want))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=score) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == [True] * 12
+    assert blas_count() == 3
 
 
 # ---------------------------------------------------------------------------
