@@ -14,8 +14,8 @@ Subcommands:
                 classification report (JSON + text) with
                 the loss, confusion and ROC CSVs, and per-instance latency
                 (p50 and p95, at a batch of up to ``train.INFER_ROWS`` rows,
-                scored in parts on up to two CPUs where it has enough rows,
-                and at batch 1, on one);
+                a full one scored in two halves on two CPUs where there are
+                two, and at batch 1, on one);
                 predictions and loss come from one pass over the logits
 * ``ablate``    train and evaluate the ten-variant grid on one shared split,
                 emit ``ablation.csv``

@@ -1,17 +1,20 @@
 """How many CPUs this process may use, and how numpy's BLAS shares them.
 
 ``cpus()`` counts the CPUs ``read_table`` cuts a large CSV file across and
-``predict_logits`` splits an inference block across. ``blas_threads`` lets
-several threads call numpy's OpenBLAS at once without asking it for more
-threads than there are CPUs: each caller's share is its thread count
-divided by the callers, and the count is put back afterwards. OpenBLAS
-splits a matrix product's output among its threads, never a sum, so the
-thread count changes no bit of a result.
+``predict_logits`` needs two of to split an inference block in halves.
+``blas_threads`` lets several threads call numpy's OpenBLAS at once without
+asking it for more threads than there are CPUs: each caller's share is its
+thread count divided by the callers, and the count is put back afterwards.
+OpenBLAS splits a matrix product's output among its threads, never a sum,
+so the thread count changes no bit of a result.
 
-OpenBLAS is found by the name of the library the process has loaded, then
-driven through ``ctypes``. Where it is not found (another BLAS, or no
-``/proc/self/maps``), ``blas_threads`` sets nothing and says so, and its
-callers run on one thread.
+Only the OpenBLAS that numpy's own PyPI wheels ship is driven, the build
+this was measured on: the ILP64 ``libscipy_openblas64_`` library in the
+``numpy.libs`` folder beside the ``numpy`` package, through its
+``scipy_openblas_{set,get}_num_threads64_`` functions (``ctypes``). Another
+OpenBLAS the process has loaded, such as SciPy's own, is never touched.
+Where numpy's is not found (another BLAS or build of numpy), ``blas_threads``
+sets nothing and says so, and its callers run on one thread.
 """
 
 from __future__ import annotations
@@ -23,17 +26,15 @@ from contextlib import contextmanager
 from functools import cache
 from typing import Callable, Iterator
 
-#: basename prefixes of the OpenBLAS builds numpy wheels and distributions ship
-_LIBRARIES = ("libscipy_openblas", "libopenblas")
+import numpy as np
 
-#: (set, get) thread-count symbols, tried in order: the PyPI wheels' prefixed
-#: ILP64 and LP64 builds, then plain OpenBLAS's
-_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
+#: the folder beside the ``numpy`` package its PyPI wheels ship OpenBLAS in,
+#: and the start of that library's file name, whose end is a build hash
+_LIBS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+_LIBRARY = "libscipy_openblas64_"
+
+#: its (set, get) thread-count functions
+_SET, _GET = "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"
 
 #: held while a caller has the thread count lowered, so that two callers never
 #: save and restore it across each other
@@ -48,31 +49,29 @@ def cpus() -> int:
 
 @cache
 def _openblas() -> tuple[Callable[[int], None], Callable[[], int]] | None:
-    """The (set, get) thread-count functions of the loaded OpenBLAS, or None.
+    """The (set, get) thread-count functions of numpy's OpenBLAS, or None.
 
-    Looked up once per process, so it must first run after numpy is
-    imported; every module of this package imports numpy first.
+    Looked up once per process; ``import numpy`` above has loaded the
+    library, so ``RTLD_NOLOAD`` finds it without loading anything.
     """
+    # listed, not globbed: importing ``glob`` here alone raised the infer
+    # benchmark's peak RSS from 84.7 to 92.3 MB through glibc's heap layout
     try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            # address, permissions, offset, device, inode, then the mapped file if any
-            paths = [row[5].strip() for row in (line.split(maxsplit=5) for line in fh)
-                     if len(row) == 6]
-    except OSError:
+        names = os.listdir(_LIBS)
+    except OSError:   # not a wheel build of numpy
         return None
-    for path in dict.fromkeys(paths):
-        if not os.path.basename(path).startswith(_LIBRARIES):
+    for name in names:
+        if not name.startswith(_LIBRARY):
             continue
         try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
+            lib = ctypes.CDLL(os.path.join(_LIBS, name), mode=os.RTLD_NOLOAD)
+        except OSError:   # a library this numpy did not load
             continue
-        for set_name, get_name in _SYMBOLS:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                set_fn, get_fn = getattr(lib, set_name), getattr(lib, get_name)
-                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
-                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
-                return set_fn, get_fn
+        if hasattr(lib, _SET) and hasattr(lib, _GET):
+            set_fn, get_fn = getattr(lib, _SET), getattr(lib, _GET)
+            set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+            get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+            return set_fn, get_fn
     return None
 
 

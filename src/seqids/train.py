@@ -4,10 +4,11 @@ record), Adam, the epoch loop, inference, and latency measurement.
 Inference has one path, ``predict_logits``: infer-mode forward passes over
 row blocks of at most ``INFER_ROWS`` rows, written into one output array,
 so its memory beyond that array stays bounded however many rows a caller
-scores. A block of at least ``2 * _PART_ROWS`` rows runs on several CPUs:
-threads each take a part of its rows through ``Model.features``, with
-numpy's BLAS threads shared out among them, and ``Model.head`` takes the
-whole block, so the logits keep the bits of one forward pass per block.
+scores. Where there are two CPUs or more, a full block runs on two: the
+caller's thread and one pool thread each take half its rows through
+``Model.features``, with numpy's BLAS threads shared out between them, and
+``Model.head`` takes the whole block, so the logits keep the bits of one
+forward pass per block.
 ``predict_proba``, ``measure_inference``, ``eval``, ``ablate`` and the epoch
 loop's validation all take it.
 
@@ -45,13 +46,13 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
 #: on the benchmark's rows, while 32, 48 and 56 differ by up to 1.2e-15
 INFER_ROWS = 64
 
-#: the fewest rows a part of a split inference block takes, so a full block
-#: of ``INFER_ROWS`` rows is cut in two. On a 2-vCPU x86-64 machine, two parts
-#: scored a flagship block at 1.67x one pass with 32-row parts, 1.4x with 12
-#: to 16 and 0.83x with 4. Every stage through the first hidden Dense gives a
-#: part of 3 rows or more the bits of its whole block; the Dense layers after
-#: it do not at 32 rows, so ``model.head`` takes the whole block
-_PART_ROWS = 32
+#: the rows of each half of a split inference block. On a 2-vCPU x86-64
+#: machine, two parts scored a flagship block at 1.67x one pass with 32-row
+#: parts, 1.4x with 12 to 16 and 0.83x with 4, so only a full block is split.
+#: Every stage through the first hidden Dense gives a part of 3 rows or more
+#: the bits of its whole block; the Dense layers after it do not at 32 rows,
+#: so ``model.head`` takes the whole block
+_PART_ROWS = INFER_ROWS // 2
 
 #: the fewest timed runs ``measure_inference`` takes a median over
 MIN_REPETITIONS = 10
@@ -249,38 +250,39 @@ def predict_logits(model: Model, X: np.ndarray, batch_size: int = INFER_ROWS) ->
     allocated up front, so the memory a call needs beyond its output does
     not grow with N.
 
-    A block of at least ``2 * _PART_ROWS`` rows runs on several CPUs: its
-    rows are cut into ``min(cpus(), rows // _PART_ROWS)`` contiguous parts,
-    ``model.features`` runs on each, the caller's thread taking the first
-    and a pool thread each other one, and ``model.head`` runs on the joined
-    features of the whole block. Meanwhile numpy's BLAS is shared among the
-    parts (``cpus.blas_threads``); where it cannot be, every block runs as one
-    ``model.forward``, as do smaller blocks. The logits are bitwise those of
-    ``model.forward`` on each block.
+    Where there are two CPUs or more, a block of ``INFER_ROWS`` rows is
+    split in halves of ``_PART_ROWS`` rows: ``model.features`` runs on the
+    first half on the caller's thread and on the second on a pool thread,
+    and ``model.head`` runs on the joined features of the whole block.
+    Meanwhile numpy's BLAS is shared between the halves
+    (``cpus.blas_threads``); where it cannot be, every block runs as one
+    ``model.forward``, as do smaller blocks and an X of another shape than
+    the model's input, whose ``ShapeError`` so names a block's shape. The
+    logits are bitwise those of ``model.forward`` on each block.
     """
     is_int = isinstance(batch_size, (int, np.integer)) and not isinstance(batch_size, bool)
     if not (is_int and batch_size >= 1):
         raise ContractError(f"batch_size must be an int >= 1, got {batch_size!r}")
     rows, n = min(batch_size, INFER_ROWS), X.shape[0]
     out = np.empty((n, model.cfg.num_classes), dtype=model.dtype)
-    parts = min(cpus(), rows // _PART_ROWS)
+    split = (rows == INFER_ROWS and n >= INFER_ROWS and cpus() > 1
+             and X.shape[1:] == tuple(model.cfg.input_shape))
     with ExitStack() as stack:
         pool = None
-        if parts > 1 and stack.enter_context(blas_threads(parts)):
-            # entered after the pinning, so its threads are joined before the
-            # count is restored, also when a part raises
-            pool = stack.enter_context(ThreadPoolExecutor(parts - 1))
+        if split and stack.enter_context(blas_threads(2)):
+            # entered after the pinning, so its thread is joined before the
+            # count is restored, also when a half raises
+            pool = stack.enter_context(ThreadPoolExecutor(1))
         # an empty X still makes one forward call, which raises its ShapeError
         for s in range(0, max(n, 1), rows):
             block = X[s:s + rows]
-            k = min(parts, block.shape[0] // _PART_ROWS) if pool else 1
-            if k < 2:
+            if pool is None or block.shape[0] < INFER_ROWS:
                 out[s:s + rows] = model.forward(block, mode="infer").data
                 continue
-            first, *rest = np.array_split(block, k)
-            futures = [pool.submit(model.features, part) for part in rest]
-            features = [model.features(first)] + [f.result() for f in futures]
-            out[s:s + rows] = model.head(Tensor(np.concatenate([f.data for f in features]))).data
+            second = pool.submit(model.features, block[_PART_ROWS:])
+            first = model.features(block[:_PART_ROWS])
+            joined = np.concatenate([first.data, second.result().data])
+            out[s:s + rows] = model.head(Tensor(joined)).data
     return out
 
 
@@ -304,11 +306,11 @@ def measure_inference(model: Model, batch: np.ndarray, repetitions: int) -> Late
     """Latency per instance of a (N, T, C) batch over ``repetitions`` runs.
 
     Each run is one ``predict_logits`` call with its default ``batch_size``,
-    the path ``eval`` and training's validation take, so a batch above
-    ``INFER_ROWS`` rows is timed as blocks of that many rows, and a block of
-    at least ``2 * _PART_ROWS`` rows as parts on several CPUs; batch 1 runs
-    on one. The input is an in-memory array, so the figure excludes any data
-    loading or preprocessing. One warm-up pass runs first.
+    the path ``eval`` and training's validation take, so a batch is timed
+    as blocks of up to ``INFER_ROWS`` rows, a full one in two halves on two
+    CPUs where there are two; batch 1 runs on one. The input is an in-memory
+    array, so the figure excludes any data loading or preprocessing. One
+    warm-up pass runs first.
     """
     if repetitions < MIN_REPETITIONS:
         raise ContractError(f"measure_inference needs repetitions >= {MIN_REPETITIONS}")

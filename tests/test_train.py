@@ -1,4 +1,6 @@
 import contextlib
+import ctypes
+import os
 import re
 import sys
 import threading
@@ -413,7 +415,7 @@ def test_split_blocks_give_the_bits_of_one_forward_per_block(monkeypatch, name, 
     X = np.random.default_rng(seed + 1).normal(size=(TR.INFER_ROWS, *cfg.input_shape))
     whole = model.forward(X, mode="infer").data
     calls = spy_features(monkeypatch, model)
-    for cpus in (2, 4):   # two 32-row parts either way
+    for cpus in (2, 4):   # two 32-row halves either way
         monkeypatch.setattr(TR, "cpus", lambda: cpus)
         calls.clear()
         assert np.array_equal(TR.predict_logits(model, X), whole), cpus
@@ -432,7 +434,8 @@ def test_split_runs_its_parts_on_a_shared_blas_and_restores_its_thread_count(
     assert blas_count() == 3
     assert np.array_equal(logits[128:], model.forward(X[128:], mode="infer").data)
 
-    with pytest.raises(ShapeError, match=re.escape("got (32, 11, 1)")):
+    # a wrong-shaped X is not split, so its error names the block's shape
+    with pytest.raises(ShapeError, match=re.escape("got (64, 11, 1)")):
         TR.predict_logits(model, X[:, :11])
     assert blas_count() == 3
     calls = spy_features(monkeypatch, model, fail_off_the_caller=True)
@@ -468,6 +471,25 @@ def test_blas_threads_lends_one_caller_at_a_time_a_share(blas_count):
     assert blas_count() == 3
     with CPU.blas_threads(3) as pinned:   # released on the way out
         assert pinned and blas_count() == 1
+
+
+def test_blas_threads_drives_numpys_openblas_and_not_scipys():
+    # SciPy's wheel loads its own OpenBLAS, mapped before numpy's, and it
+    # exports a thread-count setter under a name much like numpy's
+    pytest.importorskip("scipy.linalg")
+    numpy_libs = [os.path.join(CPU._LIBS, name) for name in
+                  (os.listdir(CPU._LIBS) if os.path.isdir(CPU._LIBS) else [])
+                  if name.startswith(CPU._LIBRARY)]
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        scipy_loaded = "scipy.libs/libscipy_openblas" in fh.read()
+    if len(numpy_libs) != 1 or not scipy_loaded:
+        pytest.skip("not numpy's and SciPy's PyPI wheels")
+    want = ctypes.CDLL(numpy_libs[0], mode=os.RTLD_NOLOAD)
+    blas = CPU._openblas.__wrapped__()   # looked up again, with both loaded
+    assert blas is not None
+    address = lambda fn: ctypes.cast(fn, ctypes.c_void_p).value
+    assert address(blas[0]) == address(getattr(want, CPU._SET))
+    assert address(blas[1]) == address(getattr(want, CPU._GET))
 
 
 def test_concurrent_split_calls_keep_their_bits_and_restore_the_thread_count(
