@@ -5,9 +5,13 @@ Subcommands:
 * ``gen-data``  write a synthetic labeled CSV (seeded, byte-reproducible)
 * ``train``     load CSV -> encode -> 80/20 split -> optional SMOTE on the
                 training split -> standardize -> train; writes
-                ``checkpoint.bin``, ``epochs.csv`` and ``manifest.json``
-* ``eval``      load a checkpoint and a CSV (full file or the run's held-out
-                split), read through the training file's schema: feature
+                ``checkpoint.bin`` (the model file, whose arrays, meta
+                and checks ``seqids.checkpoint`` states), ``epochs.csv``
+                and ``manifest.json``
+* ``eval``      load a model file (``seqids.checkpoint.load_model``, which
+                refuses one that does not make a whole model) and a CSV
+                (full file or the run's held-out split), the CSV read
+                through the training file's schema: feature
                 columns by name, labels and categorical columns by the
                 vocabularies the checkpoint stores, and ``--holdout`` only
                 on the training file itself (same sha256); emit the
@@ -64,7 +68,7 @@ from . import data as D
 from . import metrics as M
 from . import tensor as T
 from . import train as TR
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_model, save_model
 from .errors import ConfigError, InputError, SeqidsError
 from .model import Model, ModelConfig, build_model, table3_grid
 from .tensor import Tensor
@@ -237,85 +241,6 @@ def _preprocess(split: D.SplitPair, use_smote: bool,
     return D.SplitPair(train=train, test=split.test, fraction=split.fraction), standardizer
 
 
-def _save_model_checkpoint(path, model: Model, standardizer: D.Standardizer,
-                           schema: D.Schema, train_cfg: TR.TrainConfig,
-                           fraction: float, use_smote: bool, data_sha256: str) -> None:
-    """The model, the standardizer and, in the meta, the training file's
-    ``schema`` (class names, feature names, vocabularies) and sha256: what
-    ``_load_model_checkpoint`` returns."""
-    arrays = {f"model.{n}": t.data for n, t in model.named_arrays().items()}
-    arrays["standardizer.mean"] = standardizer.mean
-    arrays["standardizer.scale"] = standardizer.scale
-    meta = {
-        "config": model.cfg.to_dict(),
-        "class_names": schema.class_names,
-        "feature_names": schema.feature_names,
-        "categories": schema.categories,
-        "train": {"epochs": train_cfg.epochs, "batch_size": train_cfg.batch_size,
-                  "lr": train_cfg.lr, "seed": train_cfg.seed,
-                  "fraction": fraction, "smote": use_smote, "data_sha256": data_sha256},
-        "tool_version": __version__,
-    }
-    save_checkpoint(path, arrays, meta)
-
-
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _load_model_checkpoint(path):
-    """(model, standardizer, meta, the training file's ``D.Schema``) of a
-    checkpoint that ``train`` wrote; anything else is an ``InputError``. That
-    includes a standardizer, class list or feature list whose width is not
-    the model's, and a class or feature list that repeats a name. The model
-    is built in the dtype its weights were saved in."""
-    arrays, meta = load_checkpoint(path)
-    if not isinstance(meta.get("config"), dict):
-        raise InputError(f"{path}: not a model checkpoint: its meta has no 'config' object")
-    try:
-        cfg = ModelConfig.from_dict(meta["config"])
-    except ConfigError as exc:
-        raise InputError(f"{path}: not a model checkpoint: {exc}") from None
-    names, train = meta.get("class_names"), meta.get("train")
-    if not (_strings(names) and len(names) == len(set(names)) == cfg.num_classes):
-        raise InputError(f"{path}: not a model checkpoint: its meta has no 'class_names' "
-                         f"list of {cfg.num_classes} distinct strings, one per model class")
-    if not (isinstance(train, dict) and type(train.get("seed")) is int and train["seed"] >= 0
-            and isinstance(train.get("fraction"), (int, float))):
-        raise InputError(f"{path}: not a model checkpoint: its meta has no 'train' object "
-                         "with a non-negative integer 'seed' and a numeric 'fraction'")
-    weights = {n[len("model."):]: a for n, a in arrays.items() if n.startswith("model.")}
-    dtypes = sorted({a.dtype.name for a in weights.values()})
-    if dtypes not in (["float64"], ["float32"]):
-        raise InputError(f"{path}: not a model checkpoint: its model arrays must be all "
-                         f"float64 or all float32, not {dtypes}")
-    model = build_model(cfg, np.random.default_rng(0), dtypes[0])
-    model.load_arrays(weights)
-    if not {"standardizer.mean", "standardizer.scale"} <= set(arrays):
-        raise InputError(f"{path}: not a model checkpoint: it has no standardizer arrays")
-    width = cfg.input_shape[0]
-    for name, floor in (("standardizer.mean", ""), ("standardizer.scale", " > 0")):
-        a = arrays[name]
-        if not (a.dtype.kind == "f" and a.shape == (width,) and np.isfinite(a).all()
-                and (not floor or (a > 0).all())):
-            raise InputError(f"{path}: not a model checkpoint: its {name!r} array is not "
-                             f"{width} finite floats{floor}: {a.dtype.name} of shape {a.shape}")
-    standardizer = D.Standardizer(mean=arrays["standardizer.mean"],
-                                  scale=arrays["standardizer.scale"])
-    features, categories = meta.get("feature_names"), meta.get("categories")
-    if not (_strings(features) and isinstance(categories, dict)
-            and set(categories) <= set(features) and all(map(_strings, categories.values()))
-            and isinstance(train.get("data_sha256"), str)):
-        raise InputError(f"{path}: not a model checkpoint: its meta lacks a 'feature_names' "
-                         "list, a 'categories' object of those features' vocabularies or the "
-                         "training file's 'data_sha256' in 'train'")
-    if not len(features) == len(set(features)) == width:
-        raise InputError(f"{path}: not a model checkpoint: its 'feature_names' list has "
-                         f"{len(features)} names for a model of {width} features, "
-                         f"{len(set(features))} of them distinct")
-    return model, standardizer, meta, D.Schema(features, names, categories)
-
-
 def _score(model: Model, X: np.ndarray, y: np.ndarray, class_names, repetitions: int):
     """(logits, confusion, report, loss, ``Latency`` of up to ``TR.INFER_ROWS`` rows)
     from one infer pass."""
@@ -381,8 +306,8 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     TR.write_epoch_csv(records, out_dir / "epochs.csv")
-    _save_model_checkpoint(out_dir / "checkpoint.bin", model, standardizer,
-                           schema, train_cfg, args.fraction, use_smote, fingerprint["sha256"])
+    save_model(out_dir / "checkpoint.bin", model, standardizer,
+               schema, train_cfg, args.fraction, use_smote, fingerprint["sha256"])
     write_manifest(
         out_dir / "manifest.json", "train",
         {"model": model_cfg.to_dict(),
@@ -401,25 +326,22 @@ def cmd_eval(args) -> int:
     if args.repetitions < TR.MIN_REPETITIONS:
         raise ConfigError(f"eval needs --repetitions >= {TR.MIN_REPETITIONS}, "
                           f"got {args.repetitions}")
-    model, standardizer, meta, schema = _load_model_checkpoint(args.checkpoint)
+    model, standardizer, schema, seed, fraction, trained_on = load_model(args.checkpoint)
     dataset, fingerprint = _load_dataset(args, schema)
-    class_names = schema.class_names
 
     if args.holdout:
-        trained_on = meta["train"]["data_sha256"]
         if fingerprint["sha256"] != trained_on:
             raise InputError(f"--holdout re-splits the training file, but {args.data} has "
                              f"sha256 {fingerprint['sha256']} and the training file had "
                              f"{trained_on}")
-        split = D.train_test_split(dataset, fraction=meta["train"]["fraction"],
-                                   seed=meta["train"]["seed"])
+        split = D.train_test_split(dataset, fraction=fraction, seed=seed)
         X_raw, y = split.test.X, split.test.y
         scope = "held-out split"
     else:
         X_raw, y = dataset.X, dataset.y
         scope = "full file"
     X = D.reshape_for_model(X_raw, standardizer)
-    logits, cm, report, loss, latency = _score(model, X, y, class_names, args.repetitions)
+    logits, cm, report, loss, latency = _score(model, X, y, schema.class_names, args.repetitions)
     curves = M.roc_auc(T.softmax(logits), y)
     blob = M.report_to_dict(report, cm, curves)
     blob["loss"] = loss
@@ -438,12 +360,12 @@ def cmd_eval(args) -> int:
     (out_dir / "report.txt").write_text(M.format_report_text(report) + "\n",
                                         encoding="utf-8")
     M.confusion_to_csv(cm, out_dir / "confusion.csv")
-    M.roc_to_csv(curves, class_names, out_dir / "roc.csv")
+    M.roc_to_csv(curves, schema.class_names, out_dir / "roc.csv")
     write_manifest(out_dir / "manifest.json", "eval",
                    {"checkpoint": str(args.checkpoint), "holdout": args.holdout,
                     "repetitions": args.repetitions, "dtype": logits.dtype.name,
                     "label_column": args.label_column},
-                   meta["train"]["seed"], fingerprint, started)
+                   seed, fingerprint, started)
     print(f"wrote {out_dir}/report.json, report.txt, confusion.csv, roc.csv, manifest.json")
     return 0
 

@@ -205,15 +205,17 @@ class Model:
         return L.dense_forward(y, last)
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy ``arrays``, named as ``named_arrays`` names them, into the model;
+        a missing, unknown or misshapen array is a ``ConfigError`` naming it."""
         own = self.named_arrays()
-        missing = sorted(set(own) - set(arrays))
-        if missing:
-            raise ConfigError(f"checkpoint is missing arrays: {missing[:5]}")
+        missing, unknown = sorted(set(own) - set(arrays)), sorted(set(arrays) - set(own))
+        if missing or unknown:
+            raise ConfigError(f"missing arrays {missing[:5]}, unknown arrays {unknown[:5]}")
         for name, tensor in own.items():
             src = np.asarray(arrays[name], dtype=tensor.data.dtype)
             if src.shape != tensor.data.shape:
                 raise ConfigError(
-                    f"checkpoint array {name} has shape {src.shape}, expected {tensor.data.shape}")
+                    f"array {name!r} has shape {src.shape}, expected {tensor.data.shape}")
             tensor.data[...] = src  # into the model's own arrays: no new memory
 
 

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -13,7 +14,7 @@ import pytest
 
 from seqids import cli
 from seqids import data as D
-from seqids.checkpoint import save_checkpoint
+from seqids.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from seqids.errors import InputError, SeqidsError
 from seqids.model import ModelConfig, build_model
 from seqids.tensor import Tensor
@@ -298,9 +299,9 @@ def test_train_float32_leaves_the_default_dtype_at_float64(tmp_path):
         == "float32"
     # float32 weights are saved as float32, 4 bytes a value, beside the float64 standardizer
     f32, f64 = (tmp_path / name / "checkpoint.bin" for name in ("f32", "f64"))
-    arrays = cli.load_checkpoint(f32)[0]
+    arrays = load_checkpoint(f32)[0]
     assert {n: a.dtype.name for n, a in arrays.items()} == {
-        n: "float32" if n.startswith("model.") else "float64" for n in cli.load_checkpoint(f64)[0]}
+        n: "float32" if n.startswith("model.") else "float64" for n in load_checkpoint(f64)[0]}
     assert f64.stat().st_size - f32.stat().st_size == 4 * sum(
         a.size for n, a in arrays.items() if n.startswith("model."))
     assert (tmp_path / "default" / "checkpoint.bin").read_bytes() == f64.read_bytes()
@@ -504,13 +505,10 @@ def test_eval_that_fails_while_scoring_leaves_no_directory(tmp_path, capsys):
 
 
 def untrained_checkpoint(tmp_path, class_names):
-    cfg, arrays = small_model_arrays()
-    arrays.update({"standardizer.mean": np.zeros(12), "standardizer.scale": np.ones(12)})
     path = tmp_path / "untrained.bin"
-    save_checkpoint(path, arrays, {"config": cfg.to_dict(), "class_names": class_names,
-                                   "feature_names": [f"f{i:02d}" for i in range(12)],
-                                   "categories": {},
-                                   "train": {"seed": 0, "fraction": 0.8, "data_sha256": ""}})
+    save_model(path, small_model(), D.Standardizer(np.zeros(12), np.ones(12)),
+               D.Schema([f"f{i:02d}" for i in range(12)], class_names, {}),
+               cli.TR.TrainConfig(seed=0), 0.8, True, "")
     return path
 
 
@@ -522,7 +520,7 @@ def test_eval_rejects_too_few_repetitions_before_reading_any_input(tmp_path, cap
     def not_called(*args, **kwargs):
         raise AssertionError("eval read its inputs before checking --repetitions")
 
-    for module, name in ((cli, "load_checkpoint"), (D, "load_csv"), (cli.TR, "predict_logits")):
+    for module, name in ((cli, "load_model"), (D, "load_csv"), (cli.TR, "predict_logits")):
         monkeypatch.setattr(module, name, not_called)
     out = tmp_path / "eval"
     assert run_cli("eval", "--checkpoint", ckpt, "--data", data, "--repetitions", 5,
@@ -584,10 +582,14 @@ def test_eval_truncated_checkpoint_fails_cleanly_and_leaves_no_directory(tmp_pat
     assert not out.exists()
 
 
+def small_model():
+    return build_model(ModelConfig(input_shape=(12, 1), num_classes=3, conv_filters=4,
+                                   gru_units=4, num_heads=2, key_dim=4, dense_units=(8,)),
+                       np.random.default_rng(0))
+
+
 def small_model_arrays():
-    model = build_model(ModelConfig(input_shape=(12, 1), num_classes=3, conv_filters=4,
-                                    gru_units=4, num_heads=2, key_dim=4, dense_units=(8,)),
-                        np.random.default_rng(0))
+    model = small_model()
     return model.cfg, {f"model.{n}": t.data for n, t in model.named_arrays().items()}
 
 
@@ -609,7 +611,7 @@ def test_model_checkpoint_without_standardizer_is_rejected(tmp_path):
     save_checkpoint(path, arrays, {"config": cfg.to_dict(), "class_names": ["0", "1", "2"],
                                    "train": {"seed": 0, "fraction": 0.2}})
     with pytest.raises(InputError, match="no standardizer arrays"):
-        cli._load_model_checkpoint(path)
+        load_model(path)
 
 
 CLASSES = ["class00", "class01", "class02"]
@@ -626,9 +628,11 @@ CLASSES = ["class00", "class01", "class02"]
     ({"config": {"dropout_rate": None}}, "'dropout_rate'"),
     ({"config": {"use_mha": 1}}, "'use_mha'"),
     ({"config": {"gru_units": True}}, "'gru_units'"),
+    ({"class_names": CLASSES, "train": {"seed": 0, "fraction": 0.8}, "config": {"num_heads": 0}},
+     "num_heads must be >= 1, got 0"),
 ], ids=["no_class_names", "no_train", "string_seed", "negative_seed", "string_num_heads",
         "int_dense_units", "int_input_shape", "null_dropout_rate", "int_use_mha",
-        "bool_gru_units"])
+        "bool_gru_units", "zero_num_heads"])
 def test_eval_checkpoint_with_incomplete_meta_fails_cleanly_and_leaves_no_directory(
         tmp_path, capsys, meta, named):
     # a "config" entry holds the keys that replace the valid config's
@@ -649,14 +653,14 @@ def test_eval_checkpoint_with_incomplete_meta_fails_cleanly_and_leaves_no_direct
 def test_model_checkpoint_with_weights_not_all_float64_or_all_float32_is_rejected(
         tmp_path, dtypes):
     path = untrained_checkpoint(tmp_path, CLASSES)
-    arrays, meta = cli.load_checkpoint(path)
+    arrays, meta = load_checkpoint(path)
     names = [n for n in arrays if n.startswith("model.")]
     for i, name in enumerate(names):
         arrays[name] = arrays[name].astype(dtypes[i % 2])
     save_checkpoint(path, arrays, meta)
     with pytest.raises(InputError, match="model arrays must be all float64 or all float32, "
                                          rf"not \[{', '.join(map(repr, sorted(set(dtypes))))}\]"):
-        cli._load_model_checkpoint(path)
+        load_model(path)
 
 
 def test_eval_builds_the_model_in_the_checkpoints_dtype(tmp_path):
@@ -671,9 +675,8 @@ def test_eval_builds_the_model_in_the_checkpoints_dtype(tmp_path):
     for dtype in ("float32", "float64"):
         model = build_model(cfg, np.random.default_rng(4), dtype)
         path = tmp_path / f"{dtype}.bin"
-        cli._save_model_checkpoint(path, model, standardizer, schema, cli.TR.TrainConfig(),
-                                   0.8, True, "")
-        loaded = cli._load_model_checkpoint(path)[0]
+        save_model(path, model, standardizer, schema, cli.TR.TrainConfig(), 0.8, True, "")
+        loaded = load_model(path)[0]
         assert {t.data.dtype.name for t in loaded.named_arrays().values()} == {dtype}
         logits = cli.TR.predict_logits(loaded, X)
         assert logits.dtype == dtype
@@ -733,8 +736,8 @@ def test_eval_codes_categories_by_the_training_vocabulary(tmp_path):
     assert run_cli("eval", "--checkpoint", run / "checkpoint.bin", "--data", no_icmp,
                    "--repetitions", 10, "--out-dir", out) == 0
 
-    model, standardizer, meta, _ = cli._load_model_checkpoint(run / "checkpoint.bin")
-    assert meta["categories"] == {"proto": ["icmp", "tcp", "udp"]}
+    model, standardizer, schema, *_ = load_model(run / "checkpoint.bin")
+    assert schema.categories == {"proto": ["icmp", "tcp", "udp"]}
     full, _ = D.load_csv(data)   # proto coded icmp 0, tcp 1, udp 2
     rows = full.X[:, 0] != 0
     logits = cli.TR.predict_logits(model, D.reshape_for_model(full.X[rows], standardizer))
@@ -804,31 +807,40 @@ def test_eval_holdout_of_another_file_fails_naming_both_hashes(tmp_path, capsys)
 
 @pytest.mark.parametrize("edit, named", [
     (lambda arrays, meta: arrays.update({"standardizer.mean": np.zeros(3)}),
-     "'standardizer.mean' array is not 12 finite floats: float64 of shape (3,)"),
+     "its 'standardizer.mean' array is not 12 finite floats: float64 of shape (3,)"),
     (lambda arrays, meta: arrays.update({"standardizer.scale": np.ones(1)}),
-     "'standardizer.scale' array is not 12 finite floats > 0: float64 of shape (1,)"),
+     "its 'standardizer.scale' array is not 12 finite floats > 0: float64 of shape (1,)"),
     (lambda arrays, meta: arrays["standardizer.scale"].fill(0.0),
-     "'standardizer.scale' array is not 12 finite floats > 0: float64 of shape (12,)"),
+     "its 'standardizer.scale' array is not 12 finite floats > 0: float64 of shape (12,)"),
     (lambda arrays, meta: meta["feature_names"].pop(),
-     "'feature_names' list has 11 names for a model of 12 features"),
+     "its 'feature_names' list has 11 names for a model of 12 features"),
     (lambda arrays, meta: meta["feature_names"].__setitem__(1, meta["feature_names"][0]),
-     "'feature_names' list has 12 names for a model of 12 features, 11 of them distinct"),
+     "its 'feature_names' list has 12 names for a model of 12 features, 11 of them distinct"),
     (lambda arrays, meta: meta["class_names"].append("extra"),
-     "meta has no 'class_names' list of 3 distinct strings, one per model class"),
+     "its meta has no 'class_names' list of 3 distinct strings, one per model class"),
     (lambda arrays, meta: meta["class_names"].pop(),
-     "meta has no 'class_names' list of 3 distinct strings, one per model class"),
+     "its meta has no 'class_names' list of 3 distinct strings, one per model class"),
     (lambda arrays, meta: meta["class_names"].__setitem__(1, meta["class_names"][0]),
-     "meta has no 'class_names' list of 3 distinct strings, one per model class"),
+     "its meta has no 'class_names' list of 3 distinct strings, one per model class"),
+    (lambda arrays, meta: arrays.pop("model.conv1.kernels"),
+     "missing arrays ['conv1.kernels'], unknown arrays []"),
+    (lambda arrays, meta: arrays.update({"model.conv3.kernels": np.ones((8, 8, 3))}),
+     "missing arrays [], unknown arrays ['conv3.kernels']"),
+    (lambda arrays, meta: arrays.update({"model.conv1.kernels": np.ones((8, 1, 2))}),
+     "array 'conv1.kernels' has shape (8, 1, 2), expected (8, 1, 3)"),
+    (lambda arrays, meta: arrays["model.conv1.kernels"].__setitem__((0, 0, 0), np.nan),
+     "its 'model.conv1.kernels' array holds a value that is not finite"),
 ], ids=["mean_of_3", "scale_of_1", "zero_scale", "one_feature_name_short",
         "repeated_feature_name", "one_class_name_extra", "one_class_name_short",
-        "repeated_class_name"])
+        "repeated_class_name", "missing_model_array", "unknown_model_array",
+        "misshapen_model_array", "nan_weight"])
 def test_eval_checkpoint_whose_standardizer_or_features_disagree_with_its_model_fails(
         tmp_path, capsys, edit, named):
     data = gen(tmp_path)
     run = tmp_path / "run"
     assert run_cli("train", "--data", data, "--config", config_file(tmp_path),
                    "--out-dir", run, "--epochs", 1) == 0
-    arrays, meta = cli.load_checkpoint(run / "checkpoint.bin")
+    arrays, meta = load_checkpoint(run / "checkpoint.bin")
     edit(arrays, meta)
     path = tmp_path / "edited.bin"
     save_checkpoint(path, arrays, meta)
@@ -836,19 +848,19 @@ def test_eval_checkpoint_whose_standardizer_or_features_disagree_with_its_model_
     assert run_cli("eval", "--checkpoint", path, "--data", data, "--repetitions", 10,
                    "--out-dir", out) == 1
     err = capsys.readouterr().err
-    assert f"error [eval]: {path}: not a model checkpoint: its {named}" in err
+    assert f"error [eval]: {path}: not a model checkpoint: {named}" in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("drop", ["feature_names", "categories", "data_sha256"])
 def test_checkpoint_without_the_training_schema_is_rejected(tmp_path, drop):
     _, ckpt = trained_run(tmp_path)
-    arrays, meta = cli.load_checkpoint(ckpt)
+    arrays, meta = load_checkpoint(ckpt)
     del (meta["train"] if drop == "data_sha256" else meta)[drop]
     path = tmp_path / "old.bin"
     save_checkpoint(path, arrays, meta)
     with pytest.raises(InputError, match=f"not a model checkpoint: .*'{drop}'"):
-        cli._load_model_checkpoint(path)
+        load_model(path)
 
 
 # ---------------------------------------------------------------------------
@@ -983,15 +995,127 @@ def test_parse_imbalance_forms():
         cli.parse_imbalance("1,2", 3)
 
 
-def test_console_entry_point_smoke(tmp_path):
-    out = tmp_path / "d.csv"
+# ---------------------------------------------------------------------------
+# the console command: each call a fresh process, as an installed ``seqids``
+# runs, where a numpy RuntimeWarning is an error
+
+def console(*argv) -> subprocess.CompletedProcess:
     # the child imports the same seqids as this process, installed or not
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "seqids.cli", "gen-data", "--out", str(out),
-         "--classes", "2", "--features", "4", "--per-class", "5"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "seqids.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
+
+
+def console_ok(*argv) -> None:
+    proc = console(*argv)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_console_entry_point_smoke(tmp_path):
+    out = tmp_path / "d.csv"
+    console_ok("gen-data", "--out", out, "--classes", 2, "--features", 4, "--per-class", 5)
     assert out.exists()
+
+
+@pytest.fixture(scope="module")
+def float32_run(tmp_path_factory):
+    """(data, checkpoint, eval directory) of gen-data, a float32 train and
+    eval --holdout, each run as a console command."""
+    tmp = tmp_path_factory.mktemp("float32")
+    data, run, ev = tmp / "e2e.csv", tmp / "run", tmp / "eval"
+    console_ok("gen-data", "--classes", 3, "--features", 12, "--per-class", 40, "--out", data)
+    console_ok("train", "--data", data, "--dtype", "float32", "--epochs", 1, "--out-dir", run)
+    console_ok("eval", "--checkpoint", run / "checkpoint.bin", "--data", data, "--holdout",
+               "--out-dir", ev)
+    return data, run / "checkpoint.bin", ev
+
+
+def test_console_float32_train_saves_float32_weights_and_eval_scores_in_float32(float32_run):
+    _, ckpt, ev = float32_run
+    dtypes = {n: a.dtype.name for n, a in load_checkpoint(ckpt)[0].items()
+              if n.startswith("model.")}
+    assert dtypes and set(dtypes.values()) == {"float32"}, dtypes
+    assert json.loads((ev / "manifest.json").read_text())["settings"]["dtype"] == "float32"
+
+
+def test_console_eval_names_auc_and_roc_curves_by_the_per_class_names(float32_run):
+    # a curve's class is its place in the list, so roc.csv may name only those
+    _, _, ev = float32_run
+    report = json.loads((ev / "report.json").read_text())
+    names = [c["name"] for c in report["per_class"]]
+    with open(ev / "roc.csv", newline="") as fh:
+        roc = {row["class"] for row in csv.DictReader(fh)}
+    assert sorted(report["auc"]) == sorted(names)
+    assert roc and roc <= set(names)
+
+
+def test_console_eval_of_a_checkpoint_with_one_class_name_too_many_fails(float32_run, tmp_path):
+    data, ckpt, _ = float32_run
+    arrays, meta = load_checkpoint(ckpt)
+    meta["class_names"].append("extra")
+    path = tmp_path / "extra.bin"
+    save_checkpoint(path, arrays, meta)
+    proc = console("eval", "--checkpoint", path, "--data", data, "--out-dir", tmp_path / "eval")
+    assert proc.returncode == 1
+    assert "class_names" in proc.stderr
+
+
+def test_console_float32_ablate_writes_ten_rows_and_no_failed_case(float32_run, tmp_path):
+    data, _, _ = float32_run
+    out = tmp_path / "ablate"
+    console_ok("ablate", "--data", data, "--dtype", "float32", "--epochs", 1, "--out-dir", out)
+    with open(out / "ablation.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10
+    assert [r["case"] for r in rows if r["error"]] == []
+
+
+def test_console_eval_of_a_file_shaped_like_a_capture_counts_every_row(tmp_path):
+    # a quoted cell that holds a comma (the csv.reader path), one '?' cell (the
+    # missing-marker fallback and a dropped row), and a column that is numeric
+    # for 1100 rows and text after (read again as categories past the first
+    # chunk); eval --holdout reads it through the checkpoint's schema
+    data, rng = tmp_path / "shaped.csv", random.Random(0)
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["duration", "bytes", "proto", "service", "label"])
+        for i in range(1500):
+            c = i % 3
+            writer.writerow([f"{rng.gauss(c, 1):.3f}",
+                             "?" if i == 700 else rng.randint(0, 255) + 40 * c,
+                             i % 7 if i < 1100 else rng.choice(["tcp", "udp"]),
+                             "http, tls" if i == 5 else rng.choice(["dns", "mqtt"]),
+                             f"attack{c}"])
+    run, ev = tmp_path / "run", tmp_path / "eval"
+    console_ok("train", "--data", data, "--dtype", "float32", "--epochs", 1, "--out-dir", run)
+    console_ok("eval", "--checkpoint", run / "checkpoint.bin", "--data", data, "--holdout",
+               "--out-dir", ev)
+    dataset = json.loads((ev / "manifest.json").read_text())["dataset"]
+    assert (dataset["rows"], dataset["columns"]) == (1500, 5)   # the dropped row counts
+
+
+def test_console_train_takes_its_settings_from_a_config_file(tmp_path):
+    data = tmp_path / "imb.csv"
+    console_ok("gen-data", "--classes", 3, "--features", 12, "--per-class", 40,
+               "--imbalance", "4:1", "--out", data)
+    # 40 + 10 + 10 rows
+    assert json.loads((tmp_path / "imb.csv.manifest.json").read_text())["dataset"]["rows"] == 60
+    cfg, run = tmp_path / "small.cfg", tmp_path / "run"
+    cfg.write_text("# a small model\n\ngru_units = 8\ndense_units = 16\n"
+                   "lr = 0.002  # a comment\nuse_smote = off\n")
+    console_ok("train", "--data", data, "--config", cfg, "--dtype", "float32", "--epochs", 1,
+               "--out-dir", run)
+    settings = json.loads((run / "manifest.json").read_text())["settings"]
+    assert (settings["model"]["gru_units"], settings["model"]["dense_units"],
+            settings["train"]["lr"], settings["smote"]) == (8, [16], 0.002, False)
+
+
+def test_console_config_key_typo_fails_before_the_data_file_is_opened(tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("gru_unit = 8\n")
+    proc = console("train", "--data", tmp_path / "missing.csv", "--config", cfg,
+                   "--out-dir", tmp_path / "run")
+    assert proc.returncode == 1
+    assert "unknown config key" in proc.stderr
