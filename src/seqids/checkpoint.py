@@ -31,6 +31,8 @@ Its meta keys:
     class_names    the class names, in label-code order
     feature_names  the feature columns of the training file, in order
     categories     each categorical feature's vocabulary, in code order
+    label_column   the label column of the training file, which ``eval``
+                   reads another file's labels from
     train          the run's ``epochs``, ``batch_size``, ``lr``, ``seed``,
                    train ``fraction``, ``smote`` switch and the training
                    file's ``data_sha256``
@@ -44,8 +46,11 @@ string per model class; a ``train`` without a non-negative integer
 that are not all float64 or all float32, or that are missing, unknown,
 misshapen or hold a value that is not finite; standardizer arrays that are
 missing or are not one finite float per feature (a scale also > 0); and
-``feature_names`` that are not one distinct string per model feature, or
-``categories`` that are not string lists of those features.
+``feature_names`` that are not one distinct string per model feature,
+``categories`` that are not string lists of those features, or a
+``label_column`` that is not a string apart from the ``feature_names``. A
+file written before ``label_column`` was stored is refused for its lack:
+retrain to replace it.
 """
 
 from __future__ import annotations
@@ -127,6 +132,7 @@ def save_model(path, model: Model, standardizer: Standardizer, schema: Schema,
         "class_names": schema.class_names,
         "feature_names": schema.feature_names,
         "categories": schema.categories,
+        "label_column": schema.label_column,
         "train": {"epochs": train_cfg.epochs, "batch_size": train_cfg.batch_size,
                   "lr": train_cfg.lr, "seed": train_cfg.seed,
                   "fraction": fraction, "smote": use_smote, "data_sha256": data_sha256},
@@ -191,6 +197,9 @@ def _model_parts(arrays: dict[str, np.ndarray], meta: dict):
     if not len(features) == len(set(features)) == width:
         raise ConfigError(f"its 'feature_names' list has {len(features)} names for a model of "
                           f"{width} features, {len(set(features))} of them distinct")
+    label = meta.get("label_column")
+    if not isinstance(label, str) or label in features:
+        raise ConfigError("its meta has no 'label_column' string apart from its 'feature_names'")
     standardizer = Standardizer(arrays["standardizer.mean"], arrays["standardizer.scale"])
-    return (model, standardizer, Schema(features, names, categories),
+    return (model, standardizer, Schema(features, names, categories, label),
             train["seed"], train["fraction"], train["data_sha256"])

@@ -8,19 +8,20 @@ Subcommands:
                 ``checkpoint.bin`` (the model file, whose arrays, meta
                 and checks ``seqids.checkpoint`` states), ``epochs.csv``
                 and ``manifest.json``
-* ``eval``      load a model file (``seqids.checkpoint.load_model``, which
-                refuses one that does not make a whole model) and a CSV
-                (full file or the run's held-out split), the CSV read
-                through the training file's schema: feature
-                columns by name, labels and categorical columns by the
-                vocabularies the checkpoint stores, and ``--holdout`` only
-                on the training file itself (same sha256); emit the
-                classification report (JSON + text) with
+* ``eval``      load a model file (``--checkpoint``, read by
+                ``seqids.checkpoint.load_model``, which refuses one that does
+                not make a whole model) and a CSV (``--data``: the full file,
+                or with ``--holdout`` the run's held-out split, only of the
+                training file itself, same sha256), the CSV read through the
+                training file's schema: its labels from the label column the
+                model file names, feature columns by name, and labels and
+                categorical columns by the vocabularies the model file
+                stores; emit the classification report (JSON + text) with
                 the loss, confusion and ROC CSVs, and per-instance latency
-                (p50 and p95, at a batch of up to ``train.INFER_ROWS`` rows,
-                a full one scored in two halves on two CPUs where there are
-                two, and at batch 1, on one);
-                predictions and loss come from one pass over the logits
+                (p50 and p95 of ``train.REPETITIONS`` timed runs, at a batch
+                of up to ``train.INFER_ROWS`` rows, a full one scored in two
+                halves on two CPUs where there are two, and at batch 1, on
+                one); predictions and loss come from one pass over the logits
 * ``ablate``    train and evaluate the ten-variant grid on one shared split,
                 emit ``ablation.csv``
 
@@ -39,7 +40,9 @@ list) and ``bn_momentum``; the ``TrainConfig`` fields ``epochs``,
 ``use_smote``. Any other key, a malformed value or an out-of-range setting
 is an error. ``--dtype`` (``train`` and ``ablate``) is the dtype of the
 models the command builds, float64 by default; it sets nothing beyond
-them. ``eval`` builds its model in the checkpoint's dtype.
+them. ``eval`` builds its model in the checkpoint's dtype. ``--label-column``
+(``train`` and ``ablate``, ``label`` by default) names the file's label
+column; ``train`` stores it in the model file.
 
 Every artifact directory receives exactly one ``manifest.json`` capturing
 the command, settings, seed, dataset entry, tool version and timestamps. The
@@ -208,14 +211,15 @@ def parse_imbalance(spec: str, classes: int) -> list[float]:
 # ---------------------------------------------------------------------------
 # Pipeline pieces shared by the subcommands
 
-def _load_dataset(args, schema: D.Schema | None = None) -> tuple[D.Dataset, dict]:
-    """``--data`` read as ``load_csv`` reads it, through ``schema`` when
-    given, and the manifest's dataset entry with the file's own counts."""
-    table = D.read_table(args.data, args.label_column, schema)
+def _load_dataset(path, label_column: str,
+                  schema: D.Schema | None = None) -> tuple[D.Dataset, dict]:
+    """The CSV at ``path`` read as ``load_csv`` reads it, through ``schema``
+    when given, and the manifest's dataset entry with the file's own counts."""
+    table = D.read_table(path, label_column, schema)
     dataset, dropped = D.table_to_dataset(table, schema)
     if dropped:
         print(f"dropped {dropped} unparseable row(s)", file=sys.stderr)
-    return dataset, dataset_fingerprint(args.data, table.row_count, len(table.column_names))
+    return dataset, dataset_fingerprint(path, table.row_count, len(table.column_names))
 
 
 def _sized_to(cfg: ModelConfig, dataset: D.Dataset) -> ModelConfig:
@@ -241,14 +245,14 @@ def _preprocess(split: D.SplitPair, use_smote: bool,
     return D.SplitPair(train=train, test=split.test, fraction=split.fraction), standardizer
 
 
-def _score(model: Model, X: np.ndarray, y: np.ndarray, class_names, repetitions: int):
+def _score(model: Model, X: np.ndarray, y: np.ndarray, class_names):
     """(logits, confusion, report, loss, ``Latency`` of up to ``TR.INFER_ROWS`` rows)
     from one infer pass."""
     logits = TR.predict_logits(model, X)
     cm = M.confusion(y, logits.argmax(axis=1), len(class_names),
                      class_names=list(class_names))
     loss = float(TR.cross_entropy_loss(Tensor(logits), y).data)
-    latency = TR.measure_inference(model, X[:TR.INFER_ROWS], repetitions=repetitions)
+    latency = TR.measure_inference(model, X[:TR.INFER_ROWS])
     return logits, cm, M.class_report(cm), loss, latency
 
 
@@ -267,10 +271,10 @@ def cmd_gen_data(args) -> int:
     used = bound.arguments
     classes, features = used["classes"], used["features"]
     profile = parse_imbalance(args.imbalance, classes) if args.imbalance else None
-    ds = D.synth_dataset(**given, imbalance_profile=profile)
     out = Path(args.out)
     if not out.parent.exists():
         raise InputError(f"output directory does not exist: {out.parent}")
+    ds = D.synth_dataset(**given, imbalance_profile=profile)
     D.save_csv(ds, out)
     write_manifest(out.with_name(out.name + ".manifest.json"), "gen-data",
                    {**{k: used[k] for k in _SYNTH_FLAGS if k != "seed"},
@@ -285,10 +289,11 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     started = time.time()
     model_cfg, train_cfg, use_smote = _settings(args)
-    dataset, fingerprint = _load_dataset(args)
+    dataset, fingerprint = _load_dataset(args.data, args.label_column)
     model_cfg = _sized_to(model_cfg, dataset)
 
-    schema = D.Schema(dataset.feature_names, dataset.encoder.class_names, dataset.categories)
+    schema = D.Schema(dataset.feature_names, dataset.encoder.class_names, dataset.categories,
+                      args.label_column)
     split = D.train_test_split(dataset, fraction=args.fraction, seed=train_cfg.seed)
     del dataset   # the split holds copies of its rows: the raw ones are not kept alive
     pre_counts = split.train.class_counts().tolist()
@@ -323,11 +328,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.time()
-    if args.repetitions < TR.MIN_REPETITIONS:
-        raise ConfigError(f"eval needs --repetitions >= {TR.MIN_REPETITIONS}, "
-                          f"got {args.repetitions}")
     model, standardizer, schema, seed, fraction, trained_on = load_model(args.checkpoint)
-    dataset, fingerprint = _load_dataset(args, schema)
+    dataset, fingerprint = _load_dataset(args.data, schema.label_column, schema)
 
     if args.holdout:
         if fingerprint["sha256"] != trained_on:
@@ -341,11 +343,11 @@ def cmd_eval(args) -> int:
         X_raw, y = dataset.X, dataset.y
         scope = "full file"
     X = D.reshape_for_model(X_raw, standardizer)
-    logits, cm, report, loss, latency = _score(model, X, y, schema.class_names, args.repetitions)
+    logits, cm, report, loss, latency = _score(model, X, y, schema.class_names)
     curves = M.roc_auc(T.softmax(logits), y)
     blob = M.report_to_dict(report, cm, curves)
     blob["loss"] = loss
-    single = TR.measure_inference(model, X[:1], repetitions=args.repetitions)
+    single = TR.measure_inference(model, X[:1])
     blob["inference_seconds_per_instance"] = latency.p50
     blob["inference_latency"] = [dataclasses.asdict(lat) for lat in (latency, single)]
     print(f"evaluated {scope}: accuracy {blob['accuracy']:.4f} (informational), "
@@ -363,8 +365,7 @@ def cmd_eval(args) -> int:
     M.roc_to_csv(curves, schema.class_names, out_dir / "roc.csv")
     write_manifest(out_dir / "manifest.json", "eval",
                    {"checkpoint": str(args.checkpoint), "holdout": args.holdout,
-                    "repetitions": args.repetitions, "dtype": logits.dtype.name,
-                    "label_column": args.label_column},
+                    "dtype": logits.dtype.name, "label_column": schema.label_column},
                    seed, fingerprint, started)
     print(f"wrote {out_dir}/report.json, report.txt, confusion.csv, roc.csv, manifest.json")
     return 0
@@ -373,7 +374,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     started = time.time()
     flagship, train_cfg, _ = _settings(args)   # the grid sets SMOTE per case
-    dataset, fingerprint = _load_dataset(args)
+    dataset, fingerprint = _load_dataset(args.data, args.label_column)
     flagship = _sized_to(flagship, dataset)
 
     class_names = dataset.encoder.class_names
@@ -394,8 +395,7 @@ def cmd_ablate(args) -> int:
             model = build_model(cfg, np.random.default_rng(case_seed), args.dtype)
             model, _ = TR.train(model, fit_split, dataclasses.replace(train_cfg, seed=case_seed))
             X_test = D.reshape_for_model(base_split.test.X, standardizer)
-            _, _, report, loss, latency = _score(model, X_test, base_split.test.y,
-                                                 class_names, TR.MIN_REPETITIONS)
+            _, _, report, loss, latency = _score(model, X_test, base_split.test.y, class_names)
             row.update(accuracy=f"{report.accuracy:.6f}", loss=f"{loss:.6f}",
                        fpr=f"{report.macro_fpr:.6f}", inf_time=f"{latency.p50:.3e}",
                        min_class_recall=f"{report.recall.min():.6f}", error="")
@@ -450,10 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     # the flags of every command that reads a labeled CSV
     data_flags = argparse.ArgumentParser(add_help=False)
     data_flags.add_argument("--data", required=True)
-    data_flags.add_argument("--label-column", default="label")
     data_flags.add_argument("--out-dir", required=True)
     # the training flags of train and ablate; unset ones keep TrainConfig's defaults
     train_flags = argparse.ArgumentParser(add_help=False)
+    train_flags.add_argument("--label-column", default="label")
     train_flags.add_argument("--epochs", type=int)
     train_flags.add_argument("--batch-size", type=int)
     train_flags.add_argument("--lr", type=float)
@@ -474,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--holdout", action="store_true",
                    help="evaluate only the run's held-out split of --data")
-    e.add_argument("--repetitions", type=int, default=30)
     e.set_defaults(func=cmd_eval)
 
     a = sub.add_parser("ablate", parents=[data_flags, train_flags],

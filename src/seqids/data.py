@@ -29,12 +29,11 @@ The CSV contract of ``load_csv``:
   parses with ``float()``; otherwise it is categorical and encoded by its
   strings in lexicographic order. The class names are the label cells'
   strings, also when they all parse as numbers.
-- The header is checked first: a label column it lacks is a
-  ``ConfigError``, and a column name it repeats, or a header with no other
-  column, an ``InputError``, each raised before any data row is parsed. So
-  every column, the label's included, has a name of its own. The label
-  cells are kept as strings from the first row on and never parsed as
-  numbers.
+- The header is checked first: a label column it lacks, a column name it
+  repeats, or a header with no other column is an ``InputError`` naming
+  the file, raised before any data row is parsed. So every column, the
+  label's included, has a name of its own. The label cells are kept as
+  strings from the first row on and never parsed as numbers.
 - Given a ``Schema`` (a training file's layout), ``read_table`` and
   ``table_to_dataset`` read a file through it instead: its feature columns
   are the schema's, picked by name in the schema's order (others are not
@@ -85,7 +84,7 @@ from itertools import islice
 import numpy as np
 
 from .cpus import cpus
-from .errors import ConfigError, ContractError, InputError, SeqidsError
+from .errors import ContractError, InputError, SeqidsError
 
 #: cell values treated as unparseable in any column
 MISSING_MARKERS = {"", "?", "na", "n/a", "nan", "null", "none"}
@@ -137,10 +136,11 @@ class Dataset:
 class Schema:
     """A training file's layout, which another file is read through: the
     feature columns in order, the class names and each categorical feature's
-    vocabulary, each in code order."""
+    vocabulary, each in code order, and the name of the label column."""
     feature_names: list[str]
     class_names: list[str]
     categories: dict[str, list[str]]
+    label_column: str
 
 
 @dataclass
@@ -482,12 +482,12 @@ def read_table(path, label_column: str, schema: Schema | None = None) -> RawTabl
     chunks = _row_chunks(path, start, first, lines)
     header = next(chunks)
     if label_column not in header:
-        raise ConfigError(f"label column {label_column!r} not found; columns: {header}")
+        raise InputError(f"{path}: label column {label_column!r} not found; columns: {header}")
     if len(set(header)) < len(header):
         name = next(name for i, name in enumerate(header) if name in header[:i])
         raise InputError(f"{path}: the header repeats the column name {name!r}")
     if len(header) < 2:
-        raise InputError(f"no feature column besides the label column {label_column!r}")
+        raise InputError(f"{path}: no feature column besides the label column {label_column!r}")
     label = header.index(label_column)
     features = [i for i in range(len(header)) if i != label]
     kept = [label]   # the columns kept as Categories from the first row on

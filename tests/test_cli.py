@@ -1,4 +1,5 @@
 import csv
+import functools
 import gc
 import hashlib
 import json
@@ -114,8 +115,15 @@ def test_gen_data_without_flags_uses_synth_datasets_defaults(tmp_path):
     assert bare["seed"] == given["seed"] == 0
 
 
-def test_gen_data_bad_directory_fails(tmp_path):
+def test_gen_data_bad_directory_fails(tmp_path, capsys, monkeypatch):
+    @functools.wraps(D.synth_dataset)   # keeps the signature the defaults are read from
+    def not_called(*args, **kwargs):
+        raise AssertionError("gen-data drew its rows before checking the output directory")
+
+    monkeypatch.setattr(D, "synth_dataset", not_called)
     assert run_cli("gen-data", "--out", tmp_path / "nope" / "d.csv") == 1
+    assert capsys.readouterr().err == \
+        f"error [gen-data]: output directory does not exist: {tmp_path / 'nope'}\n"
 
 
 def test_gen_data_malformed_imbalance_fails_with_message(tmp_path, capsys):
@@ -320,7 +328,10 @@ def test_train_missing_label_column_fails_nonzero(tmp_path, capsys):
     rc = run_cli("train", "--data", data, "--label-column", "nope",
                  "--out-dir", tmp_path / "run")
     assert rc == 1
-    assert "error [train]" in capsys.readouterr().err
+    header = data.read_text().splitlines()[0].split(",")
+    assert capsys.readouterr().err == \
+        f"error [train]: {data}: label column 'nope' not found; columns: {header}\n"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("header,name", [("a,a,label", "a"), ("label,f1,label", "label")])
@@ -438,7 +449,7 @@ def test_eval_emits_full_report(tmp_path):
     data, ckpt = trained_run(tmp_path)
     out = tmp_path / "eval"
     assert run_cli("eval", "--checkpoint", ckpt, "--data", data, "--holdout",
-                   "--repetitions", 10, "--out-dir", out) == 0
+                   "--out-dir", out) == 0
     blob = json.loads((out / "report.json").read_text())
     assert {"accuracy", "macro", "weighted", "micro_fpr", "per_class",
             "confusion", "auc", "loss",
@@ -454,8 +465,7 @@ def test_eval_emits_full_report(tmp_path):
 def test_eval_report_json_schema(tmp_path):
     data, ckpt = trained_run(tmp_path)
     out = tmp_path / "eval"
-    assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
-                   "--repetitions", 10, "--out-dir", out) == 0
+    assert run_cli("eval", "--checkpoint", ckpt, "--data", data, "--out-dir", out) == 0
     blob = json.loads((out / "report.json").read_text())
     assert set(blob) == {"accuracy", "macro", "weighted", "micro_fpr", "per_class",
                          "confusion", "auc", "loss", "inference_seconds_per_instance",
@@ -485,48 +495,34 @@ def test_eval_train_data_beats_heldout_on_separable_task(tmp_path):
     data, ckpt = trained_run(tmp_path)
     full = tmp_path / "eval_full"
     hold = tmp_path / "eval_hold"
-    assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
-                   "--repetitions", 10, "--out-dir", full) == 0
+    assert run_cli("eval", "--checkpoint", ckpt, "--data", data, "--out-dir", full) == 0
     assert run_cli("eval", "--checkpoint", ckpt, "--data", data, "--holdout",
-                   "--repetitions", 10, "--out-dir", hold) == 0
+                   "--out-dir", hold) == 0
     acc_full = json.loads((full / "report.json").read_text())["accuracy"]
     acc_hold = json.loads((hold / "report.json").read_text())["accuracy"]
     # full file includes the training rows, so it cannot score below holdout
     assert acc_full >= acc_hold - 1e-9
 
 
-def test_eval_that_fails_while_scoring_leaves_no_directory(tmp_path, capsys):
+def test_eval_that_fails_while_scoring_leaves_no_directory(tmp_path, capsys, monkeypatch):
     data, ckpt = trained_run(tmp_path)
+
+    def timing_fails(model, batch):
+        raise SeqidsError("the timed runs failed")
+
+    monkeypatch.setattr(cli.TR, "measure_inference", timing_fails)
     out = tmp_path / "eval"
-    assert run_cli("eval", "--checkpoint", ckpt, "--data", data, "--repetitions", 5,
-                   "--out-dir", out) == 1
-    assert "repetitions >= 10" in capsys.readouterr().err
+    assert run_cli("eval", "--checkpoint", ckpt, "--data", data, "--out-dir", out) == 1
+    assert capsys.readouterr().err == "error [eval]: the timed runs failed\n"
     assert not out.exists()
 
 
 def untrained_checkpoint(tmp_path, class_names):
     path = tmp_path / "untrained.bin"
     save_model(path, small_model(), D.Standardizer(np.zeros(12), np.ones(12)),
-               D.Schema([f"f{i:02d}" for i in range(12)], class_names, {}),
+               D.Schema([f"f{i:02d}" for i in range(12)], class_names, {}, "label"),
                cli.TR.TrainConfig(seed=0), 0.8, True, "")
     return path
-
-
-def test_eval_rejects_too_few_repetitions_before_reading_any_input(tmp_path, capsys,
-                                                                    monkeypatch):
-    data = gen(tmp_path)
-    ckpt = untrained_checkpoint(tmp_path, ["class00", "class01", "class02"])
-
-    def not_called(*args, **kwargs):
-        raise AssertionError("eval read its inputs before checking --repetitions")
-
-    for module, name in ((cli, "load_model"), (D, "load_csv"), (cli.TR, "predict_logits")):
-        monkeypatch.setattr(module, name, not_called)
-    out = tmp_path / "eval"
-    assert run_cli("eval", "--checkpoint", ckpt, "--data", data, "--repetitions", 5,
-                   "--out-dir", out) == 1
-    assert "--repetitions >= 10, got 5" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_eval_names_roc_curves_by_class_name(tmp_path):
@@ -534,7 +530,7 @@ def test_eval_names_roc_curves_by_class_name(tmp_path):
     names = ["class00", "class01", "class02"]
     out = tmp_path / "eval"
     assert run_cli("eval", "--checkpoint", untrained_checkpoint(tmp_path, names),
-                   "--data", data, "--repetitions", 10, "--out-dir", out) == 0
+                   "--data", data, "--out-dir", out) == 0
     blob = json.loads((out / "report.json").read_text())
     assert [p["name"] for p in blob["per_class"]] == names
     assert sorted(blob["auc"]) == names
@@ -615,6 +611,9 @@ def test_model_checkpoint_without_standardizer_is_rejected(tmp_path):
 
 
 CLASSES = ["class00", "class01", "class02"]
+#: the meta of a whole model file but its label column
+SCHEMA_META = {"class_names": CLASSES, "train": {"seed": 0, "fraction": 0.8, "data_sha256": ""},
+               "feature_names": [f"f{i:02d}" for i in range(12)], "categories": {}}
 
 
 @pytest.mark.parametrize("meta,named", [
@@ -630,9 +629,13 @@ CLASSES = ["class00", "class01", "class02"]
     ({"config": {"gru_units": True}}, "'gru_units'"),
     ({"class_names": CLASSES, "train": {"seed": 0, "fraction": 0.8}, "config": {"num_heads": 0}},
      "num_heads must be >= 1, got 0"),
+    (SCHEMA_META, "'label_column'"),
+    ({**SCHEMA_META, "label_column": 3}, "'label_column'"),
+    ({**SCHEMA_META, "label_column": "f03"}, "'label_column'"),
 ], ids=["no_class_names", "no_train", "string_seed", "negative_seed", "string_num_heads",
         "int_dense_units", "int_input_shape", "null_dropout_rate", "int_use_mha",
-        "bool_gru_units", "zero_num_heads"])
+        "bool_gru_units", "zero_num_heads", "no_label_column", "int_label_column",
+        "feature_label_column"])
 def test_eval_checkpoint_with_incomplete_meta_fails_cleanly_and_leaves_no_directory(
         tmp_path, capsys, meta, named):
     # a "config" entry holds the keys that replace the valid config's
@@ -670,7 +673,8 @@ def test_eval_builds_the_model_in_the_checkpoints_dtype(tmp_path):
     dataset, _ = D.load_csv(data)
     standardizer = D.fit_standardizer(dataset.X)
     X = D.reshape_for_model(dataset.X, standardizer)
-    schema = D.Schema(dataset.feature_names, dataset.encoder.class_names, dataset.categories)
+    schema = D.Schema(dataset.feature_names, dataset.encoder.class_names, dataset.categories,
+                      "label")
     cfg, _ = small_model_arrays()
     for dtype in ("float32", "float64"):
         model = build_model(cfg, np.random.default_rng(4), dtype)
@@ -682,8 +686,7 @@ def test_eval_builds_the_model_in_the_checkpoints_dtype(tmp_path):
         assert logits.dtype == dtype
         assert logits.tobytes() == cli.TR.predict_logits(model, X).tobytes()
         out = tmp_path / f"eval-{dtype}"
-        assert run_cli("eval", "--checkpoint", path, "--data", data, "--repetitions", 10,
-                       "--out-dir", out) == 0
+        assert run_cli("eval", "--checkpoint", path, "--data", data, "--out-dir", out) == 0
         assert json.loads((out / "manifest.json").read_text())["settings"]["dtype"] == dtype
 
 
@@ -712,7 +715,7 @@ def test_eval_picks_columns_by_name(tmp_path):
 
     swapped = rewrite_csv(data, tmp_path / "swapped.csv", swap_first_two)
     for name, path in (("plain", data), ("swapped", swapped)):
-        assert run_cli("eval", "--checkpoint", ckpt, "--data", path, "--repetitions", 10,
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", path,
                        "--out-dir", tmp_path / name) == 0
     assert scores(tmp_path / "swapped") == scores(tmp_path / "plain")
 
@@ -734,7 +737,7 @@ def test_eval_codes_categories_by_the_training_vocabulary(tmp_path):
         header, [row for row in rows if row[0] != "icmp"]))
     out = tmp_path / "eval"
     assert run_cli("eval", "--checkpoint", run / "checkpoint.bin", "--data", no_icmp,
-                   "--repetitions", 10, "--out-dir", out) == 0
+                   "--out-dir", out) == 0
 
     model, standardizer, schema, *_ = load_model(run / "checkpoint.bin")
     assert schema.categories == {"proto": ["icmp", "tcp", "udp"]}
@@ -786,8 +789,7 @@ def test_eval_file_without_a_class_reports_it_with_support_zero(tmp_path):
     two = rewrite_csv(data, tmp_path / "two.csv", lambda header, rows: (
         header, [row for row in rows if row[-1] != "class01"]))
     out = tmp_path / "eval"
-    assert run_cli("eval", "--checkpoint", ckpt, "--data", two, "--repetitions", 10,
-                   "--out-dir", out) == 0
+    assert run_cli("eval", "--checkpoint", ckpt, "--data", two, "--out-dir", out) == 0
     per_class = json.loads((out / "report.json").read_text())["per_class"]
     assert [(c["name"], c["support"]) for c in per_class] == [
         ("class00", 40), ("class01", 0), ("class02", 40)]
@@ -803,6 +805,45 @@ def test_eval_holdout_of_another_file_fails_naming_both_hashes(tmp_path, capsys)
     for path in (data, other):
         assert hashlib.sha256(path.read_bytes()).hexdigest() in err
     assert not out.exists()
+
+
+def test_eval_reads_its_labels_from_the_column_the_model_file_names(tmp_path, capsys):
+    # the attack type is "kind", and an attack/benign flag beside it is named
+    # "label", as in Edge-IIoTset and CICIoV2024; eval is given no label column
+    def kind_and_flag(header, rows):
+        return (header[:-1] + ["kind", "label"],
+                [row + ["benign" if row[-1] == "class00" else "attack"] for row in rows])
+
+    data = rewrite_csv(gen(tmp_path), tmp_path / "flagged.csv", kind_and_flag)
+    run, out = tmp_path / "run", tmp_path / "eval"
+    assert run_cli("train", "--data", data, "--label-column", "kind", "--config",
+                   config_file(tmp_path), "--out-dir", run, *TRAIN_SPEED_FLAGS) == 0
+    assert run_cli("eval", "--checkpoint", run / "checkpoint.bin", "--data", data, "--holdout",
+                   "--out-dir", out) == 0
+    assert json.loads((out / "manifest.json").read_text())["settings"]["label_column"] == "kind"
+    assert [c["name"] for c in json.loads((out / "report.json").read_text())["per_class"]] == \
+        CLASSES
+
+    # a file without that column is an input fault, named with the file
+    no_kind = rewrite_csv(data, tmp_path / "no_kind.csv", lambda header, rows: (
+        header[:-2] + header[-1:], [row[:-2] + row[-1:] for row in rows]))
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", run / "checkpoint.bin", "--data", no_kind,
+                   "--out-dir", tmp_path / "eval2") == 1
+    columns = [f"f{i:02d}" for i in range(12)] + ["label"]
+    assert capsys.readouterr().err == \
+        f"error [eval]: {no_kind}: label column 'kind' not found; columns: {columns}\n"
+    assert not (tmp_path / "eval2").exists()
+
+
+@pytest.mark.parametrize("flag", [("--label-column", "x"), ("--repetitions", 10)],
+                         ids=["label_column", "repetitions"])
+def test_eval_takes_no_label_column_or_repetitions_flag(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as stopped:
+        run_cli("eval", "--checkpoint", tmp_path / "c.bin", "--data", tmp_path / "d.csv",
+                "--out-dir", tmp_path / "eval", *flag)
+    assert stopped.value.code == 2
+    assert f"unrecognized arguments: {flag[0]} {flag[1]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edit, named", [
@@ -845,8 +886,7 @@ def test_eval_checkpoint_whose_standardizer_or_features_disagree_with_its_model_
     path = tmp_path / "edited.bin"
     save_checkpoint(path, arrays, meta)
     out = tmp_path / "eval"
-    assert run_cli("eval", "--checkpoint", path, "--data", data, "--repetitions", 10,
-                   "--out-dir", out) == 1
+    assert run_cli("eval", "--checkpoint", path, "--data", data, "--out-dir", out) == 1
     err = capsys.readouterr().err
     assert f"error [eval]: {path}: not a model checkpoint: {named}" in err
     assert not out.exists()
@@ -968,7 +1008,7 @@ def test_manifests_record_the_readers_rows_and_columns(tmp_path):
     assert run_cli("train", "--data", data, "--config", config_file(tmp_path),
                    "--out-dir", run, *TRAIN_SPEED_FLAGS) == 0
     assert run_cli("eval", "--checkpoint", run / "checkpoint.bin", "--data", data,
-                   "--repetitions", 10, "--out-dir", ev) == 0
+                   "--out-dir", ev) == 0
     assert run_cli("ablate", "--data", data, "--out-dir", ab, "--epochs", 1,
                    "--batch-size", 32, "--bn-momentum", 0.8) == 0
     for out in (run, ev, ab):

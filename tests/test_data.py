@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqids import data as D
-from seqids.errors import ConfigError, ContractError, InputError, SeqidsError
+from seqids.errors import ContractError, InputError, SeqidsError
 
 
 def nearest_centroid_accuracy(train: D.Dataset, test: D.Dataset) -> float:
@@ -111,15 +111,17 @@ def test_load_csv_encodes_categorical_feature_columns(tmp_path):
 def test_load_csv_missing_label_column(tmp_path):
     f = tmp_path / "t.csv"
     write_csv(f, ["x1", "target"], [["1", "a"]])
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError) as caught:
         D.load_csv(f, label_column="label")
+    assert str(caught.value) == f"{f}: label column 'label' not found; columns: ['x1', 'target']"
 
 
 def test_load_csv_label_only_file_fails(tmp_path):
     f = tmp_path / "t.csv"
     write_csv(f, ["label"], [["a"], ["b"]])
-    with pytest.raises(InputError, match="no feature column"):
+    with pytest.raises(InputError) as caught:
         D.load_csv(f)
+    assert str(caught.value) == f"{f}: no feature column besides the label column 'label'"
 
 
 def test_load_csv_invalid_utf8_fails_with_input_error(tmp_path):
@@ -265,7 +267,7 @@ def test_load_csv_wrong_label_column_fails_at_the_header(tmp_path):
     f = tmp_path / "t.csv"
     rows = [["1", "a"]] * (D._CHUNK_ROWS + 5) + [["1", "a", "extra"]]
     write_csv(f, ["x1", "target"], rows)
-    with pytest.raises(ConfigError, match="label column 'label' not found"):
+    with pytest.raises(InputError, match="t.csv: label column 'label' not found"):
         D.load_csv(f, label_column="label")
 
 
@@ -644,7 +646,7 @@ def test_split_read_makes_no_cut_after_a_quote(tmp_path, parts):
 
 def test_split_read_through_a_schema(tmp_path, parts):
     schema = D.Schema(feature_names=["size", "proto"], class_names=["a", "b", "c"],
-                      categories={"proto": ["icmp", "tcp", "udp"]})
+                      categories={"proto": ["icmp", "tcp", "udp"]}, label_column="label")
     f = tmp_path / "t.csv"
     protos = ["udp", "tcp", "icmp"] * 15
     # other columns and order than the training file's; class c is absent

@@ -473,13 +473,31 @@ def test_blas_threads_lends_one_caller_at_a_time_a_share(blas_count):
         assert pinned and blas_count() == 1
 
 
+def numpy_openblas() -> list[str]:
+    """The paths of the OpenBLAS libraries numpy's PyPI wheel ships beside it."""
+    return [os.path.join(CPU._LIBS, name) for name in
+            (os.listdir(CPU._LIBS) if os.path.isdir(CPU._LIBS) else [])
+            if name.startswith(CPU._LIBRARY)]
+
+
+def test_blas_threads_finds_the_thread_count_of_numpys_wheel_openblas():
+    # on numpy's PyPI wheel the split inference must find this control, or it
+    # turns itself off unnoticed and scores every block in one pass
+    if not numpy_openblas():
+        pytest.skip("not numpy's PyPI wheel: numpy.libs holds no libscipy_openblas64_ library")
+    blas = CPU._openblas()
+    assert blas is not None, f"no {CPU._SET} and {CPU._GET} in {numpy_openblas()}"
+    before = blas[1]()
+    with CPU.blas_threads(2) as pinned:
+        assert pinned and blas[1]() == max(1, before // 2)
+    assert blas[1]() == before
+
+
 def test_blas_threads_drives_numpys_openblas_and_not_scipys():
     # SciPy's wheel loads its own OpenBLAS, mapped before numpy's, and it
     # exports a thread-count setter under a name much like numpy's
     pytest.importorskip("scipy.linalg")
-    numpy_libs = [os.path.join(CPU._LIBS, name) for name in
-                  (os.listdir(CPU._LIBS) if os.path.isdir(CPU._LIBS) else [])
-                  if name.startswith(CPU._LIBRARY)]
+    numpy_libs = numpy_openblas()
     with open("/proc/self/maps", encoding="utf-8") as fh:
         scipy_loaded = "scipy.libs/libscipy_openblas" in fh.read()
     if len(numpy_libs) != 1 or not scipy_loaded:
@@ -522,10 +540,15 @@ def test_concurrent_split_calls_keep_their_bits_and_restore_the_thread_count(
 # ---------------------------------------------------------------------------
 # Inference timing
 
-def test_measure_inference_positive_and_finite():
+def test_measure_inference_positive_and_finite(monkeypatch):
     model = build_model(SMALL_CFG, np.random.default_rng(6))
     batch = np.random.default_rng(6).normal(size=(8, 12, 1))
-    lat = TR.measure_inference(model, batch, repetitions=10)
+    runs = []
+    predict_logits = TR.predict_logits
+    monkeypatch.setattr(TR, "predict_logits",
+                        lambda *args: runs.append(1) or predict_logits(*args))
+    lat = TR.measure_inference(model, batch)
+    assert len(runs) == TR.REPETITIONS + 1 == 31
     assert lat.batch_size == 8
     assert np.isfinite(lat.p95) and lat.p95 >= lat.p50 > 0
 
@@ -533,30 +556,23 @@ def test_measure_inference_positive_and_finite():
 def test_measure_inference_batching_amortizes():
     model = build_model(SMALL_CFG, np.random.default_rng(7))
     rng = np.random.default_rng(7)
-    t1 = TR.measure_inference(model, rng.normal(size=(1, 12, 1)), repetitions=15)
-    t64 = TR.measure_inference(model, rng.normal(size=(64, 12, 1)), repetitions=15)
+    t1 = TR.measure_inference(model, rng.normal(size=(1, 12, 1)))
+    t64 = TR.measure_inference(model, rng.normal(size=(64, 12, 1)))
     assert t64.p50 <= t1.p50
 
 
 def test_measure_inference_times_a_batch_above_one_block():
     model = build_model(SMALL_CFG, np.random.default_rng(14))
-    lat = TR.measure_inference(model, np.random.default_rng(14).normal(size=(65, 12, 1)),
-                               repetitions=10)
+    lat = TR.measure_inference(model, np.random.default_rng(14).normal(size=(65, 12, 1)))
     assert lat.batch_size == 65
     assert np.isfinite(lat.p95) and lat.p95 >= lat.p50 > 0
-
-
-def test_measure_inference_requires_enough_repetitions():
-    model = build_model(SMALL_CFG, np.random.default_rng(8))
-    with pytest.raises(ContractError):
-        TR.measure_inference(model, np.zeros((2, 12, 1)), repetitions=5)
 
 
 @pytest.mark.parametrize("entry", [
     lambda m, X: m.forward(X, mode="infer"),
     lambda m, X: m.forward(X, mode="train", rng=np.random.default_rng(0)),
     TR.predict_logits,
-    lambda m, X: TR.measure_inference(m, X, repetitions=TR.MIN_REPETITIONS),
+    TR.measure_inference,
 ], ids=["forward_infer", "forward_train", "predict_logits", "measure_inference"])
 def test_empty_batch_is_a_shape_error_naming_the_shape(entry):
     model = build_model(SMALL_CFG, np.random.default_rng(9))
