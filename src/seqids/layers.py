@@ -15,7 +15,9 @@ varies):
   scatter adds one term into zeros. The record keeps x and the reshaped
   kernels, neither the zero-padded copy nor the im2col matrix, k times as
   large: the backward rule pads x again and rebuilds that matrix with the
-  forward pass's strided view and reshape.
+  forward pass's strided view and reshape. Recorded, the forward GEMM and
+  ``dcols`` run in batch halves and ``dw`` in halves of its rows (see
+  below); the shortcut's and a one-channel conv's products stay whole.
 * The GRU uses sigmoid gates and a tanh candidate with reset-before-candidate,
   ``h_cand = tanh(x W_c + (r * h_prev) U_c + b_c)``, and the update
   ``h_t = (1 - z) * h_prev + z * h_cand``. ``W (input, 3H)``, ``U (H, 3H)``
@@ -30,7 +32,9 @@ varies):
   over the time-major rows of x. The record saves the activations and the
   output, nothing else. The backward rule lays h, the output gradient and
   the pre-activation gradient out direction-major, ``(2, T, B, ·)``, so
-  that dW, dU and dx are one GEMM per direction each.
+  that dW, dU and dx are one GEMM per direction each, the two directions'
+  on two CPUs (see below). Recorded, the input projection runs in halves of
+  the time steps; the scan and BPTT loops and ``db`` stay whole.
 * Multi-head attention is one tape record too. ``w_qkv (heads, model_dim,
   3 * key_dim)`` holds each head's query | key | value column blocks and
   ``w_o (heads * key_dim, model_dim)`` projects the concatenated heads back.
@@ -44,7 +48,13 @@ varies):
   dead: dv over v, dk over k, and dq, through one (B, T, key_dim) scratch,
   over q. Head 0's ``dx`` term is ``dx`` itself. Unrecorded, every head
   reuses one Q|K|V buffer and one weights buffer, so inference memory grows
-  with the head count only by the concatenated head outputs.
+  with the head count only by the concatenated head outputs, and nothing is
+  split. Recorded, the forward pass runs in batch halves: each head's Q|K|V
+  projection, scores, softmax and weighted sum, then the output projection.
+  The backward rule runs each head's dout, ds, dv, dq and dk in batch
+  halves, then its ``dx`` term in batch halves, then its ``dw_qkv`` block
+  over all rows in halves of its rows; ``dw_o`` is one product over all
+  rows in halves of its rows, one head pair each at the flagship size.
 * The normalizers add a fixed epsilon to the variance: 1e-3 for BatchNorm
   (the Keras default) and 1e-5 for LayerNorm (the PyTorch default).
 * BatchNorm in both modes and LayerNorm are one shared primitive,
@@ -77,9 +87,20 @@ varies):
   in)``, so the model's flatten is the first Dense's view, not a record of
   its own; ``dx`` comes back in the input's shape. The model asks no ReLU of
   its last Dense, so it returns logits; the softmax lives in the loss and in
-  ``predict_proba``.
+  ``predict_proba``. Recorded, the forward and dx run in batch halves and
+  dW in halves of its rows, where large enough: of the flagship's, the
+  first Dense's forward and dx.
 * Weights use fan-scaled uniform init, bound sqrt(6 / (fan_in + fan_out));
   biases start at zero, scale/shift parameters at one/zero.
+* Inside ``cpus.two_cpus`` (the train steps) a recorded Conv1D, BiGRU,
+  attention or Dense record runs its large matrix products in halves on
+  two CPUs (``_split``, ``cpus.halves``): a product that works row by row
+  in halves of its rows, and one that sums over the rows, a weight
+  gradient, over all rows in halves of its output rows, so no sum changes
+  order. A product is split only where its halves keep the bits of the
+  whole one (``_SPLIT_ROWS``), so the step's bits do not depend on the
+  split. BatchNorm, LayerNorm, dropout, the residual join, the loss and
+  Adam stay whole, as does every product of an unrecorded pass.
 """
 
 from __future__ import annotations
@@ -91,8 +112,32 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import tensor as T
+from .cpus import halves
 from .errors import ContractError, ShapeError
 from .tensor import Tensor, register_op
+
+#: A product is split in row halves only where each half keeps the bits of
+#: its rows of the whole product, at the same OpenBLAS thread count. With
+#: numpy 2.4's OpenBLAS 0.3.31 on x86-64 (AVX-512) that held for 400 random
+#: products of 128 rows or more, whose columns are a multiple of 16 and whose
+#: halves take over 1e6 multiply-adds each, in float64 and float32, with
+#: either operand transposed. A smaller half may take OpenBLAS's small-matrix
+#: kernel: halving conv1's 3-row ``dw`` moved bits by 1.2e-12 in float64. A
+#: product with other columns ends in tail columns whose bits depend on the
+#: rows: a (128, 64) @ (64, 250) one does
+_SPLIT_ROWS, _SPLIT_COLUMNS, _SMALL_PRODUCT = 128, 16, 10**6
+
+
+def _split(fn, n: int, *products: tuple[int, int, int]) -> None:
+    """``cpus.halves(fn, n)``, where ``fn(s)`` computes the rows that ``s``
+    maps to of each of ``products``, given as (rows, inner, columns), if each
+    of them keeps its bits in halves; else ``fn(slice(0, n))``. A product of
+    0 rows is never split."""
+    if all(m >= _SPLIT_ROWS and c % _SPLIT_COLUMNS == 0 and m // 2 * k * c > _SMALL_PRODUCT
+           for m, k, c in products):
+        halves(fn, n)
+    else:
+        fn(slice(0, n))
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor:
@@ -140,28 +185,38 @@ def conv1d_forward(x: Tensor, p: Conv1DParams) -> Tensor:
         return xp
 
     def im2col(xp):
-        """The (B·T, k·C_in) matrix whose row (b, t) is the padded input's
+        """The (b·T, k·C_in) matrix whose row (b, t) is the padded input's
         window at t: a copy when k > 1, so each pass builds it from x."""
         s0, s1, s2 = xp.strides
-        return as_strided(xp, (batch, t_len, k, c_in), (s0, s1, s1, s2)).reshape(
-            batch * t_len, k * c_in)
+        return as_strided(xp, (len(xp), t_len, k, c_in), (s0, s1, s1, s2)).reshape(
+            -1, k * c_in)
 
     # the padded copy is freed once the output is complete, the order it had
     # when the record kept it; freeing it inside im2col raised infer's peak RSS
     xp = padded()
     w2 = p.kernels.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
-    out_data = (im2col(xp) @ w2).reshape(batch, t_len, c_out)
+    out_data = np.empty((batch, t_len, c_out), dtype=np.result_type(xp, w2))
+    _split(lambda s: np.matmul(im2col(xp[s]), w2, out=out_data[s].reshape(-1, c_out)),
+           batch, (T.recording((x, p.kernels, p.bias)) * batch * t_len, k * c_in, c_out))
     out_data += p.bias.data
     del xp
 
     def back(g):
         g2 = g.reshape(batch * t_len, c_out)
         db = g2.sum(axis=0)
-        dw = (im2col(padded()).T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
-        dcols = (g2 @ w2.T).reshape(batch, t_len, k, c_in)
-        dxp = np.zeros((batch, t_len + k - 1, c_in), dtype=dcols.dtype)
-        for i in range(k):
-            dxp[:, i:i + t_len, :] += dcols[:, :, i, :]
+        cols, dw = im2col(padded()), np.empty((k * c_in, c_out), dtype=g2.dtype)
+        _split(lambda s: np.matmul(cols[:, s].T, g2, out=dw[s]), k * c_in,
+               (k * c_in, batch * t_len, c_out))
+        cols = None
+        dxp = np.zeros((batch, t_len + k - 1, c_in), dtype=np.result_type(g2, w2))
+
+        def dx(s):
+            dcols = (g2[s.start * t_len:s.stop * t_len] @ w2.T).reshape(-1, t_len, k, c_in)
+            for i in range(k):
+                dxp[s, i:i + t_len, :] += dcols[:, :, i, :]
+
+        _split(dx, batch, (batch * t_len, c_out, k * c_in))
+        dw = dw.reshape(k, c_in, c_out).transpose(2, 1, 0)
         return dxp[:, pad_left:pad_left + t_len, :], dw, db
 
     return register_op((x, p.kernels, p.bias), out_data, back)
@@ -339,10 +394,10 @@ def _gru_scan(zr: np.ndarray, cand: np.ndarray, u: np.ndarray, hs: np.ndarray) -
 
 
 def _gru_bptt(zr: np.ndarray, cand: np.ndarray, u: np.ndarray, hs: np.ndarray,
-              dhs: np.ndarray):
+              dhs: np.ndarray) -> np.ndarray:
     """BPTT of one ``_gru_scan``, from its activations and (2, T, B, H) copies
     of h and of the output gradient, each direction in its own time order:
-    the pre-activation gradient (2, T, B, 3H) and dU, (2, H, 3H)."""
+    the pre-activation gradient, (2, T, B, 3H)."""
     hid = u.shape[1]
     u_zr_t, u_c_t = (np.swapaxes(w, -1, -2) for w in (u[..., :2 * hid], u[..., 2 * hid:]))
     da = np.empty(hs.shape[:-1] + (3 * hid,), dtype=hs.dtype)
@@ -375,13 +430,7 @@ def _gru_bptt(zr: np.ndarray, cand: np.ndarray, u: np.ndarray, hs: np.ndarray,
         dh += t1
         np.matmul(da_s[..., :2 * hid], u_zr_t, out=t1)
         dh += t1
-    # step 0's h_prev is zero, so it adds nothing to dU
-    hp = hs[:, :-1]
-    rh = np.multiply(hp, zr[1:, ..., hid:].swapaxes(0, 1), out=np.empty_like(hp))
-    hp, rh = (v.reshape(2, -1, hid).swapaxes(1, 2) for v in (hp, rh))
-    da_next = da[:, 1:].reshape(2, -1, 3 * hid)
-    du = np.concatenate([hp @ da_next[..., :2 * hid], rh @ da_next[..., 2 * hid:]], axis=2)
-    return da, du
+    return da
 
 
 def bigru_forward(x: Tensor, fwd: GRUParams, bwd: GRUParams) -> Tensor:
@@ -407,15 +456,19 @@ def bigru_forward(x: Tensor, fwd: GRUParams, bwd: GRUParams) -> Tensor:
     u = np.stack([p.U.data for p in dirs])
     zr = np.empty((t_len, 2, batch, 2 * hid), dtype=dtype)
     cand = np.empty((t_len, 2, batch, hid), dtype=dtype)
-    # one input-projection GEMM per direction over its time-major rows, into
-    # one buffer that both directions reuse
-    proj = np.empty((t_len * batch, 3 * hid), dtype=dtype)
-    for d, (p, xd) in enumerate(zip(dirs, (x.data, x.data[:, ::-1]))):
-        np.matmul(xd.transpose(1, 0, 2).reshape(-1, feat), p.W.data, out=proj)
-        proj += p.b.data
-        split = proj.reshape(t_len, batch, 3 * hid)
-        zr[:, d], cand[:, d] = split[..., :2 * hid], split[..., 2 * hid:]
-    del proj, split
+
+    def project(s):
+        """One input-projection GEMM per direction over the time-major rows of
+        steps ``s``, into one buffer that both directions reuse."""
+        proj = np.empty(((s.stop - s.start) * batch, 3 * hid), dtype=dtype)
+        for d, (p, xd) in enumerate(zip(dirs, (x.data, x.data[:, ::-1]))):
+            np.matmul(xd[:, s].transpose(1, 0, 2).reshape(-1, feat), p.W.data, out=proj)
+            proj += p.b.data
+            split = proj.reshape(-1, batch, 3 * hid)
+            zr[s, d], cand[s, d] = split[..., :2 * hid], split[..., 2 * hid:]
+
+    recorded = T.recording((x,) + tuple(q for p in dirs for q in (p.W, p.U, p.b)))
+    _split(project, t_len, (recorded * t_len * batch, feat, 3 * hid))
     hs = np.empty((t_len, 2, batch, hid), dtype=dtype)
     _gru_scan(zr, cand, u, hs)
     out_data = np.empty((batch, t_len, 2 * hid), dtype=x.data.dtype)
@@ -424,13 +477,28 @@ def bigru_forward(x: Tensor, fwd: GRUParams, bwd: GRUParams) -> Tensor:
 
     def back(g):
         hs = _time_major(out_data[..., :hid], out_data[..., hid:])
-        da, du = _gru_bptt(zr, cand, u, hs, _time_major(g[..., :hid], g[..., hid:]))
-        del hs
+        da = _gru_bptt(zr, cand, u, hs, _time_major(g[..., :hid], g[..., hid:]))
+        da_next = da[:, 1:].reshape(2, -1, 3 * hid)
         da = da.reshape(2, -1, 3 * hid)
-        xs = _time_major(x.data, x.data).reshape(2, -1, feat)
-        dw = np.matmul(np.swapaxes(xs, 1, 2), da)
-        del xs
-        dxs = np.matmul(da, np.swapaxes(np.stack([p.W.data for p in dirs]), 1, 2))
+        dw, du = np.empty((2, feat, 3 * hid), dtype=dtype), np.empty_like(u)
+        dxs = np.empty((2, t_len * batch, feat), dtype=dtype)
+
+        def by_direction(s):
+            """dU, dW and dx of the directions ``s``."""
+            for d in range(s.start, s.stop):
+                # step 0's h_prev is zero, so it adds nothing to dU
+                hp = hs[d, :-1]
+                rh = np.multiply(hp, zr[1:, d, :, hid:], out=np.empty_like(hp))
+                np.matmul(hp.reshape(-1, hid).T, da_next[d, :, :2 * hid], out=du[d, :, :2 * hid])
+                np.matmul(rh.reshape(-1, hid).T, da_next[d, :, 2 * hid:], out=du[d, :, 2 * hid:])
+                del hp, rh
+                xs = (x.data, x.data[:, ::-1])[d].transpose(1, 0, 2).reshape(-1, feat)
+                np.matmul(xs.T, da[d], out=dw[d])
+                del xs
+                np.matmul(da[d], dirs[d].W.data.T, out=dxs[d])
+
+        halves(by_direction, 2)
+        del hs
         dxs = dxs.reshape(2, t_len, batch, feat)
         dx = dxs[0].transpose(1, 0, 2) + dxs[1, ::-1].transpose(1, 0, 2)
         db = da.sum(axis=1)
@@ -519,7 +587,8 @@ def multi_head_attention(x: Tensor, p: MHAParams) -> Tensor:
     # one Q|K|V array and one weights array per head rather than one
     # (heads, ...) array each: at the flagship size that would pass glibc's
     # 32 MiB ceiling on its mmap threshold and be faulted in again every step
-    slots = heads if T.recording((x, p.w_qkv, p.w_o)) else 1
+    recorded = T.recording((x, p.w_qkv, p.w_o))
+    slots = heads if recorded else 1
     qkvs = [np.empty((x2.shape[0], width), dtype=x2.dtype) for _ in range(slots)]
     ws = [np.empty(lead + lead[-1:], dtype=x2.dtype) for _ in range(slots)]
 
@@ -530,10 +599,20 @@ def multi_head_attention(x: Tensor, p: MHAParams) -> Tensor:
 
     # heads write their outputs into column blocks of one concat buffer
     cat = np.empty((x2.shape[0], p.w_o.shape[0]), dtype=x2.dtype)
-    for h, out in enumerate(blocks(cat, heads)):
-        np.matmul(x2, p.w_qkv.data[h], out=qkvs[h % slots])
-        q, k, v = blocks(qkvs[h % slots], 3)
-        np.matmul(_attention_weights(q, k, ws[h % slots]), v, out=out)
+    out_data = np.empty_like(x2, dtype=np.result_type(cat, p.w_o.data))
+
+    def forward(s):
+        """Every head and the output projection of the batch rows ``s``."""
+        r = slice(s.start * lead[1], s.stop * lead[1])   # the (B·T, ·) rows of batch rows s
+        for h, out in enumerate(blocks(cat, heads)):
+            qkv = qkvs[h % slots]
+            np.matmul(x2[r], p.w_qkv.data[h], out=qkv[r])
+            q, k, v = (a[s] for a in blocks(qkv, 3))
+            np.matmul(_attention_weights(q, k, ws[h % slots][s]), v, out=out[s])
+        np.matmul(cat[r], p.w_o.data, out=out_data[r])
+
+    _split(forward, lead[0], (recorded * len(x2), model_dim, width),
+           (recorded * len(x2), p.w_o.shape[0], model_dim))
 
     def back(g):
         # Each saved array is dropped once read: cat after dw_o, a head's
@@ -542,36 +621,50 @@ def multi_head_attention(x: Tensor, p: MHAParams) -> Tensor:
         # nothing reads them: v after ds, k after dq, q after dk.
         nonlocal cat
         g = g.reshape(-1, model_dim)
-        dw_o, cat = cat.T @ g, None
+        dw_o = np.empty_like(p.w_o.data, dtype=np.result_type(cat, g))
+        _split(lambda s: np.matmul(cat[:, s].T, g, out=dw_o[s]), len(dw_o),
+               (len(dw_o), len(g), model_dim))
+        cat = None
         dw_qkv = np.empty_like(p.w_qkv.data)
         dq = np.empty(lead + (key_dim,), dtype=x2.dtype)
-        dx = dx_h = None
+        dx = None
         for h in range(heads):
-            dqkv, w = qkvs[h], ws[h]
-            q, k, v = blocks(dqkv, 3)
-            dout = (g @ p.w_o.data[h * key_dim:(h + 1) * key_dim].T).reshape(lead + (-1,))
-            ds = dout @ np.swapaxes(v, -1, -2)
-            np.matmul(np.swapaxes(w, -1, -2), dout, out=v)
-            dout = None
-            ds -= (ds * w).sum(axis=-1, keepdims=True)
-            ds *= w
-            w = ws[h] = None
-            ds *= 1.0 / math.sqrt(key_dim)
-            np.matmul(ds, k, out=dq)
-            np.matmul(np.swapaxes(ds, -1, -2), q, out=k)
-            q[...] = dq
-            ds = None
-            np.matmul(x2.T, dqkv, out=dw_qkv[h])
+            dqkv, w_o, w_qkv = qkvs[h], p.w_o.data[h * key_dim:(h + 1) * key_dim], p.w_qkv.data[h]
+
+            def rows_of_head(s):
+                """The head's dq|dk|dv of the batch rows ``s``."""
+                w, r = ws[h][s], slice(s.start * lead[1], s.stop * lead[1])
+                q, k, v = (a[s] for a in blocks(dqkv, 3))
+                dout = (g[r] @ w_o.T).reshape(w.shape[:-1] + (-1,))
+                ds = dout @ np.swapaxes(v, -1, -2)
+                np.matmul(np.swapaxes(w, -1, -2), dout, out=v)
+                dout = None
+                ds -= (ds * w).sum(axis=-1, keepdims=True)
+                ds *= w
+                ds *= 1.0 / math.sqrt(key_dim)
+                np.matmul(ds, k, out=dq[s])
+                np.matmul(np.swapaxes(ds, -1, -2), q, out=k)
+                q[...] = dq[s]
+
+            def dx_of_head(s):
+                """The head's dx term of the batch rows ``s``."""
+                r = slice(s.start * lead[1], s.stop * lead[1])
+                if h == 0:
+                    np.matmul(dqkv[r], w_qkv.T, out=dx[r])
+                else:
+                    dx[r] += dqkv[r] @ w_qkv.T
+
+            _split(rows_of_head, lead[0], (len(g), model_dim, key_dim))
+            ws[h] = None
             if dx is None:
-                dx = dqkv @ p.w_qkv.data[h].T
-            else:
-                if dx_h is None:
-                    dx_h = np.empty_like(x2)
-                dx += np.matmul(dqkv, p.w_qkv.data[h].T, out=dx_h)
-            q = k = v = dqkv = qkvs[h] = None
+                dx = np.empty_like(x2, dtype=np.result_type(x2, w_qkv))
+            _split(dx_of_head, lead[0], (len(g), width, model_dim))
+            _split(lambda s: np.matmul(x2[:, s].T, dqkv, out=dw_qkv[h][s]), model_dim,
+                   (model_dim, len(g), width))
+            dqkv = qkvs[h] = None
         return dx.reshape(x.shape), dw_qkv, dw_o
 
-    return register_op((x, p.w_qkv, p.w_o), (cat @ p.w_o.data).reshape(x.shape), back)
+    return register_op((x, p.w_qkv, p.w_o), out_data.reshape(x.shape), back)
 
 
 # ---------------------------------------------------------------------------
@@ -622,14 +715,23 @@ def dense_forward(x: Tensor, p: DenseParams, relu: bool = False) -> Tensor:
     if x.ndim < 2 or math.prod(x.shape[1:]) != width:
         raise ShapeError(
             f"dense: input {x.shape} does not flatten to (N, {width}) for W {p.W.shape}")
-    x2 = x.data.reshape(x.shape[0], width)
-    y = x2 @ p.W.data.T + p.b.data
+    rows, x2 = x.shape[0], x.data.reshape(x.shape[0], width)
+    y = np.empty((rows, p.W.shape[0]), dtype=np.result_type(x2, p.W.data))
+
+    def forward(s):
+        np.matmul(x2[s], p.W.data.T, out=y[s])
+        y[s] += p.b.data
+
+    _split(forward, rows, (T.recording((x, p.W, p.b)) * rows, width, len(p.W.data)))
     if relu:
         np.maximum(y, 0.0, out=y)
 
     def back(g):
         if relu:
             g = g * (y > 0)
-        return (g @ p.W.data).reshape(x.shape), g.T @ x2, g.sum(axis=0)
+        dx, dw = np.empty_like(x2, dtype=y.dtype), np.empty_like(p.W.data, dtype=y.dtype)
+        _split(lambda s: np.matmul(g[s], p.W.data, out=dx[s]), rows, (rows, len(dw), width))
+        _split(lambda s: np.matmul(g[:, s].T, x2, out=dw[s]), len(dw), (len(dw), rows, width))
+        return dx.reshape(x.shape), dw, g.sum(axis=0)
 
     return register_op((x, p.W, p.b), y, back)

@@ -4,34 +4,39 @@ record), Adam, the epoch loop, inference, and latency measurement.
 Inference has one path, ``predict_logits``: infer-mode forward passes over
 row blocks of at most ``INFER_ROWS`` rows, written into one output array,
 so its memory beyond that array stays bounded however many rows a caller
-scores. Where there are two CPUs or more, a full block runs on two: the
-caller's thread and one pool thread each take half its rows through
-``Model.features``, with numpy's BLAS threads shared out between them, and
-``Model.head`` takes the whole block, so the logits keep the bits of one
-forward pass per block.
+scores. Where there are two CPUs, a full block runs on both: the caller's
+thread and one pool thread each take half its rows through
+``Model.features`` (``cpus.halves``), and ``Model.head`` takes the whole
+block, so the logits keep the bits of one forward pass per block.
 ``predict_proba``, ``measure_inference``, ``eval``, ``ablate`` and the epoch
 loop's validation all take it.
 
 The loop shuffles mini-batches from a seeded generator, runs forward passes
 in train mode (dropout active, BatchNorm batch statistics) and evaluates the
 validation slice in infer mode, so the train/infer separation is observable
-from the records. Training diverges, and aborts at once naming the epoch and
-batch, when the loss is non-finite or when an Adam step leaves a parameter
-or one of its moments non-finite (that error also names the parameter).
+from the records. Training diverges, and aborts at once naming the epoch
+and batch, when the loss is non-finite or when an Adam step leaves a
+parameter or one of its moments non-finite (that error also names the
+parameter).
+
+On two CPUs, the steps of an epoch's full batches run inside one
+``cpus.two_cpus``: their fused records run their large products in halves
+on both (see ``layers``), with the bits of one pass at the same OpenBLAS
+thread count. The validation splits its blocks as ``predict_logits`` does
+anywhere.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .cpus import blas_threads, cpus
+from .cpus import halves, two_cpus
 from .data import Dataset, SplitPair, stratified_carve
 from .errors import ConfigError, ContractError, TrainingDiverged
 from .model import Model
@@ -45,14 +50,6 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
 #: OpenBLAS 0.3.31, 64-row blocks give logits bitwise equal to 128-row ones
 #: on the benchmark's rows, while 32, 48 and 56 differ by up to 1.2e-15
 INFER_ROWS = 64
-
-#: the rows of each half of a split inference block. On a 2-vCPU x86-64
-#: machine, two parts scored a flagship block at 1.67x one pass with 32-row
-#: parts, 1.4x with 12 to 16 and 0.83x with 4, so only a full block is split.
-#: Every stage through the first hidden Dense gives a part of 3 rows or more
-#: the bits of its whole block; the Dense layers after it do not at 32 rows,
-#: so ``model.head`` takes the whole block
-_PART_ROWS = INFER_ROWS // 2
 
 #: the timed runs ``measure_inference`` takes a median over
 REPETITIONS = 30
@@ -188,6 +185,15 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
     ``Dataset`` has it; the model's channel axis is added as a view. Each
     batch, and each epoch's validation slice, is taken from it by index, so
     no resident copy of the fit or validation rows is made.
+
+    The steps of an epoch's full batches run inside one ``cpus.two_cpus``,
+    which pins numpy's OpenBLAS at one thread per half for all of them, not
+    around each split (the spinning worker thread ``cpus`` describes), so
+    the products they do not split run on one thread too. Every product of
+    a batch of a multiple of 32 rows, such as the default 128, kept its
+    two-thread bits at one thread where measured, but a sum over other row
+    counts need not (``cpus``), so a last, shorter batch runs after them in
+    one pass, at OpenBLAS's own thread count.
     """
     cfg.validate()
     train_ds: Dataset = split.train
@@ -213,23 +219,28 @@ def train(model: Model, split: SplitPair, cfg: TrainConfig) -> tuple[Model, list
         tic = time.perf_counter()
         order = fit_idx[rng.permutation(n)]
         loss_sum, hit_sum = 0.0, 0
-        for bno, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start:start + cfg.batch_size]
-            xb, yb = X[idx], y[idx]
-            opt.zero_grad()
-            with Tape() as tape:
-                logits = model.forward(xb, mode="train", rng=dropout_rng)
-                loss = cross_entropy_loss(logits, yb)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bno}")
-            backward(loss, tape)
-            diverged = opt.step()
-            if diverged is not None:
-                raise TrainingDiverged(f"parameter {diverged!r} or its Adam moments turned "
-                                       f"non-finite at epoch {epoch}, batch {bno}")
-            loss_sum += value * xb.shape[0]
-            hit_sum += int((logits.data.argmax(axis=1) == yb).sum())
+        # the full batches on two CPUs, then a last, shorter one in one pass
+        for pinned in (True, False):
+            with two_cpus() if pinned else nullcontext():
+                for bno, start in enumerate(range(0, n, cfg.batch_size)):
+                    idx = order[start:start + cfg.batch_size]
+                    if (idx.size == cfg.batch_size) != pinned:
+                        continue
+                    xb, yb = X[idx], y[idx]
+                    opt.zero_grad()
+                    with Tape() as tape:
+                        logits = model.forward(xb, mode="train", rng=dropout_rng)
+                        loss = cross_entropy_loss(logits, yb)
+                    value = float(loss.data)
+                    if not np.isfinite(value):
+                        raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bno}")
+                    backward(loss, tape)
+                    diverged = opt.step()
+                    if diverged is not None:
+                        raise TrainingDiverged(f"parameter {diverged!r} or its Adam moments "
+                                               f"turned non-finite at epoch {epoch}, batch {bno}")
+                    loss_sum += value * xb.shape[0]
+                    hit_sum += int((logits.data.argmax(axis=1) == yb).sum())
         val_loss, val_acc = _evaluate(model, X[hold_idx], y[hold_idx], cfg.batch_size)
         records.append(EpochRecord(
             epoch=epoch,
@@ -250,14 +261,16 @@ def predict_logits(model: Model, X: np.ndarray, batch_size: int = INFER_ROWS) ->
     allocated up front, so the memory a call needs beyond its output does
     not grow with N.
 
-    Where there are two CPUs or more, a block of ``INFER_ROWS`` rows is
-    split in halves of ``_PART_ROWS`` rows: ``model.features`` runs on the
-    first half on the caller's thread and on the second on a pool thread,
-    and ``model.head`` runs on the joined features of the whole block.
-    Meanwhile numpy's BLAS is shared between the halves
-    (``cpus.blas_threads``); where it cannot be, every block runs as one
-    ``model.forward``, as do smaller blocks and an X of another shape than
-    the model's input, whose ``ShapeError`` so names a block's shape. The
+    A block of ``INFER_ROWS`` rows runs ``model.features`` in two halves
+    (``cpus.halves``, inside ``cpus.two_cpus``; on one CPU, or where numpy's
+    BLAS cannot be pinned, in one pass) and ``model.head`` on the joined
+    features of the whole block. Smaller blocks, and an X of another shape
+    than the model's input, whose ``ShapeError`` so names a block's shape,
+    run as one ``model.forward``. On a 2-vCPU x86-64 machine, two parts
+    scored a flagship block at 1.67x one pass with 32-row parts, 1.4x with 12
+    to 16 and 0.83x with 4, so only a full block is split. Every stage
+    through the first hidden Dense gives a part of 3 rows or more the bits
+    of its whole block; the Dense layers after it do not at 32 rows, so the
     logits are bitwise those of ``model.forward`` on each block.
     """
     is_int = isinstance(batch_size, (int, np.integer)) and not isinstance(batch_size, bool)
@@ -265,24 +278,16 @@ def predict_logits(model: Model, X: np.ndarray, batch_size: int = INFER_ROWS) ->
         raise ContractError(f"batch_size must be an int >= 1, got {batch_size!r}")
     rows, n = min(batch_size, INFER_ROWS), X.shape[0]
     out = np.empty((n, model.cfg.num_classes), dtype=model.dtype)
-    split = (rows == INFER_ROWS and n >= INFER_ROWS and cpus() > 1
-             and X.shape[1:] == tuple(model.cfg.input_shape))
-    with ExitStack() as stack:
-        pool = None
-        if split and stack.enter_context(blas_threads(2)):
-            # entered after the pinning, so its thread is joined before the
-            # count is restored, also when a half raises
-            pool = stack.enter_context(ThreadPoolExecutor(1))
+    split = rows == INFER_ROWS and n >= INFER_ROWS and X.shape[1:] == tuple(model.cfg.input_shape)
+    with two_cpus() if split else nullcontext():
         # an empty X still makes one forward call, which raises its ShapeError
         for s in range(0, max(n, 1), rows):
             block = X[s:s + rows]
-            if pool is None or block.shape[0] < INFER_ROWS:
+            if split and block.shape[0] == INFER_ROWS:
+                parts = halves(lambda r: model.features(block[r]).data, INFER_ROWS)
+                out[s:s + rows] = model.head(Tensor(np.concatenate(parts))).data
+            else:
                 out[s:s + rows] = model.forward(block, mode="infer").data
-                continue
-            second = pool.submit(model.features, block[_PART_ROWS:])
-            first = model.features(block[:_PART_ROWS])
-            joined = np.concatenate([first.data, second.result().data])
-            out[s:s + rows] = model.head(Tensor(joined)).data
     return out
 
 

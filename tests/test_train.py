@@ -1,16 +1,20 @@
 import contextlib
 import ctypes
+import dataclasses
 import os
 import re
 import sys
 import threading
+import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from seqids import cpus as CPU
 from seqids import data as D
+from seqids import layers as L
 from seqids import tensor as T
 from seqids import train as TR
 from seqids.errors import ConfigError, ContractError, ShapeError, TrainingDiverged
@@ -344,7 +348,7 @@ def traced_peak(model, X):
 
 
 def test_predict_logits_memory_does_not_grow_with_the_batch(monkeypatch):
-    monkeypatch.setattr(TR, "cpus", lambda: 1)   # one pass a block; the split's test is below
+    monkeypatch.setattr(CPU, "cpus", lambda: 1)   # one pass a block; the split's test is below
     model = build_model(SMALL_CFG, np.random.default_rng(13))
     X = np.random.default_rng(13).normal(size=(640, 12, 1))
     # one 640-row forward pass needs several MB above one of 64 rows
@@ -356,7 +360,7 @@ def test_split_predict_logits_memory_does_not_grow_with_the_batch(monkeypatch):
     # how far the two parts' allocations overlap varies from block to block:
     # one 64-row block peaked at 267-512 KB over 20 runs, ten blocks at 496-535
     # KB and twenty at 550 KB. So both calls score ten blocks or more
-    monkeypatch.setattr(TR, "cpus", lambda: 2)
+    monkeypatch.setattr(CPU, "cpus", lambda: 2)
     model = build_model(SMALL_CFG, np.random.default_rng(13))
     X = np.random.default_rng(13).normal(size=(1280, 12, 1))
     logits = X[:640, :SMALL_CFG.num_classes, 0].nbytes
@@ -416,17 +420,17 @@ def test_split_blocks_give_the_bits_of_one_forward_per_block(monkeypatch, name, 
     whole = model.forward(X, mode="infer").data
     calls = spy_features(monkeypatch, model)
     for cpus in (2, 4):   # two 32-row halves either way
-        monkeypatch.setattr(TR, "cpus", lambda: cpus)
+        monkeypatch.setattr(CPU, "cpus", lambda: cpus)
         calls.clear()
         assert np.array_equal(TR.predict_logits(model, X), whole), cpus
-        assert sorted(rows for rows, _ in calls) == [TR._PART_ROWS, TR._PART_ROWS], cpus
+        assert sorted(rows for rows, _ in calls) == [TR.INFER_ROWS // 2] * 2, cpus
 
 
 def test_split_runs_its_parts_on_a_shared_blas_and_restores_its_thread_count(
         monkeypatch, blas_count):
     model = build_model(SMALL_CFG, np.random.default_rng(15))
     X = np.random.default_rng(15).normal(size=(150, 12, 1))
-    monkeypatch.setattr(TR, "cpus", lambda: 2)
+    monkeypatch.setattr(CPU, "cpus", lambda: 2)
     calls = spy_features(monkeypatch, model)
     logits = TR.predict_logits(model, X)
     # two full blocks in two parts each at 3 // 2 threads; the 22-row tail in one pass
@@ -445,17 +449,18 @@ def test_split_runs_its_parts_on_a_shared_blas_and_restores_its_thread_count(
     assert len(calls) == 2   # the first block's two parts, then no further block
 
 
+@contextlib.contextmanager
+def no_blas_control(parts):
+    """``cpus.blas_threads`` where numpy's OpenBLAS cannot be pinned."""
+    yield False
+
+
 def test_split_without_blas_control_runs_each_block_in_one_pass(monkeypatch):
     model = build_model(SMALL_CFG, np.random.default_rng(16))
     X = np.random.default_rng(16).normal(size=(150, 12, 1))
-    monkeypatch.setattr(TR, "cpus", lambda: 2)
+    monkeypatch.setattr(CPU, "cpus", lambda: 2)
     split = TR.predict_logits(model, X)
-
-    @contextlib.contextmanager
-    def no_control(parts):
-        yield False
-
-    monkeypatch.setattr(TR, "blas_threads", no_control)
+    monkeypatch.setattr(CPU, "blas_threads", no_blas_control)
     calls = spy_features(monkeypatch, model)
     assert np.array_equal(TR.predict_logits(model, X), split)
     assert [rows for rows, _ in calls] == [64, 64, 22]
@@ -514,7 +519,7 @@ def test_concurrent_split_calls_keep_their_bits_and_restore_the_thread_count(
         monkeypatch, blas_count):
     model = build_model(SMALL_CFG, np.random.default_rng(17))
     X = np.random.default_rng(17).normal(size=(128, 12, 1))
-    monkeypatch.setattr(TR, "cpus", lambda: 2)
+    monkeypatch.setattr(CPU, "cpus", lambda: 2)
     want = TR.predict_logits(model, X)
     got = []
 
@@ -535,6 +540,186 @@ def test_concurrent_split_calls_keep_their_bits_and_restore_the_thread_count(
     assert not any(t.is_alive() for t in callers)
     assert got == [True] * 12
     assert blas_count() == 3
+
+
+def test_halves_joins_the_pool_half_when_the_callers_half_raises(monkeypatch, blas_count):
+    monkeypatch.setattr(CPU, "cpus", lambda: 2)
+    done = []
+
+    def part(s):
+        if s.start == 0:
+            raise TrainingDiverged("the caller's half failed")
+        time.sleep(0.05)
+        done.append(s)
+
+    with CPU.two_cpus():
+        with pytest.raises(TrainingDiverged, match="caller's half"):
+            CPU.halves(part, 4)
+        assert done == [slice(2, 4)]
+    assert blas_count() == 3
+
+
+def test_two_cpus_nests_and_runs_halves_inside_a_half_whole(monkeypatch, blas_count):
+    monkeypatch.setattr(CPU, "cpus", lambda: 2)
+    inner = []
+
+    def outer(s):
+        CPU.halves(lambda r: inner.append((threading.get_ident(), r)), 6)
+
+    assert CPU.halves(lambda s: s, 5) == [slice(0, 5)]   # outside two_cpus
+    with CPU.two_cpus():
+        assert blas_count() == 1
+        with CPU.two_cpus():   # shares the outer call's pin and pool
+            assert blas_count() == 1
+            assert CPU.halves(lambda s: s, 5) == [slice(0, 2), slice(2, 5)]
+            assert CPU.halves(lambda s: s, 1) == [slice(0, 1)]
+        assert blas_count() == 1
+        CPU.halves(outer, 2)
+    assert blas_count() == 3
+    assert [r for _, r in inner] == [slice(0, 6)] * 2
+    assert len({thread for thread, _ in inner}) == 2
+
+
+# ---------------------------------------------------------------------------
+# The train step in halves on two CPUs
+
+#: the ten ``table3_grid`` cases at T = 12 and batch 128, so that B·T = 1536
+#: rows and every fused record has products large enough to be split
+TRAIN_SPLIT_CASES = {case: cfg for case, cfg, _ in table3_grid(ModelConfig(
+    input_shape=(12, 1), num_classes=3, dense_units=(32, 16), bn_momentum=0.8))}
+
+
+def train_small(cfg, dtype="float64", seed=0, **train_cfg):
+    """``train.train`` for 2 epochs at batch 128 on 216 fit rows (a full batch
+    and one of 88 rows) and 24 validation rows."""
+    model = build_model(cfg, np.random.default_rng(seed), dtype)
+    pair = small_split(seed, features=cfg.input_shape[0], per_class=100)
+    settings = dict(epochs=2, batch_size=128, seed=seed) | train_cfg
+    return TR.train(model, pair, TR.TrainConfig(**settings))
+
+
+def spy_halves(monkeypatch, fail_off_the_caller=False):
+    """Record (thread, slice, n) of each part the layers' ``halves`` calls run;
+    optionally raise on a pool thread."""
+    parts, caller, halves = [], threading.get_ident(), L.halves
+
+    def spy(fn, n):
+        def part(s):
+            parts.append((threading.get_ident(), s, n))
+            if fail_off_the_caller and threading.get_ident() != caller:
+                raise TrainingDiverged("a half on a pool thread failed")
+            return fn(s)
+        return halves(part, n)
+
+    monkeypatch.setattr(L, "halves", spy)
+    return parts
+
+
+#: records whose products, split in halves, would not keep their bits with
+#: some OpenBLAS kernels (150 and 250 columns, halves under 1e6 multiply-adds
+#: or of 1 and 2 rows), beside ones that split: (make params, x shape)
+RECORDS = {
+    "dense_250_columns": (lambda rng: partial(L.dense_forward, p=L.init_dense(rng, 64, 250)),
+                          (128, 64)),
+    "dense_small_halves": (lambda rng: partial(L.dense_forward, p=L.init_dense(rng, 768, 16)),
+                           (128, 768)),
+    "dense_split": (lambda rng: partial(L.dense_forward, p=L.init_dense(rng, 768, 64)),
+                    (128, 768)),
+    "conv_250_filters": (lambda rng: partial(L.conv1d_forward, p=L.init_conv1d(rng, 64, 250, 3)),
+                         (16, 60, 64)),
+    "conv_3_row_dw": (lambda rng: partial(L.conv1d_forward, p=L.init_conv1d(rng, 1, 64, 3)),
+                      (300, 60, 1)),
+    "bigru_50_units": (lambda rng: partial(L.bigru_forward, fwd=L.init_gru(rng, 64, 50),
+                                           bwd=L.init_gru(rng, 64, 50)), (16, 60, 64)),
+    "mha_key_dim_50": (lambda rng: partial(L.multi_head_attention, p=L.init_mha(rng, 128, 2, 50)),
+                       (16, 60, 128)),
+}
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_keeps_its_bits_in_halves(monkeypatch, blas_count, name, dtype):
+    make, shape = RECORDS[name]
+    rng = np.random.default_rng(19)
+    layer = make(rng)
+    for params in layer.keywords.values():
+        for field in dataclasses.fields(params):
+            tensor = getattr(params, field.name)
+            tensor.data = tensor.data.astype(dtype)
+    x = rng.normal(size=shape).astype(dtype)
+
+    def record():
+        with T.Tape() as tape:
+            out = layer(Tensor(x, requires_grad=True))
+        g = np.random.default_rng(20).normal(size=out.shape).astype(dtype)
+        return [out.data] + [a for a in tape.records[0].backward_fn(g) if a is not None]
+
+    monkeypatch.setattr(CPU, "cpus", lambda: 1)
+    with CPU.blas_threads(2):   # the thread count of a half, as below
+        whole = record()
+    monkeypatch.setattr(CPU, "cpus", lambda: 2)
+    with CPU.two_cpus():
+        split = record()
+    assert [a.tobytes() for a in whole] == [a.tobytes() for a in split]
+
+
+@pytest.mark.parametrize("seed", [3, 13])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("case", TRAIN_SPLIT_CASES)
+def test_train_bits_do_not_depend_on_the_split(monkeypatch, case, dtype, seed):
+    if CPU._openblas() is None:
+        pytest.skip("no OpenBLAS thread control found")
+    cfg = TRAIN_SPLIT_CASES[case]
+    monkeypatch.setattr(CPU, "cpus", lambda: 1)
+    whole, whole_records = train_small(cfg, dtype, seed)
+    monkeypatch.setattr(CPU, "cpus", lambda: 2)
+    parts = spy_halves(monkeypatch)
+    split, split_records = train_small(cfg, dtype, seed)
+    assert any(thread != threading.get_ident() for thread, _, _ in parts)
+    for (name, a), b in zip(whole.named_arrays().items(), split.named_arrays().values()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+    fields = lambda r: (r.epoch, r.train_loss, r.train_accuracy, r.val_loss, r.val_accuracy)
+    assert [fields(r) for r in whole_records] == [fields(r) for r in split_records]
+
+
+def test_train_validation_scores_its_blocks_in_halves(monkeypatch):
+    monkeypatch.setattr(CPU, "cpus", lambda: 2)
+    model = build_model(SMALL_CFG, np.random.default_rng(18))
+    rows = small_split(18).train
+    head = D.Dataset(X=rows.X[:64], y=rows.y[:64], encoder=rows.encoder,
+                     feature_names=rows.feature_names)
+    calls, features = [], model.features
+
+    def spy(batch, mode="infer", rng=None):
+        calls.append((np.shape(batch)[0], mode))
+        return features(batch, mode, rng)
+
+    monkeypatch.setattr(model, "features", spy)
+    TR.train(model, D.SplitPair(head, head, 1.0),
+             TR.TrainConfig(epochs=2, batch_size=64, validation_fraction=0.0))
+    # each epoch: one 64-row step, then its 64 rows validated in two halves
+    assert calls == [(64, "train"), (32, "infer"), (32, "infer")] * 2
+
+
+def test_a_half_that_raises_on_the_pool_thread_stops_training(monkeypatch, blas_count):
+    monkeypatch.setattr(CPU, "cpus", lambda: 2)
+    spy_halves(monkeypatch, fail_off_the_caller=True)
+    before = set(threading.enumerate())
+    with pytest.raises(TrainingDiverged, match="pool thread"):
+        train_small(TRAIN_SPLIT_CASES[5])
+    assert blas_count() == 3
+    assert set(threading.enumerate()) <= before   # the pool thread is joined
+
+
+@pytest.mark.parametrize("fallback", ["one_cpu", "no_blas_control"])
+def test_train_without_two_cpus_runs_in_one_pass(monkeypatch, fallback):
+    monkeypatch.setattr(CPU, "cpus", lambda: 1 if fallback == "one_cpu" else 2)
+    if fallback == "no_blas_control":
+        monkeypatch.setattr(CPU, "blas_threads", no_blas_control)
+    parts = spy_halves(monkeypatch)
+    train_small(TRAIN_SPLIT_CASES[5], epochs=1)
+    assert parts
+    assert all(thread == threading.get_ident() and s == slice(0, n) for thread, s, n in parts)
 
 
 # ---------------------------------------------------------------------------
