@@ -45,10 +45,13 @@ them. ``eval`` builds its model in the checkpoint's dtype. ``--label-column``
 column; ``train`` stores it in the model file.
 
 Every artifact directory receives exactly one ``manifest.json`` capturing
-the command, settings, seed, dataset entry, tool version and timestamps. The
-dataset entry holds the file's path and sha256 and the reader's counts:
-``rows`` is every data row, dropped rows included, and ``columns`` is every
-column, the label included. ``--out-dir`` is created just before the first
+the command, settings, seed, dataset entry, tool version and timestamps, and
+the CPUs the process could use (``cpus``) and numpy's OpenBLAS thread count
+(``openblas_threads``, null where ``seqids.cpus`` finds no OpenBLAS it can
+read): a seeded ``train`` is byte-reproducible only at one thread count
+(``seqids.train``). The dataset entry holds the file's path and sha256 and
+the reader's counts: ``rows`` is every data row, dropped rows included, and
+``columns`` is every column, the label included. ``--out-dir`` is created just before the first
 artifact is written, so a run that fails before that leaves no directory.
 """
 
@@ -67,6 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import cpus as CPU
 from . import data as D
 from . import metrics as M
 from . import tensor as T
@@ -182,6 +186,8 @@ def write_manifest(path: Path, command: str, settings: dict,
         "seed": seed,
         "dataset": fingerprint,
         "tool_version": __version__,
+        "cpus": CPU.cpus(),
+        "openblas_threads": CPU.openblas_threads(),
         "started": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(started)),
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }

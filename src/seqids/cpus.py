@@ -13,10 +13,10 @@ flagship batch of 112 rows has its BiGRU dU sum over 59 x 112 rows.
 
 ``two_cpus`` and ``halves`` are the one owner of the row split that
 ``predict_logits`` scores a block with and that a training step's fused
-records run their large products with: inside ``two_cpus``, ``halves(fn,
-n)`` runs ``fn`` on the first half of ``n`` rows on the caller's thread and
-on the second half on one pool thread, with OpenBLAS at one thread per half
-(on two CPUs). A caller pins OpenBLAS once around all of its work, such as
+records run their large products, the BiGRU's loops and their row-wise
+passes with: inside ``two_cpus``, ``halves(fn, n)`` runs ``fn`` on the
+first half of ``n`` rows on the caller's thread and on the second half on
+one pool thread, with OpenBLAS at one thread per half (on two CPUs). A caller pins OpenBLAS once around all of its work, such as
 an epoch's train steps, not around each split: OpenBLAS's idle worker thread
 spins after every call that used it, measured at 0.125 s of CPU over the
 1 s sleep that followed one 2-thread product (0.000 s with
@@ -94,6 +94,12 @@ def _openblas() -> tuple[Callable[[int], None], Callable[[], int]] | None:
             get_fn.argtypes, get_fn.restype = [], ctypes.c_int
             return set_fn, get_fn
     return None
+
+
+def openblas_threads() -> int | None:
+    """The thread count of numpy's OpenBLAS, or None where it is not found."""
+    blas = _openblas()
+    return None if blas is None else blas[1]()
 
 
 @contextmanager

@@ -34,7 +34,10 @@ varies):
   the pre-activation gradient out direction-major, ``(2, T, B, ·)``, so
   that dW, dU and dx are one GEMM per direction each, the two directions'
   on two CPUs (see below). Recorded, the input projection runs in halves of
-  the time steps; the scan and BPTT loops and ``db`` stay whole.
+  the time steps, and the scan and the BPTT loop each run as two loops, one
+  per batch half, where a half is large enough (``_SPLIT_LOOP_BYTES``): the
+  rows of a GRU never meet, so the halves need no join per step. ``db``
+  stays whole.
 * Multi-head attention is one tape record too. ``w_qkv (heads, model_dim,
   3 * key_dim)`` holds each head's query | key | value column blocks and
   ``w_o (heads * key_dim, model_dim)`` projects the concatenated heads back.
@@ -66,7 +69,10 @@ varies):
   BatchNorm), its backward rule masking ``g`` before the normalization's.
   The record keeps x, the mean and ``rstd``, not the normalized ``xhat``:
   the backward rule rebuilds ``xhat`` with the forward pass's two ops, and
-  the forward pass scales and shifts that same array in place.
+  the forward pass scales and shifts that same array in place. Recorded,
+  the forward pass and the backward rule's per-row passes run in row
+  halves, LayerNorm's per-row means inside them; ``dgamma``, ``dbeta`` and
+  BatchNorm's means over batch and time run whole between the passes.
 * The residual join ``relu(a + b)`` is one record too, ``residual_relu``,
   over two inputs of one shape; no other elementwise op has a record. Its
   backward rule writes the masked gradient into a new array and returns it
@@ -75,12 +81,15 @@ varies):
   time-major ``dx``, and a masked array in that layout changes the
   summation order, and so the bits, of the BatchNorm gradients below it.
   ``_normalize(relu=True)`` and the Dense ReLU mask into a new array too.
+  Recorded, the join and its rule run in row halves.
 * Dropout is inverted: survivors are scaled by 1/(1-rate) at train time and
   inference is the identity. Train mode is one tape record on a boolean
   keep mask; its backward rule multiplies the same mask and then the scale
   into ``g`` itself and returns it, the only rule that writes into ``g``:
   its ``g`` is the first Dense's C-contiguous ``dx``, so the bits are those
   of a new array, and the step holds one ``(B, T, F)`` gradient, not two.
+  The mask is drawn whole from the one generator; recorded, the
+  mask-and-scale of the forward pass and of the rule run in row halves.
 * Dense is one tape record: ``x W^T + b``, then a ReLU when the call asks
   for one, ``dense_forward(..., relu=True)``, as ``batchnorm_forward`` asks
   for its own. It takes ``(N, ...)`` input and reads it as the view ``(N,
@@ -88,8 +97,9 @@ varies):
   its own; ``dx`` comes back in the input's shape. The model asks no ReLU of
   its last Dense, so it returns logits; the softmax lives in the loss and in
   ``predict_proba``. Recorded, the forward and dx run in batch halves and
-  dW in halves of its rows, where large enough: of the flagship's, the
-  first Dense's forward and dx.
+  dW in halves of its rows, or of its columns where it has too few rows to
+  halve, where large enough: of the flagship's, the first Dense's forward,
+  dx and dW (64 rows of 7680 columns).
 * Weights use fan-scaled uniform init, bound sqrt(6 / (fan_in + fan_out));
   biases start at zero, scale/shift parameters at one/zero.
 * Inside ``cpus.two_cpus`` (the train steps) a recorded Conv1D, BiGRU,
@@ -99,8 +109,13 @@ varies):
   gradient, over all rows in halves of its output rows, so no sum changes
   order. A product is split only where its halves keep the bits of the
   whole one (``_SPLIT_ROWS``), so the step's bits do not depend on the
-  split. BatchNorm, LayerNorm, dropout, the residual join, the loss and
-  Adam stay whole, as does every product of an unrecorded pass.
+  split. Every record's work with no product, row by row, runs in row
+  halves too where it is large enough (``_split_rows``): the BiGRU's loops,
+  the normalizers' per-row passes, the residual join and dropout's
+  mask-and-scale. Each sum over rows runs whole on the joined arrays, in
+  the order of one pass, and each returned array keeps the layout it has
+  from one pass, which sets the order of the sums below it. The loss and
+  Adam stay whole, as does every pass of an unrecorded op.
 """
 
 from __future__ import annotations
@@ -135,6 +150,41 @@ def _split(fn, n: int, *products: tuple[int, int, int]) -> None:
     0 rows is never split."""
     if all(m >= _SPLIT_ROWS and c % _SPLIT_COLUMNS == 0 and m // 2 * k * c > _SMALL_PRODUCT
            for m, k, c in products):
+        halves(fn, n)
+    else:
+        fn(slice(0, n))
+
+
+#: Row-wise work with no product (the normalizers' per-row passes, the
+#: residual join, dropout's mask-and-scale) is split in halves only where the
+#: array it writes takes at least this many bytes. On a 2-vCPU x86-64
+#: machine, while the second CPU was free, halves ran a two-op pass at
+#: 1.58x one pass over 1 MiB, 1.30x over 512 KiB and 0.87x over 256 KiB
+#: (medians of 67 alternations); while it was busy they lost 21-28% at
+#: 1 MiB and 3-8% at 4 MiB and more
+_SPLIT_BYTES = 1 << 20
+
+#: The BiGRU's scan and BPTT loops are split in batch halves only where the
+#: batch has ``_SPLIT_ROWS`` rows or more, H is a multiple of
+#: ``_SPLIT_COLUMNS`` and a half's per-step z|r block, (2, B/2, 2H), takes
+#: at least this many bytes. A half's per-step products, such as the
+#: flagship's (64 x 64) @ (64 x 128), are under ``_SMALL_PRODUCT``, yet kept
+#: their bits in 104 records of batch 128 to 512 (odd ones too), H a
+#: multiple of 16 up to 128 and blocks of 64 KiB or more, in float64 and
+#: float32; with H = 50 or 100 they did not. On a 2-vCPU x86-64 machine,
+#: halves ran the loops at 1.23-1.37x one pass (in medians of about 200
+#: alternations) with 128 KiB blocks (batch 128, H = 64, float64; batch
+#: 256 in float32), 1.03-1.10x with 96 KiB (H = 48, float64; H = 96,
+#: float32) and 0.77-0.83x with 64 KiB (batch 128, H = 64, float32)
+_SPLIT_LOOP_BYTES = 96 << 10
+
+
+def _split_rows(fn, n: int, nbytes: int, floor: int = _SPLIT_BYTES) -> None:
+    """``cpus.halves(fn, n)`` where ``nbytes`` is at least ``floor``, else
+    ``fn(slice(0, n))``. ``fn(s)`` does the work of the leading-axis rows
+    ``s``, which reads no other row, so the split changes no bit; a caller
+    passes 0 bytes for a pass that is not recorded, which stays whole."""
+    if nbytes >= floor:
         halves(fn, n)
     else:
         fn(slice(0, n))
@@ -239,33 +289,69 @@ def _normalize(x: Tensor, p: BatchNormParams | LayerNormParams, mean: np.ndarray
     The ReLU's mask is applied to ``g`` first.
     """
     rstd = 1.0 / np.sqrt(var + epsilon)
+    gamma, lead = p.gamma.data, tuple(range(x.ndim - 1))
+    # LayerNorm's statistics are per row, (B, T, 1), and are sliced with it;
+    # BatchNorm's, per channel, serve every row. A 1-d input stays whole.
+    per_row, n = mean.ndim == x.ndim, len(x.data)
 
-    def normalized():
-        xhat = x.data - mean
-        xhat *= rstd
-        return xhat
+    def stat(a, s):
+        return a[s] if per_row else a
+
+    def normalized(s, out):
+        """xhat of the rows ``s``, into ``out``."""
+        np.subtract(x.data[s], stat(mean, s), out=out)
+        out *= stat(rstd, s)
+        return out
 
     # the record keeps x, mean and rstd, and the rule rebuilds xhat from them
-    out_data = normalized()
-    out_data *= p.gamma.data
-    out_data += p.beta.data
-    if relu:
-        np.maximum(out_data, 0, out=out_data)
-    gamma, lead = p.gamma.data, tuple(range(x.ndim - 1))
+    out_data = np.empty_like(x.data, dtype=np.result_type(x.data, mean))
+
+    def forward(s):
+        out = normalized(s, out_data[s])
+        out *= gamma
+        out += p.beta.data
+        if relu:
+            np.maximum(out, 0, out=out)
+
+    _split_rows(forward, n, T.recording((x, p.gamma, p.beta)) * (x.ndim > 1) * out_data.nbytes)
 
     def back(g):
+        # the per-row passes in row halves; every sum over rows, and
+        # BatchNorm's means over batch and time, whole between them
+        nbytes = (x.ndim > 1) * g.nbytes
         if relu:
-            g = g * (out_data > 0)
-        xhat = normalized()
-        t = g * xhat
+            g, masked = np.empty(g.shape, g.dtype), g
+        xhat = np.empty_like(out_data)
+        t, dx = (np.empty(g.shape, np.result_type(g, a)) for a in (xhat, gamma))
+
+        def first(s):
+            if relu:
+                np.multiply(masked[s], out_data[s] > 0, out=g[s])
+            np.multiply(g[s], normalized(s, xhat[s]), out=t[s])
+            np.multiply(g[s], gamma, out=dx[s])
+            if axes is None:
+                dx[s] *= stat(rstd, s)
+
+        def scaled(s):
+            t[s] *= gamma
+
+        means = None   # BatchNorm's, over batch and time: taken whole, below
+
+        def last(s):
+            if per_row:   # LayerNorm's means are per row, so taken in the half
+                scaled(s)
+            proj, dx_mean = means or [a[s].mean(axis=axes, keepdims=True) for a in (t, dx)]
+            dx[s] -= dx_mean
+            dx[s] -= np.multiply(xhat[s], proj, out=t[s])
+            dx[s] *= stat(rstd, s)
+
+        _split_rows(first, n, nbytes)
         dgamma = t.sum(axis=lead)
-        dx = g * gamma
+        if axes is not None and not per_row:
+            _split_rows(scaled, n, nbytes)
+            means = [a.mean(axis=axes, keepdims=True) for a in (t, dx)]
         if axes is not None:
-            t *= gamma
-            proj = t.mean(axis=axes, keepdims=True)
-            dx -= dx.mean(axis=axes, keepdims=True)
-            dx -= np.multiply(xhat, proj, out=t)
-        dx *= rstd
+            _split_rows(last, n, nbytes)
         return dx, dgamma, g.sum(axis=lead)
 
     return register_op((x, p.gamma, p.beta), out_data, back)
@@ -323,12 +409,23 @@ def residual_relu(a: Tensor, b: Tensor) -> Tensor:
     """``relu(a + b)``, the residual block's join, as one tape record."""
     if a.shape != b.shape:
         raise ShapeError(f"residual join: shapes {a.shape} and {b.shape} differ")
-    out_data = a.data + b.data
-    np.maximum(out_data, 0, out=out_data)
+    out_data = np.empty(a.shape, dtype=np.result_type(a.data, b.data))
+
+    def forward(s):
+        np.add(a.data[s], b.data[s], out=out_data[s])
+        np.maximum(out_data[s], 0, out=out_data[s])
+
+    _split_rows(forward, len(out_data), T.recording((a, b)) * out_data.nbytes)
 
     def back(g):
-        g = g * (out_data > 0)
-        return g, g.copy()
+        da, db = np.empty(g.shape, g.dtype), np.empty(g.shape, g.dtype)
+
+        def masked(s):
+            np.multiply(g[s], out_data[s] > 0, out=da[s])
+            db[s] = da[s]
+
+        _split_rows(masked, len(g), g.nbytes)
+        return da, db
 
     return register_op((a, b), out_data, back)
 
@@ -394,13 +491,12 @@ def _gru_scan(zr: np.ndarray, cand: np.ndarray, u: np.ndarray, hs: np.ndarray) -
 
 
 def _gru_bptt(zr: np.ndarray, cand: np.ndarray, u: np.ndarray, hs: np.ndarray,
-              dhs: np.ndarray) -> np.ndarray:
+              dhs: np.ndarray, da: np.ndarray) -> None:
     """BPTT of one ``_gru_scan``, from its activations and (2, T, B, H) copies
     of h and of the output gradient, each direction in its own time order:
-    the pre-activation gradient, (2, T, B, 3H)."""
+    the pre-activation gradient, written into ``da``, (2, T, B, 3H)."""
     hid = u.shape[1]
     u_zr_t, u_c_t = (np.swapaxes(w, -1, -2) for w in (u[..., :2 * hid], u[..., 2 * hid:]))
-    da = np.empty(hs.shape[:-1] + (3 * hid,), dtype=hs.dtype)
     dh, drh, t1, t2, t3 = (np.zeros_like(hs[:, 0]) for _ in range(5))
     for s in range(da.shape[1] - 1, -1, -1):
         z, r, c, da_s = zr[s, ..., :hid], zr[s, ..., hid:], cand[s], da[:, s]
@@ -430,7 +526,6 @@ def _gru_bptt(zr: np.ndarray, cand: np.ndarray, u: np.ndarray, hs: np.ndarray,
         dh += t1
         np.matmul(da_s[..., :2 * hid], u_zr_t, out=t1)
         dh += t1
-    return da
 
 
 def bigru_forward(x: Tensor, fwd: GRUParams, bwd: GRUParams) -> Tensor:
@@ -470,14 +565,28 @@ def bigru_forward(x: Tensor, fwd: GRUParams, bwd: GRUParams) -> Tensor:
     recorded = T.recording((x,) + tuple(q for p in dirs for q in (p.W, p.U, p.b)))
     _split(project, t_len, (recorded * t_len * batch, feat, 3 * hid))
     hs = np.empty((t_len, 2, batch, hid), dtype=dtype)
-    _gru_scan(zr, cand, u, hs)
+    # the rows of a GRU never meet, so each batch half runs its own loop
+    loops = recorded and batch >= _SPLIT_ROWS and hid % _SPLIT_COLUMNS == 0
+    loop_bytes = loops * (batch // 2) * 4 * hid * zr.itemsize
+
+    def scan(s):
+        _gru_scan(zr[:, :, s], cand[:, :, s], u, hs[:, :, s])
+
+    _split_rows(scan, batch, loop_bytes, _SPLIT_LOOP_BYTES)
     out_data = np.empty((batch, t_len, 2 * hid), dtype=x.data.dtype)
     out_data[..., :hid] = hs[:, 0].transpose(1, 0, 2)
     out_data[..., hid:] = hs[::-1, 1].transpose(1, 0, 2)
 
     def back(g):
         hs = _time_major(out_data[..., :hid], out_data[..., hid:])
-        da = _gru_bptt(zr, cand, u, hs, _time_major(g[..., :hid], g[..., hid:]))
+        dhs = _time_major(g[..., :hid], g[..., hid:])
+        da = np.empty((2, t_len, batch, 3 * hid), dtype=hs.dtype)
+
+        def bptt(s):
+            _gru_bptt(zr[:, :, s], cand[:, :, s], u, hs[:, :, s], dhs[:, :, s], da[:, :, s])
+
+        _split_rows(bptt, batch, loop_bytes, _SPLIT_LOOP_BYTES)
+        del dhs
         da_next = da[:, 1:].reshape(2, -1, 3 * hid)
         da = da.reshape(2, -1, 3 * hid)
         dw, du = np.empty((2, feat, 3 * hid), dtype=dtype), np.empty_like(u)
@@ -686,12 +795,16 @@ def dropout_forward(x: Tensor, rate: float, mode: str = "train",
     # multiplying by the scaled mask, and the record keeps 1 byte an element
     keep, scale = rng.random(x.shape) >= rate, 1.0 / (1.0 - rate)
 
-    def apply(a, out=None):
-        out = np.multiply(a, keep, out=out)
-        out *= scale
+    def apply(a, out, recorded=True):
+        """``a`` masked and scaled into ``out``, in row halves when recorded."""
+        def rows(s):
+            np.multiply(a[s], keep[s], out=out[s])
+            out[s] *= scale
+        _split_rows(rows, len(a), recorded * a.nbytes)
         return out
 
-    return register_op((x,), apply(x.data), lambda g: (apply(g, out=g),))
+    out_data = apply(x.data, np.empty_like(x.data), T.recording((x,)))
+    return register_op((x,), out_data, lambda g: (apply(g, g),))
 
 
 @dataclass
@@ -731,7 +844,16 @@ def dense_forward(x: Tensor, p: DenseParams, relu: bool = False) -> Tensor:
             g = g * (y > 0)
         dx, dw = np.empty_like(x2, dtype=y.dtype), np.empty_like(p.W.data, dtype=y.dtype)
         _split(lambda s: np.matmul(g[s], p.W.data, out=dx[s]), rows, (rows, len(dw), width))
-        _split(lambda s: np.matmul(g[:, s].T, x2, out=dw[s]), len(dw), (len(dw), rows, width))
+        if len(dw) < _SPLIT_ROWS and width % (2 * _SPLIT_COLUMNS) == 0 \
+                and len(dw) * rows * (width // 2) > _SMALL_PRODUCT:
+            # too few rows to halve, as the flagship's first Dense's 64 of
+            # 7680 columns: halves of its columns. Halves of a multiple of 16
+            # columns over 1e6 multiply-adds kept their bits in 400 random
+            # products of 1 to 127 rows; of 290 of other widths, 247 did not
+            # in float64
+            halves(lambda s: np.matmul(g.T, x2[:, s], out=dw[:, s]), width)
+        else:
+            _split(lambda s: np.matmul(g[:, s].T, x2, out=dw[s]), len(dw), (len(dw), rows, width))
         return dx.reshape(x.shape), dw, g.sum(axis=0)
 
     return register_op((x, p.W, p.b), y, back)

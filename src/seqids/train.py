@@ -20,10 +20,18 @@ parameter or one of its moments non-finite (that error also names the
 parameter).
 
 On two CPUs, the steps of an epoch's full batches run inside one
-``cpus.two_cpus``: their fused records run their large products in halves
-on both (see ``layers``), with the bits of one pass at the same OpenBLAS
-thread count. The validation splits its blocks as ``predict_logits`` does
-anywhere.
+``cpus.two_cpus``: their fused records run their large products, the
+BiGRU's scan and BPTT loops and their row-wise passes (the normalizers,
+the residual join, dropout's mask-and-scale) in halves on both (see
+``layers``), with the bits of one pass at the same OpenBLAS thread count.
+The validation splits its blocks as ``predict_logits`` does anywhere.
+
+A seeded run is byte-reproducible at one OpenBLAS thread count only: a
+weight gradient summed over more than 384 rows, a count not 0 or 31 mod
+32, can take other bits at another thread count (``cpus``), so machines
+with other CPU counts, or a run with ``OPENBLAS_NUM_THREADS`` set, may
+train other weights from one seed. ``train``'s ``manifest.json`` records
+the CPU count and numpy's OpenBLAS thread count.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from seqids import cli
+from seqids import cpus as CPU
 from seqids import data as D
 from seqids.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from seqids.errors import InputError, SeqidsError
@@ -215,6 +216,21 @@ def test_train_writes_all_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["settings"]["smote"] is True
+
+
+@pytest.mark.parametrize("openblas", ["found", "not_found"])
+def test_train_manifest_records_the_cpus_and_openblas_threads(tmp_path, monkeypatch, openblas):
+    # a seeded train is byte-reproducible only at one OpenBLAS thread count
+    monkeypatch.setattr(CPU, "cpus", lambda: 1)
+    if openblas == "not_found":
+        monkeypatch.setattr(CPU, "_openblas", lambda: None)
+    blas = CPU._openblas()
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", gen(tmp_path), "--config", config_file(tmp_path),
+                   "--out-dir", out, *TRAIN_SPEED_FLAGS) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["cpus"] == 1
+    assert manifest["openblas_threads"] == (None if blas is None else blas[1]())
 
 
 def test_train_no_smote_keeps_imbalanced_counts(tmp_path):

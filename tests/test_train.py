@@ -599,13 +599,14 @@ def train_small(cfg, dtype="float64", seed=0, **train_cfg):
 
 
 def spy_halves(monkeypatch, fail_off_the_caller=False):
-    """Record (thread, slice, n) of each part the layers' ``halves`` calls run;
-    optionally raise on a pool thread."""
+    """Record (thread, slice, n, name) of each part the layers' ``halves``
+    calls run, ``name`` that of the function split; optionally raise on a
+    pool thread."""
     parts, caller, halves = [], threading.get_ident(), L.halves
 
     def spy(fn, n):
         def part(s):
-            parts.append((threading.get_ident(), s, n))
+            parts.append((threading.get_ident(), s, n, fn.__name__))
             if fail_off_the_caller and threading.get_ident() != caller:
                 raise TrainingDiverged("a half on a pool thread failed")
             return fn(s)
@@ -617,7 +618,8 @@ def spy_halves(monkeypatch, fail_off_the_caller=False):
 
 #: records whose products, split in halves, would not keep their bits with
 #: some OpenBLAS kernels (150 and 250 columns, halves under 1e6 multiply-adds
-#: or of 1 and 2 rows), beside ones that split: (make params, x shape)
+#: or of 1 and 2 rows), beside ones that split, and the flagship's records
+#: whose loops and row-wise passes split: (make layer, x shape)
 RECORDS = {
     "dense_250_columns": (lambda rng: partial(L.dense_forward, p=L.init_dense(rng, 64, 250)),
                           (128, 64)),
@@ -633,34 +635,96 @@ RECORDS = {
                                            bwd=L.init_gru(rng, 64, 50)), (16, 60, 64)),
     "mha_key_dim_50": (lambda rng: partial(L.multi_head_attention, p=L.init_mha(rng, 128, 2, 50)),
                        (16, 60, 128)),
+    "batchnorm_relu_flagship": (lambda rng: partial(
+        L.batchnorm_forward, p=L.init_batchnorm(rng, 64, 0.99), relu=True), (128, 60, 64)),
+    "residual_flagship": (lambda rng: partial(
+        L.residual_relu, b=Tensor(rng.normal(size=(128, 60, 64)), requires_grad=True)),
+        (128, 60, 64)),
+    "bigru_flagship": (lambda rng: partial(L.bigru_forward, fwd=L.init_gru(rng, 64, 64),
+                                           bwd=L.init_gru(rng, 64, 64)), (128, 60, 64)),
+    "bigru_100_units": (lambda rng: partial(L.bigru_forward, fwd=L.init_gru(rng, 64, 100),
+                                            bwd=L.init_gru(rng, 64, 100)), (128, 12, 64)),
+    "bigru_odd_batch": (lambda rng: partial(L.bigru_forward, fwd=L.init_gru(rng, 32, 96),
+                                            bwd=L.init_gru(rng, 32, 96)), (129, 12, 32)),
+    "layernorm_flagship": (lambda rng: partial(L.layernorm_forward, p=L.init_layernorm(rng, 128)),
+                           (128, 60, 128)),
+    "dropout_flagship": (lambda rng: partial(L.dropout_forward, rate=0.5, rng=rng),
+                         (128, 60, 128)),
+    "dense_flagship": (lambda rng: partial(L.dense_forward, p=L.init_dense(rng, 7680, 64)),
+                       (128, 60, 128)),
 }
+
+
+def run_record(name, dtype):
+    """The output and the returned gradients of ``RECORDS[name]`` in ``dtype``,
+    built afresh from one seed, run forward and then backward."""
+    make, shape = RECORDS[name]
+    rng = np.random.default_rng(19)
+    layer = make(rng)
+    for value in layer.keywords.values():
+        values = [value] if isinstance(value, Tensor) else \
+            [getattr(value, f.name) for f in dataclasses.fields(value)] \
+            if dataclasses.is_dataclass(value) else []
+        for tensor in (v for v in values if isinstance(v, Tensor)):
+            tensor.data = tensor.data.astype(dtype)
+    x = rng.normal(size=shape).astype(dtype)
+    with T.Tape() as tape:
+        out = layer(Tensor(x, requires_grad=True))
+    g = np.random.default_rng(20).normal(size=out.shape).astype(dtype)
+    return [out.data] + [a for a in tape.records[0].backward_fn(g) if a is not None]
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("name", RECORDS)
 def test_a_record_keeps_its_bits_in_halves(monkeypatch, blas_count, name, dtype):
-    make, shape = RECORDS[name]
-    rng = np.random.default_rng(19)
-    layer = make(rng)
-    for params in layer.keywords.values():
-        for field in dataclasses.fields(params):
-            tensor = getattr(params, field.name)
-            tensor.data = tensor.data.astype(dtype)
-    x = rng.normal(size=shape).astype(dtype)
-
-    def record():
-        with T.Tape() as tape:
-            out = layer(Tensor(x, requires_grad=True))
-        g = np.random.default_rng(20).normal(size=out.shape).astype(dtype)
-        return [out.data] + [a for a in tape.records[0].backward_fn(g) if a is not None]
-
     monkeypatch.setattr(CPU, "cpus", lambda: 1)
     with CPU.blas_threads(2):   # the thread count of a half, as below
-        whole = record()
+        whole = run_record(name, dtype)
     monkeypatch.setattr(CPU, "cpus", lambda: 2)
     with CPU.two_cpus():
-        split = record()
-    assert [a.tobytes() for a in whole] == [a.tobytes() for a in split]
+        split = run_record(name, dtype)
+    layout = lambda arrays: [(a.dtype, a.shape, a.strides, a.tobytes()) for a in arrays]
+    assert layout(whole) == layout(split)
+
+
+def test_the_flagship_loops_and_row_passes_run_a_half_on_the_pool_thread(
+        monkeypatch, blas_count):
+    monkeypatch.setattr(CPU, "cpus", lambda: 2)
+    parts, loops, caller = spy_halves(monkeypatch), [], threading.get_ident()
+
+    def spy_loop(loop):
+        def spy(zr, *arrays):
+            loops.append((loop.__name__, threading.get_ident() != caller, zr.shape[2]))
+            return loop(zr, *arrays)
+        return spy
+
+    for name in ("_gru_scan", "_gru_bptt"):
+        monkeypatch.setattr(L, name, spy_loop(getattr(L, name)))
+
+    def split(name, dtype):
+        """The names of the functions ``name``'s record ran in halves with one
+        on the pool thread, and of all those it passed to ``halves``."""
+        parts.clear()
+        loops.clear()
+        with CPU.two_cpus():
+            run_record(name, dtype)
+        return ({fn for thread, _, _, fn in parts if thread != caller},
+                {fn for _, _, _, fn in parts})
+
+    # (loop, on the pool thread, batch rows)
+    assert split("bigru_flagship", "float64") == ({"project", "scan", "by_direction", "bptt"},) * 2
+    assert sorted(loops) == [(loop, pool, 64) for loop in ("_gru_bptt", "_gru_scan")
+                             for pool in (False, True)]
+    # a float32 half's per-step z|r block takes 64 KiB, under the loops' floor
+    assert split("bigru_flagship", "float32") == ({"project", "by_direction"},) * 2
+    assert sorted(loops) == [("_gru_bptt", False, 128), ("_gru_scan", False, 128)]
+    assert split("layernorm_flagship", "float64") == ({"forward", "first", "last"},) * 2
+    assert split("batchnorm_relu_flagship", "float64") == (
+        {"forward", "first", "scaled", "last"},) * 2
+    assert split("residual_flagship", "float64") == ({"forward", "masked"},) * 2
+    assert split("dropout_flagship", "float64") == ({"rows"},) * 2
+    split("dense_flagship", "float64")   # dW, (64, 7680), in halves of its columns
+    assert 7680 in {n for thread, _, n, _ in parts if thread != caller}
 
 
 @pytest.mark.parametrize("seed", [3, 13])
@@ -675,7 +739,7 @@ def test_train_bits_do_not_depend_on_the_split(monkeypatch, case, dtype, seed):
     monkeypatch.setattr(CPU, "cpus", lambda: 2)
     parts = spy_halves(monkeypatch)
     split, split_records = train_small(cfg, dtype, seed)
-    assert any(thread != threading.get_ident() for thread, _, _ in parts)
+    assert any(thread != threading.get_ident() for thread, _, _, _ in parts)
     for (name, a), b in zip(whole.named_arrays().items(), split.named_arrays().values()):
         assert a.data.tobytes() == b.data.tobytes(), name
     fields = lambda r: (r.epoch, r.train_loss, r.train_accuracy, r.val_loss, r.val_accuracy)
@@ -719,7 +783,7 @@ def test_train_without_two_cpus_runs_in_one_pass(monkeypatch, fallback):
     parts = spy_halves(monkeypatch)
     train_small(TRAIN_SPLIT_CASES[5], epochs=1)
     assert parts
-    assert all(thread == threading.get_ident() and s == slice(0, n) for thread, s, n in parts)
+    assert all(thread == threading.get_ident() and s == slice(0, n) for thread, s, n, _ in parts)
 
 
 # ---------------------------------------------------------------------------
