@@ -1,9 +1,9 @@
 """How many CPUs this process may use, and how work is split across two.
 
 ``cpus()`` counts the CPUs ``read_table`` cuts a large CSV file across.
-``blas_threads`` lets several threads call numpy's OpenBLAS at once without
-asking it for more threads than there are CPUs: each caller's share is its
-thread count divided by the callers, and the count is put back afterwards.
+``blas_threads`` lets two threads call numpy's OpenBLAS at once without
+asking it for more threads than there are CPUs: each caller's share is half
+its thread count, and the count is put back afterwards.
 OpenBLAS splits a matrix product's output among its threads, never a sum,
 yet its thread count can change bits: a (K, 128)^T (K, 64) product gave
 other bits at one thread than at two for K above 384 (float64) or 448
@@ -12,17 +12,18 @@ of full batches only, and runs a last, shorter one in one pass: a last
 flagship batch of 112 rows has its BiGRU dU sum over 59 x 112 rows.
 
 ``two_cpus`` and ``halves`` are the one owner of the row split that
-``predict_logits`` scores a block with and that a training step's fused
-records run their large products, the BiGRU's loops and their row-wise
-passes with: inside ``two_cpus``, ``halves(fn, n)`` runs ``fn`` on the
-first half of ``n`` rows on the caller's thread and on the second half on
-one pool thread, with OpenBLAS at one thread per half (on two CPUs). A caller pins OpenBLAS once around all of its work, such as
-an epoch's train steps, not around each split: OpenBLAS's idle worker thread
-spins after every call that used it, measured at 0.125 s of CPU over the
-1 s sleep that followed one 2-thread product (0.000 s with
-``OPENBLAS_THREAD_TIMEOUT=4``), so two 1-thread halves run right after a
-2-thread product fight that spinner for the second CPU: two concurrent
-1-thread products took 11.3 ms then, and 6.4 ms once the worker slept.
+``predict_logits`` scores a block with and that the layers run their large
+products, the BiGRU's loops and their row-wise passes with: inside
+``two_cpus``, ``halves(fn, n)`` runs ``fn`` on the first half of ``n`` rows
+on the caller's thread and on the second half on one pool thread, with
+OpenBLAS at one thread per half (on two CPUs). A caller pins OpenBLAS once
+around all of its work, such as an epoch's train steps, not around each
+split: OpenBLAS's idle worker thread spins after every call that used it,
+measured at 0.125 s of CPU over the 1 s sleep that followed one 2-thread
+product (0.000 s with ``OPENBLAS_THREAD_TIMEOUT=4``), so two 1-thread
+halves run right after a 2-thread product fight that spinner for the
+second CPU: two concurrent 1-thread products took 11.3 ms then, and 6.4 ms
+once the worker slept.
 
 Only the OpenBLAS that numpy's own PyPI wheels ship is driven, the build
 this was measured on: the ILP64 ``libscipy_openblas64_`` library in the
@@ -103,10 +104,10 @@ def openblas_threads() -> int | None:
 
 
 @contextmanager
-def blas_threads(parts: int) -> Iterator[bool]:
-    """Share numpy's OpenBLAS among ``parts`` concurrent callers.
+def blas_threads() -> Iterator[bool]:
+    """Share numpy's OpenBLAS between two concurrent callers.
 
-    The body runs with OpenBLAS at ``max(1, count // parts)`` threads, where
+    The body runs with OpenBLAS at ``max(1, count // 2)`` threads, where
     ``count`` is its thread count on entry, which is restored on exit, also
     when the body raises. Yields True then; False, with nothing set, where
     the thread count cannot be set or while another caller holds it lowered.
@@ -118,7 +119,7 @@ def blas_threads(parts: int) -> Iterator[bool]:
     set_threads, get_threads = blas
     try:
         count = get_threads()
-        set_threads(max(1, count // parts))
+        set_threads(max(1, count // 2))
         try:
             yield True
         finally:
@@ -131,7 +132,7 @@ def blas_threads(parts: int) -> Iterator[bool]:
 def two_cpus() -> Iterator[None]:
     """Let ``halves`` calls on this thread split their rows across two CPUs.
 
-    Enters ``blas_threads(2)`` and then one pool thread, which is joined
+    Enters ``blas_threads()`` and then one pool thread, which is joined
     before the thread count is restored, also when the body raises. Sets
     nothing, so ``halves`` runs whole, where there is one CPU or OpenBLAS
     cannot be pinned (another caller holds it, or it is not numpy's); a call
@@ -143,7 +144,7 @@ def two_cpus() -> Iterator[None]:
         return
     # the pool is entered after the pinning, so its thread is joined before
     # the thread count is restored
-    with blas_threads(2) as pinned, (ThreadPoolExecutor(1) if pinned else nullcontext()) as pool:
+    with blas_threads() as pinned, (ThreadPoolExecutor(1) if pinned else nullcontext()) as pool:
         _local.pool = pool
         try:
             yield

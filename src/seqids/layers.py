@@ -15,9 +15,9 @@ varies):
   scatter adds one term into zeros. The record keeps x and the reshaped
   kernels, neither the zero-padded copy nor the im2col matrix, k times as
   large: the backward rule pads x again and rebuilds that matrix with the
-  forward pass's strided view and reshape. Recorded, the forward GEMM and
-  ``dcols`` run in batch halves and ``dw`` in halves of its rows (see
-  below); the shortcut's and a one-channel conv's products stay whole.
+  forward pass's strided view and reshape. The forward GEMM and ``dcols``
+  run in batch halves and ``dw`` in halves of its rows (see below); the
+  shortcut's and a one-channel conv's products stay whole.
 * The GRU uses sigmoid gates and a tanh candidate with reset-before-candidate,
   ``h_cand = tanh(x W_c + (r * h_prev) U_c + b_c)``, and the update
   ``h_t = (1 - z) * h_prev + z * h_cand``. ``W (input, 3H)``, ``U (H, 3H)``
@@ -33,8 +33,8 @@ varies):
   output, nothing else. The backward rule lays h, the output gradient and
   the pre-activation gradient out direction-major, ``(2, T, B, ·)``, so
   that dW, dU and dx are one GEMM per direction each, the two directions'
-  on two CPUs (see below). Recorded, the input projection runs in halves of
-  the time steps, and the scan and the BPTT loop each run as two loops, one
+  on two CPUs (see below). The input projection runs in halves of the time
+  steps, and the scan and the BPTT loop each run as two loops, one
   per batch half, where a half is large enough (``_SPLIT_LOOP_BYTES``): the
   rows of a GRU never meet, so the halves need no join per step. ``db``
   stays whole.
@@ -51,9 +51,10 @@ varies):
   dead: dv over v, dk over k, and dq, through one (B, T, key_dim) scratch,
   over q. Head 0's ``dx`` term is ``dx`` itself. Unrecorded, every head
   reuses one Q|K|V buffer and one weights buffer, so inference memory grows
-  with the head count only by the concatenated head outputs, and nothing is
-  split. Recorded, the forward pass runs in batch halves: each head's Q|K|V
-  projection, scores, softmax and weighted sum, then the output projection.
+  with the head count only by the concatenated head outputs. The forward
+  pass runs in batch halves, each in its own rows of those buffers: each
+  head's Q|K|V projection, scores, softmax and weighted sum, then the output
+  projection.
   The backward rule runs each head's dout, ds, dv, dq and dk in batch
   halves, then its ``dx`` term in batch halves, then its ``dw_qkv`` block
   over all rows in halves of its rows; ``dw_o`` is one product over all
@@ -69,9 +70,9 @@ varies):
   BatchNorm), its backward rule masking ``g`` before the normalization's.
   The record keeps x, the mean and ``rstd``, not the normalized ``xhat``:
   the backward rule rebuilds ``xhat`` with the forward pass's two ops, and
-  the forward pass scales and shifts that same array in place. Recorded,
-  the forward pass and the backward rule's per-row passes run in row
-  halves, LayerNorm's per-row means inside them; ``dgamma``, ``dbeta`` and
+  the forward pass scales and shifts that same array in place. The forward
+  pass and the backward rule's per-row passes run in row halves,
+  LayerNorm's per-row means inside them; ``dgamma``, ``dbeta`` and
   BatchNorm's means over batch and time run whole between the passes.
 * The residual join ``relu(a + b)`` is one record too, ``residual_relu``,
   over two inputs of one shape; no other elementwise op has a record. Its
@@ -81,41 +82,44 @@ varies):
   time-major ``dx``, and a masked array in that layout changes the
   summation order, and so the bits, of the BatchNorm gradients below it.
   ``_normalize(relu=True)`` and the Dense ReLU mask into a new array too.
-  Recorded, the join and its rule run in row halves.
+  The join and its rule run in row halves.
 * Dropout is inverted: survivors are scaled by 1/(1-rate) at train time and
   inference is the identity. Train mode is one tape record on a boolean
   keep mask; its backward rule multiplies the same mask and then the scale
   into ``g`` itself and returns it, the only rule that writes into ``g``:
   its ``g`` is the first Dense's C-contiguous ``dx``, so the bits are those
   of a new array, and the step holds one ``(B, T, F)`` gradient, not two.
-  The mask is drawn whole from the one generator; recorded, the
-  mask-and-scale of the forward pass and of the rule run in row halves.
+  The mask is drawn whole from the one generator; the mask-and-scale of
+  the forward pass and of the rule run in row halves.
 * Dense is one tape record: ``x W^T + b``, then a ReLU when the call asks
   for one, ``dense_forward(..., relu=True)``, as ``batchnorm_forward`` asks
   for its own. It takes ``(N, ...)`` input and reads it as the view ``(N,
   in)``, so the model's flatten is the first Dense's view, not a record of
   its own; ``dx`` comes back in the input's shape. The model asks no ReLU of
   its last Dense, so it returns logits; the softmax lives in the loss and in
-  ``predict_proba``. Recorded, the forward and dx run in batch halves and
-  dW in halves of its rows, or of its columns where it has too few rows to
+  ``predict_proba``. The forward and dx run in batch halves and dW in
+  halves of its rows, or of its columns where it has too few rows to
   halve, where large enough: of the flagship's, the first Dense's forward,
   dx and dW (64 rows of 7680 columns).
 * Weights use fan-scaled uniform init, bound sqrt(6 / (fan_in + fan_out));
   biases start at zero, scale/shift parameters at one/zero.
-* Inside ``cpus.two_cpus`` (the train steps) a recorded Conv1D, BiGRU,
-  attention or Dense record runs its large matrix products in halves on
-  two CPUs (``_split``, ``cpus.halves``): a product that works row by row
-  in halves of its rows, and one that sums over the rows, a weight
-  gradient, over all rows in halves of its output rows, so no sum changes
-  order. A product is split only where its halves keep the bits of the
-  whole one (``_SPLIT_ROWS``), so the step's bits do not depend on the
-  split. Every record's work with no product, row by row, runs in row
-  halves too where it is large enough (``_split_rows``): the BiGRU's loops,
-  the normalizers' per-row passes, the residual join and dropout's
+* Inside ``cpus.two_cpus`` and outside a half (a train step, or an
+  inference block that ``train.predict_logits`` does not halve itself) a
+  Conv1D, BiGRU, attention or Dense layer runs its large matrix products
+  in halves on two CPUs (``_split``, ``cpus.halves``): a product that
+  works row by row in halves of its rows, and one that sums over the rows,
+  a weight gradient, over all rows in halves of its output rows, so no sum
+  changes order. A product is split only where its halves keep the bits of
+  the whole one (``_SPLIT_ROWS``), so the bits do not depend on the split.
+  Every layer's work with no product, row by row, runs in row halves too
+  where it is large enough (``_split_rows``): the BiGRU's loops, the
+  normalizers' per-row passes, the residual join and dropout's
   mask-and-scale. Each sum over rows runs whole on the joined arrays, in
   the order of one pass, and each returned array keeps the layout it has
   from one pass, which sets the order of the sums below it. The loss and
-  Adam stay whole, as does every pass of an unrecorded op.
+  Adam stay whole. These shape rules alone decide the split: a forward
+  pass splits alike whether or not it is recorded, which decides only the
+  state its record keeps.
 """
 
 from __future__ import annotations
@@ -146,8 +150,7 @@ _SPLIT_ROWS, _SPLIT_COLUMNS, _SMALL_PRODUCT = 128, 16, 10**6
 def _split(fn, n: int, *products: tuple[int, int, int]) -> None:
     """``cpus.halves(fn, n)``, where ``fn(s)`` computes the rows that ``s``
     maps to of each of ``products``, given as (rows, inner, columns), if each
-    of them keeps its bits in halves; else ``fn(slice(0, n))``. A product of
-    0 rows is never split."""
+    of them keeps its bits in halves; else ``fn(slice(0, n))``."""
     if all(m >= _SPLIT_ROWS and c % _SPLIT_COLUMNS == 0 and m // 2 * k * c > _SMALL_PRODUCT
            for m, k, c in products):
         halves(fn, n)
@@ -182,8 +185,7 @@ _SPLIT_LOOP_BYTES = 96 << 10
 def _split_rows(fn, n: int, nbytes: int, floor: int = _SPLIT_BYTES) -> None:
     """``cpus.halves(fn, n)`` where ``nbytes`` is at least ``floor``, else
     ``fn(slice(0, n))``. ``fn(s)`` does the work of the leading-axis rows
-    ``s``, which reads no other row, so the split changes no bit; a caller
-    passes 0 bytes for a pass that is not recorded, which stays whole."""
+    ``s``, which reads no other row, so the split changes no bit."""
     if nbytes >= floor:
         halves(fn, n)
     else:
@@ -247,7 +249,7 @@ def conv1d_forward(x: Tensor, p: Conv1DParams) -> Tensor:
     w2 = p.kernels.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
     out_data = np.empty((batch, t_len, c_out), dtype=np.result_type(xp, w2))
     _split(lambda s: np.matmul(im2col(xp[s]), w2, out=out_data[s].reshape(-1, c_out)),
-           batch, (T.recording((x, p.kernels, p.bias)) * batch * t_len, k * c_in, c_out))
+           batch, (batch * t_len, k * c_in, c_out))
     out_data += p.bias.data
     del xp
 
@@ -313,7 +315,7 @@ def _normalize(x: Tensor, p: BatchNormParams | LayerNormParams, mean: np.ndarray
         if relu:
             np.maximum(out, 0, out=out)
 
-    _split_rows(forward, n, T.recording((x, p.gamma, p.beta)) * (x.ndim > 1) * out_data.nbytes)
+    _split_rows(forward, n, (x.ndim > 1) * out_data.nbytes)
 
     def back(g):
         # the per-row passes in row halves; every sum over rows, and
@@ -415,7 +417,7 @@ def residual_relu(a: Tensor, b: Tensor) -> Tensor:
         np.add(a.data[s], b.data[s], out=out_data[s])
         np.maximum(out_data[s], 0, out=out_data[s])
 
-    _split_rows(forward, len(out_data), T.recording((a, b)) * out_data.nbytes)
+    _split_rows(forward, len(out_data), out_data.nbytes)
 
     def back(g):
         da, db = np.empty(g.shape, g.dtype), np.empty(g.shape, g.dtype)
@@ -562,11 +564,10 @@ def bigru_forward(x: Tensor, fwd: GRUParams, bwd: GRUParams) -> Tensor:
             split = proj.reshape(-1, batch, 3 * hid)
             zr[s, d], cand[s, d] = split[..., :2 * hid], split[..., 2 * hid:]
 
-    recorded = T.recording((x,) + tuple(q for p in dirs for q in (p.W, p.U, p.b)))
-    _split(project, t_len, (recorded * t_len * batch, feat, 3 * hid))
+    _split(project, t_len, (t_len * batch, feat, 3 * hid))
     hs = np.empty((t_len, 2, batch, hid), dtype=dtype)
     # the rows of a GRU never meet, so each batch half runs its own loop
-    loops = recorded and batch >= _SPLIT_ROWS and hid % _SPLIT_COLUMNS == 0
+    loops = batch >= _SPLIT_ROWS and hid % _SPLIT_COLUMNS == 0
     loop_bytes = loops * (batch // 2) * 4 * hid * zr.itemsize
 
     def scan(s):
@@ -720,8 +721,7 @@ def multi_head_attention(x: Tensor, p: MHAParams) -> Tensor:
             np.matmul(_attention_weights(q, k, ws[h % slots][s]), v, out=out[s])
         np.matmul(cat[r], p.w_o.data, out=out_data[r])
 
-    _split(forward, lead[0], (recorded * len(x2), model_dim, width),
-           (recorded * len(x2), p.w_o.shape[0], model_dim))
+    _split(forward, lead[0], (len(x2), model_dim, width), (len(x2), p.w_o.shape[0], model_dim))
 
     def back(g):
         # Each saved array is dropped once read: cat after dw_o, a head's
@@ -795,15 +795,15 @@ def dropout_forward(x: Tensor, rate: float, mode: str = "train",
     # multiplying by the scaled mask, and the record keeps 1 byte an element
     keep, scale = rng.random(x.shape) >= rate, 1.0 / (1.0 - rate)
 
-    def apply(a, out, recorded=True):
-        """``a`` masked and scaled into ``out``, in row halves when recorded."""
+    def apply(a, out):
+        """``a`` masked and scaled into ``out``, in row halves where large enough."""
         def rows(s):
             np.multiply(a[s], keep[s], out=out[s])
             out[s] *= scale
-        _split_rows(rows, len(a), recorded * a.nbytes)
+        _split_rows(rows, len(a), a.nbytes)
         return out
 
-    out_data = apply(x.data, np.empty_like(x.data), T.recording((x,)))
+    out_data = apply(x.data, np.empty_like(x.data))
     return register_op((x,), out_data, lambda g: (apply(g, g),))
 
 
@@ -835,7 +835,7 @@ def dense_forward(x: Tensor, p: DenseParams, relu: bool = False) -> Tensor:
         np.matmul(x2[s], p.W.data.T, out=y[s])
         y[s] += p.b.data
 
-    _split(forward, rows, (T.recording((x, p.W, p.b)) * rows, width, len(p.W.data)))
+    _split(forward, rows, (rows, width, len(p.W.data)))
     if relu:
         np.maximum(y, 0.0, out=y)
 

@@ -112,8 +112,9 @@ _active = _Active()
 
 def recording(inputs: Sequence[Tensor]) -> bool:
     """Whether an op over ``inputs`` is recorded: a tape is active and some
-    input requires grad. Layers ask this to keep state only their backward
-    rule reads."""
+    input requires grad. Layers ask this only to choose the state a record
+    keeps for its backward rule; whether their work splits across CPUs does
+    not depend on it."""
     return bool(_active.tapes) and any(t.requires_grad for t in inputs)
 
 

@@ -7,7 +7,9 @@ so its memory beyond that array stays bounded however many rows a caller
 scores. Where there are two CPUs, a full block runs on both: the caller's
 thread and one pool thread each take half its rows through
 ``Model.features`` (``cpus.halves``), and ``Model.head`` takes the whole
-block, so the logits keep the bits of one forward pass per block.
+block, so the logits keep the bits of one forward pass per block. A last,
+shorter block runs as one forward pass inside the same pin, whose layers
+split their own work by its shape (``layers``).
 ``predict_proba``, ``measure_inference``, ``eval``, ``ablate`` and the epoch
 loop's validation all take it.
 
@@ -274,12 +276,15 @@ def predict_logits(model: Model, X: np.ndarray, batch_size: int = INFER_ROWS) ->
     BLAS cannot be pinned, in one pass) and ``model.head`` on the joined
     features of the whole block. Smaller blocks, and an X of another shape
     than the model's input, whose ``ShapeError`` so names a block's shape,
-    run as one ``model.forward``. On a 2-vCPU x86-64 machine, two parts
-    scored a flagship block at 1.67x one pass with 32-row parts, 1.4x with 12
-    to 16 and 0.83x with 4, so only a full block is split. Every stage
-    through the first hidden Dense gives a part of 3 rows or more the bits
-    of its whole block; the Dense layers after it do not at 32 rows, so the
-    logits are bitwise those of ``model.forward`` on each block.
+    run as one ``model.forward``; a last, shorter block of a split X does
+    so inside the pin, where its layers split their large products and
+    row-wise passes as in a train step (``layers``), with the same bits.
+    On a 2-vCPU x86-64 machine, two parts scored a flagship block at 1.67x
+    one pass with 32-row parts, 1.4x with 12 to 16 and 0.83x with 4, so
+    only a full block is cut into parts. Every stage through the first
+    hidden Dense gives a part of 3 rows or more the bits of its whole
+    block; the Dense layers after it do not at 32 rows, so the logits are
+    bitwise those of ``model.forward`` on each block.
     """
     is_int = isinstance(batch_size, (int, np.integer)) and not isinstance(batch_size, bool)
     if not (is_int and batch_size >= 1):

@@ -450,7 +450,7 @@ def test_split_runs_its_parts_on_a_shared_blas_and_restores_its_thread_count(
 
 
 @contextlib.contextmanager
-def no_blas_control(parts):
+def no_blas_control():
     """``cpus.blas_threads`` where numpy's OpenBLAS cannot be pinned."""
     yield False
 
@@ -468,13 +468,13 @@ def test_split_without_blas_control_runs_each_block_in_one_pass(monkeypatch):
 
 def test_blas_threads_lends_one_caller_at_a_time_a_share(blas_count):
     with pytest.raises(TrainingDiverged):
-        with CPU.blas_threads(2) as pinned:
+        with CPU.blas_threads() as pinned:
             assert pinned and blas_count() == 1
-            with CPU.blas_threads(2) as nested:   # the count is lowered already
+            with CPU.blas_threads() as nested:   # the count is lowered already
                 assert not nested and blas_count() == 1
             raise TrainingDiverged("the body raised")
     assert blas_count() == 3
-    with CPU.blas_threads(3) as pinned:   # released on the way out
+    with CPU.blas_threads() as pinned:   # released on the way out
         assert pinned and blas_count() == 1
 
 
@@ -493,7 +493,7 @@ def test_blas_threads_finds_the_thread_count_of_numpys_wheel_openblas():
     blas = CPU._openblas()
     assert blas is not None, f"no {CPU._SET} and {CPU._GET} in {numpy_openblas()}"
     before = blas[1]()
-    with CPU.blas_threads(2) as pinned:
+    with CPU.blas_threads() as pinned:
         assert pinned and blas[1]() == max(1, before // 2)
     assert blas[1]() == before
 
@@ -655,9 +655,10 @@ RECORDS = {
 }
 
 
-def run_record(name, dtype):
+def run_record(name, dtype, recorded=True):
     """The output and the returned gradients of ``RECORDS[name]`` in ``dtype``,
-    built afresh from one seed, run forward and then backward."""
+    built afresh from one seed, run forward and then backward; with
+    ``recorded`` False, the output alone of a forward pass with no tape."""
     make, shape = RECORDS[name]
     rng = np.random.default_rng(19)
     layer = make(rng)
@@ -667,9 +668,11 @@ def run_record(name, dtype):
             if dataclasses.is_dataclass(value) else []
         for tensor in (v for v in values if isinstance(v, Tensor)):
             tensor.data = tensor.data.astype(dtype)
-    x = rng.normal(size=shape).astype(dtype)
+    x = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+    if not recorded:
+        return [layer(x).data]
     with T.Tape() as tape:
-        out = layer(Tensor(x, requires_grad=True))
+        out = layer(x)
     g = np.random.default_rng(20).normal(size=out.shape).astype(dtype)
     return [out.data] + [a for a in tape.records[0].backward_fn(g) if a is not None]
 
@@ -677,12 +680,14 @@ def run_record(name, dtype):
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("name", RECORDS)
 def test_a_record_keeps_its_bits_in_halves(monkeypatch, blas_count, name, dtype):
+    # the record, then its forward pass alone with no tape, which splits alike
+    both = lambda: run_record(name, dtype) + run_record(name, dtype, recorded=False)
     monkeypatch.setattr(CPU, "cpus", lambda: 1)
-    with CPU.blas_threads(2):   # the thread count of a half, as below
-        whole = run_record(name, dtype)
+    with CPU.blas_threads():   # the thread count of a half, as below
+        whole = both()
     monkeypatch.setattr(CPU, "cpus", lambda: 2)
     with CPU.two_cpus():
-        split = run_record(name, dtype)
+        split = both()
     layout = lambda arrays: [(a.dtype, a.shape, a.strides, a.tobytes()) for a in arrays]
     assert layout(whole) == layout(split)
 
@@ -725,6 +730,21 @@ def test_the_flagship_loops_and_row_passes_run_a_half_on_the_pool_thread(
     assert split("dropout_flagship", "float64") == ({"rows"},) * 2
     split("dense_flagship", "float64")   # dW, (64, 7680), in halves of its columns
     assert 7680 in {n for thread, _, n, _ in parts if thread != caller}
+
+
+def test_a_short_last_block_splits_its_layers_with_the_bits_of_one_forward(
+        monkeypatch, blas_count):
+    # two full blocks scored in halves, then a 22-row tail as one forward pass
+    # inside the pin, whose layers split by shape although nothing is recorded
+    model = build_model(ModelConfig(), np.random.default_rng(21))
+    X = np.random.default_rng(21).normal(size=(150, 60, 1))
+    with CPU.blas_threads():   # one OpenBLAS thread, a half's count
+        want = [model.forward(X[s:s + TR.INFER_ROWS], mode="infer").data
+                for s in range(0, len(X), TR.INFER_ROWS)]
+    monkeypatch.setattr(CPU, "cpus", lambda: 2)
+    parts, caller = spy_halves(monkeypatch), threading.get_ident()
+    assert TR.predict_logits(model, X).tobytes() == np.concatenate(want).tobytes()
+    assert any(thread != caller and s != slice(0, n) for thread, s, n, _ in parts)
 
 
 @pytest.mark.parametrize("seed", [3, 13])
